@@ -7,24 +7,23 @@ Prices the same measured work profiles on three cap-capable sockets
 manycore) and compares where each algorithm's first slowdown lands.
 """
 
-from repro.core import classify_result
-from repro.core.runner import StudyRunner
-from repro.core.study import ALGORITHM_NAMES, StudyConfig
-from repro.harness import effective_sizes
+from repro.core import SweepEngine, classify_result
+from repro.core.study import ALGORITHM_NAMES, StudyConfig, effective_sizes
 from repro.machine import ALL_PRESETS
 
 
-def bench_ablation_architectures(benchmark, harness):
+def bench_ablation_architectures(benchmark, engine):
     size = effective_sizes((128,))[0]
-    # Warm the ledger cache through the shared harness.
+    # Warm the ledger cache through the shared engine.
     for alg in ALGORITHM_NAMES:
-        harness.profile(alg, size)
+        engine.profile_for(alg, size)
 
     def sweep():
         out = {}
         for name, spec in ALL_PRESETS.items():
-            runner = StudyRunner(spec)
-            runner._profiles = dict(harness.runner._profiles)
+            # Ledgers do not depend on the machine: every socket prices
+            # the shared engine's cached ledgers.
+            priced = SweepEngine(spec, workers=0, profile_cache=engine.profile_cache)
             caps = tuple(
                 float(w)
                 for w in range(int(spec.tdp_watts), int(spec.rapl_floor_watts) - 1, -10)
@@ -32,7 +31,7 @@ def bench_ablation_architectures(benchmark, harness):
             cfg = StudyConfig(
                 name=f"arch-{name}", algorithms=ALGORITHM_NAMES, sizes=(size,), caps_w=caps
             )
-            out[name] = (spec, runner.run_config(cfg))
+            out[name] = (spec, priced.run(cfg))
         return out
 
     results = benchmark.pedantic(sweep, rounds=1, iterations=1)

@@ -10,7 +10,7 @@ tight budgets.
 """
 
 from repro.cloverleaf import step_profile
-from repro.harness import effective_sizes
+from repro.core.study import effective_sizes
 from repro.insitu import advisor_allocation, uniform_allocation
 from repro.workload import WorkProfile
 
@@ -21,9 +21,9 @@ def _scaled(profile, factor):
     return out
 
 
-def bench_ablation_budget(benchmark, harness):
+def bench_ablation_budget(benchmark, engine):
     size = min(effective_sizes((128,))[0], 128)
-    proc = harness.runner.processor
+    proc = engine.processor
     # Paper-like composition: the simulation dominates; visualization is
     # a 10-20% tail (10 of the study's 87 cycles).
     sim = step_profile(size**3, 2500)
@@ -31,7 +31,7 @@ def bench_ablation_budget(benchmark, harness):
     def sweep():
         rows = []
         for viz_alg in ("contour", "volume"):
-            viz = _scaled(harness.profile(viz_alg, size), 10.0 / 87.0)
+            viz = _scaled(engine.profile_for(viz_alg, size), 10.0 / 87.0)
             for budget in (100.0, 140.0, 180.0):
                 uni = uniform_allocation(proc, sim, viz, budget)
                 adv = advisor_allocation(proc, sim, viz, budget)

@@ -7,7 +7,7 @@ for a band of thresholds, not just the published ones.
 """
 
 from repro.core import classify_result
-from repro.harness import effective_sizes
+from repro.core.study import effective_sizes
 
 SENSITIVE = {"advection", "volume"}
 
@@ -23,7 +23,7 @@ def _memberships(result, size, slowdown_threshold, sensitive_cap):
     return out
 
 
-def bench_ablation_classify(benchmark, harness, phase2_result):
+def bench_ablation_classify(benchmark, phase2_result):
     size = effective_sizes((128,))[0]
 
     def sweep():

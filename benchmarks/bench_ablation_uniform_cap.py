@@ -8,16 +8,16 @@ compares a uniform cap against a demand-aware split of the same total
 budget.
 """
 
-from repro.harness import effective_sizes
+from repro.core.study import effective_sizes
 
 
-def bench_ablation_uniform_cap(benchmark, harness):
+def bench_ablation_uniform_cap(benchmark, engine):
     sizes = effective_sizes((32, 128))
     small, large = sizes[0], sizes[-1]
-    proc = harness.runner.processor
+    proc = engine.processor
 
-    light = harness.profile("contour", small)   # lightly loaded socket
-    heavy = harness.profile("volume", large)    # heavily loaded socket
+    light = engine.profile_for("contour", small)   # lightly loaded socket
+    heavy = engine.profile_for("volume", large)    # heavily loaded socket
     budget = 160.0
 
     def run():

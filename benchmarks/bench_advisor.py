@@ -37,8 +37,7 @@ from repro.core.atomicio import atomic_write_json
 from repro.core.pricing import LedgerCache
 from repro.core.profiles import profile_from_ledger
 from repro.core.runner import DEFAULT_VIZ_CYCLES, make_run_point
-from repro.core.study import ALGORITHM_NAMES, POWER_CAPS_W
-from repro.harness import effective_sizes
+from repro.core.study import ALGORITHM_NAMES, POWER_CAPS_W, effective_sizes
 from repro.machine.simulator import Processor
 
 BENCH_FORMAT = "repro-bench-advisor"

@@ -10,7 +10,7 @@ the inverse of IPC (isovolume highest, the renderers lowest).
 import pytest
 
 from repro.core import figure2_series
-from repro.harness import effective_sizes
+from repro.core.study import effective_sizes
 
 
 def _print_series(title, series, fmt="{:6.2f}"):
@@ -23,7 +23,7 @@ def _print_series(title, series, fmt="{:6.2f}"):
         print(f"{alg:>10s} " + " ".join(fmt.format(v) for v in s.y))
 
 
-def bench_fig2_counters(benchmark, harness, phase2_result):
+def bench_fig2_counters(benchmark, engine, phase2_result):
     size = effective_sizes((128,))[0]
     fig = benchmark.pedantic(
         lambda: figure2_series(phase2_result, size=size), rounds=3, iterations=1
@@ -33,7 +33,7 @@ def bench_fig2_counters(benchmark, harness, phase2_result):
     _print_series("Fig 2b: IPC", fig["ipc"])
     _print_series("Fig 2c: LLC miss rate", fig["llc_miss_rate"])
 
-    spec = harness.runner.processor.spec
+    spec = engine.processor.spec
 
     # (a) Everyone runs at the all-core turbo at 120 W (paper: "all
     # algorithms ... run at the same frequency of 2.6 GHz at a 120 W cap").

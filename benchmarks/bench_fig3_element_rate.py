@@ -7,11 +7,11 @@ severe caps; fast algorithms sit higher than slow ones.
 """
 
 from repro.core import figure3_series
-from repro.harness import effective_sizes
+from repro.core.study import effective_sizes
 from repro.viz import CELL_CENTERED
 
 
-def bench_fig3_element_rate(benchmark, harness, phase2_result):
+def bench_fig3_element_rate(benchmark, phase2_result):
     size = effective_sizes((128,))[0]
     fig = benchmark.pedantic(
         lambda: figure3_series(phase2_result, size=size, algorithms=CELL_CENTERED),

@@ -13,7 +13,7 @@ The paper's three categories:
 import pytest
 
 from repro.core import ipc_by_size_series
-from repro.harness import effective_sizes
+from repro.core.study import effective_sizes
 
 RISING = ("slice", "contour", "isovolume", "threshold", "clip")
 FALLING = ("volume",)
@@ -25,7 +25,7 @@ def _ipc_at_tdp(series):
     return {size: s.y[-1] for size, s in series.items()}
 
 
-def bench_fig456_ipc_by_size(benchmark, harness, phase3_result):
+def bench_fig456_ipc_by_size(benchmark, phase3_result):
     sizes = effective_sizes()
     if len(sizes) < 3:
         pytest.skip("need at least three dataset sizes for the trend")

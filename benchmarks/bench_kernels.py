@@ -34,8 +34,8 @@ from repro.core.benchtrack import (
     time_kernel,
     trend_rows,
 )
+from repro.core.study import effective_sizes
 from repro.data.generators import make_dataset
-from repro.harness import effective_sizes
 from repro.viz import ALGORITHMS
 
 #: Kernels timed at every requested size (the extraction layer).

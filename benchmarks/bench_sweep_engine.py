@@ -13,7 +13,7 @@ import pytest
 
 from repro import api
 from repro.core import StudyConfig, StudyRunner, SweepEngine
-from repro.harness import effective_sizes
+from repro.core.study import effective_sizes
 
 
 def _config() -> StudyConfig:

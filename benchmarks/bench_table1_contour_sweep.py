@@ -8,17 +8,19 @@ a deep cap, and the slowdown never reaches the power reduction
 
 import pytest
 
+from repro import api
 from repro.core import first_slowdown_cap, render_table1
-from repro.harness import effective_sizes
+from repro.core.study import effective_sizes
 
 
 def _table1_size() -> int:
     return effective_sizes((128,))[0]
 
 
-def bench_table1_contour_sweep(benchmark, harness):
+def bench_table1_contour_sweep(benchmark, engine):
     size = _table1_size()
-    result = benchmark.pedantic(harness.table1, rounds=1, iterations=1)
+    config = api.resolve_config("table1")
+    result = benchmark.pedantic(engine.run, (config,), rounds=1, iterations=1)
     print()
     print(render_table1(result, algorithm="contour", size=size))
 
@@ -26,7 +28,7 @@ def bench_table1_contour_sweep(benchmark, harness):
     base = pts[0]
 
     # Paper: at 120 W the contour runs at the all-core turbo frequency.
-    assert base.freq_ghz == pytest.approx(harness.processor.spec.f_turbo)
+    assert base.freq_ghz == pytest.approx(engine.processor.spec.f_turbo)
 
     # Paper: "the execution time remains unaffected until an extreme
     # power cap" — no significant slowdown above 60 W.

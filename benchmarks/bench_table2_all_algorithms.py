@@ -6,16 +6,18 @@ slowdown at deep caps, low draw) and a power-sensitive class (particle
 advection and volume rendering: high draw, early slowdown).
 """
 
+from repro import api
 from repro.core import classify_result, first_slowdown_cap, render_slowdown_table
-from repro.harness import effective_sizes
+from repro.core.study import effective_sizes
 
 OPPORTUNITY = ("contour", "threshold", "clip", "isovolume", "slice", "raytrace")
 SENSITIVE = ("advection", "volume")
 
 
-def bench_table2_all_algorithms(benchmark, harness):
+def bench_table2_all_algorithms(benchmark, engine):
     size = effective_sizes((128,))[0]
-    result = benchmark.pedantic(harness.table2, rounds=1, iterations=1)
+    config = api.resolve_config("table2")
+    result = benchmark.pedantic(engine.run, (config,), rounds=1, iterations=1)
     print()
     print(render_slowdown_table(result, size=size))
 

@@ -9,21 +9,23 @@ barely moves.
 
 import pytest
 
+from repro import api
 from repro.core import classify_result, render_slowdown_table
-from repro.harness import effective_sizes
+from repro.core.study import effective_sizes
 
 
-def bench_table3_large_dataset(benchmark, harness):
+def bench_table3_large_dataset(benchmark, engine, phase2_result):
     sizes = effective_sizes((256,))
     size = sizes[0]
     if size < 256:
         pytest.skip("REPRO_MAX_SIZE excludes the 256^3 configuration")
 
-    result = benchmark.pedantic(harness.table3, rounds=1, iterations=1)
+    config = api.resolve_config("table3")
+    result = benchmark.pedantic(engine.run, (config,), rounds=1, iterations=1)
     print()
     print(render_slowdown_table(result, size=256))
 
-    small = harness.table2()
+    small = phase2_result
     big_cls = classify_result(result, size=256)
     small_cls = classify_result(small, size=128)
 

@@ -33,11 +33,13 @@ def main() -> None:
 
     print(f"=== sweep phase2 into {store} ===")
     result = repro.run_study(
-        "phase2",
-        workers=4,
-        store=store,
-        cache=workdir / "counts.json",
-        progress=progress,
+        repro.StudyRequest(
+            "phase2",
+            workers=4,
+            store=store,
+            cache=workdir / "counts.json",
+            progress=progress,
+        )
     )
     print(f"{len(result.points)} points for {len(result.algorithms)} algorithms")
 

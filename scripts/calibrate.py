@@ -1,28 +1,24 @@
 """Calibration harness: compare simulated metrics against the paper's bands.
 
 Runs each real algorithm once per size to record its op ledger (cached
-in .cache/counts.pkl), then re-prices profiles from the ledgers on every
-invocation — so edits to repro/viz/costs.py or repro/machine/spec.py are
-evaluated in seconds.  Use --refresh after changing the *algorithms*
-themselves (anything that alters the recorded counts).
+in .cache/counts.json, the CLI's default ledger cache), then re-prices
+profiles from the ledgers on every invocation — so edits to
+repro/viz/costs.py or repro/machine/spec.py are evaluated in seconds.
+Use --refresh after changing the *algorithms* themselves (anything that
+alters the recorded counts).
 """
 import argparse
-import pickle
 import sys
 import time
 from pathlib import Path
 
-from repro.core import DEFAULT_VIZ_CYCLES, first_slowdown_cap
+from repro.core import DEFAULT_VIZ_CYCLES, ProfileCache, first_slowdown_cap, profile_from_ledger
 from repro.core.study import ALGORITHM_NAMES
-from repro.data.fields import DataSet
 from repro.data.generators import make_dataset
-from repro.data.grid import UniformGrid
 from repro.machine import Processor
 from repro.viz import ALGORITHMS
-from repro.viz.base import OpCounts
-from repro.workload import WorkProfile
 
-CACHE = Path(__file__).resolve().parent.parent / ".cache" / "counts.pkl"
+CACHE = Path(__file__).resolve().parent.parent / ".cache" / "counts.json"
 
 # Paper targets at 128^3: (T_seconds~, P_watts, ipc, miss_rate, red_cap, Tr@40, Fr@40)
 TARGETS_128 = {
@@ -42,40 +38,18 @@ TARGETS_RED_256 = {
 
 
 def load_counts(sizes, refresh=False):
-    cached = {}
-    if CACHE.exists() and not refresh:
-        cached = pickle.loads(CACHE.read_bytes())
-    out, dirty = {}, False
+    cache = ProfileCache(CACHE)
     for size in sizes:
         ds = None
         for alg in ALGORITHM_NAMES:
-            key = (alg, size)
-            if key in cached:
-                out[key] = cached[key]
+            if (alg, size) in cache and not refresh:
                 continue
             if ds is None:
                 ds = make_dataset(size)
             t0 = time.time()
-            res = ALGORITHMS[alg]().execute(ds)
-            out[key] = res.counts.as_dict()
+            cache.put(alg, size, ALGORITHMS[alg]().execute(ds).counts.as_dict())
             print(f"  extracted {alg}@{size}: {time.time()-t0:.1f}s", file=sys.stderr)
-            dirty = True
-    if dirty:
-        cached.update(out)
-        CACHE.parent.mkdir(exist_ok=True)
-        CACHE.write_bytes(pickle.dumps(cached))
-    return out
-
-
-def build_profile(alg, size, counts_dict, n_cycles=DEFAULT_VIZ_CYCLES):
-    ds = DataSet(UniformGrid.cube(size))
-    f = ALGORITHMS[alg]()
-    oc = OpCounts()
-    oc.counts.update(counts_dict)
-    prof = f.profile_from_counts(ds, oc)
-    scaled = WorkProfile(name=prof.name, n_elements=prof.n_elements)
-    scaled.segments = [s.scaled(n_cycles) for s in prof.segments]
-    return scaled
+    return cache
 
 
 def report(counts, sizes):
@@ -89,7 +63,9 @@ def report(counts, sizes):
         for alg in ALGORITHM_NAMES:
             if (alg, size) not in counts:
                 continue
-            prof = build_profile(alg, size, counts[(alg, size)])
+            prof = profile_from_ledger(
+                alg, size, counts.get(alg, size), n_cycles=DEFAULT_VIZ_CYCLES
+            )
             base = proc.run(prof, 120.0)
             sweep = {cap: proc.run(prof, cap) for cap in caps}
             red = first_slowdown_cap([(c, r.time_s / base.time_s) for c, r in sweep.items()])

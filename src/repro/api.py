@@ -4,7 +4,8 @@ Everything a downstream consumer needs, in a handful of calls::
 
     import repro
 
-    result = repro.run_study("phase3", workers=8, store="sweep.jsonl")
+    result = repro.run_study(repro.StudyRequest("phase3", workers=8,
+                                                store="sweep.jsonl"))
     repro.api.regenerate_tables(csv_dir="results/")
     later = repro.load_result("sweep.jsonl")
     classes = repro.classify_study(later)
@@ -14,10 +15,9 @@ Everything a downstream consumer needs, in a handful of calls::
     chaos = repro.api.run_chaos("phase1", plan="default",
                                 store="chaos.jsonl")  # fault-injection drill
 
-The facade hides the moving parts — :class:`~repro.core.engine.SweepEngine`,
-:class:`~repro.core.store.ResultStore`,
-:class:`~repro.harness.TableHarness` — behind a small surface that is
-kept stable across refactors.  Study phases can be named by string
+The facade hides the moving parts — :class:`~repro.core.engine.SweepEngine`
+and :class:`~repro.core.store.ResultStore` — behind a small surface that
+is kept stable across refactors.  Study phases can be named by string
 (``"phase1"``/``"phase2"``/``"phase3"``/``"table1"``/``"table2"``/
 ``"table3"``) or passed as explicit
 :class:`~repro.core.study.StudyConfig` grids.  Named phases respect the
@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import json
 import threading
-import warnings
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -37,12 +36,13 @@ from .core.classify import Classification, classify_result
 from .core.engine import SweepEngine
 from .core.metrics import SLOWDOWN_THRESHOLD
 from .core.pricing import LedgerCache
-from .core.profiles import ProfileCache
+from .core.profiles import DEFAULT_CACHE_PATH, ProfileCache
 from .core.runner import DEFAULT_VIZ_CYCLES, RunPoint, StudyResult
 from .core.store import ResultStore
 from .core.study import (
     ALGORITHM_NAMES,
     StudyConfig,
+    effective_sizes,
     phase1_config,
     phase2_config,
     phase3_config,
@@ -64,7 +64,6 @@ from .faults import (
 from .faults import run_chaos as _run_chaos
 from .faults import run_governor_chaos as _run_governor_chaos
 from .faults import run_service_chaos as _run_service_chaos
-from .harness.experiments import DEFAULT_CACHE_PATH, TableHarness, effective_sizes
 from .lint import LintReport
 from .lint import lint_paths as _lint_paths
 from .machine.presets import ALL_PRESETS
@@ -82,7 +81,6 @@ __all__ = [
     "regenerate_tables",
     "resolve_config",
     "sweep_engine",
-    "harness",
     "run_chaos",
     "run_service_chaos",
     "run_governor_chaos",
@@ -146,7 +144,6 @@ def sweep_engine(
     progress=None,
     trace=None,
     samples=None,
-    sample_interval_s: float = 0.1,
 ) -> SweepEngine:
     """A configured :class:`SweepEngine` (the facade's construction point).
 
@@ -167,18 +164,15 @@ def sweep_engine(
         progress=progress,
         trace=trace,
         samples=samples,
-        sample_interval_s=sample_interval_s,
     )
 
 
 @dataclass(frozen=True)
 class StudyRequest:
-    """Everything :func:`run_study` needs, as one typed value.
-
-    The facade's kwarg list grew one telemetry/robustness feature at a
-    time; this request object consolidates it so call sites can build,
-    store, and pass sweep configurations as data.  Field semantics are
-    unchanged from the historical keywords (see :func:`sweep_engine`).
+    """Everything :func:`run_study` needs, as one typed value, so call
+    sites can build, store, and pass sweep configurations as data.
+    Fields other than ``config`` and ``resume`` are
+    :func:`sweep_engine`'s keywords.
     """
 
     config: StudyConfig | str = "phase2"
@@ -193,23 +187,18 @@ class StudyRequest:
     progress: object = None
     trace: object = None
     samples: object = None
-    sample_interval_s: float = 0.1
 
 
-_STUDY_REQUEST_KEYS = frozenset(
-    f.name for f in fields(StudyRequest) if f.name != "config"
-)
-
-
-def run_study(
-    config: StudyRequest | StudyConfig | str = "phase2", **kwargs
-) -> StudyResult:
+def run_study(config: StudyRequest | StudyConfig | str = "phase2") -> StudyResult:
     """Run a study sweep and return its points.
 
-    The typed form takes a single :class:`StudyRequest`::
+    Takes a single :class:`StudyRequest`::
 
         repro.run_study(StudyRequest(config="phase3", workers=8,
                                      store="sweep.jsonl"))
+
+    or a bare phase name / :class:`StudyConfig`, run with the request's
+    defaults.
 
     ``workers`` > 1 fans profile executions out across processes;
     ``store`` makes the sweep resumable (see
@@ -218,33 +207,8 @@ def run_study(
     the telemetry layer (:mod:`repro.obs`): spans + events to a trace
     file, and a per-point power/frequency sample stream next to the
     store.
-
-    .. deprecated:: 1.2
-        The grown keyword list (``run_study("phase3", workers=8, ...)``)
-        still works but emits :class:`DeprecationWarning`; pass a
-        :class:`StudyRequest` instead.
     """
-    if isinstance(config, StudyRequest):
-        if kwargs:
-            raise TypeError(
-                "run_study(StudyRequest, ...) takes no extra keywords; "
-                f"got {sorted(kwargs)}"
-            )
-        request = config
-    else:
-        unknown = set(kwargs) - _STUDY_REQUEST_KEYS
-        if unknown:
-            raise TypeError(
-                f"run_study() got unexpected keyword argument(s) {sorted(unknown)}"
-            )
-        if kwargs:
-            warnings.warn(
-                "run_study(config, workers=..., store=..., ...) keywords are "
-                "deprecated; pass a repro.api.StudyRequest instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        request = StudyRequest(config=config, **kwargs)
+    request = config if isinstance(config, StudyRequest) else StudyRequest(config=config)
     engine = sweep_engine(
         workers=request.workers,
         store=request.store,
@@ -256,7 +220,6 @@ def run_study(
         progress=request.progress,
         trace=request.trace,
         samples=request.samples,
-        sample_interval_s=request.sample_interval_s,
     )
     return engine.run(resolve_config(request.config), resume=request.resume)
 
@@ -738,21 +701,6 @@ def classify_study(
     return classify_result(result, size=size, sensitive_cap_w=sensitive_cap_w)
 
 
-def harness(
-    cache: str | Path | None = DEFAULT_CACHE_PATH,
-    *,
-    n_cycles: int = DEFAULT_VIZ_CYCLES,
-    seed: int = 7,
-    workers: int = 0,
-    store: ResultStore | str | Path | None = None,
-    progress=None,
-) -> TableHarness:
-    """A configured table/figure harness (replaces ``ExperimentHarness(...)``)."""
-    return TableHarness(
-        cache, n_cycles=n_cycles, seed=seed, workers=workers, store=store, progress=progress
-    )
-
-
 def regenerate_tables(
     tables: tuple[str, ...] = ("table1", "table2", "table3"),
     *,
@@ -764,14 +712,13 @@ def regenerate_tables(
     """Recompute the paper's tables; optionally emit CSV artifacts."""
     from .harness.emit import result_to_csv
 
-    h = harness(cache, n_cycles=n_cycles, workers=workers)
-    runners = {"table1": h.table1, "table2": h.table2, "table3": h.table3, "phase3": h.phase3}
-    unknown = set(tables) - set(runners)
+    unknown = set(tables) - set(PHASE_NAMES)
     if unknown:
-        raise ValueError(f"unknown table(s) {sorted(unknown)}; expected {sorted(runners)}")
+        raise ValueError(f"unknown table(s) {sorted(unknown)}; expected {PHASE_NAMES}")
+    engine = sweep_engine(workers=workers, cache=cache, n_cycles=n_cycles)
     out: dict[str, StudyResult] = {}
     for name in tables:
-        out[name] = runners[name]()
+        out[name] = engine.run(resolve_config(name))
         if csv_dir is not None:
             d = Path(csv_dir)
             d.mkdir(parents=True, exist_ok=True)

@@ -74,10 +74,12 @@ from .core import (
     render_slowdown_table,
     render_table1,
 )
+from .core.engine import SweepEngine
+from .core.profiles import DEFAULT_CACHE_PATH
 from .core.runner import DEFAULT_VIZ_CYCLES
 from .core.study import ALGORITHM_NAMES
 from .machine.presets import ALL_PRESETS
-from .harness import DEFAULT_CACHE_PATH, TableHarness, effective_sizes, result_to_csv, series_to_csv
+from .harness import result_to_csv, series_to_csv
 
 __all__ = ["main"]
 
@@ -103,33 +105,34 @@ def _csv_dir(args) -> Path | None:
     return path
 
 
-def cmd_table1(harness: TableHarness, args) -> None:
-    result = harness.table1()
-    size = effective_sizes((128,))[0]
-    print(render_table1(result, algorithm="contour", size=size))
+def cmd_table1(engine: SweepEngine, args) -> None:
+    config = api.resolve_config("table1")
+    result = engine.run(config)
+    print(render_table1(result, algorithm="contour", size=config.sizes[0]))
     if (d := _csv_dir(args)) is not None:
         result_to_csv(result, d / "table1.csv")
 
 
-def cmd_table2(harness: TableHarness, args) -> None:
-    result = harness.table2()
-    size = effective_sizes((128,))[0]
-    print(render_slowdown_table(result, size=size))
+def cmd_table2(engine: SweepEngine, args) -> None:
+    config = api.resolve_config("table2")
+    result = engine.run(config)
+    print(render_slowdown_table(result, size=config.sizes[0]))
     if (d := _csv_dir(args)) is not None:
         result_to_csv(result, d / "table2.csv")
 
 
-def cmd_table3(harness: TableHarness, args) -> None:
-    size = effective_sizes((256,))[0]
-    result = harness.table3()
-    print(render_slowdown_table(result, size=size))
+def cmd_table3(engine: SweepEngine, args) -> None:
+    config = api.resolve_config("table3")
+    result = engine.run(config)
+    print(render_slowdown_table(result, size=config.sizes[0]))
     if (d := _csv_dir(args)) is not None:
         result_to_csv(result, d / "table3.csv")
 
 
-def cmd_figures(harness: TableHarness, args) -> None:
-    size = effective_sizes((128,))[0]
-    p2 = harness.table2()
+def cmd_figures(engine: SweepEngine, args) -> None:
+    config = api.resolve_config("table2")
+    size = config.sizes[0]
+    p2 = engine.run(config)
     fig2 = figure2_series(p2, size=size)
     print(f"Fig 2 (at {size}^3, 120W):")
     print(f"{'alg':>10s} {'f(GHz)':>8s} {'IPC':>6s} {'miss':>6s}")
@@ -144,21 +147,22 @@ def cmd_figures(harness: TableHarness, args) -> None:
     for alg, s in fig3.items():
         print(f"{alg:>10s} {s.y[-1] / 1e6:>8.2f}")
 
-    p3 = harness.phase3()
-    sizes = effective_sizes()
+    config = api.resolve_config("phase3")
+    p3 = engine.run(config)
     print("\nFigs 4-6 (IPC at 120W by size):")
-    print(f"{'alg':>10s} " + " ".join(f"{s:>7d}" for s in sizes))
+    print(f"{'alg':>10s} " + " ".join(f"{s:>7d}" for s in config.sizes))
     for alg in ALGORITHM_NAMES:
         series = ipc_by_size_series(p3, algorithm=alg)
-        print(f"{alg:>10s} " + " ".join(f"{series[s].y[-1]:>7.2f}" for s in sizes))
+        print(f"{alg:>10s} " + " ".join(f"{series[s].y[-1]:>7.2f}" for s in config.sizes))
     if (d := _csv_dir(args)) is not None:
         result_to_csv(p3, d / "phase3.csv")
         series_to_csv(fig3, d / "fig3.csv")
 
 
-def cmd_classify(harness: TableHarness, args) -> None:
-    size = effective_sizes((128,))[0]
-    result = harness.table2()
+def cmd_classify(engine: SweepEngine, args) -> None:
+    config = api.resolve_config("table2")
+    size = config.sizes[0]
+    result = engine.run(config)
     classes = classify_result(result, size=size)
     print(f"{'algorithm':>10s} {'class':>18s} {'draw':>7s} {'rec cap':>8s}")
     for alg in ALGORITHM_NAMES:
@@ -1087,12 +1091,12 @@ def main(argv: list[str] | None = None) -> int:
         cmd_sweep(args)
         return 0
 
-    harness = api.harness(args.cache or None, n_cycles=args.cycles)
+    engine = api.sweep_engine(workers=0, cache=args.cache or None, n_cycles=args.cycles)
     commands = list(_COMMANDS) if args.command == "all" else [args.command]
     for i, name in enumerate(commands):
         if i:
             print("\n" + "=" * 72 + "\n")
-        _COMMANDS[name](harness, args)
+        _COMMANDS[name](engine, args)
     return 0
 
 

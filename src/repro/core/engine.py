@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import os
 import pickle
-import threading
 import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, ProcessPoolExecutor, wait
@@ -80,17 +79,24 @@ __all__ = [
 ]
 
 
+#: Upper bound on a single retry delay.
+BACKOFF_CAP_S = 5.0
+
+#: Sampler granularity of the per-point sample streams (the paper's 100 ms).
+SAMPLE_INTERVAL_S = 0.1
+
+
 class SweepError(RuntimeError):
     """A profile job failed after exhausting its retry budget."""
 
 
 class SweepInterrupted(RuntimeError):
-    """A cooperative stop (:meth:`SweepEngine.request_stop`) took effect.
+    """A cooperative stop, raised from a ``progress`` callback.
 
-    Raised at the next job boundary after another thread asks the sweep
-    to stop — the supervised service's cancel/shutdown path.  Handled
-    exactly like ``KeyboardInterrupt``: the store is fsynced first, so
-    re-running with the same store resumes from every persisted point.
+    The supervised service's cancel/shutdown path: its callback raises
+    this at the next reported event.  Handled exactly like
+    ``KeyboardInterrupt``: the store is fsynced first, so re-running
+    with the same store resumes from every persisted point.
     """
 
 
@@ -190,23 +196,15 @@ class SweepEngine:
     backoff_s:
         Base of the retry backoff.  Delays follow
         :func:`~repro.core.backoff.retry_backoff`: exponential in the
-        attempt, capped at ``backoff_cap_s``, scattered by a seeded
-        jitter so synchronized retry storms cannot form.
-    backoff_cap_s:
-        Upper bound on a single retry delay (default 5 s).
-    chunk_size:
-        Scheduling window: at most this many jobs are in flight at once
-        (default ``2 * workers``), bounding queue memory for huge grids.
+        attempt, capped at 5 s, scattered by a seeded jitter so
+        synchronized retry storms cannot form.
     shard_min_size:
         Grid size at or above which a pool-mode profile job for a
-        shard-capable algorithm is split into :class:`ShardTask`s
-        (default 256 — the Table 3 scale, where one execution would
-        otherwise serialize the sweep's tail).  Sharding preserves the
-        ledger bitwise; classification is GIL-bound NumPy, so process
-        shards scale where the threaded backend cannot.
-    job_shards:
-        Shards per split job (default: the pool width).  Clamped to the
-        grid's k-plane count.
+        shard-capable algorithm is split into one :class:`ShardTask`
+        per pool worker (default 256 — the Table 3 scale, where one
+        execution would otherwise serialize the sweep's tail).  Sharding
+        preserves the ledger bitwise; classification is GIL-bound NumPy,
+        so process shards scale where the threaded backend cannot.
     store:
         :class:`ResultStore` or path for streamed, resumable results
         (None = in-memory only).
@@ -222,19 +220,17 @@ class SweepEngine:
         with the plan's engine-layer faults and passes completed points
         through its sensor-corruption site — chaos testing against the
         real retry and quarantine machinery.
-    validate:
-        Gate every computed point through the invariant checks of
-        :class:`~repro.core.validate.PointValidator` before it reaches
-        the store; violators are quarantined, not fatal (default on).
     progress:
         Callable receiving event dicts (``kind`` ∈ ``profile-done``,
-        ``group-skipped``, ``serial-fallback``, ``point-quarantined``,
-        ``interrupted``, ``summary``).
+        ``group-skipped``, ``retry``, ``fault-injected``,
+        ``serial-fallback``, ``point-quarantined``, ``interrupted``,
+        ``summary``) — the same events, with the same fields, as the
+        trace.
     trace:
         :class:`~repro.obs.trace.Tracer` or a path for a JSONL trace of
         the run: a ``sweep`` root span, ``profile-job`` spans per real
-        execution, ``price-group`` spans per repriced group, and events
-        for retries/faults/quarantines.  While a traced run is in
+        execution, ``price-group`` spans per repriced group, and the
+        events listed under ``progress``.  While a traced run is in
         flight the tracer is installed as the process default, so
         in-process kernel executions contribute their own spans.
     samples:
@@ -244,9 +240,7 @@ class SweepEngine:
         from the closed-form run via
         :meth:`~repro.machine.simulator.RunResult.sample_stream`, so
         each stream's time-weighted mean power equals the point's
-        ``power_w`` exactly.
-    sample_interval_s:
-        Sampler granularity (default 0.1 s — the paper's 100 ms).
+        ``power_w`` exactly, at the paper's 100 ms sampler granularity.
     metrics:
         :class:`~repro.obs.metrics.MetricsRegistry` to publish run
         counters into (default: the process-wide registry).  With a
@@ -265,19 +259,14 @@ class SweepEngine:
         timeout_s: float | None = None,
         max_retries: int = 2,
         backoff_s: float = 0.05,
-        backoff_cap_s: float = 5.0,
-        chunk_size: int | None = None,
         shard_min_size: int = 256,
-        job_shards: int | None = None,
         store: ResultStore | str | os.PathLike | None = None,
         profile_cache: ProfileCache | None = None,
         profile_fn=None,
         faults=None,
-        validate: bool = True,
         progress=None,
         trace: Tracer | str | os.PathLike | None = None,
         samples: bool | str | os.PathLike | None = None,
-        sample_interval_s: float = 0.1,
         metrics: MetricsRegistry | None = None,
     ):
         if n_cycles < 1:
@@ -293,26 +282,16 @@ class SweepEngine:
         self.timeout_s = timeout_s
         self.max_retries = int(max_retries)
         self.backoff_s = float(backoff_s)
-        if backoff_cap_s <= 0:
-            raise ValueError("backoff_cap_s must be positive")
-        self.backoff_cap_s = float(backoff_cap_s)
-        self.chunk_size = chunk_size
         if shard_min_size < 1:
             raise ValueError("shard_min_size must be positive")
         self.shard_min_size = int(shard_min_size)
-        if job_shards is not None and int(job_shards) < 1:
-            raise ValueError("job_shards must be positive")
-        self.job_shards = None if job_shards is None else int(job_shards)
         self.store = ResultStore(store) if store is not None and not isinstance(store, ResultStore) else store
         self.profile_cache = profile_cache if profile_cache is not None else ProfileCache(None)
         self._profile_fn = profile_fn or execute_profile_job
         self.faults = faults
-        self.validator = PointValidator(self.spec) if validate else None
+        self.validator = PointValidator(self.spec)
         self._progress = progress
         self.tracer = trace if isinstance(trace, Tracer) or trace is None else Tracer(trace)
-        if sample_interval_s <= 0:
-            raise ValueError("sample_interval_s must be positive")
-        self.sample_interval_s = float(sample_interval_s)
         if samples is True:
             if self.store is None:
                 raise ValueError("samples=True needs a store to sit alongside")
@@ -322,22 +301,6 @@ class SweepEngine:
         )
         self.metrics = metrics if metrics is not None else get_registry()
         self.stats = EngineStats()
-        self._stop = threading.Event()
-
-    # ---------------------------------------------------------- interruption
-    def request_stop(self) -> None:
-        """Ask a running sweep to stop at the next job boundary.
-
-        Thread-safe: the supervised service calls this from its control
-        thread to cancel or drain a study.  The sweep raises
-        :class:`SweepInterrupted` after fsyncing the store, so every
-        completed point survives and a later run resumes exactly there.
-        """
-        self._stop.set()
-
-    def _check_stop(self) -> None:
-        if self._stop.is_set():
-            raise SweepInterrupted("stop requested")
 
     # ----------------------------------------------------------- identity
     def fingerprint(self) -> str:
@@ -353,17 +316,17 @@ class SweepEngine:
             }
         )
 
-    def _emit(self, kind: str, **fields) -> None:
-        if self._progress is not None:
-            self._progress({"kind": kind, **fields})
-
     # ----------------------------------------------------------- telemetry
     def _span(self, name: str, **attrs):
         return self.tracer.span(name, **attrs) if self.tracer is not None else NULL_SPAN
 
-    def _event(self, name: str, **attrs) -> None:
+    def _report(self, kind: str, **fields) -> None:
+        """Send one event, by the same name and fields, to the trace and
+        to the progress callback (which may raise to stop the sweep)."""
         if self.tracer is not None:
-            self.tracer.event(name, **attrs)
+            self.tracer.event(kind, **fields)
+        if self._progress is not None:
+            self._progress({"kind": kind, **fields})
 
     def _write_manifest(self, config: StudyConfig, fingerprint: str) -> None:
         manifest = build_manifest(
@@ -478,7 +441,7 @@ class SweepEngine:
                 todo.append((alg, size))
             else:
                 self.stats.groups_skipped += 1
-                self._emit("group-skipped", algorithm=alg, size=size)
+                self._report("group-skipped", algorithm=alg, size=size)
 
         def price_group(alg: str, size: int) -> None:
             """Reprice every missing cap of a group, gate each point
@@ -493,7 +456,6 @@ class SweepEngine:
         try:
             jobs: list[ProfileJob] = []
             for alg, size in todo:
-                self._check_stop()
                 if self.profile_cache.get(alg, size) is None:
                     jobs.append(ProfileJob(alg, size, self.dataset_kind, self.seed))
                 else:
@@ -510,11 +472,9 @@ class SweepEngine:
                 self.store.sync()
             if self.sample_writer is not None:
                 self.sample_writer.flush()
-            points_saved = len(self.store) if self.store is not None else len(results)
-            self._event("interrupted", points_saved=points_saved)
-            self._emit(
+            self._report(
                 "interrupted",
-                points_saved=points_saved,
+                points_saved=len(self.store) if self.store is not None else len(results),
                 computed=self.stats.points_computed,
             )
             self._publish_metrics(rapl_before)
@@ -533,7 +493,7 @@ class SweepEngine:
         if self.sample_writer is not None:
             self.sample_writer.flush()
         self._publish_metrics(rapl_before)
-        self._emit(
+        self._report(
             "summary",
             config=config.name,
             points=len(ordered),
@@ -575,7 +535,7 @@ class SweepEngine:
             fresh.append((cap, point, run))
 
         bad: dict = {}
-        if self.validator is not None and fresh:
+        if fresh:
             resumed = [results[(alg, size, c)] for c in caps if (alg, size, c) in results]
             bad = self.validator.check_group(resumed + [p for _, p, _ in fresh])
         for cap, point, run in fresh:
@@ -587,14 +547,7 @@ class SweepEngine:
                 self.stats.points_quarantined += 1
                 if self.store is not None:
                     self.store.quarantine(point, reasons)
-                self._event(
-                    "point-quarantined",
-                    algorithm=alg,
-                    size=size,
-                    cap_w=point.cap_w,
-                    reasons=[r.code for r in reasons],
-                )
-                self._emit(
+                self._report(
                     "point-quarantined",
                     algorithm=alg,
                     size=size,
@@ -611,7 +564,7 @@ class SweepEngine:
                     algorithm=alg,
                     size=size,
                     cap_w=cap,
-                    samples=run.sample_stream(self.sample_interval_s),
+                    samples=run.sample_stream(SAMPLE_INTERVAL_S),
                 )
 
     # ------------------------------------------------------- job execution
@@ -621,15 +574,13 @@ class SweepEngine:
         Only the default job body shards: an injected ``profile_fn`` —
         the fault-testing hook — must see whole jobs.  Eligible jobs are
         shard-capable algorithms at ``shard_min_size`` or larger, split
-        ``job_shards`` ways (default: the pool width), never wider than
-        the grid has k-planes.
+        one span per pool worker, never wider than the grid has k-planes.
         """
         if self._profile_fn is not execute_profile_job:
             return 1
         if job.size < self.shard_min_size or not supports_sharding(job.algorithm):
             return 1
-        n = self.job_shards if self.job_shards is not None else self.workers
-        return max(1, min(int(n), int(job.size)))
+        return max(1, min(self.workers, int(job.size)))
 
     def _execute_jobs(self, jobs: list[ProfileJob], on_done=None) -> None:
         if not jobs:
@@ -645,8 +596,7 @@ class SweepEngine:
                 return
             except _PoolFailure as exc:
                 self.stats.fell_back_serial = True
-                self._event("serial-fallback", reason=str(exc.__cause__ or exc))
-                self._emit("serial-fallback", reason=str(exc.__cause__ or exc))
+                self._report("serial-fallback", reason=str(exc.__cause__ or exc))
                 remaining = [
                     j for j in jobs if self.profile_cache.get(j.algorithm, j.size) is None
                 ]
@@ -657,7 +607,7 @@ class SweepEngine:
     ) -> None:
         self.profile_cache.put(job.algorithm, job.size, ledger)
         self.stats.profile_jobs_run += 1
-        self._emit(
+        self._report(
             "profile-done",
             algorithm=job.algorithm,
             size=job.size,
@@ -680,7 +630,6 @@ class SweepEngine:
     def _run_serial(self, jobs: list[ProfileJob], on_done=None) -> None:
         total = len(jobs)
         for i, job in enumerate(jobs, start=1):
-            self._check_stop()
             t0 = time.perf_counter()
             attempt = 0
             while True:
@@ -697,7 +646,7 @@ class SweepEngine:
                 except Exception as exc:
                     if getattr(exc, "injected", False):
                         self.stats.faults_injected += 1
-                        self._event(
+                        self._report(
                             "fault-injected",
                             algorithm=job.algorithm,
                             size=job.size,
@@ -710,7 +659,7 @@ class SweepEngine:
                             f"after {attempt} attempts: {exc}"
                         ) from exc
                     self.stats.retries += 1
-                    self._event(
+                    self._report(
                         "retry",
                         algorithm=job.algorithm,
                         size=job.size,
@@ -724,13 +673,14 @@ class SweepEngine:
         return retry_backoff(
             attempt,
             base_s=self.backoff_s,
-            cap_s=self.backoff_cap_s,
+            cap_s=BACKOFF_CAP_S,
             seed=self.seed,
             key=f"{job.algorithm}@{job.size}",
         )
 
     def _run_pool(self, jobs: list[ProfileJob], on_done=None) -> None:
-        window = self.chunk_size or max(2 * self.workers, 4)
+        # Scheduling window: bounds queue memory for huge grids.
+        window = max(2 * self.workers, 4)
         # Large shardable jobs fan out into one ShardTask per k-span;
         # their partial ledgers accumulate in shard_groups until every
         # span has reported, then merge (ascending shard order) into the
@@ -807,7 +757,6 @@ class SweepEngine:
     ) -> None:
         completed = 0
         while pending or in_flight:
-            self._check_stop()
             while pending and len(in_flight) < window:
                 job = pending.popleft()
                 fut = pool.submit(self._job_body(job, attempts.get(job, 0)), job)
@@ -873,7 +822,7 @@ class SweepEngine:
     def _retry_or_raise(self, job, exc, attempts, pending) -> None:
         if getattr(exc, "injected", False):
             self.stats.faults_injected += 1
-            self._event(
+            self._report(
                 "fault-injected", algorithm=job.algorithm, size=job.size, error=repr(exc)
             )
         attempts[job] = attempts.get(job, 0) + 1
@@ -886,7 +835,7 @@ class SweepEngine:
                 f"after {attempts[job]} attempts: {exc}"
             ) from exc
         self.stats.retries += 1
-        self._event(
+        self._report(
             "retry",
             algorithm=job.algorithm,
             size=job.size,

@@ -19,16 +19,14 @@ This module owns that bridge for the whole repo:
   float).  Together they are the engine's process-sharded job body.
 * :func:`profile_from_ledger` — ledger → cycle-scaled
   :class:`~repro.workload.WorkProfile`, the single pricing path used by
-  the engine, the harness, and the facade.
+  the engine and the facade.
 * :class:`ProfileCache` — the versioned JSON cache of ledgers shared by
-  the harness and the engine, with one-time migration of the legacy
-  pickle ``counts.pkl`` format.
+  every engine over the same file (``DEFAULT_CACHE_PATH`` for the CLI).
 """
 
 from __future__ import annotations
 
 import json
-import pickle
 import threading
 from pathlib import Path
 
@@ -42,6 +40,7 @@ from ..workload import WorkProfile
 from .atomicio import atomic_write_json
 
 __all__ = [
+    "DEFAULT_CACHE_PATH",
     "ProfileCache",
     "merge_shard_ledgers",
     "profile_from_ledger",
@@ -49,6 +48,9 @@ __all__ = [
     "run_algorithm_ledger_shard",
     "supports_sharding",
 ]
+
+#: Default ledger-cache location of the CLI and the table regenerators.
+DEFAULT_CACHE_PATH = ".cache/counts.json"
 
 
 def run_algorithm_ledger(
@@ -142,10 +144,7 @@ def profile_from_ledger(
 class ProfileCache:
     """Persistent (algorithm, size) → ledger cache, versioned JSON on disk.
 
-    ``path=None`` keeps the cache in memory only.  A ``.pkl`` path (the
-    legacy pickle format) is transparently redirected to its ``.json``
-    sibling; an existing pickle cache is migrated once on first load and
-    left on disk untouched.
+    ``path=None`` keeps the cache in memory only.
     """
 
     FORMAT = "repro-profile-cache"
@@ -159,15 +158,9 @@ class ProfileCache:
         self.path: Path | None = None
         if path is None:
             return
-        p = Path(path)
-        legacy = p if p.suffix == ".pkl" else p.with_suffix(".pkl")
-        if p.suffix == ".pkl":
-            p = p.with_suffix(".json")
-        self.path = p
-        if p.exists():
-            self._load_json(p)
-        elif legacy.exists():
-            self._migrate_pickle(legacy)
+        self.path = Path(path)
+        if self.path.exists():
+            self._load_json(self.path)
 
     @staticmethod
     def _key(algorithm: str, size: int) -> str:
@@ -178,11 +171,10 @@ class ProfileCache:
             doc = json.loads(p.read_text())
         except json.JSONDecodeError as exc:
             # A torn write (crash mid-flush on a pre-atomicio cache, or a
-            # tool truncating the file) must not brick the harness — the
-            # cache only memoizes re-runnable work.  Same contract as the
-            # legacy-pickle path: warn, move the damage aside so it is
-            # inspectable instead of silently re-discarded every startup,
-            # and start empty.
+            # tool truncating the file) must not brick a study — the
+            # cache only memoizes re-runnable work.  Warn, move the damage
+            # aside so it is inspectable instead of silently re-discarded
+            # every startup, and start empty.
             corrupt = p.with_name(p.name + ".corrupt")
             log_event(
                 "profile-cache-corrupt",
@@ -204,36 +196,6 @@ class ProfileCache:
             )
         with self._lock:
             self._entries = {k: dict(v) for k, v in doc["entries"].items()}
-
-    def _migrate_pickle(self, legacy: Path) -> None:
-        try:
-            raw = pickle.loads(legacy.read_bytes())
-            entries = {
-                self._key(alg, size): {k: float(v) for k, v in counts.items()}
-                for (alg, size), counts in raw.items()
-            }
-        except Exception as exc:
-            # A torn or foreign legacy file must not brick the harness —
-            # it is only a cache, so start empty and re-record.  But say
-            # so, and move the unreadable file aside: left in place it
-            # would be re-parsed (and silently re-discarded) on every
-            # startup, hiding the corruption forever.
-            corrupt = legacy.with_name(legacy.name + ".corrupt")
-            log_event(
-                "profile-cache-corrupt",
-                f"legacy profile cache {legacy} is unreadable ({exc!r}); "
-                f"renaming to {corrupt.name} and starting with an empty cache",
-                path=str(legacy),
-                renamed_to=str(corrupt),
-            )
-            try:
-                legacy.replace(corrupt)
-            except OSError:
-                pass  # read-only cache dir: the warning above still fired
-            return
-        with self._lock:
-            self._entries = entries
-        self._save()
 
     def _save(self) -> None:
         if self.path is None:

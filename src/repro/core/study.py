@@ -8,6 +8,7 @@ Phase 3 adds the size factor.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from itertools import product
 
@@ -21,6 +22,7 @@ __all__ = [
     "phase1_config",
     "phase2_config",
     "phase3_config",
+    "effective_sizes",
 ]
 
 #: The paper's caps: 120 W (TDP) down to 40 W in 10 W steps.
@@ -87,3 +89,31 @@ def phase2_config() -> StudyConfig:
 def phase3_config(sizes: tuple[int, ...] = DATASET_SIZES) -> StudyConfig:
     """Phase 3: all algorithms × all sizes (288 tests)."""
     return StudyConfig(name="phase3", algorithms=ALGORITHM_NAMES, sizes=sizes)
+
+
+def effective_sizes(requested: tuple[int, ...] = DATASET_SIZES) -> tuple[int, ...]:
+    """The requested sizes, capped by the REPRO_MAX_SIZE environment
+    variable (useful to smoke-test the full study quickly).
+
+    Raises
+    ------
+    ValueError
+        If ``REPRO_MAX_SIZE`` is set to something that is not a whole
+        number (e.g. ``REPRO_MAX_SIZE=64.5`` or ``REPRO_MAX_SIZE=big``).
+    """
+    raw = os.environ.get("REPRO_MAX_SIZE", "").strip()
+    if not raw:
+        return tuple(requested)
+    try:
+        cap = int(raw, 10)
+    except ValueError:
+        raise ValueError(
+            f"REPRO_MAX_SIZE must be a whole number of cells per axis "
+            f"(e.g. REPRO_MAX_SIZE=64), got {raw!r}"
+        ) from None
+    if cap <= 0:
+        return tuple(requested)
+    kept = tuple(s for s in requested if s <= cap)
+    # When the cap excludes every requested size, substitute the cap
+    # itself (e.g. table3's 256³ becomes a 64³ smoke run).
+    return kept if kept else (cap,)

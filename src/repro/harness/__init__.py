@@ -1,13 +1,8 @@
-"""Experiment harness: table/figure drivers and result emitters."""
+"""Result emitters: CSV and Markdown artifacts of study results."""
 
 from .emit import result_from_csv, result_to_csv, result_to_markdown, series_to_csv
-from .experiments import DEFAULT_CACHE_PATH, ExperimentHarness, TableHarness, effective_sizes
 
 __all__ = [
-    "TableHarness",
-    "ExperimentHarness",
-    "DEFAULT_CACHE_PATH",
-    "effective_sizes",
     "result_to_csv",
     "result_from_csv",
     "result_to_markdown",

@@ -2,7 +2,7 @@
 
 The repo's correctness rests on conventions no test can fully cover:
 artifact writes are atomic, power caps are matched with ``math.isclose``
-(never ``==``), pickle stays dead outside the one migration shim,
+(never ``==``), pickle stays dead,
 imports point down the documented layers, trace spans always close, and
 shared registries mutate under their locks.  This package machine-checks
 those conventions over the AST of every source file:

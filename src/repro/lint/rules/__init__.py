@@ -5,7 +5,7 @@ code     name                           contract
 ======== ============================== ==========================================
 RPR001   non-atomic-write               artifact writes go through ``atomicio``
 RPR002   float-cap-equality             ``math.isclose`` on caps/frequencies
-RPR003   pickle-ban                     pickle only in the legacy-migration shim
+RPR003   pickle-ban                     no pickle (de)serialization
 RPR004   layering                       imports point down the module-guide layers
 RPR005   unbalanced-span                spans are entered with ``with``
 RPR006   unit-suffix                    no raw arithmetic across unit suffixes

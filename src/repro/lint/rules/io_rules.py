@@ -11,10 +11,8 @@ torn *tail* is recoverable where a torn *document* is not.  ``"r+"``
 (in-place truncation during tail recovery) is likewise allowed.
 
 **RPR003 pickle-ban** — pickle is neither stable across versions nor
-safe to load, and PR 1 already replaced the pickle profile cache with
-versioned JSON.  ``pickle.load/loads/dump/dumps`` may appear only in
-the legacy-migration shim (``repro/core/profiles.py``) that reads the
-old ``counts.pkl`` once and rewrites it as JSON.
+safe to load; every persisted artifact is versioned JSON.
+``pickle.load/loads/dump/dumps`` may appear in no file.
 """
 
 from __future__ import annotations
@@ -28,9 +26,6 @@ __all__ = ["NonAtomicWrite", "PickleBan"]
 #: The sanctioned implementation of atomic replacement — the one place
 #: a truncating open is the mechanism rather than the hazard.
 ATOMICIO_IMPL = frozenset({"repro/core/atomicio.py"})
-
-#: The documented legacy-migration shim (see module docstring).
-PICKLE_SHIM = frozenset({"repro/core/profiles.py"})
 
 _PICKLE_BANNED = frozenset({"load", "loads", "dump", "dumps", "Pickler", "Unpickler"})
 
@@ -87,11 +82,9 @@ class NonAtomicWrite(Rule):
 class PickleBan(Rule):
     code = "RPR003"
     name = "pickle-ban"
-    summary = "pickle (de)serialization only in the legacy-migration shim"
+    summary = "no pickle (de)serialization"
 
     def check(self, ctx: FileContext):
-        if ctx.relpath in PICKLE_SHIM:
-            return
         for node in ast.walk(ctx.tree):
             if (
                 isinstance(node, ast.Call)
@@ -103,7 +96,7 @@ class PickleBan(Rule):
                 yield self.finding(
                     ctx,
                     node,
-                    f"pickle.{node.func.attr}() outside the legacy-migration shim; "
+                    f"pickle.{node.func.attr}() is banned; "
                     "persist versioned JSON instead (see repro.core.profiles)",
                 )
             elif isinstance(node, ast.ImportFrom) and node.module == "pickle":
@@ -112,6 +105,6 @@ class PickleBan(Rule):
                     yield self.finding(
                         ctx,
                         node,
-                        f"importing {', '.join(banned)} from pickle outside the "
-                        "legacy-migration shim; persist versioned JSON instead",
+                        f"importing {', '.join(banned)} from pickle is banned; "
+                        "persist versioned JSON instead",
                     )

@@ -178,6 +178,29 @@ class TestProgressAndStats:
         assert summary["wall_s"] > 0
         assert summary["throughput_pts_s"] > 0
 
+    def test_progress_and_trace_receive_the_same_events(self):
+        from repro.obs.trace import Tracer
+
+        events = []
+        tracer = Tracer()
+        engine = SweepEngine(
+            n_cycles=1,
+            workers=0,
+            backoff_s=0.001,
+            profile_fn=_FlakyJob(failures=1),
+            progress=events.append,
+            trace=tracer,
+        )
+        engine.run(CFG)
+        traced = [
+            {"kind": r["name"], **r["attrs"]}
+            for r in tracer.records()
+            if r["kind"] == "event"
+        ]
+        assert traced == events
+        kinds = [e["kind"] for e in events]
+        assert kinds == ["retry", "profile-done", "profile-done", "summary"]
+
     def test_ledger_cache_short_circuits_jobs(self, tmp_path):
         cache_path = tmp_path / "c.json"
         from repro.core import ProfileCache

@@ -121,13 +121,6 @@ class TestQuarantineGate:
         kinds = [e["kind"] for e in events]
         assert kinds.count("point-quarantined") == engine.stats.points_quarantined
 
-    def test_validation_can_be_disabled(self):
-        plan = FaultPlan(seed=41, point_corrupt_p=0.4)
-        engine = SweepEngine(n_cycles=2, workers=0, faults=plan, validate=False)
-        result = engine.run(ONE)
-        assert engine.stats.points_quarantined == 0
-        assert len(result.points) == ONE.n_configurations  # corruption flows through
-
 
 class TestKeyboardInterrupt:
     def test_pool_interrupt_syncs_store_and_resumes_exactly(self, tmp_path):

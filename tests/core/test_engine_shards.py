@@ -63,19 +63,18 @@ class TestEngineFanOut:
             n_cycles=2,
             workers=2,
             shard_min_size=16,
-            job_shards=3,
             metrics=reg,
         )
         _assert_identical(serial, engine.run(CFG))
 
-        # contour@16 split 3 ways; threshold@16 ran whole.
-        assert engine.stats.shard_tasks_run == 3
+        # contour@16 split one span per pool worker; threshold@16 ran whole.
+        assert engine.stats.shard_tasks_run == 2
         assert engine.stats.profile_jobs_run == 2
         assert not engine.stats.fell_back_serial
         jobs = reg.counter("repro_profile_jobs_total", source="executed")
         shards = reg.counter("repro_profile_jobs_total", source="sharded")
         assert jobs.value == 2  # the merged group counts once
-        assert shards.value == 3
+        assert shards.value == 2
 
     def test_single_shardable_job_still_uses_pool(self):
         """One job used to force serial; a shardable one now fans out."""
@@ -85,7 +84,7 @@ class TestEngineFanOut:
             n_cycles=2, workers=2, shard_min_size=16, metrics=MetricsRegistry()
         )
         _assert_identical(serial, engine.run(cfg))
-        assert engine.stats.shard_tasks_run == 2  # job_shards defaults to pool width
+        assert engine.stats.shard_tasks_run == 2  # one span per pool worker
 
     def test_below_min_size_runs_whole(self):
         engine = SweepEngine(
@@ -112,7 +111,3 @@ class TestEngineFanOut:
 
         engine._profile_fn = wrapped
         assert engine._shards_for(job) == 1
-
-    def test_job_shards_validated(self):
-        with pytest.raises(ValueError, match="job_shards"):
-            SweepEngine(job_shards=0)

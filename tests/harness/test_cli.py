@@ -14,13 +14,13 @@ def small(monkeypatch, tmp_path):
 
 class TestCli:
     def test_table1(self, capsys, small):
-        assert main(["table1", "--cache", str(small / "c.pkl"), "--cycles", "2"]) == 0
+        assert main(["table1", "--cache", str(small / "c.json"), "--cycles", "2"]) == 0
         out = capsys.readouterr().out
         assert "Table I" in out and "120W" in out
 
     def test_table2_with_csv(self, capsys, small):
         rc = main([
-            "table2", "--cache", str(small / "c.pkl"), "--cycles", "2",
+            "table2", "--cache", str(small / "c.json"), "--cycles", "2",
             "--csv", str(small / "out"),
         ])
         assert rc == 0
@@ -29,7 +29,7 @@ class TestCli:
         assert "volume" in out
 
     def test_classify(self, capsys, small):
-        assert main(["classify", "--cache", str(small / "c.pkl"), "--cycles", "2"]) == 0
+        assert main(["classify", "--cache", str(small / "c.json"), "--cycles", "2"]) == 0
         out = capsys.readouterr().out
         assert "power opportunity" in out or "power sensitive" in out
 

@@ -1,19 +1,12 @@
-"""Experiment harness, ledger cache (JSON + pickle migration), emitters."""
-
-import pickle
+"""REPRO_MAX_SIZE capping, the engine's JSON ledger cache, emitters."""
 
 import pytest
 
+from repro import api
 from repro.core import StudyConfig, StudyRunner
 from repro.core.profiles import ProfileCache
-from repro.harness import (
-    ExperimentHarness,
-    TableHarness,
-    effective_sizes,
-    result_to_csv,
-    result_to_markdown,
-    series_to_csv,
-)
+from repro.core.study import effective_sizes
+from repro.harness import result_to_csv, result_to_markdown, series_to_csv
 from repro.core.report import FigureSeries
 
 
@@ -53,91 +46,44 @@ class TestEffectiveSizes:
 class TestHarnessCache:
     def test_profile_persisted_and_reloaded(self, tmp_path):
         cache = tmp_path / "counts.json"
-        h1 = TableHarness(cache, n_cycles=2)
-        p1 = h1.profile("threshold", 12)
+        e1 = api.sweep_engine(workers=0, cache=cache, n_cycles=2)
+        p1 = e1.profile_for("threshold", 12)
         assert cache.exists()
 
-        h2 = TableHarness(cache, n_cycles=2)
-        p2 = h2.profile("threshold", 12)
+        e2 = api.sweep_engine(workers=0, cache=cache, n_cycles=2)
+        p2 = e2.profile_for("threshold", 12)
+        assert e2.stats.profile_jobs_run == 0  # served from the file
         assert p2.total_instructions == pytest.approx(p1.total_instructions)
 
     def test_cached_profile_matches_fresh(self, tmp_path):
         cache = tmp_path / "counts.json"
-        h = TableHarness(cache, n_cycles=3)
-        fresh = h.profile("clip", 12)
-        h2 = TableHarness(cache, n_cycles=3)
-        cached = h2.profile("clip", 12)
+        e = api.sweep_engine(workers=0, cache=cache, n_cycles=3)
+        fresh = e.profile_for("clip", 12)
+        e2 = api.sweep_engine(workers=0, cache=cache, n_cycles=3)
+        cached = e2.profile_for("clip", 12)
         assert [s.name for s in cached] == [s.name for s in fresh]
         # Ledger reconstruction is the single pricing path: exact, not approx.
         assert cached.total_instructions == fresh.total_instructions
 
     def test_no_cache_path(self):
-        h = TableHarness(None, n_cycles=1)
-        assert h.profile("threshold", 12).total_instructions > 0
+        e = api.sweep_engine(workers=0, cache=None, n_cycles=1)
+        assert e.profile_cache.path is None
+        assert e.profile_for("threshold", 12).total_instructions > 0
 
     def test_sweep_uses_cache(self, tmp_path):
-        h = TableHarness(tmp_path / "c.json", n_cycles=1)
+        cache = tmp_path / "c.json"
         cfg = StudyConfig(name="s", algorithms=("threshold",), sizes=(12,))
-        res = h.sweep(cfg)
+        res = api.sweep_engine(workers=0, cache=cache, n_cycles=1).run(cfg)
         assert len(res.points) == 9
-
-    def test_pkl_path_redirects_to_json(self, tmp_path):
-        """A legacy .pkl cache path transparently becomes its .json sibling."""
-        h = TableHarness(tmp_path / "counts.pkl", n_cycles=1)
-        h.profile("threshold", 12)
-        assert h.cache_path == tmp_path / "counts.json"
-        assert h.cache_path.exists()
-        assert not (tmp_path / "counts.pkl").exists()
-
-    def test_legacy_pickle_cache_migrates_once(self, tmp_path):
-        # Record a ledger the old way: pickle of {(alg, size): counts}.
-        fresh = TableHarness(None, n_cycles=2)
-        expected = fresh.profile("threshold", 12)
-        raw = fresh.engine.profile_cache.get("threshold", 12)
-        legacy = tmp_path / "counts.pkl"
-        legacy.write_bytes(pickle.dumps({("threshold", 12): raw}))
-
-        h = TableHarness(legacy, n_cycles=2)
-        assert (tmp_path / "counts.json").exists()  # one-time migration
-        migrated = h.profile("threshold", 12)
-        assert migrated.total_instructions == expected.total_instructions
-        # The original pickle is left untouched.
-        assert legacy.exists()
+        again = api.sweep_engine(workers=0, cache=cache, n_cycles=1)
+        again.run(cfg)
+        assert again.stats.profile_jobs_cached == 1
 
     def test_cache_rejects_foreign_json(self, tmp_path):
         p = tmp_path / "c.json"
         p.write_text('{"format": "something-else", "entries": {}}')
         with pytest.raises(ValueError, match="not a profile cache"):
             ProfileCache(p)
-
-    def test_corrupt_legacy_pickle_warns_and_moves_aside(self, tmp_path, caplog):
-        import logging
-
-        legacy = tmp_path / "counts.pkl"
-        legacy.write_bytes(b"\x80\x04 definitely not a pickle")
-        with caplog.at_level(logging.WARNING, logger="repro.obs"):
-            cache = ProfileCache(legacy)
-        # Migration failed loudly: a warning fired, the unreadable file
-        # was renamed to its .corrupt sidecar, and the cache starts empty.
-        assert "profile-cache-corrupt" in caplog.text
-        assert not legacy.exists()
-        corrupt = tmp_path / "counts.pkl.corrupt"
-        assert corrupt.exists()
-        assert corrupt.read_bytes().startswith(b"\x80\x04")
-        assert len(cache) == 0
-        # The cache still works: record and reload normally.
-        cache.put("threshold", 12, {"flops": 1.0})
-        assert ProfileCache(tmp_path / "counts.json").get("threshold", 12) == {
-            "flops": 1.0
-        }
-
-
-class TestDeprecatedShim:
-    def test_experiment_harness_warns_but_works(self, tmp_path):
-        with pytest.warns(DeprecationWarning, match="repro.api"):
-            h = ExperimentHarness(tmp_path / "c.json", n_cycles=1)
-        assert isinstance(h, TableHarness)
-        assert h.profile("threshold", 12).total_instructions > 0
 
 
 class TestEmitters:

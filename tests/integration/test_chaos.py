@@ -108,7 +108,7 @@ class TestApiFacade:
 
     def test_doctor_facade(self, tmp_path):
         store = tmp_path / "s.jsonl"
-        api.run_study(CFG, store=store, n_cycles=1)
+        api.run_study(api.StudyRequest(CFG, store=store, n_cycles=1))
         assert api.doctor(store).ok
 
     def test_unknown_plan_rejected(self, tmp_path):
@@ -129,7 +129,7 @@ class TestCli:
 
     def test_doctor_flags_damage(self, tmp_path, capsys):
         store = tmp_path / "s.jsonl"
-        api.run_study(CFG, store=store, n_cycles=1)
+        api.run_study(api.StudyRequest(CFG, store=store, n_cycles=1))
         text = store.read_text().splitlines()
         import json
 

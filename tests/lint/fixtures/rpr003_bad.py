@@ -1,4 +1,4 @@
-"""RPR003 fixture: pickle outside the legacy-migration shim."""
+"""RPR003 fixture: pickle (de)serialization, banned everywhere."""
 
 import pickle
 from pickle import dumps

@@ -4,6 +4,7 @@ import pytest
 
 import repro
 from repro import api
+from repro.api import StudyRequest
 from repro.core import StudyConfig
 
 SMALL = StudyConfig(name="small", algorithms=("threshold", "contour"), sizes=(12,))
@@ -11,13 +12,13 @@ SMALL = StudyConfig(name="small", algorithms=("threshold", "contour"), sizes=(12
 
 class TestRunStudy:
     def test_explicit_config(self):
-        result = api.run_study(SMALL, n_cycles=2)
+        result = api.run_study(StudyRequest(SMALL, n_cycles=2))
         assert result.config_name == "small"
         assert len(result.points) == SMALL.n_configurations
 
     def test_phase_name_respects_max_size(self, monkeypatch):
         monkeypatch.setenv("REPRO_MAX_SIZE", "12")
-        result = api.run_study("phase1", n_cycles=1)
+        result = api.run_study(StudyRequest("phase1", n_cycles=1))
         assert result.sizes == [12]
         assert len(result.points) == 9
 
@@ -26,8 +27,8 @@ class TestRunStudy:
             api.run_study("phase9")
 
     def test_workers_do_not_change_results(self):
-        a = api.run_study(SMALL, n_cycles=2, workers=0)
-        b = api.run_study(SMALL, n_cycles=2, workers=2)
+        a = api.run_study(StudyRequest(SMALL, n_cycles=2, workers=0))
+        b = api.run_study(StudyRequest(SMALL, n_cycles=2, workers=2))
         assert [p.to_dict() for p in a.points] == [p.to_dict() for p in b.points]
 
     def test_trace_and_samples_passthrough(self, tmp_path):
@@ -36,7 +37,9 @@ class TestRunStudy:
 
         store = tmp_path / "store.jsonl"
         trace = tmp_path / "run.trace.jsonl"
-        result = api.run_study(SMALL, n_cycles=2, store=store, trace=str(trace), samples=True)
+        result = api.run_study(
+            StudyRequest(SMALL, n_cycles=2, store=store, trace=str(trace), samples=True)
+        )
         _, records = read_trace(trace)
         assert {"sweep", "kernel"} <= {r["name"] for r in records if r["kind"] == "span"}
         _, samples = read_samples(samples_path_for(store))
@@ -47,7 +50,7 @@ class TestRunStudy:
 
 class TestRoundTrip:
     def test_jsonl_roundtrip_preserves_classification(self, tmp_path):
-        result = api.run_study(SMALL, n_cycles=2)
+        result = api.run_study(StudyRequest(SMALL, n_cycles=2))
         path = tmp_path / "small.jsonl"
         result.to_jsonl(path)
 
@@ -61,14 +64,14 @@ class TestRoundTrip:
 
     def test_load_result_reads_store_files(self, tmp_path):
         store = tmp_path / "store.jsonl"
-        result = api.run_study(SMALL, n_cycles=2, store=store)
+        result = api.run_study(StudyRequest(SMALL, n_cycles=2, store=store))
         loaded = api.load_result(store)
         assert sorted(p.key for p in loaded.points) == sorted(p.key for p in result.points)
         assert {p.key: p for p in loaded.points} == {p.key: p for p in result.points}
 
     def test_resume_through_facade(self, tmp_path):
         store = tmp_path / "store.jsonl"
-        api.run_study(SMALL, n_cycles=2, store=store)
+        api.run_study(StudyRequest(SMALL, n_cycles=2, store=store))
         engine = api.sweep_engine(n_cycles=2, store=store)
         engine.run(api.resolve_config(SMALL))
         assert engine.stats.profile_jobs_run == 0
@@ -78,28 +81,18 @@ class TestRoundTrip:
 class TestClassifyStudy:
     def test_multi_size_uses_largest(self):
         cfg = StudyConfig(name="m", algorithms=("threshold",), sizes=(8, 12))
-        result = api.run_study(cfg, n_cycles=1)
+        result = api.run_study(StudyRequest(cfg, n_cycles=1))
         classes = api.classify_study(result)
         assert classes["threshold"].size == 12
 
 
 class TestStudyRequest:
-    def test_typed_request_matches_legacy_kwargs(self):
-        typed = api.run_study(api.StudyRequest(config=SMALL, n_cycles=2))
-        with pytest.warns(DeprecationWarning):
-            legacy = api.run_study(SMALL, n_cycles=2)
-        assert [p.to_dict() for p in typed.points] == [p.to_dict() for p in legacy.points]
-
     def test_typed_request_does_not_warn(self):
         import warnings
 
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             api.run_study(api.StudyRequest(config=SMALL, n_cycles=1))
-
-    def test_legacy_kwargs_emit_deprecation_warning(self):
-        with pytest.warns(DeprecationWarning, match="StudyRequest"):
-            api.run_study(SMALL, n_cycles=1)
 
     def test_typed_request_rejects_extra_kwargs(self):
         with pytest.raises(TypeError):
@@ -108,6 +101,15 @@ class TestStudyRequest:
     def test_unknown_kwarg_rejected(self):
         with pytest.raises(TypeError, match="n_cycle"):
             api.run_study(SMALL, n_cycle=2)
+
+    def test_request_keywords_beside_a_bare_config_rejected(self):
+        with pytest.raises(TypeError, match="n_cycles"):
+            api.run_study(SMALL, n_cycles=2)
+
+    def test_bare_config_runs_with_request_defaults(self):
+        bare = api.run_study(SMALL)
+        typed = api.run_study(StudyRequest(SMALL))
+        assert [p.to_dict() for p in bare.points] == [p.to_dict() for p in typed.points]
 
 
 class TestAdvise:
