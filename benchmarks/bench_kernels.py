@@ -2,7 +2,8 @@
 
 Unlike the table/figure benchmarks (which re-price cached ledgers through
 the machine model), these time the *actual* NumPy kernel executions —
-the cost center of every sweep — and record the trajectory into
+the cost center of every sweep — plus the dataset generation every
+profile job runs before its kernel, and record the trajectory into
 ``BENCH_kernels.json`` via :class:`repro.core.benchtrack.BenchTracker`,
 so each PR leaves a perf point the next one can regress against.
 
@@ -13,7 +14,7 @@ Standalone (updates ``BENCH_kernels.json`` at the repo root)::
 Under pytest the same measurements run once per kernel at a small size
 (capped by ``REPRO_MAX_SIZE``) as a smoke test; thresholds are only
 enforced where a pre-optimization baseline exists for the measured size
-(the 128³ contour / clip / isovolume acceptance floors).
+(the 128³ generate / contour / clip / isovolume acceptance floors).
 """
 
 from __future__ import annotations
@@ -38,6 +39,11 @@ from repro.core.study import effective_sizes
 from repro.data.generators import make_dataset
 from repro.viz import ALGORITHMS
 
+#: Dataset generation, timed at every requested size as the advection
+#: profile job calls it: ``make_dataset`` with energy and velocity, the
+#: largest dataset any job builds (the other jobs skip velocity).
+GENERATE = "generate"
+
 #: Kernels timed at every requested size (the extraction layer).
 EXTRACTION_KERNELS = ("contour", "threshold", "clip", "isovolume", "slice")
 
@@ -45,11 +51,13 @@ EXTRACTION_KERNELS = ("contour", "threshold", "clip", "isovolume", "slice")
 #: is dominated by fixed factors: seeds x steps, rays x images).
 RENDER_KERNELS = ("advection", "raytrace", "volume")
 
-#: At the Table 3 scale (256³ and up) only the floored tentpole kernels
-#: are timed — a full-suite pass would take minutes for kernels with no
-#: acceptance criterion at that size.
+#: At the Table 3 scale (256³ and up) only generation and the floored
+#: tentpole kernels are timed — a full-suite pass would take minutes for
+#: kernels with no acceptance criterion at that size.
 LARGE_SIZE = 256
-LARGE_KERNELS = ("contour", "clip", "isovolume")
+LARGE_KERNELS = (GENERATE, "contour", "clip", "isovolume")
+
+ALL_KERNELS = (GENERATE,) + EXTRACTION_KERNELS + RENDER_KERNELS
 
 _DATASETS: dict[int, object] = {}
 
@@ -58,6 +66,15 @@ def _dataset(size: int):
     if size not in _DATASETS:
         _DATASETS[size] = make_dataset(size, kind="blobs", seed=7)
     return _DATASETS[size]
+
+
+def _timed_call(kernel: str, size: int):
+    """The zero-argument call timed for ``kernel`` at ``size``."""
+    if kernel == GENERATE:
+        return lambda: make_dataset(size, kind="blobs", seed=7)
+    ds = _dataset(size)
+    filt = ALGORITHMS[kernel]()
+    return lambda: filt.execute(ds)
 
 
 def run_suite(
@@ -71,30 +88,29 @@ def run_suite(
 ) -> BenchTracker:
     """Time every kernel, record into the trajectory file, return it.
 
-    ``kernels`` restricts the suite (default: all); ``budget_s`` is a
-    soft wall-clock bound — once elapsed time crosses it, remaining
+    ``kernels`` restricts the suite (default: all, generation first, so
+    it runs before the kernels' cached datasets are held); ``budget_s``
+    is a soft wall-clock bound — once elapsed time crosses it, remaining
     (kernel, size) pairs are skipped and reported, so a time-bounded CI
     smoke can run the 256³ tier without an unbounded tail.  Sizes at or
     above :data:`LARGE_SIZE` only time the :data:`LARGE_KERNELS`.
     """
     tracker = BenchTracker(path)
     sizes = sorted(set(sizes))
-    wanted = set(kernels) if kernels else set(EXTRACTION_KERNELS + RENDER_KERNELS)
+    wanted = set(kernels) if kernels else set(ALL_KERNELS)
     t_start = time.perf_counter()
     skipped: list[str] = []
-    for kernel in EXTRACTION_KERNELS + RENDER_KERNELS:
+    for kernel in ALL_KERNELS:
         if kernel not in wanted:
             continue
-        kernel_sizes = sizes if kernel in EXTRACTION_KERNELS else sizes[:1]
+        kernel_sizes = sizes[:1] if kernel in RENDER_KERNELS else sizes
         for size in kernel_sizes:
             if size >= LARGE_SIZE and kernel not in LARGE_KERNELS:
                 continue
             if budget_s is not None and time.perf_counter() - t_start > budget_s:
                 skipped.append(f"{kernel}@{size}")
                 continue
-            ds = _dataset(size)
-            filt = ALGORITHMS[kernel]()
-            timing = time_kernel(lambda: filt.execute(ds), repeats=repeats)
+            timing = time_kernel(_timed_call(kernel, size), repeats=repeats)
             entry = tracker.record(
                 kernel,
                 size,
@@ -137,7 +153,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--path", default=str(DEFAULT_BENCH_PATH),
                         help="trajectory file to update")
     parser.add_argument("--kernels", nargs="+", default=None,
-                        choices=EXTRACTION_KERNELS + RENDER_KERNELS,
+                        choices=ALL_KERNELS,
                         help="only time these kernels (default: all)")
     parser.add_argument("--budget-s", type=float, default=None, metavar="S",
                         help="soft wall-clock budget; remaining pairs are skipped")

@@ -55,12 +55,21 @@ def gaussian_blobs(
     b = grid.bounds
     centers = b[:, 0] + rng.random((n_blobs, 3)) * (b[:, 1] - b[:, 0])
     sigma = width * grid.diagonal
-    pts = grid.point_coords()
-    out = np.zeros(grid.n_points)
+    x, y, z = grid.axis_coords()
+    px, py, pz = grid.point_dims
+    out = np.zeros((pz, py, px))
+    d2 = np.empty_like(out)
     for c in centers:
-        d2 = np.sum((pts - c) ** 2, axis=1)
-        out += np.exp(-d2 / (2.0 * sigma**2))
-    return out
+        # Squared distance as (dx² + dy²) + dz² from 1-D axis offsets:
+        # the add order of the dense row sum over (x, y, z), so bitwise
+        # identical without the (n, 3) coordinate array.
+        dx, dy, dz = x - c[0], y - c[1], z - c[2]
+        np.add((dx * dx)[None, :] + (dy * dy)[:, None], (dz * dz)[:, None, None], out=d2)
+        np.negative(d2, out=d2)
+        d2 /= 2.0 * sigma**2
+        np.exp(d2, out=d2)
+        out += d2
+    return out.reshape(-1)
 
 
 def tangle_field(grid: UniformGrid) -> np.ndarray:
@@ -80,12 +89,16 @@ def rotation_vector_field(grid: UniformGrid, *, axis: int = 2) -> np.ndarray:
 
     Streamlines are exact circles, which the advection tests exploit.
     """
-    pts = grid.point_coords() - grid.center
-    v = np.zeros_like(pts)
+    px, py, pz = grid.point_dims
+    x, y, z = grid.axis_coords()
+    cx, cy, cz = grid.center
+    # Offsets from the center, each broadcast along its lattice axis.
+    d = ((x - cx)[None, None, :], (y - cy)[None, :, None], (z - cz)[:, None, None])
+    v = np.zeros((pz, py, px, 3))
     a, bax = {0: (1, 2), 1: (2, 0), 2: (0, 1)}[axis]
-    v[:, a] = -pts[:, bax]
-    v[:, bax] = pts[:, a]
-    return v
+    np.negative(d[bax], out=v[..., a])
+    v[..., bax] = d[a]
+    return v.reshape(-1, 3)
 
 
 def abc_flow(
@@ -98,16 +111,19 @@ def abc_flow(
     """Point vector field: Arnold–Beltrami–Childress flow (chaotic
     streamlines — a standard particle-advection stress test)."""
     bounds = grid.bounds
-    p = (grid.point_coords() - bounds[:, 0]) / (bounds[:, 1] - bounds[:, 0]) * (2.0 * np.pi)
-    x, y, z = p[:, 0], p[:, 1], p[:, 2]
-    return np.stack(
-        [
-            a * np.sin(z) + c * np.cos(y),
-            b * np.sin(x) + a * np.cos(z),
-            c * np.sin(y) + b * np.cos(x),
-        ],
-        axis=1,
+    px, py, pz = grid.point_dims
+    # Every term depends on one axis: sin/cos run on the 1-D axis phases
+    # and each component is a broadcast sum of two of them.
+    x, y, z = (
+        (ax - lo) / (hi - lo) * (2.0 * np.pi)
+        for ax, (lo, hi) in zip(grid.axis_coords(), bounds)
     )
+    x, y, z = x[None, None, :], y[None, :, None], z[:, None, None]
+    v = np.empty((pz, py, px, 3))
+    np.add(a * np.sin(z), c * np.cos(y), out=v[..., 0])
+    np.add(b * np.sin(x), a * np.cos(z), out=v[..., 1])
+    np.add(c * np.sin(y), b * np.cos(x), out=v[..., 2])
+    return v.reshape(-1, 3)
 
 
 def make_dataset(
@@ -141,8 +157,11 @@ def make_dataset(
         # Blend a rotational core with ABC turbulence: mostly bounded
         # trajectories (long streamlines) with chaotic structure, like
         # the recirculating hydro flows the study advects through.
+        # In place: rot / scale + 0.35 * abc, same per-element order.
         rot = rotation_vector_field(grid)
+        rot /= max(rot.max(), -rot.min()) or 1.0
         abc = abc_flow(grid)
-        scale = np.abs(rot).max() or 1.0
-        ds.add_field("velocity", rot / scale + 0.35 * abc, Association.POINT)
+        abc *= 0.35
+        rot += abc
+        ds.add_field("velocity", rot, Association.POINT)
     return ds

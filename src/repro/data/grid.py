@@ -205,20 +205,35 @@ class UniformGrid:
         return base[:, None] + strides[None, :]
 
     # ------------------------------------------------------------- geometry
+    def axis_coords(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """World-space point coordinates along each axis: ``(x, y, z)``.
+
+        Three 1-D float arrays of lengths ``point_dims``.  Point ``(i, j,
+        k)`` sits at ``(x[i], y[j], z[k])`` with the same ``origin + index
+        * spacing`` arithmetic as :meth:`point_coords`, so a field built
+        from these axes broadcast over the ``(pz, py, px)`` lattice is
+        bitwise identical to one built from the dense ``(n, 3)``
+        coordinate array — without ever allocating it.
+        """
+        return tuple(
+            np.asarray(o + np.arange(p, dtype=np.int64) * s, dtype=np.float64)
+            for o, p, s in zip(self.origin, self.point_dims, self.spacing)
+        )
+
     def point_coords(self, point_ids: np.ndarray | None = None) -> np.ndarray:
         """World-space coordinates of points as an ``(n, 3)`` float array."""
         px, py, pz = self.point_dims
-        ox, oy, oz = self.origin
-        sx, sy, sz = self.spacing
         if point_ids is None:
             # Full-grid fast path: broadcast the three 1-D axis coordinate
-            # arrays instead of decomposing every point id (same
-            # ``origin + index * spacing`` arithmetic, so bitwise equal).
+            # arrays instead of decomposing every point id.
+            x, y, z = self.axis_coords()
             out = np.empty((pz, py, px, 3), dtype=np.float64)
-            out[..., 0] = (ox + np.arange(px, dtype=np.int64) * sx)[None, None, :]
-            out[..., 1] = (oy + np.arange(py, dtype=np.int64) * sy)[None, :, None]
-            out[..., 2] = (oz + np.arange(pz, dtype=np.int64) * sz)[:, None, None]
+            out[..., 0] = x[None, None, :]
+            out[..., 1] = y[None, :, None]
+            out[..., 2] = z[:, None, None]
             return out.reshape(-1, 3)
+        ox, oy, oz = self.origin
+        sx, sy, sz = self.spacing
         pid = np.asarray(point_ids, dtype=np.int64)
         i = pid % px
         j = (pid // px) % py

@@ -101,9 +101,7 @@ class SphericalClip(Filter):
         radius = self.radius if self.radius is not None else grid.diagonal / 3.0
 
         nx, ny, nz = grid.cell_dims
-        px, py, pz = grid.point_dims
-        ox, oy, oz = grid.origin
-        sx, sy, sz = grid.spacing
+        x, y, z = grid.axis_coords()
         # Separable distance evaluation: |p - c| over a uniform lattice
         # is sqrt((dx² + dy²) + dz²) with one squared-offset array per
         # axis, broadcast per slab.  Same axis coordinates as
@@ -111,9 +109,7 @@ class SphericalClip(Filter):
         # length-3 axis, so g is bitwise identical to the dense
         # norm(points - center) — without ever materializing the (n, 3)
         # coordinate array or its (n,) distance temporaries.
-        dx = (ox + np.arange(px, dtype=np.int64) * sx) - center[0]
-        dy = (oy + np.arange(py, dtype=np.int64) * sy) - center[1]
-        dz = (oz + np.arange(pz, dtype=np.int64) * sz) - center[2]
+        dx, dy, dz = x - center[0], y - center[1], z - center[2]
         scalars = dataset.point_field(self.field).values
         field = dataset.field(self.field)
         return SimpleNamespace(

@@ -22,11 +22,9 @@ from .costs import COSTS
 
 __all__ = ["Slice"]
 
-_AXIS_NORMALS = {
-    "xy": np.array([0.0, 0.0, 1.0]),
-    "yz": np.array([1.0, 0.0, 0.0]),
-    "xz": np.array([0.0, 1.0, 0.0]),
-}
+#: Each plane's normal axis (0 = x, 1 = y, 2 = z) and the shape that
+#: broadcasts that 1-D axis over the (pz, py, px) point lattice.
+_PLANE_AXIS = {"xy": (2, (-1, 1, 1)), "yz": (0, (1, 1, -1)), "xz": (1, (1, -1, 1))}
 
 
 class Slice(Filter):
@@ -48,9 +46,9 @@ class Slice(Filter):
         chunk_cells: int = 1 << 20,
         keep_output: bool = True,
     ):
-        unknown = set(planes) - set(_AXIS_NORMALS)
+        unknown = set(planes) - set(_PLANE_AXIS)
         if unknown:
-            raise ValueError(f"unknown plane(s) {sorted(unknown)}; valid: {sorted(_AXIS_NORMALS)}")
+            raise ValueError(f"unknown plane(s) {sorted(unknown)}; valid: {sorted(_PLANE_AXIS)}")
         self.field = field
         self.planes = tuple(planes)
         self.chunk_cells = int(chunk_cells)
@@ -62,15 +60,21 @@ class Slice(Filter):
     def _apply(self, dataset: DataSet, counts: OpCounts) -> TriangleMesh:
         grid = dataset.grid
         center = grid.center
-        pts = grid.point_coords()
+        axes = grid.axis_coords()
+        px, py, pz = grid.point_dims
         mesh = TriangleMesh.empty()
         for plane in self.planes:
-            normal = _AXIS_NORMALS[plane]
-            dist = (pts - center) @ normal
+            # Signed distance to an axis plane through the center is the
+            # offset along its normal axis, broadcast over the lattice:
+            # equal to (points - center) @ normal, whose other two terms
+            # are signed zeros and whose exact-zero distances are +0.0.
+            a, shape = _PLANE_AXIS[plane]
+            dist = np.empty((pz, py, px))
+            dist[...] = (axes[a] - center[a]).reshape(shape)
             counts.add("points_evaluated", grid.n_points)
 
             sub = DataSet(grid)
-            sub.add_field("__slice_dist", dist, Association.POINT)
+            sub.add_field("__slice_dist", dist.reshape(-1), Association.POINT)
             inner = Contour(
                 field="__slice_dist",
                 isovalues=[0.0],

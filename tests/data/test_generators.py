@@ -95,3 +95,105 @@ class TestMakeDataset:
         inplane = np.linalg.norm(v[:, :2], axis=1).mean()
         vertical = np.abs(v[:, 2]).mean()
         assert inplane > vertical
+
+
+# ------------------------------------------------------------ bitwise oracle
+# The generators build their fields from broadcast 1-D axis terms.  These
+# references are the dense formulas over the (n, 3) point-coordinate
+# array; every field must match them bit for bit, because the golden
+# ledgers (advection reads velocity, every other kernel reads energy)
+# depend on the exact values.
+
+
+def _ref_gaussian_blobs(grid, *, n_blobs=4, width=0.15, seed=7):
+    rng = np.random.default_rng(seed)
+    b = grid.bounds
+    centers = b[:, 0] + rng.random((n_blobs, 3)) * (b[:, 1] - b[:, 0])
+    sigma = width * grid.diagonal
+    pts = grid.point_coords()
+    out = np.zeros(grid.n_points)
+    for c in centers:
+        d2 = np.sum((pts - c) ** 2, axis=1)
+        out += np.exp(-d2 / (2.0 * sigma**2))
+    return out
+
+
+def _ref_rotation(grid, *, axis=2):
+    pts = grid.point_coords() - grid.center
+    v = np.zeros_like(pts)
+    a, bax = {0: (1, 2), 1: (2, 0), 2: (0, 1)}[axis]
+    v[:, a] = -pts[:, bax]
+    v[:, bax] = pts[:, a]
+    return v
+
+
+def _ref_abc(grid, *, a=1.0, b=np.sqrt(2.0 / 3.0), c=np.sqrt(1.0 / 3.0)):
+    bounds = grid.bounds
+    p = (grid.point_coords() - bounds[:, 0]) / (bounds[:, 1] - bounds[:, 0]) * (2.0 * np.pi)
+    x, y, z = p[:, 0], p[:, 1], p[:, 2]
+    return np.stack(
+        [
+            a * np.sin(z) + c * np.cos(y),
+            b * np.sin(x) + a * np.cos(z),
+            c * np.sin(y) + b * np.cos(x),
+        ],
+        axis=1,
+    )
+
+
+def _ref_velocity(grid):
+    rot = _ref_rotation(grid)
+    return rot / (np.abs(rot).max() or 1.0) + 0.35 * _ref_abc(grid)
+
+
+def _bits(a):
+    """The raw bit patterns: unlike array_equal, tells +0.0 from -0.0."""
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+#: Cubes, plus a non-cube grid with a non-zero origin and unequal
+#: spacing: the golden cube ledgers cannot catch an x/y/z axis swap.
+ORACLE_GRIDS = [
+    UniformGrid.cube(8),
+    UniformGrid.cube(17),
+    UniformGrid.cube(32),
+    UniformGrid(cell_dims=(5, 7, 9), origin=(-0.3, 1.25, 2.0), spacing=(0.1, 0.37, 0.05)),
+]
+
+
+@pytest.mark.parametrize("grid", ORACLE_GRIDS, ids=lambda g: "x".join(map(str, g.cell_dims)))
+class TestBitwiseOracle:
+    def test_axis_coords_reproduce_point_coords(self, grid):
+        x, y, z = grid.axis_coords()
+        assert [len(x), len(y), len(z)] == list(grid.point_dims)
+        dense = grid.point_coords()
+        by_id = grid.point_coords(np.arange(grid.n_points))
+        assert np.array_equal(_bits(dense), _bits(by_id))
+        zz, yy, xx = np.meshgrid(z, y, x, indexing="ij")
+        assert np.array_equal(_bits(dense[:, 0]), _bits(xx.reshape(-1)))
+        assert np.array_equal(_bits(dense[:, 1]), _bits(yy.reshape(-1)))
+        assert np.array_equal(_bits(dense[:, 2]), _bits(zz.reshape(-1)))
+
+    @pytest.mark.parametrize("seed", [3, 7])
+    def test_gaussian_blobs(self, grid, seed):
+        got = gaussian_blobs(grid, seed=seed)
+        assert np.array_equal(_bits(got), _bits(_ref_gaussian_blobs(grid, seed=seed)))
+
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_rotation_vector_field(self, grid, axis):
+        got = rotation_vector_field(grid, axis=axis)
+        assert got.shape == (grid.n_points, 3)
+        assert np.array_equal(_bits(got), _bits(_ref_rotation(grid, axis=axis)))
+
+    def test_abc_flow(self, grid):
+        got = abc_flow(grid)
+        assert got.shape == (grid.n_points, 3)
+        assert np.array_equal(_bits(got), _bits(_ref_abc(grid)))
+
+
+@pytest.mark.parametrize("n", [8, 17, 32])
+def test_make_dataset_fields_match_dense_reference(n):
+    ds = make_dataset(n)
+    grid = ds.grid
+    assert np.array_equal(_bits(ds.field("energy").values), _bits(_ref_gaussian_blobs(grid)))
+    assert np.array_equal(_bits(ds.field("velocity").values), _bits(_ref_velocity(grid)))

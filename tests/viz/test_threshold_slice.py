@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.data import Association, DataSet, UniformGrid
-from repro.data.generators import linear_ramp
-from repro.viz import Slice, Threshold
+from repro.data.generators import gaussian_blobs, linear_ramp
+from repro.viz import Contour, OpCounts, Slice, Threshold, slicer
 
 
 class TestThreshold:
@@ -55,7 +55,59 @@ class TestThreshold:
         assert abs(out.n_cells - expected) <= grid.cell_dims[0] ** 2 + 1
 
 
+_REF_NORMALS = {"xy": (0.0, 0.0, 1.0), "yz": (1.0, 0.0, 0.0), "xz": (0.0, 1.0, 0.0)}
+
+
+def _reference_slice(ds, planes):
+    """Per-plane distances and the slice ledger from the dense reference
+    distance ``(points - center) @ normal``."""
+    grid = ds.grid
+    pts = grid.point_coords()
+    dists, counts = [], OpCounts()
+    for plane in planes:
+        dist = (pts - grid.center) @ np.array(_REF_NORMALS[plane])
+        dists.append(dist)
+        sub = DataSet(grid)
+        sub.add_field("d", dist, Association.POINT)
+        inner = Contour(field="d", isovalues=[0.0], keep_output=False).execute(sub).counts
+        counts.add("points_evaluated", grid.n_points)
+        for key in ("cells_classified", "active_cells", "triangles"):
+            counts.add(key, inner[key])
+    return dists, counts.as_dict()
+
+
+#: An odd non-cube grid (center planes between lattice points) and an
+#: even cube whose center planes lie on lattice points (distance exactly
+#: 0, where a sign slip would give -0.0).
+SLICE_GRIDS = [
+    UniformGrid(cell_dims=(5, 7, 9), origin=(-0.3, 1.25, 2.0), spacing=(0.1, 0.37, 0.05)),
+    UniformGrid.cube(8),
+]
+
+
 class TestSlice:
+    @pytest.mark.parametrize("grid", SLICE_GRIDS, ids=lambda g: "x".join(map(str, g.cell_dims)))
+    def test_distance_and_ledger_match_dense_reference(self, grid, monkeypatch):
+        ds = DataSet(grid)
+        ds.add_field("energy", gaussian_blobs(grid), Association.POINT)
+        seen = []
+
+        class SpyContour(Contour):
+            def _apply(self, dataset, counts):
+                seen.append(dataset.field(self.field).values.copy())
+                return super()._apply(dataset, counts)
+
+        monkeypatch.setattr(slicer, "Contour", SpyContour)
+        planes = ("xy", "yz", "xz")
+        ledger = Slice(planes=planes, keep_output=False).execute(ds).counts.as_dict()
+        ref_dists, ref_ledger = _reference_slice(ds, planes)
+        assert ledger == ref_ledger
+        assert len(seen) == len(planes)
+        for got, want in zip(seen, ref_dists):
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        on_lattice = all((d == 0.0).any() for d in ref_dists)
+        assert on_lattice == (grid.cell_dims == (8, 8, 8))
+
     def test_three_planes_through_center(self, blobs_ds):
         mesh = Slice(field="energy").execute(blobs_ds).output
         center = blobs_ds.grid.center
