@@ -8,7 +8,7 @@ Broadwell findings transfer.
 Run:  python examples/cross_architecture.py
 """
 
-from repro.core import StudyConfig, StudyRunner, first_slowdown_cap
+from repro.core import ProfileCache, StudyConfig, SweepEngine, first_slowdown_cap
 from repro.core.study import ALGORITHM_NAMES
 from repro.machine import ALL_PRESETS
 
@@ -16,8 +16,12 @@ from repro.machine import ALL_PRESETS
 def main() -> None:
     size = 48
     print(f"extracting workloads once at {size}^3...")
-    reference = StudyRunner()
-    profiles = {alg: reference.profile_for(alg, size) for alg in ALGORITHM_NAMES}
+    # One ledger cache shared by every socket's engine: each algorithm
+    # runs once, then every socket reprices the same ledgers.
+    ledgers = ProfileCache()
+    reference = SweepEngine(workers=0, profile_cache=ledgers)
+    for alg in ALGORITHM_NAMES:
+        reference.profile_for(alg, size)
 
     print(f"\n{'':>10s} " + " ".join(f"{n:>12s}" for n in ALL_PRESETS))
     header = " ".join(
@@ -27,13 +31,12 @@ def main() -> None:
 
     rows = {alg: [] for alg in ALGORITHM_NAMES}
     for name, spec in ALL_PRESETS.items():
-        runner = StudyRunner(spec)
-        runner._profiles = {(alg, size): p for alg, p in profiles.items()}
+        engine = SweepEngine(spec, workers=0, profile_cache=ledgers)
         caps = tuple(
             float(w) for w in range(int(spec.tdp_watts), int(spec.rapl_floor_watts) - 1, -10)
         )
         cfg = StudyConfig(name=name, algorithms=ALGORITHM_NAMES, sizes=(size,), caps_w=caps)
-        result = runner.run_config(cfg)
+        result = engine.run(cfg)
         for alg in ALGORITHM_NAMES:
             pts = result.select(algorithm=alg, size=size)
             red = first_slowdown_cap([(p.cap_w, p.tratio) for p in pts])

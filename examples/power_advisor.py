@@ -12,7 +12,7 @@ import os
 
 from repro.core import (
     StudyConfig,
-    StudyRunner,
+    SweepEngine,
     classify_result,
     recommend_cap,
 )
@@ -24,9 +24,8 @@ def main() -> None:
     print(f"sweeping 8 algorithms x 9 caps at {size}^3 "
           f"(one real execution per algorithm)...\n")
 
-    runner = StudyRunner()
     cfg = StudyConfig(name="advisor", algorithms=ALGORITHM_NAMES, sizes=(size,))
-    result = runner.run_config(cfg)
+    result = SweepEngine(workers=0).run(cfg)
     classes = classify_result(result, size=size)
 
     print(f"{'algorithm':>10} {'class':>18} {'draw':>7} {'IPC':>6} {'miss':>6} "

@@ -760,15 +760,18 @@ _COMMANDS = {
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--max-size", type=int, default=None,
-                        help="cap dataset sizes (e.g. 64 for a smoke run; sets REPRO_MAX_SIZE)")
-    common.add_argument("--cycles", type=int, default=DEFAULT_VIZ_CYCLES,
-                        help="visualization cycles per measurement")
-    common.add_argument("--csv", default=None, metavar="DIR",
-                        help="also write CSV artifacts to DIR")
-    common.add_argument("--cache", default=DEFAULT_CACHE_PATH,
-                        help="op-ledger cache path ('' to disable)")
+    # Shared flags, each given only to the subcommands that read it.
+    grid = argparse.ArgumentParser(add_help=False)
+    grid.add_argument("--max-size", type=int, default=None,
+                      help="cap dataset sizes (e.g. 64 for a smoke run; sets REPRO_MAX_SIZE)")
+    grid.add_argument("--cycles", type=int, default=DEFAULT_VIZ_CYCLES,
+                      help="visualization cycles per measurement")
+    cache = argparse.ArgumentParser(add_help=False)
+    cache.add_argument("--cache", default=DEFAULT_CACHE_PATH,
+                       help="op-ledger cache path ('' to disable)")
+    csv = argparse.ArgumentParser(add_help=False)
+    csv.add_argument("--csv", default=None, metavar="DIR",
+                     help="also write CSV artifacts to DIR")
 
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -785,11 +788,11 @@ def _build_parser() -> argparse.ArgumentParser:
         ("classify", "class + recommended cap per algorithm"),
         ("all", "every table/figure command in sequence"),
     ]:
-        sub.add_parser(name, parents=[common], help=help_text)
+        sub.add_parser(name, parents=[grid, cache, csv], help=help_text)
 
     sweep = sub.add_parser(
         "sweep",
-        parents=[common],
+        parents=[grid, cache],
         help="run a phase grid through the parallel, resumable engine",
         description="Parallel sweep with a resumable JSONL result store: "
         "interrupt it and re-invoke with the same --store to complete "
@@ -824,7 +827,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     chaos = sub.add_parser(
         "chaos",
-        parents=[common],
+        parents=[grid],
         help="run a sweep under a named fault plan and report survival",
         description="Fault-injection drill: run the grid with seeded worker "
         "crashes/hangs, sensor corruption, and store damage live, then "
@@ -877,7 +880,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     serve = sub.add_parser(
         "serve",
-        parents=[common],
         help="run the crash-safe supervised sweep daemon over a spool",
         description="Supervised daemon: replays the spool's write-ahead log, "
         "reclaims orphaned leases from any previous (crashed) generation, "
@@ -903,7 +905,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     jobs = sub.add_parser(
         "jobs",
-        parents=[common],
+        parents=[grid],
         help="submit/inspect/cancel sweep-service jobs (or a JSONL loop)",
         description="Client for the sweep service spool: --submit/--status/"
         "--cancel/--report run one-shot against the WAL (no daemon needed "

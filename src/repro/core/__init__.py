@@ -37,7 +37,7 @@ from .report import (
     render_slowdown_table,
     render_table1,
 )
-from .runner import DEFAULT_VIZ_CYCLES, RunPoint, StudyResult, StudyRunner, make_run_point
+from .runner import DEFAULT_VIZ_CYCLES, RunPoint, StudyResult, make_run_point
 from .store import ResultStore, StoreMismatchError, sweep_fingerprint
 from .validate import PointValidator, ValidationReport, Violation, validate_store
 from .study import (
@@ -63,7 +63,6 @@ __all__ = [
     "POWER_CAPS_W",
     "DATASET_SIZES",
     "ALGORITHM_NAMES",
-    "StudyRunner",
     "StudyResult",
     "RunPoint",
     "make_run_point",

@@ -20,9 +20,9 @@ microseconds.  The engine exploits exactly that structure:
 
 Both the serial and the parallel path build profiles from the op-count
 ledger through :func:`~repro.core.profiles.profile_from_ledger`, so the
-engine's points are bitwise identical to the serial
-:class:`~repro.core.runner.StudyRunner`'s regardless of worker count,
-completion order, or how many times the sweep was interrupted.
+engine's points are bitwise identical regardless of worker count, shard
+fan-out, completion order, or how many times the sweep was interrupted
+(``tests/golden/runpoints.json`` pins them).
 
 Two robustness layers guard the pipeline:
 
@@ -204,13 +204,15 @@ class SweepEngine:
         per pool worker (default 256 — the Table 3 scale, where one
         execution would otherwise serialize the sweep's tail).  Sharding
         preserves the ledger bitwise; classification is GIL-bound NumPy,
-        so process shards scale where the threaded backend cannot.
+        so the spans run in worker processes, not threads.
     store:
         :class:`ResultStore` or path for streamed, resumable results
         (None = in-memory only).
     profile_cache:
         Shared :class:`ProfileCache` of op ledgers (None = private,
-        in-memory only).
+        in-memory only).  It is bound to this engine's
+        ``(dataset_kind, seed)``; a cache filled under another recipe
+        raises ``ValueError``.
     profile_fn:
         Override for the profile-job body — used to inject faults in
         tests; must be picklable to run in pool mode.
@@ -287,6 +289,7 @@ class SweepEngine:
         self.shard_min_size = int(shard_min_size)
         self.store = ResultStore(store) if store is not None and not isinstance(store, ResultStore) else store
         self.profile_cache = profile_cache if profile_cache is not None else ProfileCache(None)
+        self.profile_cache.bind(dataset_kind, seed)
         self._profile_fn = profile_fn or execute_profile_job
         self.faults = faults
         self.validator = PointValidator(self.spec)
@@ -644,30 +647,41 @@ class SweepEngine:
                         ledger = self._job_body(job, attempt)(job)
                     break
                 except Exception as exc:
-                    if getattr(exc, "injected", False):
-                        self.stats.faults_injected += 1
-                        self._report(
-                            "fault-injected",
-                            algorithm=job.algorithm,
-                            size=job.size,
-                            error=repr(exc),
-                        )
-                    attempt += 1
-                    if attempt > self.max_retries:
-                        raise SweepError(
-                            f"profile job {job.algorithm}@{job.size} failed "
-                            f"after {attempt} attempts: {exc}"
-                        ) from exc
-                    self.stats.retries += 1
-                    self._report(
-                        "retry",
-                        algorithm=job.algorithm,
-                        size=job.size,
-                        attempt=attempt,
-                        error=repr(exc),
-                    )
-                    time.sleep(self._backoff(job, attempt))
+                    attempt = self._attempt_failed(job, exc, attempt)
             self._record(job, ledger, i, total, time.perf_counter() - t0, on_done)
+
+    def _attempt_failed(self, job, exc: Exception, attempt: int) -> int:
+        """Account failed attempt ``attempt`` (0-based) of a job or shard.
+
+        Reports a fault-injected event for an injected failure, raises
+        :class:`SweepError` once the retry budget is spent, and otherwise
+        counts the retry, reports it, sleeps the backoff, and returns the
+        next attempt's number.
+        """
+        if getattr(exc, "injected", False):
+            self.stats.faults_injected += 1
+            self._report(
+                "fault-injected", algorithm=job.algorithm, size=job.size, error=repr(exc)
+            )
+        attempt += 1
+        if attempt > self.max_retries:
+            shard = (
+                f" shard {job.shard}/{job.n_shards}" if isinstance(job, ShardTask) else ""
+            )
+            raise SweepError(
+                f"profile job {job.algorithm}@{job.size}{shard} failed "
+                f"after {attempt} attempts: {exc}"
+            ) from exc
+        self.stats.retries += 1
+        self._report(
+            "retry",
+            algorithm=job.algorithm,
+            size=job.size,
+            attempt=attempt,
+            error=repr(exc),
+        )
+        time.sleep(self._backoff(job, attempt))
+        return attempt
 
     def _backoff(self, job: ProfileJob, attempt: int) -> float:
         return retry_backoff(
@@ -820,27 +834,5 @@ class SweepEngine:
                     self._record(job, ledger, completed, total, dt, on_done)
 
     def _retry_or_raise(self, job, exc, attempts, pending) -> None:
-        if getattr(exc, "injected", False):
-            self.stats.faults_injected += 1
-            self._report(
-                "fault-injected", algorithm=job.algorithm, size=job.size, error=repr(exc)
-            )
-        attempts[job] = attempts.get(job, 0) + 1
-        if attempts[job] > self.max_retries:
-            shard = (
-                f" shard {job.shard}/{job.n_shards}" if isinstance(job, ShardTask) else ""
-            )
-            raise SweepError(
-                f"profile job {job.algorithm}@{job.size}{shard} failed "
-                f"after {attempts[job]} attempts: {exc}"
-            ) from exc
-        self.stats.retries += 1
-        self._report(
-            "retry",
-            algorithm=job.algorithm,
-            size=job.size,
-            attempt=attempts[job],
-            error=repr(exc),
-        )
-        time.sleep(self._backoff(job, attempts[job]))
+        attempts[job] = self._attempt_failed(job, exc, attempts.get(job, 0))
         pending.append(job)

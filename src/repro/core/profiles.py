@@ -21,7 +21,8 @@ This module owns that bridge for the whole repo:
   :class:`~repro.workload.WorkProfile`, the single pricing path used by
   the engine and the facade.
 * :class:`ProfileCache` — the versioned JSON cache of ledgers shared by
-  every engine over the same file (``DEFAULT_CACHE_PATH`` for the CLI).
+  every engine over the same file (``DEFAULT_CACHE_PATH`` for the CLI),
+  bound to the one dataset recipe its ledgers were recorded under.
 """
 
 from __future__ import annotations
@@ -149,7 +150,10 @@ def profile_from_ledger(
 class ProfileCache:
     """Persistent (algorithm, size) → ledger cache, versioned JSON on disk.
 
-    ``path=None`` keeps the cache in memory only.
+    ``path=None`` keeps the cache in memory only.  Entries are keyed by
+    (algorithm, size) alone, so the cache also records the dataset
+    recipe — ``(dataset_kind, seed)`` — its ledgers were recorded under
+    and refuses to serve another one (:meth:`bind`).
     """
 
     FORMAT = "repro-profile-cache"
@@ -157,9 +161,10 @@ class ProfileCache:
 
     def __init__(self, path: str | Path | None = None):
         # Shared between the sweep engine's control loop and chaos-drill
-        # threads, so every _entries access goes through this lock.
+        # threads, so every _entries/_recipe access goes through this lock.
         self._lock = threading.Lock()
         self._entries: dict[str, dict[str, float]] = {}
+        self._recipe: tuple[str, int] | None = None
         self.path: Path | None = None
         if path is None:
             return
@@ -199,8 +204,11 @@ class ProfileCache:
             raise ValueError(
                 f"{p} has cache version {doc['version']}, newer than supported {self.VERSION}"
             )
+        recipe = doc.get("recipe")
         with self._lock:
             self._entries = {k: dict(v) for k, v in doc["entries"].items()}
+            if recipe is not None:
+                self._recipe = (str(recipe["dataset_kind"]), int(recipe["seed"]))
 
     def _save(self) -> None:
         if self.path is None:
@@ -209,12 +217,37 @@ class ProfileCache:
         # flush+fsync would stall every reader behind disk latency.
         with self._lock:
             entries = {k: dict(v) for k, v in self._entries.items()}
+            recipe = self._recipe
         doc = {"format": self.FORMAT, "version": self.VERSION, "entries": entries}
+        if recipe is not None:
+            doc["recipe"] = {"dataset_kind": recipe[0], "seed": recipe[1]}
         # Temp-file + os.replace (+ fsync): a crashed or concurrent sweep
         # worker can never leave a truncated profiles.json — readers see
         # the old complete document or the new one, nothing in between
         # (the same crash-safety contract the ResultStore makes).
         atomic_write_json(self.path, doc)
+
+    def bind(self, dataset_kind: str, seed: int) -> None:
+        """Tie the cache to the dataset recipe of the engine using it.
+
+        A cache that records a recipe raises ``ValueError`` for any
+        other: its ledgers measured a different dataset.  A cache
+        without one — new, or written before recipes were recorded —
+        adopts ``(dataset_kind, seed)`` as-is; the file records it on its
+        next :meth:`put`, never here, so a warm run writes nothing.
+        """
+        recipe = (str(dataset_kind), int(seed))
+        with self._lock:
+            bound = self._recipe
+            if bound is None:
+                self._recipe = recipe
+        if bound is not None and bound != recipe:
+            where = self.path if self.path is not None else "(in memory)"
+            raise ValueError(
+                f"profile cache {where} holds ledgers of dataset_kind={bound[0]!r} "
+                f"seed={bound[1]}, not dataset_kind={recipe[0]!r} seed={recipe[1]}; "
+                "use one cache per dataset recipe"
+            )
 
     # ------------------------------------------------------------------ access
     def get(self, algorithm: str, size: int) -> dict[str, float] | None:

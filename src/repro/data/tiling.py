@@ -21,10 +21,9 @@ Tiles are always whole k-planes (at least one), so a tile of a
 ``(nx, ny, nz)`` lattice is ``planes * nx * ny`` cells.
 
 :func:`shard_spans` splits the k-axis into near-even contiguous spans —
-the unit of the sharded kernel backend (:mod:`repro.viz.sharding`) and
-of the sweep engine's shard tasks.  Spans are a pure function of
-``(nz, n_shards)``, so every backend decomposes a lattice identically
-and merged results are deterministic.
+the unit of the sweep engine's shard tasks.  Spans are a pure function
+of ``(nz, n_shards)``, so every worker decomposes a lattice identically
+and merged ledgers are deterministic.
 """
 
 from __future__ import annotations

@@ -101,12 +101,11 @@ class CallSite:
 
 @dataclass(frozen=True)
 class SpawnSite:
-    """A thread/pool/span launch observed inside a function.
+    """A thread or pool launch observed inside a function.
 
-    ``kind`` is ``"thread"`` (``threading.Thread(target=...)``),
-    ``"pool"`` (``executor.submit(fn, ...)``) or ``"shard-span"``
-    (``run_spans(fn, ...)``).  ``target`` is None when the callable
-    argument was not a resolvable name/method reference.  ``in_loop``
+    ``kind`` is ``"thread"`` (``threading.Thread(target=...)``) or
+    ``"pool"`` (``executor.submit(fn, ...)``).  ``target`` is None when
+    the callable argument was not a resolvable name/method reference.  ``in_loop``
     is True when the launch sits inside a loop or comprehension, i.e.
     several instances of the target may run concurrently.
     """
@@ -192,6 +191,6 @@ class ThreadRoot:
     """
 
     function: str  # qualname of the root function
-    kind: str  # "thread" | "pool" | "shard-span" | "spawner"
+    kind: str  # "thread" | "pool" | "spawner"
     spawned_at: str  # "path:line" of the spawn site
     multi: bool

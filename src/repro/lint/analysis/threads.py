@@ -1,14 +1,13 @@
 """Thread-root discovery: what actually runs concurrently.
 
 A *thread root* is a function that executes on its own thread of
-control: a ``threading.Thread`` target, a callable handed to an
-executor's ``submit``, or a span function handed to the sharded
-backend's ``run_spans``.  The function that *launches* the concurrency
+control: a ``threading.Thread`` target or a callable handed to an
+executor's ``submit``.  The function that *launches* the concurrency
 is a root too (kind ``"spawner"``) — it keeps executing alongside its
 children, so its own accesses participate in races.
 
 ``multi`` marks roots that can have several live instances at once:
-pool callbacks and span runners always can; a plain ``Thread`` target
+pool callbacks always can; a plain ``Thread`` target
 can when the spawn site sits inside a loop or comprehension (the
 supervisor's worker pool spawns ``_worker_loop`` once per worker from a
 comprehension, for example).  The race detector needs this to flag
@@ -40,7 +39,7 @@ def discover_roots(graph: CallGraph) -> list[ThreadRoot]:
             target = graph.resolve(fn, spawn.target)
             if target is None:
                 continue
-            multi = spawn.in_loop or spawn.kind in {"pool", "shard-span"}
+            multi = spawn.in_loop or spawn.kind == "pool"
             key = (target.qualname, spawn.kind)
             existing = roots.get(key)
             if existing is None or (multi and not existing.multi):

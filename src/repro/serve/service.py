@@ -283,8 +283,8 @@ class SweepService:
         return self.spool / "stores" / f"{job_id}.jsonl"
 
     def _cache_path(self, dataset_kind: str, seed: int) -> Path:
-        # ProfileCache keys on (algorithm, size) only, so ledgers from
-        # different dataset recipes must not share a file.
+        # A ProfileCache holds one dataset recipe's ledgers (binding
+        # another raises), so each recipe gets its own file.
         return self.spool / f"profiles-{dataset_kind}-{seed}.json"
 
     def _run_job(self, job, progress=None) -> dict:

@@ -27,7 +27,6 @@ cell-centered algorithms — the paper's Fig. 4 trend.
 
 from __future__ import annotations
 
-import os
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Any
@@ -41,33 +40,10 @@ __all__ = [
     "OpCounts",
     "FilterResult",
     "Filter",
-    "BACKENDS",
-    "ENV_BACKEND",
-    "resolve_backend",
     "framework_segment",
     "mix_per",
     "segment_from_cost",
 ]
-
-#: Execution backends ``Filter.execute`` understands.  ``serial`` is the
-#: plain in-process pass; ``sharded`` fans independent k-spans of the
-#: lattice out over a thread pool (:mod:`repro.viz.sharding`) and merges
-#: the per-span results in ascending span order, so ledgers and geometry
-#: are deterministic and ledger totals equal the serial pass bitwise.
-BACKENDS = ("serial", "sharded")
-
-#: Environment default for ``Filter.execute(backend=None)``.
-ENV_BACKEND = "REPRO_KERNEL_BACKEND"
-
-
-def resolve_backend(backend: str | None) -> str:
-    """Normalize an execute() backend: explicit arg > env > ``serial``."""
-    if backend is None:
-        backend = os.environ.get(ENV_BACKEND, "").strip() or "serial"
-    if backend not in BACKENDS:
-        raise ValueError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
-    return backend
-
 
 def mix_per(
     count: float,
@@ -99,9 +75,7 @@ class OpCounts:
     counts: dict[str, float] = field(default_factory=dict)
 
     def add(self, key: str, amount: float) -> None:
-        # Each OpCounts instance is span-local by construction (one per
-        # processor run); results are merged after the span closes.
-        self.counts[key] = self.counts.get(key, 0.0) + float(amount)  # repro: lint-ignore[RPR009]: OpCounts ledgers are span/thread-local and merged in span order, never shared across threads
+        self.counts[key] = self.counts.get(key, 0.0) + float(amount)
 
     def __getitem__(self, key: str) -> float:
         return self.counts.get(key, 0.0)
@@ -198,22 +172,12 @@ class Filter(ABC):
     n_worklets: float = 3.0
 
     #: Whether this filter implements the k-span sharding hooks
-    #: (:meth:`_shard_state` / :meth:`_apply_span` / :meth:`_finish`).
-    #: Filters without them silently run serial under ``backend="sharded"``
-    #: — their ledgers are trivially backend-independent.
+    #: (:meth:`_shard_state` / :meth:`_apply_span` / :meth:`_finish`)
+    #: that engine shard tasks run through :meth:`apply_shard`.
     supports_sharding: bool = False
 
-    def execute(
-        self, dataset: DataSet, *, backend: str | None = None, shards: int | None = None
-    ) -> FilterResult:
+    def execute(self, dataset: DataSet) -> FilterResult:
         """Run the algorithm on ``dataset``; return geometry + profile.
-
-        ``backend`` picks the execution strategy (see :data:`BACKENDS`;
-        default from ``REPRO_KERNEL_BACKEND``, else ``serial``) and
-        ``shards`` the k-span fan-out width for ``"sharded"``.  Ledgers
-        are backend-independent: every ledger entry is an integer-valued
-        float, so the ascending-span merge reproduces the serial totals
-        bitwise.
 
         Each phase runs under a telemetry span (no-ops when no tracer is
         configured): ``kernel`` wraps the whole execution, with
@@ -221,16 +185,10 @@ class Filter(ABC):
         (ledger → work profile) nested inside — a traced sweep shows
         where each algorithm's wall time actually goes.
         """
-        backend = resolve_backend(backend)
         counts = OpCounts()
-        with span(
-            "kernel", algorithm=self.name, n_cells=dataset.grid.n_cells, backend=backend
-        ):
+        with span("kernel", algorithm=self.name, n_cells=dataset.grid.n_cells):
             with span("kernel-apply", algorithm=self.name):
-                if backend == "sharded" and self.supports_sharding:
-                    output = self._apply_sharded(dataset, counts, shards=shards)
-                else:
-                    output = self._apply(dataset, counts)
+                output = self._apply(dataset, counts)
             with span("kernel-profile", algorithm=self.name):
                 profile = self.profile_from_counts(dataset, counts)
         return FilterResult(output=output, profile=profile, counts=counts)
@@ -264,13 +222,13 @@ class Filter(ABC):
 
     # ------------------------------------------------------------- sharding
     # A shardable filter decomposes into three hooks: `_shard_state`
-    # (one-time validation + read-only precomputation, shared by every
-    # span), `_apply_span` (process cell planes [k_lo, k_hi), recording
-    # that span's ledger and returning a payload), and `_finish`
-    # (assemble payloads — ascending span order — into the output).
-    # The serial `_apply` is one span covering the whole lattice, so the
-    # sharded ledger is the serial ledger summed span-wise: bitwise
-    # identical because every entry is an integer-valued float.
+    # (one-time validation + read-only precomputation), `_apply_span`
+    # (process cell planes [k_lo, k_hi), recording that span's ledger
+    # and returning a payload), and `_finish` (assemble the payload into
+    # the output).  The serial `_apply` is one span covering the whole
+    # lattice; engine shard tasks run one span each via `apply_shard`
+    # and sum the span ledgers, bitwise equal to the serial ledger
+    # because every entry is an integer-valued float.
 
     def _shard_state(self, dataset: DataSet) -> Any:
         raise NotImplementedError(f"{self.name} does not support sharding")
@@ -278,31 +236,8 @@ class Filter(ABC):
     def _apply_span(self, state: Any, counts: OpCounts, k_lo: int, k_hi: int) -> Any:
         raise NotImplementedError(f"{self.name} does not support sharding")
 
-    def _finish(self, state: Any, counts: OpCounts, payloads: list) -> Any:
+    def _finish(self, state: Any, counts: OpCounts, payload: Any) -> Any:
         raise NotImplementedError(f"{self.name} does not support sharding")
-
-    def _apply_sharded(
-        self, dataset: DataSet, counts: OpCounts, *, shards: int | None = None
-    ) -> Any:
-        """Fan `_apply_span` out over k-spans; merge deterministically."""
-        from .sharding import resolve_shards, run_spans  # avoid import cycle at init
-
-        state = self._shard_state(dataset)
-        nz = dataset.grid.cell_dims[2]
-        spans = shard_spans(nz, resolve_shards(shards, nz))
-
-        def one_span(k_lo: int, k_hi: int) -> tuple[OpCounts, Any]:
-            span_counts = OpCounts()
-            payload = self._apply_span(state, span_counts, k_lo, k_hi)
-            return span_counts, payload
-
-        results = run_spans(one_span, spans)
-        payloads = []
-        for span_counts, payload in results:  # ascending span order
-            for key, value in span_counts.counts.items():
-                counts.add(key, value)
-            payloads.append(payload)
-        return self._finish(state, counts, payloads)
 
     def apply_shard(
         self, dataset: DataSet, counts: OpCounts, shard: int, n_shards: int

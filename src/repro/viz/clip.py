@@ -93,7 +93,7 @@ class SphericalClip(Filter):
     def _apply(self, dataset: DataSet, counts: OpCounts) -> ClipOutput:
         state = self._shard_state(dataset)
         payload = self._apply_span(state, counts, 0, dataset.grid.cell_dims[2])
-        return self._finish(state, counts, [payload])
+        return self._finish(state, counts, payload)
 
     def _shard_state(self, dataset: DataSet) -> SimpleNamespace:
         grid = dataset.grid
@@ -196,20 +196,14 @@ class SphericalClip(Filter):
         )
 
     def _finish(
-        self, state: SimpleNamespace, counts: OpCounts, payloads: list[SimpleNamespace]
+        self, state: SimpleNamespace, counts: OpCounts, payload: SimpleNamespace
     ) -> ClipOutput:
-        kept_chunks = [c for p in payloads for c in p.kept]
-        kept_vals = [c for p in payloads for c in p.kept_vals]
         kept_ids = (
-            np.concatenate(kept_chunks) if kept_chunks else np.empty(0, dtype=np.int64)
+            np.concatenate(payload.kept) if payload.kept else np.empty(0, dtype=np.int64)
         )
-        kept_scal = np.concatenate(kept_vals) if kept_vals else np.empty(0)
+        kept_scal = np.concatenate(payload.kept_vals) if payload.kept_vals else np.empty(0)
         cut = (
-            _assemble_tets(
-                [c for p in payloads for c in p.pts], [c for p in payloads for c in p.vals]
-            )
-            if self.keep_output
-            else TetMesh.empty()
+            _assemble_tets(payload.pts, payload.vals) if self.keep_output else TetMesh.empty()
         )
         return ClipOutput(kept=CellSubset(kept_ids, kept_scal), cut=cut)
 

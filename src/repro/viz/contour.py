@@ -99,7 +99,7 @@ class Contour(Filter):
     def _apply(self, dataset: DataSet, counts: OpCounts) -> TriangleMesh:
         state = self._shard_state(dataset)
         payload = self._apply_span(state, counts, 0, dataset.grid.cell_dims[2])
-        return self._finish(state, counts, [payload])
+        return self._finish(state, counts, payload)
 
     def _shard_state(self, dataset: DataSet) -> SimpleNamespace:
         grid = dataset.grid
@@ -184,10 +184,9 @@ class Contour(Filter):
         self,
         state: SimpleNamespace,
         counts: OpCounts,
-        payloads: list[tuple[list[np.ndarray], list[np.ndarray]]],
+        payload: tuple[list[np.ndarray], list[np.ndarray]],
     ) -> TriangleMesh:
-        pts_chunks = [c for pts, _ in payloads for c in pts]
-        val_chunks = [c for _, vals in payloads for c in vals]
+        pts_chunks, val_chunks = payload
         if not pts_chunks:
             return TriangleMesh.empty()
         points = np.vstack(pts_chunks)

@@ -80,7 +80,7 @@ class Isovolume(Filter):
     def _apply(self, dataset: DataSet, counts: OpCounts) -> IsovolumeOutput:
         state = self._shard_state(dataset)
         payload = self._apply_span(state, counts, 0, dataset.grid.cell_dims[2])
-        return self._finish(state, counts, [payload])
+        return self._finish(state, counts, payload)
 
     def _shard_state(self, dataset: DataSet) -> SimpleNamespace:
         grid = dataset.grid
@@ -195,23 +195,19 @@ class Isovolume(Filter):
         )
 
     def _finish(
-        self, state: SimpleNamespace, counts: OpCounts, payloads: list[SimpleNamespace]
+        self, state: SimpleNamespace, counts: OpCounts, payload: SimpleNamespace
     ) -> IsovolumeOutput:
-        kept_chunks = [c for p in payloads for c in p.kept]
         kept_ids = (
-            np.concatenate(kept_chunks) if kept_chunks else np.empty(0, dtype=np.int64)
+            np.concatenate(payload.kept) if payload.kept else np.empty(0, dtype=np.int64)
         )
-        kept_vals = [c for p in payloads for c in p.kept_vals]
-        kept_scal = np.concatenate(kept_vals) if kept_vals else np.empty(0)
+        kept_scal = np.concatenate(payload.kept_vals) if payload.kept_vals else np.empty(0)
 
         # Pass 2b: pass-1 cut tets clipped against scalar <= hi.  Only
         # reachable with keep_output=True (the counting configuration
         # never materializes the pass-1 soup, matching the sequential
         # formulation where an empty r1.cut skips the soup clip and its
         # ledger contribution).
-        cut1 = _assemble_tets(
-            [c for p in payloads for c in p.pts1], [c for p in payloads for c in p.vals1]
-        )
+        cut1 = _assemble_tets(payload.pts1, payload.vals1)
         if cut1.n_tets:
             g2 = state.hi - np.asarray(cut1.scalars)
             cut1b, straddling = clip_tet_soup(cut1, g2, keep_output=self.keep_output)
@@ -221,12 +217,7 @@ class Isovolume(Filter):
             cut1b = TetMesh.empty()
 
         cut2 = (
-            _assemble_tets(
-                [c for p in payloads for c in p.pts2],
-                [c for p in payloads for c in p.vals2],
-            )
-            if self.keep_output
-            else TetMesh.empty()
+            _assemble_tets(payload.pts2, payload.vals2) if self.keep_output else TetMesh.empty()
         )
         cut = cut2.merged_with(cut1b) if cut1b.n_tets else cut2
         return IsovolumeOutput(kept=CellSubset(kept_ids, kept_scal), cut=cut)

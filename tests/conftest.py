@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -67,3 +70,22 @@ def processor() -> Processor:
 @pytest.fixture(scope="session")
 def rng() -> np.random.Generator:
     return np.random.default_rng(42)
+
+
+@pytest.fixture(scope="session")
+def golden_points():
+    """``golden_points(config)``: the recorded ``to_dict()`` points of
+    ``config``, a sub-grid of ``tests/golden/runpoints.json``, in the
+    engine's sweep order (algorithm, size, cap).
+
+    The file holds all eight algorithms x nine caps at 12^3 (blobs,
+    seed 7, ``n_cycles=2``); compare an engine result with
+    ``[p.to_dict() for p in result.points] == golden_points(config)``.
+    """
+    doc = json.loads((Path(__file__).parent / "golden" / "runpoints.json").read_text())
+    by_key = {(p["algorithm"], p["size"], p["cap_w"]): p for p in doc["points"]}
+
+    def points(config) -> list[dict]:
+        return [by_key[key] for key in config.configurations()]
+
+    return points

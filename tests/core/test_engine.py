@@ -1,25 +1,36 @@
-"""Sweep engine: parallel == serial bitwise, resume, retry, fallback."""
+"""Sweep engine: golden RunPoints bitwise, resume, retry, fallback.
+
+Every identity check compares against ``tests/golden/runpoints.json``
+(the ``golden_points`` fixture), recorded from the study's serial
+reference runner at 12^3 with ``n_cycles=2``.
+"""
 
 import pytest
 
 from repro.core import (
+    ALGORITHM_NAMES,
     ProfileJob,
     ResultStore,
     StoreMismatchError,
     StudyConfig,
-    StudyRunner,
     SweepEngine,
     SweepError,
 )
 from repro.core.engine import execute_profile_job
 
 CFG = StudyConfig(name="t", algorithms=("threshold", "clip"), sizes=(12,))
+GOLDEN = StudyConfig(name="golden", algorithms=ALGORITHM_NAMES, sizes=(12,))
 
 
 def _assert_identical(a, b):
     assert len(a.points) == len(b.points)
     for pa, pb in zip(a.points, b.points):
         assert pa.to_dict() == pb.to_dict()  # bitwise: dict holds raw floats
+
+
+def _assert_golden(expected: list[dict], result):
+    """Bitwise: ``to_dict()`` holds the raw floats, JSON round-trips them."""
+    assert [p.to_dict() for p in result.points] == expected
 
 
 class _CountingJob:
@@ -46,16 +57,18 @@ class _FlakyJob:
 
 
 class TestSerialEquivalence:
-    def test_serial_engine_matches_runner_bitwise(self):
-        serial = StudyRunner(n_cycles=2).run_config(CFG)
-        engine = SweepEngine(n_cycles=2, workers=0)
-        _assert_identical(serial, engine.run(CFG))
+    """The whole golden grid: 8 algorithms x 9 caps at 12^3."""
 
-    def test_parallel_engine_matches_runner_bitwise(self):
-        serial = StudyRunner(n_cycles=2).run_config(CFG)
+    def test_serial_engine_matches_runner_bitwise(self, golden_points):
+        engine = SweepEngine(n_cycles=2, workers=0)
+        _assert_golden(golden_points(GOLDEN), engine.run(GOLDEN))
+        assert engine.stats.profile_jobs_run == len(ALGORITHM_NAMES)
+
+    def test_parallel_engine_matches_runner_bitwise(self, golden_points):
         engine = SweepEngine(n_cycles=2, workers=2)
-        _assert_identical(serial, engine.run(CFG))
-        assert engine.stats.profile_jobs_run == 2
+        _assert_golden(golden_points(GOLDEN), engine.run(GOLDEN))
+        assert engine.stats.profile_jobs_run == len(ALGORITHM_NAMES)
+        assert engine.stats.shard_tasks_run == 0
         assert not engine.stats.fell_back_serial
 
 
@@ -80,7 +93,7 @@ class TestResume:
         assert engine.stats.points_resumed == 5
         assert engine.stats.points_computed == len(full.points) - 5
 
-    def test_resume_skips_completed_profile_jobs(self, tmp_path):
+    def test_resume_skips_completed_profile_jobs(self, tmp_path, golden_points):
         """Only (algorithm, size) groups with missing points re-execute."""
         store_path = tmp_path / "s.jsonl"
         one = StudyConfig(name="t", algorithms=("threshold",), sizes=(12,))
@@ -94,9 +107,9 @@ class TestResume:
         extended = engine.run(CFG)
         assert counter2.calls == [("clip", 12)]  # threshold group not re-run
         assert engine.stats.groups_skipped == 1
-        _assert_identical(StudyRunner(n_cycles=2).run_config(CFG), extended)
+        _assert_golden(golden_points(CFG), extended)
 
-    def test_interrupted_sweep_resumes_only_missing(self, tmp_path):
+    def test_interrupted_sweep_resumes_only_missing(self, tmp_path, golden_points):
         """Kill mid-sweep (job 2 explodes), rerun, count executed jobs."""
         store_path = tmp_path / "s.jsonl"
 
@@ -116,7 +129,7 @@ class TestResume:
         engine = SweepEngine(n_cycles=2, workers=0, store=store_path, profile_fn=counter)
         resumed = engine.run(CFG)
         assert counter.calls == [("clip", 12)]  # only the missing group
-        _assert_identical(StudyRunner(n_cycles=2).run_config(CFG), resumed)
+        _assert_golden(golden_points(CFG), resumed)
 
     def test_no_resume_wipes_store(self, tmp_path):
         store_path = tmp_path / "s.jsonl"
@@ -136,7 +149,7 @@ class TestResume:
 
 
 class TestFailureHandling:
-    def test_retry_then_succeed(self):
+    def test_retry_then_succeed(self, golden_points):
         flaky = _FlakyJob(failures=2)
         engine = SweepEngine(
             n_cycles=2, workers=0, max_retries=2, backoff_s=0.001, profile_fn=flaky
@@ -145,7 +158,7 @@ class TestFailureHandling:
         result = engine.run(one)
         assert len(result.points) == 9
         assert engine.stats.retries == 2
-        _assert_identical(StudyRunner(n_cycles=2).run_config(one), result)
+        _assert_golden(golden_points(one), result)
 
     def test_retry_budget_exhausted_raises(self):
         flaky = _FlakyJob(failures=10)
@@ -155,14 +168,14 @@ class TestFailureHandling:
         with pytest.raises(SweepError, match="after 2 attempts"):
             engine.run(StudyConfig(name="t", algorithms=("threshold",), sizes=(12,)))
 
-    def test_pool_failure_falls_back_to_serial(self):
+    def test_pool_failure_falls_back_to_serial(self, golden_points):
         """An unpicklable job body breaks the pool; the sweep still finishes."""
         engine = SweepEngine(
             n_cycles=2, workers=2, profile_fn=lambda job: execute_profile_job(job)
         )
         result = engine.run(CFG)
         assert engine.stats.fell_back_serial
-        _assert_identical(StudyRunner(n_cycles=2).run_config(CFG), result)
+        _assert_golden(golden_points(CFG), result)
 
 
 class TestProgressAndStats:

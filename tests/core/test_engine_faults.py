@@ -1,8 +1,12 @@
-"""Engine under injected faults: retry, timeout, fallback, quarantine, ^C."""
+"""Engine under injected faults: retry, timeout, fallback, quarantine, ^C.
+
+Surviving points are compared against ``tests/golden/runpoints.json``
+(the ``golden_points`` fixture).
+"""
 
 import pytest
 
-from repro.core import ResultStore, StudyConfig, StudyRunner, SweepEngine, SweepError
+from repro.core import ResultStore, StudyConfig, SweepEngine, SweepError
 from repro.core.engine import execute_profile_job
 from repro.faults import FaultPlan
 
@@ -10,10 +14,8 @@ CFG = StudyConfig(name="t", algorithms=("threshold", "clip"), sizes=(12,))
 ONE = StudyConfig(name="t", algorithms=("threshold",), sizes=(12,))
 
 
-def _assert_identical(a, b):
-    assert len(a.points) == len(b.points)
-    for pa, pb in zip(a.points, b.points):
-        assert pa.to_dict() == pb.to_dict()
+def _assert_golden(expected: list[dict], result):
+    assert [p.to_dict() for p in result.points] == expected
 
 
 class _InterruptsOnClip:
@@ -26,7 +28,7 @@ class _InterruptsOnClip:
 
 
 class TestInjectedCrashes:
-    def test_serial_crash_retried_to_completion(self):
+    def test_serial_crash_retried_to_completion(self, golden_points):
         plan = FaultPlan(seed=5, worker_crash_p=1.0, max_faults_per_job=1)
         engine = SweepEngine(
             n_cycles=2, workers=0, max_retries=2, backoff_s=0.001, faults=plan
@@ -34,9 +36,9 @@ class TestInjectedCrashes:
         result = engine.run(ONE)
         assert engine.stats.faults_injected == 1
         assert engine.stats.retries == 1
-        _assert_identical(StudyRunner(n_cycles=2).run_config(ONE), result)
+        _assert_golden(golden_points(ONE), result)
 
-    def test_pool_crash_retried_to_completion(self):
+    def test_pool_crash_retried_to_completion(self, golden_points):
         plan = FaultPlan(seed=5, worker_crash_p=1.0, max_faults_per_job=1)
         engine = SweepEngine(
             n_cycles=2, workers=2, max_retries=2, backoff_s=0.001, faults=plan
@@ -44,7 +46,7 @@ class TestInjectedCrashes:
         result = engine.run(CFG)
         assert engine.stats.faults_injected == 2  # one per profile job
         assert not engine.stats.fell_back_serial
-        _assert_identical(StudyRunner(n_cycles=2).run_config(CFG), result)
+        _assert_golden(golden_points(CFG), result)
 
     def test_crash_budget_deeper_than_retries_aborts(self):
         plan = FaultPlan(seed=5, worker_crash_p=1.0, max_faults_per_job=5)
@@ -57,7 +59,7 @@ class TestInjectedCrashes:
 
 
 class TestInjectedHangs:
-    def test_hang_trips_timeout_then_retry_completes(self):
+    def test_hang_trips_timeout_then_retry_completes(self, golden_points):
         # Seed 0 hangs exactly one of the two jobs (clip@12, attempt 0),
         # so its timed-out retry runs on the other, idle worker.
         plan = FaultPlan(seed=0, worker_hang_p=0.5, hang_s=0.6, max_faults_per_job=1)
@@ -73,11 +75,11 @@ class TestInjectedHangs:
         )
         result = engine.run(CFG)
         assert engine.stats.retries >= 1  # at least one job timed out
-        _assert_identical(StudyRunner(n_cycles=2).run_config(CFG), result)
+        _assert_golden(golden_points(CFG), result)
 
 
 class TestSerialFallback:
-    def test_broken_pool_with_faults_still_completes_identically(self):
+    def test_broken_pool_with_faults_still_completes_identically(self, golden_points):
         """An unpicklable job body breaks the pool even before any fault
         fires; the serial fallback then absorbs the injected crashes too."""
         plan = FaultPlan(seed=5, worker_crash_p=1.0, max_faults_per_job=1)
@@ -92,12 +94,11 @@ class TestSerialFallback:
         result = engine.run(CFG)
         assert engine.stats.fell_back_serial
         assert engine.stats.faults_injected >= 1
-        parallel = SweepEngine(n_cycles=2, workers=2).run(CFG)
-        _assert_identical(parallel, result)
+        _assert_golden(golden_points(CFG), result)
 
 
 class TestQuarantineGate:
-    def test_corrupted_points_quarantined_not_stored(self, tmp_path):
+    def test_corrupted_points_quarantined_not_stored(self, tmp_path, golden_points):
         path = tmp_path / "s.jsonl"
         plan = FaultPlan(seed=41, point_corrupt_p=0.4)
         events = []
@@ -116,14 +117,14 @@ class TestQuarantineGate:
         assert not qkeys & {p.key for p in result.points}
         assert all(reasons for _, reasons in quarantined)
         # Survivors are bitwise identical to a fault-free sweep.
-        clean = {p.key: p.to_dict() for p in StudyRunner(n_cycles=2).run_config(ONE).points}
+        clean = {(p["algorithm"], p["size"], p["cap_w"]): p for p in golden_points(ONE)}
         assert all(p.to_dict() == clean[p.key] for p in result.points)
         kinds = [e["kind"] for e in events]
         assert kinds.count("point-quarantined") == engine.stats.points_quarantined
 
 
 class TestKeyboardInterrupt:
-    def test_pool_interrupt_syncs_store_and_resumes_exactly(self, tmp_path):
+    def test_pool_interrupt_syncs_store_and_resumes_exactly(self, tmp_path, golden_points):
         """Satellite: ^C mid-pool-sweep cancels in-flight work, leaves a
         valid store, and a plain --resume completes bitwise identically."""
         path = tmp_path / "s.jsonl"
@@ -149,7 +150,7 @@ class TestKeyboardInterrupt:
         resumed = resume.run(CFG)
         assert resume.stats.points_resumed == len(saved)
         assert not resume.stats.interrupted
-        _assert_identical(StudyRunner(n_cycles=2).run_config(CFG), resumed)
+        _assert_golden(golden_points(CFG), resumed)
 
     def test_serial_interrupt_marks_stats_and_syncs(self, tmp_path):
         path = tmp_path / "s.jsonl"

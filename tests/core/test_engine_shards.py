@@ -5,14 +5,14 @@ pool on a single 256³ profile.  ``SweepEngine`` now splits shard-capable
 jobs at ``shard_min_size`` or larger into :class:`ShardTask` k-spans and
 merges the span ledgers deterministically; these tests pin the fan-out
 bookkeeping (stats, metrics, spans) and the study-level bitwise
-equivalence against the serial engine.
+equivalence against ``tests/golden/runpoints.json``.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core import ProfileJob, StudyConfig, SweepEngine
+from repro.core import ALGORITHM_NAMES, ProfileJob, StudyConfig, SweepEngine
 from repro.core.engine import ShardTask, execute_profile_job, execute_shard_task
 from repro.core.profiles import (
     merge_shard_ledgers,
@@ -22,15 +22,13 @@ from repro.core.profiles import (
 )
 from repro.obs.metrics import MetricsRegistry
 
-# One shardable algorithm above the lowered threshold, one below it, and
-# one that never shards — exercises every _shards_for branch in one run.
-CFG = StudyConfig(name="t", algorithms=("contour", "threshold"), sizes=(16,))
+# One shardable algorithm and one that never shards.
+CFG = StudyConfig(name="t", algorithms=("contour", "threshold"), sizes=(12,))
+GOLDEN = StudyConfig(name="golden", algorithms=ALGORITHM_NAMES, sizes=(12,))
 
 
-def _assert_identical(a, b):
-    assert len(a.points) == len(b.points)
-    for pa, pb in zip(a.points, b.points):
-        assert pa.to_dict() == pb.to_dict()  # bitwise: dict holds raw floats
+def _assert_golden(expected: list[dict], result):
+    assert [p.to_dict() for p in result.points] == expected  # bitwise: raw floats
 
 
 class TestShardTaskUnits:
@@ -56,34 +54,34 @@ class TestShardTaskUnits:
 
 
 class TestEngineFanOut:
-    def test_large_job_fans_out_and_matches_serial(self, tmp_path):
-        serial = SweepEngine(n_cycles=2, workers=0).run(CFG)
+    def test_large_job_fans_out_and_matches_serial(self, golden_points):
+        """The sharded pool reproduces the whole golden grid bitwise."""
         reg = MetricsRegistry()
         engine = SweepEngine(
             n_cycles=2,
             workers=2,
-            shard_min_size=16,
+            shard_min_size=12,
             metrics=reg,
         )
-        _assert_identical(serial, engine.run(CFG))
+        _assert_golden(golden_points(GOLDEN), engine.run(GOLDEN))
 
-        # contour@16 split one span per pool worker; threshold@16 ran whole.
-        assert engine.stats.shard_tasks_run == 2
-        assert engine.stats.profile_jobs_run == 2
+        # contour, clip and isovolume split one span per pool worker;
+        # the other five algorithms ran whole.
+        assert engine.stats.shard_tasks_run == 6
+        assert engine.stats.profile_jobs_run == 8
         assert not engine.stats.fell_back_serial
         jobs = reg.counter("repro_profile_jobs_total", source="executed")
         shards = reg.counter("repro_profile_jobs_total", source="sharded")
-        assert jobs.value == 2  # the merged group counts once
-        assert shards.value == 2
+        assert jobs.value == 8  # a merged group counts once
+        assert shards.value == 6
 
-    def test_single_shardable_job_still_uses_pool(self):
+    def test_single_shardable_job_still_uses_pool(self, golden_points):
         """One job used to force serial; a shardable one now fans out."""
-        cfg = StudyConfig(name="t", algorithms=("clip",), sizes=(16,))
-        serial = SweepEngine(n_cycles=2, workers=0).run(cfg)
+        cfg = StudyConfig(name="t", algorithms=("clip",), sizes=(12,))
         engine = SweepEngine(
-            n_cycles=2, workers=2, shard_min_size=16, metrics=MetricsRegistry()
+            n_cycles=2, workers=2, shard_min_size=12, metrics=MetricsRegistry()
         )
-        _assert_identical(serial, engine.run(cfg))
+        _assert_golden(golden_points(cfg), engine.run(cfg))
         assert engine.stats.shard_tasks_run == 2  # one span per pool worker
 
     def test_below_min_size_runs_whole(self):
@@ -99,10 +97,10 @@ class TestEngineFanOut:
         engine = SweepEngine(
             n_cycles=2,
             workers=2,
-            shard_min_size=16,
+            shard_min_size=12,
             profile_fn=execute_profile_job,
         )
-        job = ProfileJob(algorithm="contour", size=16, dataset_kind="blobs", seed=7)
+        job = ProfileJob(algorithm="contour", size=12, dataset_kind="blobs", seed=7)
         # Same callable object as the default keeps sharding on...
         assert engine._shards_for(job) > 1
 

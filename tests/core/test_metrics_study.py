@@ -132,14 +132,14 @@ class TestEnergyDelayProduct:
         untouched, while the same relative cap costs a compute-bound
         algorithm far more — the facility-level version of the paper's
         tradeoff."""
-        from repro.core import StudyRunner, energy_delay_product
+        from repro.core import SweepEngine, energy_delay_product
         from repro.machine import Processor
 
-        runner = StudyRunner(n_cycles=2)
+        engine = SweepEngine(n_cycles=2, workers=0)
         proc = Processor()
         degradation = {}
         for alg in ("threshold", "volume"):
-            prof = runner.profile_for(alg, 16)
+            prof = engine.profile_for(alg, 16)
             base = proc.run(prof, 120.0)
             deep = proc.run(prof, 60.0)
             degradation[alg] = energy_delay_product(

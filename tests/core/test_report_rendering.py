@@ -4,7 +4,7 @@ import pytest
 
 from repro.core import (
     StudyConfig,
-    StudyRunner,
+    SweepEngine,
     render_slowdown_table,
     render_table1,
 )
@@ -12,9 +12,8 @@ from repro.core import (
 
 @pytest.fixture(scope="module")
 def result():
-    runner = StudyRunner(n_cycles=3)
     cfg = StudyConfig(name="r", algorithms=("contour", "volume"), sizes=(16,))
-    return runner.run_config(cfg)
+    return SweepEngine(n_cycles=3, workers=0).run(cfg)
 
 
 class TestRedMarkers:

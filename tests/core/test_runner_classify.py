@@ -1,4 +1,4 @@
-"""Study runner, classification, advisor, and reports (small sweeps)."""
+"""Study sweeps, classification, advisor, and reports (small sweeps)."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,7 @@ import pytest
 from repro.core import (
     PowerClass,
     StudyConfig,
-    StudyRunner,
+    SweepEngine,
     classify,
     classify_result,
     figure2_series,
@@ -22,9 +22,9 @@ from repro.core import (
 @pytest.fixture(scope="module")
 def mini_result():
     """Small but complete sweep: 3 algorithms x 2 sizes x all caps."""
-    runner = StudyRunner(n_cycles=5)
+    engine = SweepEngine(n_cycles=5, workers=0)
     cfg = StudyConfig(name="mini", algorithms=("contour", "threshold", "volume"), sizes=(16, 24))
-    return runner.run_config(cfg), runner
+    return engine.run(cfg), engine
 
 
 class TestRunner:
@@ -53,28 +53,24 @@ class TestRunner:
             assert all(b >= a - 1e-9 for a, b in zip(tr, tr[1:]))
 
     def test_profiles_cached(self, mini_result):
-        _, runner = mini_result
-        p1 = runner.profile_for("contour", 16)
-        p2 = runner.profile_for("contour", 16)
-        assert p1 is p2
+        """After a sweep, profiles come from its ledgers: no re-execution."""
+        _, engine = mini_result
+        jobs = engine.stats.profile_jobs_run
+        p1 = engine.profile_for("contour", 16)
+        p2 = engine.profile_for("contour", 16)
+        assert engine.stats.profile_jobs_run == jobs
+        assert p1.segments == p2.segments
 
     def test_profile_scaled_by_cycles(self):
-        r1 = StudyRunner(n_cycles=1)
-        r5 = StudyRunner(n_cycles=5)
-        i1 = r1.profile_for("threshold", 16).total_instructions
-        i5 = r5.profile_for("threshold", 16).total_instructions
+        e1 = SweepEngine(n_cycles=1, workers=0)
+        e5 = SweepEngine(n_cycles=5, workers=0)
+        i1 = e1.profile_for("threshold", 16).total_instructions
+        i5 = e5.profile_for("threshold", 16).total_instructions
         assert i5 == pytest.approx(5 * i1, rel=1e-9)
 
     def test_unknown_algorithm(self):
         with pytest.raises(KeyError):
-            StudyRunner().profile_for("nope", 16)
-
-    def test_set_dataset_invalidates_cache(self, blobs_ds):
-        runner = StudyRunner(n_cycles=1)
-        p_before = runner.profile_for("threshold", 16)
-        runner.set_dataset(16, blobs_ds)
-        p_after = runner.profile_for("threshold", 16)
-        assert p_before is not p_after
+            SweepEngine(workers=0).profile_for("nope", 16)
 
 
 class TestClassification:

@@ -4,14 +4,14 @@ import json
 
 import pytest
 
-from repro.core import ResultStore, StudyConfig, StudyResult, StudyRunner
+from repro.core import ResultStore, StudyConfig, StudyResult, SweepEngine
 from repro.core.runner import RunPoint
 
 
 @pytest.fixture(scope="module")
 def result() -> StudyResult:
     cfg = StudyConfig(name="t", algorithms=("threshold",), sizes=(12,))
-    return StudyRunner(n_cycles=2).run_config(cfg)
+    return SweepEngine(n_cycles=2, workers=0).run(cfg)
 
 
 class TestRunPointSerialization:

@@ -271,18 +271,16 @@ class TestServeAndJobsCommands:
         import json
 
         spool = str(small / "spool")
-        rc = main(["jobs", spool, "--submit", "phase1", "--cycles", "2",
-                   "--cache", ""])
+        rc = main(["jobs", spool, "--submit", "phase1", "--cycles", "2"])
         assert rc == 0
         receipt = json.loads(capsys.readouterr().out)
         assert receipt["ok"] and receipt["status"] == "queued"
 
-        rc = main(["serve", spool, "--drain", "--lease", "5", "--cycles", "2",
-                   "--cache", ""])
+        rc = main(["serve", spool, "--drain", "--lease", "5"])
         assert rc == 0
         assert "1 completed, 0 failed" in capsys.readouterr().out
 
-        rc = main(["jobs", spool, "--status", receipt["job_id"], "--cache", ""])
+        rc = main(["jobs", spool, "--status", receipt["job_id"]])
         assert rc == 0
         snap = json.loads(capsys.readouterr().out)
         assert snap["status"] == "completed" and snap["points"] > 0
@@ -291,10 +289,9 @@ class TestServeAndJobsCommands:
         import json
 
         spool = str(small / "spool")
-        assert main(["jobs", spool, "--submit", "phase1", "--cache", ""]) == 0
+        assert main(["jobs", spool, "--submit", "phase1"]) == 0
         job_id = json.loads(capsys.readouterr().out)["job_id"]
-        assert main(["jobs", spool, "--cancel", job_id, "--report",
-                     "--cache", ""]) == 0
+        assert main(["jobs", spool, "--cancel", job_id, "--report"]) == 0
         lines = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
         assert lines[0]["op"] == "cancel" and lines[0]["status"] == "cancelled"
         assert lines[1]["op"] == "report"
@@ -303,8 +300,7 @@ class TestServeAndJobsCommands:
     def test_jobs_unknown_id_exits_nonzero(self, capsys, small):
         import json
 
-        rc = main(["jobs", str(small / "spool"), "--status", "job-nope",
-                   "--cache", ""])
+        rc = main(["jobs", str(small / "spool"), "--status", "job-nope"])
         assert rc == 1
         assert not json.loads(capsys.readouterr().out)["ok"]
 
@@ -322,7 +318,7 @@ class TestServeAndJobsCommands:
             json.dumps({"op": "report", "id": 3}),
         ])
         monkeypatch.setattr("sys.stdin", io.StringIO(lines))
-        rc = main(["jobs", spool, "--cycles", "2", "--cache", ""])
+        rc = main(["jobs", spool, "--cycles", "2"])
         assert rc == 0
         out = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
         assert len(out) == 4
@@ -332,8 +328,28 @@ class TestServeAndJobsCommands:
         assert out[3]["ok"] and out[3]["id"] == 3
         assert out[3]["counts"]["pending"] == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["serve", "spool", "--max-size", "16"],
+        ["serve", "spool", "--cycles", "2"],
+        ["serve", "spool", "--csv", "out"],
+        ["serve", "spool", "--cache", ""],
+        ["jobs", "spool", "--csv", "out"],
+        ["jobs", "spool", "--cache", ""],
+        ["chaos", "phase1", "--csv", "out"],
+        ["chaos", "phase1", "--cache", ""],
+        ["sweep", "phase1", "--csv", "out"],
+    ])
+    def test_subcommands_reject_flags_they_ignore(self, capsys, argv):
+        """Jobs carry their own grid and cycles, so serve reads none of
+        the shared flags; only the table commands write --csv, and
+        chaos and the service keep their own ledger caches."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv)  # argparse exits before anything touches "spool"
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_chaos_service_plan_requires_service_flag(self, capsys, small):
-        rc = main(["chaos", "--plan", "torn", "--cache", ""])
+        rc = main(["chaos", "--plan", "torn"])
         assert rc == 2
         assert "--service" in capsys.readouterr().err
 
@@ -343,7 +359,6 @@ class TestChaosServiceCommand:
         rc = main([
             "chaos", "--service", "--plan", "torn",
             "--spool", str(small / "spool"), "--jobs", "1", "--cycles", "2",
-            "--cache", "",
         ])
         out = capsys.readouterr().out
         assert rc == 0, out

@@ -31,10 +31,10 @@ class TestFractionalCapRoundTrip:
 
     def test_filter_finds_fractional_cap_after_round_trip(self, result):
         back = result_from_csv(result_to_csv(result))
-        hits = back.filter(cap_w=62.5)
+        hits = back.select(cap_w=62.5)
         assert len(hits) == 1
         assert hits[0].cap_w == 62.5
-        assert back.filter(algorithm="threshold", cap_w=55.25)
+        assert back.select(algorithm="threshold", cap_w=55.25)
 
     def test_select_tolerates_last_ulp_wobble(self, result):
         wobbled = 62.5 * (1 + 1e-12)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro import api
-from repro.core import StudyConfig, StudyRunner
+from repro.core import StudyConfig, SweepEngine
 from repro.core.profiles import ProfileCache
 from repro.core.study import effective_sizes
 from repro.harness import result_to_csv, result_to_markdown, series_to_csv
@@ -12,9 +12,8 @@ from repro.core.report import FigureSeries
 
 @pytest.fixture()
 def small_result():
-    runner = StudyRunner(n_cycles=2)
     cfg = StudyConfig(name="t", algorithms=("threshold",), sizes=(16,))
-    return runner.run_config(cfg)
+    return SweepEngine(n_cycles=2, workers=0).run(cfg)
 
 
 class TestEffectiveSizes:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import StudyRunner
+from repro.core import SweepEngine
 from repro.insitu import Cluster, demand_aware_caps, uniform_caps
 from repro.workload import WorkProfile
 
@@ -11,8 +11,7 @@ from repro.workload import WorkProfile
 @pytest.fixture(scope="module")
 def workloads():
     """Four sockets with imbalanced work (1x .. 2.5x of a volume render)."""
-    runner = StudyRunner(n_cycles=2)
-    base = runner.profile_for("volume", 24)
+    base = SweepEngine(n_cycles=2, workers=0).profile_for("volume", 24)
 
     def scaled(f):
         p = WorkProfile(name=f"w{f}", n_elements=base.n_elements)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cloverleaf import step_profile
-from repro.core import StudyRunner
+from repro.core import SweepEngine
 from repro.insitu import (
     DynamicPowerRuntime,
     DynamicRunResult,
@@ -18,7 +18,7 @@ from repro.insitu import (
 @pytest.fixture(scope="module")
 def profiles():
     sim = step_profile(64**3, 400)
-    viz = StudyRunner(n_cycles=4).profile_for("contour", 64)
+    viz = SweepEngine(n_cycles=4, workers=0).profile_for("contour", 64)
     return sim, viz
 
 

@@ -120,7 +120,7 @@ class TestCli:
     def test_chaos_then_doctor_roundtrip(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_MAX_SIZE", "12")
         store = str(tmp_path / "chaos.jsonl")
-        rc = main(["chaos", "phase1", "--cycles", "1", "--cache", "", "--store", store])
+        rc = main(["chaos", "phase1", "--cycles", "1", "--store", store])
         out = capsys.readouterr().out
         assert rc == 0
         assert "chaos report" in out and "bitwise identical to fault-free run: yes" in out

@@ -8,15 +8,15 @@ closed form.
 
 import pytest
 
-from repro.core import StudyRunner, first_slowdown_cap
+from repro.core import SweepEngine, first_slowdown_cap
 from repro.machine import Processor
 
 
 @pytest.fixture(scope="module")
 def profiles():
-    runner = StudyRunner(n_cycles=2)
+    engine = SweepEngine(n_cycles=2, workers=0)
     return {
-        alg: runner.profile_for(alg, 24) for alg in ("contour", "volume")
+        alg: engine.profile_for(alg, 24) for alg in ("contour", "volume")
     }
 
 

@@ -68,10 +68,10 @@ class TestDutyCycling:
     def test_standard_spec_avoids_duty_for_study_workloads(self, processor):
         """On the calibrated Broadwell, none of the study algorithms
         needs T-states even at the 40 W floor."""
-        from repro.core import StudyRunner
+        from repro.core import SweepEngine
 
-        runner = StudyRunner(n_cycles=1)
+        engine = SweepEngine(n_cycles=1, workers=0)
         for alg in ("contour", "volume"):
-            prof = runner.profile_for(alg, 16)
+            prof = engine.profile_for(alg, 16)
             r = processor.run(prof, 40.0)
             assert all(rec.duty == 1.0 for rec in r.records), alg

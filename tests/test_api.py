@@ -26,6 +26,14 @@ class TestRunStudy:
         with pytest.raises(ValueError, match="unknown study phase"):
             api.run_study("phase9")
 
+    def test_cache_refuses_another_dataset_recipe(self, tmp_path):
+        """Ledgers cached at seed 7 must not price a seed-8 study."""
+        one = StudyConfig(name="one", algorithms=("threshold",), sizes=(12,))
+        cache = tmp_path / "counts.json"
+        api.run_study(StudyRequest(one, n_cycles=2, cache=cache))
+        with pytest.raises(ValueError, match=r"seed=7.*seed=8"):
+            api.run_study(StudyRequest(one, n_cycles=2, seed=8, cache=cache))
+
     def test_workers_do_not_change_results(self):
         a = api.run_study(StudyRequest(SMALL, n_cycles=2, workers=0))
         b = api.run_study(StudyRequest(SMALL, n_cycles=2, workers=2))

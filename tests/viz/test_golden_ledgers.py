@@ -22,7 +22,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.core.profiles import profile_from_ledger, run_algorithm_ledger
+from repro.core.profiles import (
+    merge_shard_ledgers,
+    profile_from_ledger,
+    run_algorithm_ledger,
+    run_algorithm_ledger_shard,
+    supports_sharding,
+)
 from repro.core.runner import make_run_point
 from repro.core.study import POWER_CAPS_W
 
@@ -56,34 +62,34 @@ def test_ledger_bitwise_identical(key):
     }
 
 
-_SHARDED_DATASETS: dict[tuple[int, str, int], object] = {}
+_SHARDABLE_KEYS = sorted(
+    key for key in _LEDGERS["entries"] if supports_sharding(key.split("/")[0])
+)
 
 
-def _golden_dataset(size: int):
-    key = (size, _LEDGERS["dataset_kind"], _LEDGERS["seed"])
-    if key not in _SHARDED_DATASETS:
-        from repro.data.generators import make_dataset
+@pytest.mark.parametrize("key", _SHARDABLE_KEYS)
+def test_shard_ledgers_merge_to_golden(key):
+    """Engine shard tasks reproduce every shard-capable golden ledger.
 
-        _SHARDED_DATASETS[key] = make_dataset(size, kind=key[1], seed=key[2])
-    return _SHARDED_DATASETS[key]
-
-
-@pytest.mark.parametrize("key", sorted(_LEDGERS["entries"]))
-def test_sharded_backend_ledger_equals_serial(key):
-    """backend="sharded" reproduces every golden ledger bitwise.
-
-    Shard-capable kernels fan out over k-spans and merge; the rest run
-    serial under the sharded backend — either way the ledger contract
-    holds for every recorded (algorithm, size) case.
+    Three k-span shards run through ``run_algorithm_ledger_shard`` (the
+    pool workers' job body) and ``merge_shard_ledgers`` sums them back,
+    bitwise equal to the recorded serial ledger.
     """
-    from repro.viz import ALGORITHMS
-
     algorithm, size = key.split("/")
     _skip_if_capped(int(size))
-    ds = _golden_dataset(int(size))
-    result = ALGORITHMS[algorithm]().execute(ds, backend="sharded", shards=3)
+    parts = [
+        run_algorithm_ledger_shard(
+            algorithm,
+            int(size),
+            shard,
+            3,
+            dataset_kind=_LEDGERS["dataset_kind"],
+            seed=_LEDGERS["seed"],
+        )
+        for shard in range(3)
+    ]
+    fresh = merge_shard_ledgers(parts)
     golden = _LEDGERS["entries"][key]
-    fresh = result.counts.as_dict()
     assert fresh == golden, {
         k: (golden.get(k), fresh.get(k))
         for k in sorted(set(fresh) | set(golden))

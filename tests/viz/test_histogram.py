@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import PowerClass, classify, predict_class
-from repro.core.runner import RunPoint, StudyRunner
+from repro.core.runner import RunPoint
 from repro.core.metrics import Ratios
 from repro.machine import Processor
 from repro.viz import Histogram

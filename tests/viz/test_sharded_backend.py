@@ -1,22 +1,21 @@
-"""Sharded kernel backend: bitwise ledgers, identical geometry, shard hooks.
+"""Shard hooks: k-span ledgers merge to the serial ledger bitwise.
 
-``backend="sharded"`` fans the shard-capable kernels out over k-spans of
-the lattice and merges in ascending span order; the determinism contract
-is that ledgers equal the serial pass *bitwise* and geometry is
-identical cell-for-cell.  These tests pin that contract across shard
-counts (including more shards than planes) plus the backend-resolution
-and engine-facing ``apply_shard`` surfaces.
+The sweep engine splits large profile jobs of the shard-capable kernels
+into k-span :class:`~repro.core.engine.ShardTask`s; each runs one span
+through ``apply_shard`` and the parent sums the span ledgers in
+ascending order.  The determinism contract is that the sum equals the
+serial pass *bitwise*, for any shard count — including more shards than
+the lattice has planes, whose tail spans are empty.
 """
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
+from repro.core.profiles import merge_shard_ledgers
 from repro.data.generators import make_dataset
-from repro.viz import ALGORITHMS, Contour, Isovolume, SphericalClip
-from repro.viz.base import ENV_BACKEND, OpCounts, resolve_backend
-from repro.viz.sharding import ENV_SHARD_WORKERS, resolve_shards, run_spans
+from repro.viz import ALGORITHMS, Isovolume
+from repro.viz.base import OpCounts
 
 SHARDABLE = ("contour", "clip", "isovolume")
 
@@ -26,100 +25,22 @@ def dataset():
     return make_dataset(24, kind="blobs", seed=7)
 
 
-class TestResolveBackend:
-    def test_default_serial(self, monkeypatch):
-        monkeypatch.delenv(ENV_BACKEND, raising=False)
-        assert resolve_backend(None) == "serial"
-
-    def test_env_default(self, monkeypatch):
-        monkeypatch.setenv(ENV_BACKEND, "sharded")
-        assert resolve_backend(None) == "sharded"
-
-    def test_arg_beats_env(self, monkeypatch):
-        monkeypatch.setenv(ENV_BACKEND, "sharded")
-        assert resolve_backend("serial") == "serial"
-
-    def test_unknown_rejected(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            resolve_backend("gpu")
-
-
-class TestResolveShards:
-    def test_arg_clamped_to_planes(self):
-        assert resolve_shards(64, 24) == 24
-
-    def test_env_default(self, monkeypatch):
-        monkeypatch.setenv(ENV_SHARD_WORKERS, "3")
-        assert resolve_shards(None, 24) == 3
-
-    def test_env_junk_rejected(self, monkeypatch):
-        monkeypatch.setenv(ENV_SHARD_WORKERS, "many")
-        with pytest.raises(ValueError, match=ENV_SHARD_WORKERS):
-            resolve_shards(None, 24)
-
-    def test_nonpositive_rejected(self):
-        with pytest.raises(ValueError, match="positive"):
-            resolve_shards(0, 24)
-
-
-class TestRunSpans:
-    def test_results_in_span_order(self):
-        out = run_spans(lambda lo, hi: (lo, hi), [(0, 3), (3, 7), (7, 8)])
-        assert out == [(0, 3), (3, 7), (7, 8)]
-
-    def test_empty_spans_skipped(self):
-        out = run_spans(lambda lo, hi: (lo, hi), [(0, 4), (4, 4), (4, 8)])
-        assert out == [(0, 4), (4, 8)]
-
-
 class TestShardedEqualsSerial:
-    """The core contract: ledgers bitwise, geometry identical."""
+    """The core contract: merged shard ledgers equal the serial ledger."""
 
     @pytest.mark.parametrize("name", SHARDABLE)
     @pytest.mark.parametrize("shards", [1, 3, 5, 24, 64])
     def test_ledger_bitwise(self, dataset, name, shards):
+        # Each span fills its own ledger, as a pool worker's ShardTask
+        # does, and merge_shard_ledgers sums them in ascending order.
         filt = ALGORITHMS[name]()
         serial = filt.execute(dataset).counts.as_dict()
-        sharded = filt.execute(dataset, backend="sharded", shards=shards)
-        assert sharded.counts.as_dict() == serial
-
-    def test_contour_geometry_identical(self, dataset):
-        # Points batch per (slab, isovalue); span boundaries reorder the
-        # batches but never their contents, so compare as a multiset.
-        a = Contour(keep_output=True).execute(dataset).output
-        b = Contour(keep_output=True).execute(
-            dataset, backend="sharded", shards=5
-        ).output
-        assert a.n_triangles == b.n_triangles
-        np.testing.assert_array_equal(
-            np.sort(np.asarray(a.points), axis=0),
-            np.sort(np.asarray(b.points), axis=0),
-        )
-
-    @pytest.mark.parametrize("cls", [SphericalClip, Isovolume])
-    def test_clip_family_geometry_identical(self, dataset, cls):
-        a = cls().execute(dataset).output
-        b = cls().execute(dataset, backend="sharded", shards=5).output
-        np.testing.assert_array_equal(a.kept.cell_ids, b.kept.cell_ids)
-        np.testing.assert_array_equal(a.kept.cell_scalars, b.kept.cell_scalars)
-        assert a.cut.n_tets == b.cut.n_tets
-        np.testing.assert_allclose(
-            a.cut.total_volume(), b.cut.total_volume(), rtol=1e-9
-        )
-
-    def test_env_backend_applies(self, dataset, monkeypatch):
-        monkeypatch.setenv(ENV_BACKEND, "sharded")
-        monkeypatch.setenv(ENV_SHARD_WORKERS, "4")
-        filt = ALGORITHMS["contour"]()
-        serial = filt.execute(dataset, backend="serial").counts.as_dict()
-        assert filt.execute(dataset).counts.as_dict() == serial
-
-    def test_unsupported_filter_runs_serial(self, dataset):
-        """Filters without the hooks accept the backend and stay exact."""
-        filt = ALGORITHMS["threshold"]()
-        assert not filt.supports_sharding
-        serial = filt.execute(dataset).counts.as_dict()
-        assert filt.execute(dataset, backend="sharded").counts.as_dict() == serial
+        parts = []
+        for shard in range(shards):
+            counts = OpCounts()
+            filt.apply_shard(dataset, counts, shard, shards)
+            parts.append(counts.as_dict())
+        assert merge_shard_ledgers(parts) == serial
 
 
 class TestApplyShard:
