@@ -1,4 +1,4 @@
-"""Kernel microbenchmarks: wall-clock timings of the real extraction kernels.
+"""Kernel microbenchmarks: wall-clock timings of the real kernels.
 
 Unlike the table/figure benchmarks (which re-price cached ledgers through
 the machine model), these time the *actual* NumPy kernel executions —
@@ -9,12 +9,18 @@ so each PR leaves a perf point the next one can regress against.
 
 Standalone (updates ``BENCH_kernels.json`` at the repo root)::
 
-    python benchmarks/bench_kernels.py --sizes 32 128 --repeats 3
+    python benchmarks/bench_kernels.py --sizes 32 128 256 --repeats 3
+
+Every requested kernel is timed at every requested size, 256³ included:
+there one call takes 2–3 s for advection, 1–1.5 s for ray tracing or
+volume rendering, and under a second for each extraction kernel.
 
 Under pytest the same measurements run once per kernel at a small size
 (capped by ``REPRO_MAX_SIZE``) as a smoke test; thresholds are only
 enforced where a pre-optimization baseline exists for the measured size
-(the 128³ generate / contour / clip / isovolume acceptance floors).
+(the ``SPEEDUP_FLOORS`` of :mod:`repro.core.benchtrack`: generate,
+contour, clip, isovolume and advection at 128³, and the extraction
+kernels and advection at 256³).
 """
 
 from __future__ import annotations
@@ -44,20 +50,12 @@ from repro.viz import ALGORITHMS
 #: largest dataset any job builds (the other jobs skip velocity).
 GENERATE = "generate"
 
-#: Kernels timed at every requested size (the extraction layer).
-EXTRACTION_KERNELS = ("contour", "threshold", "clip", "isovolume", "slice")
+#: The kernels, timed after generation at every requested size.
+KERNELS = (
+    "contour", "threshold", "clip", "isovolume", "slice", "advection", "raytrace", "volume",
+)
 
-#: Heavier kernels timed only at the smallest requested size (their cost
-#: is dominated by fixed factors: seeds x steps, rays x images).
-RENDER_KERNELS = ("advection", "raytrace", "volume")
-
-#: At the Table 3 scale (256³ and up) only generation and the floored
-#: tentpole kernels are timed — a full-suite pass would take minutes for
-#: kernels with no acceptance criterion at that size.
-LARGE_SIZE = 256
-LARGE_KERNELS = (GENERATE, "contour", "clip", "isovolume")
-
-ALL_KERNELS = (GENERATE,) + EXTRACTION_KERNELS + RENDER_KERNELS
+ALL_KERNELS = (GENERATE,) + KERNELS
 
 _DATASETS: dict[int, object] = {}
 
@@ -92,8 +90,7 @@ def run_suite(
     it runs before the kernels' cached datasets are held); ``budget_s``
     is a soft wall-clock bound — once elapsed time crosses it, remaining
     (kernel, size) pairs are skipped and reported, so a time-bounded CI
-    smoke can run the 256³ tier without an unbounded tail.  Sizes at or
-    above :data:`LARGE_SIZE` only time the :data:`LARGE_KERNELS`.
+    smoke can run the 256³ tier without an unbounded tail.
     """
     tracker = BenchTracker(path)
     sizes = sorted(set(sizes))
@@ -103,10 +100,7 @@ def run_suite(
     for kernel in ALL_KERNELS:
         if kernel not in wanted:
             continue
-        kernel_sizes = sizes[:1] if kernel in RENDER_KERNELS else sizes
-        for size in kernel_sizes:
-            if size >= LARGE_SIZE and kernel not in LARGE_KERNELS:
-                continue
+        for size in sizes:
             if budget_s is not None and time.perf_counter() - t_start > budget_s:
                 skipped.append(f"{kernel}@{size}")
                 continue
@@ -129,7 +123,7 @@ def run_suite(
 
 
 # --------------------------------------------------------------------- pytest
-@pytest.mark.parametrize("kernel", EXTRACTION_KERNELS + RENDER_KERNELS)
+@pytest.mark.parametrize("kernel", KERNELS)
 def bench_kernel_smoke(benchmark, kernel, tmp_path):
     """One real execution per kernel at a smoke size, trajectory recorded."""
     size = effective_sizes((32,))[0]

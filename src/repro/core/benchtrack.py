@@ -58,16 +58,19 @@ DEFAULT_BENCH_PATH = Path("BENCH_kernels.json")
 #: tiling/culling floors; the 256³ entries are the Table 3 scale floors
 #: from the tiled + counts-only kernel rework; ``generate`` is dataset
 #: generation rebuilt from broadcast 1-D axis terms, against the dense
-#: (n, 3)-coordinate generators.  Only enforced where the size was
-#: measured with a baseline present.
+#: (n, 3)-coordinate generators; ``advection`` is the axis-major
+#: trilinear lookup and trimmed RK4 loop, against the row-major lookup.
+#: Only enforced where the size was measured with a baseline present.
 SPEEDUP_FLOORS: dict[tuple[str, int], float] = {
     ("generate", 128): 4.0,
     ("contour", 128): 3.0,
     ("clip", 128): 2.0,
     ("isovolume", 128): 2.0,
+    ("advection", 128): 1.3,
     ("contour", 256): 2.0,
     ("clip", 256): 2.0,
     ("isovolume", 256): 2.0,
+    ("advection", 256): 1.3,
 }
 
 

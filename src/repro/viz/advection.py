@@ -82,8 +82,10 @@ class ParticleAdvection(Filter):
         pos = seed_grid(grid.bounds, self.n_seeds)
         n = pos.shape[0]
         alive = np.ones(n, dtype=bool)
-        history = [pos.copy()]
-        alive_history = [alive.copy()]
+        # Each step rebinds ``pos`` and ``alive`` to fresh arrays before
+        # writing them, so the history can hold the arrays themselves.
+        history = [pos]
+        alive_history = [alive]
 
         # Normalize velocity so the step length controls displacement
         # (streamline geometry, not particle speed, is the output).
@@ -105,8 +107,8 @@ class ParticleAdvection(Filter):
             idx = np.nonzero(alive)[0]
             alive = alive.copy()
             alive[idx[~still]] = False
-            history.append(pos.copy())
-            alive_history.append(alive.copy())
+            history.append(pos)
+            alive_history.append(alive)
 
         return _build_polylines(history, alive_history)
 
@@ -134,7 +136,8 @@ class ParticleAdvection(Filter):
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
-    norm = np.linalg.norm(v, axis=1, keepdims=True)
+    # The row sum np.linalg.norm computes, without its dispatch overhead.
+    norm = np.sqrt(np.add.reduce(v * v, axis=1, keepdims=True))
     return np.divide(v, norm, out=np.zeros_like(v), where=norm > 1e-300)
 
 

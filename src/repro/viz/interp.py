@@ -2,6 +2,18 @@
 
 Shared by particle advection (velocity lookups) and volume rendering
 (scalar samples along rays).  Fully vectorized over query positions.
+
+The work is laid out axis-major: the lattice coordinates are one
+``(3, m)`` array transformed, floored and clamped in place, so every
+per-axis fraction and weight is a contiguous 1-D array.  The arithmetic
+and its order are fixed — a last-bit change can move the step at which a
+particle leaves the grid, and with it the pinned advection ledger — so
+three rules hold:
+
+* each corner weight is ``(wx * wy) * wz``;
+* corners accumulate in the order dz → dy → dx;
+* the accumulator starts at zero, so signed zeros in the weights
+  never reach the result.
 """
 
 from __future__ import annotations
@@ -33,38 +45,40 @@ def trilinear(
         in-bounds mask.
     """
     positions = np.atleast_2d(np.asarray(positions, dtype=np.float64))
-    lat = grid.world_to_lattice(positions)
-    dims = np.asarray(grid.cell_dims, dtype=np.float64)
-    inside = np.all((lat >= 0.0) & (lat <= dims), axis=1)
+    m = positions.shape[0]
+    lat = np.subtract(positions.T, np.asarray(grid.origin)[:, None], out=np.empty((3, m)))
+    lat /= np.asarray(grid.spacing)[:, None]
+    dims = np.asarray(grid.cell_dims, dtype=np.float64)[:, None]
+    inside = np.all((lat >= 0.0) & (lat <= dims), axis=0)
 
     # Clamp so boundary points use the last cell with frac = 1.
-    cell = np.minimum(np.floor(lat), dims - 1.0)
-    cell = np.maximum(cell, 0.0).astype(np.int64)
-    frac = np.clip(lat - cell, 0.0, 1.0)
+    cell = np.floor(lat)
+    np.minimum(cell, dims - 1.0, out=cell)
+    np.maximum(cell, 0.0, out=cell)
+    ijk = cell.astype(np.int64)
+    lat -= ijk
+    np.clip(lat, 0.0, 1.0, out=lat)
 
     px, py, _ = grid.point_dims
-    i, j, k = cell[:, 0], cell[:, 1], cell[:, 2]
-    base = i + px * (j + py * k)
+    base = ijk[2] * py
+    base += ijk[1]
+    base *= px
+    base += ijk[0]
 
-    fx, fy, fz = frac[:, 0], frac[:, 1], frac[:, 2]
-    wx = np.stack([1.0 - fx, fx], axis=1)
-    wy = np.stack([1.0 - fy, fy], axis=1)
-    wz = np.stack([1.0 - fz, fz], axis=1)
+    fx, fy, fz = lat
+    wx = (1.0 - fx, fx)
+    wy = (1.0 - fy, fy)
+    wz = (1.0 - fz, fz)
 
     vec = values.ndim == 2
-    out_shape = (positions.shape[0], 3) if vec else (positions.shape[0],)
-    out = np.zeros(out_shape)
+    out = np.zeros((m,) + values.shape[1:])
     for dz in (0, 1):
         for dy in (0, 1):
             for dx in (0, 1):
-                pid = base + dx + px * (dy + py * dz)
-                w = wx[:, dx] * wy[:, dy] * wz[:, dz]
-                if vec:
-                    out += w[:, None] * values[pid]
-                else:
-                    out += w * values[pid]
-    if vec:
-        out[~inside] = 0.0
-    else:
-        out[~inside] = 0.0
-    return (out if positions.shape[0] > 1 else out, inside)
+                w = wx[dx] * wy[dy]
+                w *= wz[dz]
+                corner = values.take(base + (dx + px * (dy + py * dz)), axis=0)
+                corner *= w[:, None] if vec else w
+                out += corner
+    out[~inside] = 0.0
+    return out, inside

@@ -33,9 +33,12 @@ def external_surface(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Extract the grid's external faces as triangles.
 
-    Returns ``(points, triangles, tri_scalars)``: the six boundary
-    faces, two triangles per boundary quad, each colored by its owning
-    boundary cell's scalar.
+    Returns ``(points, triangles, tri_scalars)``: the grid's boundary
+    points in point-id order, and the six boundary faces, two triangles
+    per boundary quad, indexed into those points, each colored by its
+    owning boundary cell's scalar.  Only boundary points are built — at
+    256³ that is ≈393 K of the lattice's 17 M — with the same coordinate
+    values as :meth:`UniformGrid.point_coords`.
     """
     nx, ny, nz = grid.cell_dims
     px, py, pz = grid.point_dims
@@ -44,8 +47,29 @@ def external_surface(
 
     lat = cell_scalars.reshape(nz, ny, nx)
 
+    # The point planes k = 0 and k = nz lie wholly on the surface; every
+    # plane between them contributes only its outer ring.
+    ring = np.ones((py, px), dtype=bool)
+    ring[1:-1, 1:-1] = False
+    ring_id = np.cumsum(ring.ravel()) - 1
+    n_plane = px * py
+    n_ring = int(ring_id[-1]) + 1
+
     def pid(i, j, k):
-        return i + px * (j + py * k)
+        """Surface point id of lattice point ``(i, j, k)``."""
+        local = i + px * j
+        plane_start = np.where(k == 0, 0, n_plane + (k - 1) * n_ring)
+        return plane_start + np.where((k == 0) | (k == nz), local, ring_id[local])
+
+    x, y, z = grid.axis_coords()
+    plane_j, plane_i = np.divmod(np.arange(n_plane), px)
+    ring_j, ring_i = np.nonzero(ring)
+    pi = np.concatenate([plane_i, np.tile(ring_i, nz - 1), plane_i])
+    pj = np.concatenate([plane_j, np.tile(ring_j, nz - 1), plane_j])
+    pk = np.concatenate(
+        [np.zeros(n_plane, np.int64), np.repeat(np.arange(1, nz), n_ring), np.full(n_plane, nz)]
+    )
+    points = np.stack([x[pi], y[pj], z[pk]], axis=1)
 
     # For each of the six faces build the quad corner point ids.
     faces = [
@@ -85,7 +109,7 @@ def external_surface(
     t2 = quad_arr[:, [0, 2, 3]]
     triangles = np.vstack([t1, t2])
     tri_scalars = np.concatenate([scal_arr, scal_arr])
-    return grid.point_coords(), triangles, tri_scalars
+    return points, triangles, tri_scalars
 
 
 class RayTracer(Filter):

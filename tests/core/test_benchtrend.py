@@ -8,7 +8,9 @@ always have a reference to regress against.
 
 from __future__ import annotations
 
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
@@ -92,6 +94,24 @@ class TestTrend:
     def test_table3_scale_floors_pinned(self):
         for kernel in ("contour", "clip", "isovolume"):
             assert SPEEDUP_FLOORS[(kernel, 256)] >= 2.0
+
+
+def _load_bench_kernels():
+    """``benchmarks/bench_kernels.py``, which is a script, not a package."""
+    path = Path(__file__).resolve().parents[2] / "benchmarks" / "bench_kernels.py"
+    spec = importlib.util.spec_from_file_location("bench_kernels", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestBenchKernelsSuite:
+    def test_times_every_requested_size(self, tmp_path):
+        """Volume rendering is timed at both sizes, not only the smallest."""
+        bench = _load_bench_kernels()
+        tracker = bench.run_suite([8, 12], kernels=["volume"], repeats=1, path=tmp_path / "b.json")
+        assert sorted(tracker.entries) == ["volume/12", "volume/8"]
+        assert len(BenchTracker(tmp_path / "b.json")) == 2
 
 
 class TestBenchCli:

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro.data import Association, DataSet, UniformGrid
-from repro.data.generators import gaussian_blobs
-from repro.viz import Bvh, RayTracer, TraversalStats, external_surface
+from repro.data.generators import gaussian_blobs, make_dataset
+from repro.viz import Bvh, RayTracer, TraversalStats, external_surface, raytrace
 from repro.viz.bvh import morton_codes
 from repro.viz.render import orbit_cameras
 
@@ -32,6 +32,16 @@ def brute_force_trace(points, tris, origins, dirs):
         t_best[h] = t[h]
         hit[h] = ti
     return t_best, hit
+
+
+#: A non-cube grid with an offset origin and unequal spacing.
+OFFSET_GRID = UniformGrid(cell_dims=(5, 7, 9), origin=(-0.3, 1.25, 2.0), spacing=(0.1, 0.37, 0.05))
+
+
+def _dense_ids(grid, points):
+    """Lattice point ids of world-space lattice points."""
+    ijk = np.rint((points - np.asarray(grid.origin)) / np.asarray(grid.spacing)).astype(np.int64)
+    return grid.point_index(ijk[:, 0], ijk[:, 1], ijk[:, 2])
 
 
 @pytest.fixture(scope="module")
@@ -77,6 +87,19 @@ class TestExternalSurface:
         e2 = pts[tris[:, 2]] - pts[tris[:, 0]]
         area = 0.5 * np.linalg.norm(np.cross(e1, e2), axis=1).sum()
         assert area == pytest.approx(6.0)
+
+    @pytest.mark.parametrize("grid", [OFFSET_GRID, UniformGrid.cube(1)], ids=["5x7x9", "1x1x1"])
+    def test_points_are_the_boundary_points(self, grid):
+        """Only the boundary points are built, in point-id order, with
+        the dense coordinate array's values."""
+        pts, tris, _ = external_surface(grid, np.zeros(grid.n_cells))
+        px, py, pz = grid.point_dims
+        n_interior = max(px - 2, 0) * max(py - 2, 0) * max(pz - 2, 0)
+        assert pts.shape == (grid.n_points - n_interior, 3)
+        np.testing.assert_array_equal(np.unique(tris), np.arange(pts.shape[0]))
+        dense = _dense_ids(grid, pts)
+        assert (np.diff(dense) > 0).all()
+        assert grid.point_coords()[dense].tobytes() == pts.tobytes()
 
     def test_scalars_come_from_boundary_cells(self):
         grid = UniformGrid.cube(4)
@@ -141,6 +164,28 @@ class TestRayTracer:
         assert res.output[0].rgb.shape == (32, 32, 3)
         assert res.counts["rays"] == 2 * 32 * 32
         assert res.counts["surface_triangles"] == 6 * 16 * 16 * 2
+
+    @pytest.mark.parametrize("kind", ["offset5x7x9", "blobs32"])
+    def test_matches_dense_vertex_render(self, kind, monkeypatch):
+        """Images and ledger equal a render over the dense vertex array,
+        the compact triangles mapped back to dense point ids."""
+        if kind == "blobs32":
+            ds = make_dataset(32, kind="blobs", seed=7, with_velocity=False)
+        else:
+            ds = DataSet(OFFSET_GRID)
+            ds.add_field("energy", gaussian_blobs(OFFSET_GRID, seed=3), Association.POINT)
+        rt = RayTracer(n_images=2, images_per_cycle=10, resolution=(40, 32))
+        got = rt.execute(ds)
+
+        def dense_surface(grid, cell_scalars):
+            pts, tris, scal = external_surface(grid, cell_scalars)
+            return grid.point_coords(), _dense_ids(grid, pts)[tris], scal
+
+        monkeypatch.setattr(raytrace, "external_surface", dense_surface)
+        ref = rt.execute(ds)
+        assert got.counts.as_dict() == ref.counts.as_dict()
+        for a, b in zip(got.output, ref.output):
+            assert a.rgb.tobytes() == b.rgb.tobytes()
 
     def test_center_pixel_hits(self, blobs_ds):
         rt = RayTracer(n_images=1, images_per_cycle=1, resolution=(33, 33))
