@@ -12,6 +12,7 @@ tight budgets.
 from repro.cloverleaf import step_profile
 from repro.core.study import effective_sizes
 from repro.insitu import advisor_allocation, uniform_allocation
+from repro.machine.simulator import Processor
 from repro.workload import WorkProfile
 
 
@@ -23,7 +24,7 @@ def _scaled(profile, factor):
 
 def bench_ablation_budget(benchmark, engine):
     size = min(effective_sizes((128,))[0], 128)
-    proc = engine.processor
+    proc = Processor(engine.spec)
     # Paper-like composition: the simulation dominates; visualization is
     # a 10-20% tail (10 of the study's 87 cycles).
     sim = step_profile(size**3, 2500)

@@ -9,12 +9,13 @@ budget.
 """
 
 from repro.core.study import effective_sizes
+from repro.machine.simulator import Processor
 
 
 def bench_ablation_uniform_cap(benchmark, engine):
     sizes = effective_sizes((32, 128))
     small, large = sizes[0], sizes[-1]
-    proc = engine.processor
+    proc = Processor(engine.spec)
 
     light = engine.profile_for("contour", small)   # lightly loaded socket
     heavy = engine.profile_for("volume", large)    # heavily loaded socket

@@ -33,7 +33,7 @@ def bench_fig2_counters(benchmark, engine, phase2_result):
     _print_series("Fig 2b: IPC", fig["ipc"])
     _print_series("Fig 2c: LLC miss rate", fig["llc_miss_rate"])
 
-    spec = engine.processor.spec
+    spec = engine.spec
 
     # (a) Everyone runs at the all-core turbo at 120 W (paper: "all
     # algorithms ... run at the same frequency of 2.6 GHz at a 120 W cap").

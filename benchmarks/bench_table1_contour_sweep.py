@@ -28,7 +28,7 @@ def bench_table1_contour_sweep(benchmark, engine):
     base = pts[0]
 
     # Paper: at 120 W the contour runs at the all-core turbo frequency.
-    assert base.freq_ghz == pytest.approx(engine.processor.spec.f_turbo)
+    assert base.freq_ghz == pytest.approx(engine.spec.f_turbo)
 
     # Paper: "the execution time remains unaffected until an extreme
     # power cap" — no significant slowdown above 60 W.

@@ -3,8 +3,9 @@
 The paper's Phase 3 grid is 288 configurations, but only the 32
 (algorithm, size) pairs cost real work — each one executes the actual
 visualization algorithm to record its op-count ledger.  The 9 power
-caps per pair are repriced from that ledger on the simulated socket in
-microseconds.  The engine exploits exactly that structure:
+caps per pair are repriced from that ledger on the simulated socket, in
+one :class:`~repro.core.pricing.BatchRepricer` pass per pair.  The
+engine exploits exactly that structure:
 
 1. decompose a :class:`~repro.core.study.StudyConfig` into independent
    *profile jobs*, one per (algorithm, size) pair that is neither fully
@@ -13,8 +14,9 @@ microseconds.  The engine exploits exactly that structure:
    scheduling window, per-job timeout, bounded retry with exponential
    backoff, graceful degradation to serial execution when the pool
    itself fails);
-3. reprice every missing cap in the parent process and stream each
-   completed :class:`~repro.core.runner.RunPoint` into a
+3. reprice a pair's missing caps in one batch pass in the parent
+   process and stream each completed
+   :class:`~repro.core.runner.RunPoint` into a
    :class:`~repro.core.store.ResultStore`, so a killed or extended
    sweep resumes from exactly the points already on disk.
 
@@ -46,14 +48,15 @@ from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, ProcessPoolExecu
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
 
-from ..machine.simulator import Processor
-from ..machine.spec import MachineSpec
+from ..machine.simulator import synthesize_stream
+from ..machine.spec import BROADWELL_E5_2695V4, MachineSpec
 from ..obs.manifest import build_manifest, manifest_path_for, write_manifest
 from ..obs.metrics import MetricsRegistry, get_registry
 from ..obs.samples import SampleWriter, samples_path_for
 from ..obs.trace import NULL_SPAN, Tracer
 from .atomicio import atomic_write_json
 from .backoff import retry_backoff
+from .pricing import BatchRepricer
 from .profiles import (
     ProfileCache,
     merge_shard_ledgers,
@@ -62,7 +65,7 @@ from .profiles import (
     run_algorithm_ledger_shard,
     supports_sharding,
 )
-from .runner import DEFAULT_VIZ_CYCLES, StudyResult, make_run_point
+from .runner import DEFAULT_VIZ_CYCLES, StudyResult
 from .store import ResultStore, sweep_fingerprint
 from .study import StudyConfig
 from .validate import PointValidator
@@ -168,6 +171,11 @@ class EngineStats:
     fell_back_serial: bool = False
     interrupted: bool = False
     wall_s: float = 0.0
+    #: What the pricing passes stand for in RAPL-controller terms: one
+    #: decision per (segment, cap priced), and the throttling
+    #: (no P-state fits) ones among them.
+    rapl_decisions: int = 0
+    rapl_throttle_decisions: int = 0
 
     @property
     def throughput_pts_s(self) -> float:
@@ -239,8 +247,9 @@ class SweepEngine:
         ``True`` persists a ≥10 Hz power/frequency sample stream per
         completed point to ``<store>.samples.jsonl`` (requires a
         store); a path writes there instead.  Streams are synthesized
-        from the closed-form run via
-        :meth:`~repro.machine.simulator.RunResult.sample_stream`, so
+        by :func:`~repro.machine.simulator.synthesize_stream` from the
+        segment records of the pricing pass itself
+        (:meth:`~repro.core.pricing.PricedPoints.segment_records`), so
         each stream's time-weighted mean power equals the point's
         ``power_w`` exactly, at the paper's 100 ms sampler granularity.
     metrics:
@@ -275,10 +284,10 @@ class SweepEngine:
             raise ValueError("n_cycles must be positive")
         if max_retries < 0:
             raise ValueError("max_retries must be non-negative")
-        self.processor = Processor(spec) if spec is not None else Processor()
-        self.spec = self.processor.spec
+        self.spec = spec if spec is not None else BROADWELL_E5_2695V4
         self.dataset_kind = dataset_kind
         self.n_cycles = int(n_cycles)
+        self.repricer = BatchRepricer(self.spec, n_cycles=self.n_cycles)
         self.seed = seed
         self.workers = os.cpu_count() or 1 if workers is None else max(0, int(workers))
         self.timeout_s = timeout_s
@@ -349,7 +358,7 @@ class SweepEngine:
         )
         write_manifest(manifest_path_for(self.store.path), manifest)
 
-    def _publish_metrics(self, rapl_before: tuple[int, int]) -> None:
+    def _publish_metrics(self) -> None:
         reg, s = self.metrics, self.stats
         if reg is None:
             return
@@ -375,14 +384,13 @@ class SweepEngine:
         reg.counter("repro_faults_injected_total", "faults injected by the active plan").inc(
             s.faults_injected
         )
-        rapl = self.processor.rapl
         reg.counter("repro_rapl_decisions_total", "RAPL operating-point decisions").inc(
-            rapl.decisions - rapl_before[0]
+            s.rapl_decisions
         )
         reg.counter(
             "repro_rapl_throttle_decisions_total",
             "RAPL decisions that fell back to duty-cycle throttling",
-        ).inc(rapl.throttle_decisions - rapl_before[1])
+        ).inc(s.rapl_throttle_decisions)
         reg.gauge("repro_sweep_wall_seconds", "wall time of the last sweep run").set(s.wall_s)
         if self.store is not None:
             atomic_write_json(
@@ -417,7 +425,6 @@ class SweepEngine:
     def _run(self, config: StudyConfig, *, resume: bool) -> StudyResult:
         t0 = time.perf_counter()
         self.stats = EngineStats()
-        rapl_before = (self.processor.rapl.decisions, self.processor.rapl.throttle_decisions)
         done: dict[tuple[str, int, float], object] = {}
         if self.store is not None:
             fp = self.fingerprint()
@@ -480,7 +487,7 @@ class SweepEngine:
                 points_saved=len(self.store) if self.store is not None else len(results),
                 computed=self.stats.points_computed,
             )
-            self._publish_metrics(rapl_before)
+            self._publish_metrics()
             raise
 
         # Quarantined cells are absent by design: the result carries the
@@ -495,7 +502,7 @@ class SweepEngine:
         self.stats.wall_s = time.perf_counter() - t0
         if self.sample_writer is not None:
             self.sample_writer.flush()
-        self._publish_metrics(rapl_before)
+        self._publish_metrics()
         self._report(
             "summary",
             config=config.name,
@@ -521,27 +528,26 @@ class SweepEngine:
         default_cap: float,
         results: dict,
     ) -> None:
-        profile = profile_from_ledger(
-            alg, size, self.profile_cache.get(alg, size), n_cycles=self.n_cycles
+        missing = [c for c in caps if (alg, size, c) not in results]
+        if not missing:
+            return  # a group listed twice in the config is priced once
+        priced = self.repricer.reprice(
+            alg, size, self.profile_cache.get(alg, size), missing, default_cap_w=default_cap
         )
-        base = self.processor.run(profile, default_cap)
-        fresh: list = []  # (cap, point, run) — cap keyed off the grid, not the
-        # (possibly fault-corrupted) point, so sample streams always come
-        # from the simulator's ground-truth run.
-        for cap in caps:
-            if (alg, size, cap) in results:
-                continue
-            run = base if cap == default_cap else self.processor.run(profile, cap)
-            point = make_run_point(alg, size, cap, run, base, default_cap)
+        self.stats.rapl_decisions += priced.decisions
+        self.stats.rapl_throttle_decisions += priced.throttle_decisions
+        # (i, cap, point): i indexes the pass and cap the grid, not the
+        # (possibly fault-corrupted) point, so sample streams always
+        # come from the pass's ground-truth cells.
+        fresh: list = []
+        for i, (cap, point) in enumerate(zip(missing, priced)):
             if self.faults is not None:
                 point = self.faults.corrupt_point(point)
-            fresh.append((cap, point, run))
+            fresh.append((i, cap, point))
 
-        bad: dict = {}
-        if fresh:
-            resumed = [results[(alg, size, c)] for c in caps if (alg, size, c) in results]
-            bad = self.validator.check_group(resumed + [p for _, p, _ in fresh])
-        for cap, point, run in fresh:
+        resumed = [results[(alg, size, c)] for c in caps if (alg, size, c) in results]
+        bad = self.validator.check_group(resumed + [p for _, _, p in fresh])
+        for i, cap, point in fresh:
             reasons = bad.get(point.key)
             if reasons:
                 # A violating point never reaches the main store: it
@@ -567,7 +573,7 @@ class SweepEngine:
                     algorithm=alg,
                     size=size,
                     cap_w=cap,
-                    samples=run.sample_stream(SAMPLE_INTERVAL_S),
+                    samples=synthesize_stream(priced.segment_records(i), SAMPLE_INTERVAL_S),
                 )
 
     # ------------------------------------------------------- job execution

@@ -24,7 +24,15 @@ op-count ledger is closed-form.  This module makes the cheap half
   comments in :meth:`BatchRepricer._price_columns`).  Throttled cells
   (no P-state fits the cap) fall back to the real
   :class:`~repro.machine.rapl.RaplController` per cell; they are rare
-  and the duty bisection is not worth vectorizing.
+  and the duty bisection is not worth vectorizing.  It is the only
+  pricing path of the sweep engine and the advisor; ``Processor.run``
+  stays as the scalar oracle the tests compare it against.
+
+* :class:`PricedPoints` — what one repricing pass returns: the points,
+  plus the cells it selected per (segment, cap), from which
+  :meth:`PricedPoints.segment_records` rebuilds the
+  :class:`~repro.machine.simulator.SegmentRecord`\\ s that sample
+  streams are synthesized from.
 
 ``docs/pricing_service.md`` documents the key scheme, the invalidation
 story, and the bench methodology behind ``BENCH_advisor.json``.
@@ -46,6 +54,7 @@ import numpy as np
 from ..machine.exec_model import ExecutionModel
 from ..machine.power import PowerModel
 from ..machine.rapl import RaplController
+from ..machine.simulator import SegmentRecord
 from ..machine.spec import BROADWELL_E5_2695V4, MachineSpec
 from ..obs.metrics import MetricsRegistry, get_registry
 from ..obs.trace import log_event
@@ -62,6 +71,7 @@ __all__ = [
     "ledger_key",
     "LedgerCache",
     "BatchRepricer",
+    "PricedPoints",
 ]
 
 LEDGER_CACHE_FORMAT = "repro-ledger-cache"
@@ -429,10 +439,16 @@ class BatchRepricer:
            association order (``f*1e9*t*duty*n`` etc.).
         3. ``RunResult`` totals are a left-to-right ``sum`` over
            segment records starting from zero; accumulating cap-columns
-           with ``+`` per segment reproduces that order (never
-           ``np.sum``, whose pairwise reduction would not).
+           (and the cap-independent counters, as scalars) with ``+``
+           per segment reproduces that order (never ``np.sum``, whose
+           pairwise reduction would not).
         4. Cells where no P-state fits fall back to the real
            controller, per cell — the scalar path itself.
+
+        ``cells`` keeps, per segment, the selected frequency, duty,
+        power, time, energy and cap-met columns (what each
+        ``SegmentRecord`` holds; cap-met is ``None`` when every cap
+        fits); ``throttled`` counts the no-fit cells.
         """
         for c in caps:
             if not math.isfinite(c):
@@ -452,9 +468,11 @@ class BatchRepricer:
         energy_tot = np.zeros(n_caps)
         aperf = np.zeros(n_caps)
         ref_cycles = np.zeros(n_caps)  # mperf == clk_unhalted: identical deposits
-        inst = np.zeros(n_caps)
-        llc_refs = np.zeros(n_caps)
-        llc_misses = np.zeros(n_caps)
+        # Retired instructions and LLC traffic do not depend on the cap:
+        # scalars, accumulated in the same left-to-right order.
+        inst = llc_refs = llc_misses = 0.0
+        cells = []
+        throttled = 0
 
         for s, ev in enumerate(table.evs):
             p_row = table.power_wb[s]
@@ -466,22 +484,27 @@ class BatchRepricer:
             p_sel = p_row[sel]
             t_sel = t_row[sel]
             duty_sel = np.ones(n_caps)
+            met_sel = None
             no_fit = ~fits.any(axis=0)
             if no_fit.any():
+                met_sel = np.ones(n_caps, dtype=bool)
                 for c in np.flatnonzero(no_fit):
                     op = self._rapl.operating_point(ev, float(clamped[c]))
                     f_sel[c] = op.f_ghz
                     duty_sel[c] = op.duty
                     p_sel[c] = op.power_w
                     t_sel[c] = ev.time_at(op.f_ghz, duty=op.duty)
+                    met_sel[c] = op.cap_met
+                    throttled += 1
             e_sel = p_sel * t_sel
+            cells.append((f_sel, duty_sel, p_sel, t_sel, e_sel, met_sel))
             time_tot = time_tot + t_sel
             energy_tot = energy_tot + e_sel
             aperf = aperf + f_sel * 1e9 * t_sel * duty_sel * n
             ref_cycles = ref_cycles + f_base * 1e9 * t_sel * n
-            inst = inst + ev.instructions
-            llc_refs = llc_refs + ev.memory.llc_refs
-            llc_misses = llc_misses + ev.memory.llc_misses
+            inst += ev.instructions
+            llc_refs += ev.memory.llc_refs
+            llc_misses += ev.memory.llc_misses
 
         power = np.divide(
             energy_tot, time_tot, out=np.zeros(n_caps), where=time_tot > 0
@@ -490,7 +513,9 @@ class BatchRepricer:
             np.divide(aperf, ref_cycles, out=np.zeros(n_caps), where=ref_cycles > 0)
             * f_base
         )
-        ipc = np.divide(inst, ref_cycles, out=np.zeros(n_caps), where=ref_cycles > 0)
+        ipc = np.divide(
+            np.full(n_caps, inst), ref_cycles, out=np.zeros(n_caps), where=ref_cycles > 0
+        )
         miss_rate = np.divide(
             llc_misses, llc_refs, out=np.zeros(n_caps), where=llc_refs > 0
         )
@@ -501,6 +526,8 @@ class BatchRepricer:
             "freq_ghz": freq,
             "ipc": ipc,
             "llc_miss_rate": miss_rate,
+            "cells": cells,
+            "throttled": throttled,
         }
 
     def reprice(
@@ -512,24 +539,28 @@ class BatchRepricer:
         *,
         default_cap_w: float | None = None,
         n_cycles: int | None = None,
-    ) -> list[RunPoint]:
+    ) -> PricedPoints:
         """Price every cap in ``caps_w`` from a recorded ledger.
 
         Returns :class:`RunPoint`\\ s in cap order, each bitwise equal to
         ``make_run_point(..., processor.run(profile, cap),
-        processor.run(profile, default_cap), default_cap)``.  The
-        default (baseline) cap defaults to ``max(caps_w)``, matching the
-        sweep engine's choice of ``StudyConfig.default_cap_w``.
+        processor.run(profile, default_cap), default_cap)``, as a
+        :class:`PricedPoints` list.  The default (baseline) cap defaults
+        to ``max(caps_w)``, matching the sweep engine's choice of
+        ``StudyConfig.default_cap_w``.
         """
         caps = [float(c) for c in caps_w]
         if not caps:
             raise ValueError("need at least one power cap")
         default_cap = float(default_cap_w) if default_cap_w is not None else max(caps)
         table = self.table_for(algorithm, size, ledger, n_cycles=n_cycles)
-        # Price the baseline as an extra trailing column of the same pass.
-        cols = self._price_columns(table, caps + [default_cap])
-        time_base = float(cols["time_s"][-1])
-        freq_base = float(cols["freq_ghz"][-1])
+        # The baseline reuses its cap's column, or is priced as an extra
+        # trailing column of the same pass.
+        columns = caps if default_cap in caps else caps + [default_cap]
+        cols = self._price_columns(table, columns)
+        base = columns.index(default_cap)
+        time_base = float(cols["time_s"][base])
+        freq_base = float(cols["freq_ghz"][base])
         points: list[RunPoint] = []
         for i, cap in enumerate(caps):
             ratios = Ratios.from_measurements(
@@ -554,4 +585,55 @@ class BatchRepricer:
                     ratios=ratios,
                 )
             )
-        return points
+        return PricedPoints(
+            points,
+            table.evs,
+            cols["cells"],
+            decisions=len(table.evs) * len(columns),
+            throttle_decisions=cols["throttled"],
+        )
+
+
+class PricedPoints(list):
+    """The :class:`RunPoint`\\ s of one :meth:`BatchRepricer.reprice` pass.
+
+    It is the list of points, in the requested cap order.  It also keeps
+    the cells the pass selected for each (segment, cap), so
+    :meth:`segment_records` can rebuild a point's segment records
+    without pricing its cap again.
+    """
+
+    def __init__(self, points, evs, cells, *, decisions: int, throttle_decisions: int):
+        super().__init__(points)
+        self._evs = evs
+        self._cells = cells
+        #: Operating-point decisions the scalar controller makes for the
+        #: same caps: one per (segment, cap priced), the baseline
+        #: included once.
+        self.decisions = decisions
+        #: Of those, the cells where no P-state fits the cap, so the
+        #: controller duty-cycles at the floor frequency.
+        self.throttle_decisions = throttle_decisions
+
+    def segment_records(self, i: int) -> list[SegmentRecord]:
+        """The ``i``-th point's records, bitwise equal to
+        ``Processor.run(profile, caps_w[i]).records``."""
+        records = []
+        for ev, (f, duty, p, t, e, met) in zip(self._evs, self._cells):
+            f_ghz, d = float(f[i]), float(duty[i])
+            records.append(
+                SegmentRecord(
+                    name=ev.segment.name,
+                    f_ghz=f_ghz,
+                    duty=d,
+                    time_s=float(t[i]),
+                    power_w=float(p[i]),
+                    energy_j=float(e[i]),
+                    instructions=ev.instructions,
+                    llc_refs=ev.memory.llc_refs,
+                    llc_misses=ev.memory.llc_misses,
+                    stall_fraction=ev.stall_fraction(f_ghz, duty=d),
+                    cap_met=True if met is None else bool(met[i]),
+                )
+            )
+        return records

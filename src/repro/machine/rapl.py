@@ -55,9 +55,10 @@ class RaplController:
         #: operating-point decision for enforcement jitter and transient
         #: cap-not-met excursions.  None = clean enforcement.
         self.fault_hook = fault_hook
-        #: Telemetry accounting, read (as deltas) by the sweep engine's
-        #: metrics publication.  Plain ints so the hot decision loop pays
-        #: no lock or registry lookup.
+        #: Decision accounting.  The tests read it as the scalar oracle
+        #: for the RAPL counts the sweep engine derives from its batch
+        #: pricing passes.  Plain ints so the hot decision loop pays no
+        #: lock or registry lookup.
         self.decisions = 0
         self.throttle_decisions = 0
 

@@ -4,8 +4,10 @@ Two execution modes:
 
 * :meth:`Processor.run` — closed-form: the controller's decision is
   constant within a segment (the model is stationary per segment), so
-  time/energy/counters are computed directly.  Used by the sweeps —
-  288 configurations evaluate in milliseconds.
+  time/energy/counters are computed directly.  Its users are the power
+  governors, the in-situ runtime, and the tests, which hold the sweep
+  engine's batch pricing (:class:`repro.core.pricing.BatchRepricer`)
+  bitwise equal to it.
 * :meth:`Processor.run_traced` — windowed: re-runs the RAPL decision
   every control window with optional measurement noise and an integral
   correction, depositing energy/counters into an MSR bank that a
@@ -27,7 +29,7 @@ from .power import PowerModel
 from .rapl import OperatingPoint, RaplController
 from .spec import BROADWELL_E5_2695V4, MachineSpec
 
-__all__ = ["SegmentRecord", "PowerSample", "RunResult", "Processor"]
+__all__ = ["SegmentRecord", "PowerSample", "RunResult", "Processor", "synthesize_stream"]
 
 
 @dataclass(frozen=True)
@@ -120,62 +122,69 @@ class RunResult:
 
     # ------------------------------------------------------------- sampling
     def sample_stream(self, interval_s: float = 0.1) -> list[PowerSample]:
-        """Synthesize the 100 ms sampler's readings from a closed-form run.
+        """Synthesize the 100 ms sampler's readings from a closed-form run
+        (see :func:`synthesize_stream`)."""
+        return synthesize_stream(self.records, interval_s)
 
-        Traced mode produces samples by construction; closed-form runs
-        (what the sweeps use) only keep per-segment aggregates.  Within
-        a segment the operating point is constant, so the sampler's
-        readings are exactly recoverable: walk the segments, split each
-        across ``interval_s`` windows, and emit one reading per window
-        (plus a final partial window).  The stream's time-weighted mean
-        power equals :attr:`avg_power_w` identically, and the sample
-        count is ``ceil(time_s / interval_s)`` — at least ``1/interval_s``
-        Hz over the run, the paper's Figures 4–5 granularity.
-        """
-        if interval_s <= 0:
-            raise ValueError("interval_s must be positive")
-        samples: list[PowerSample] = []
-        t = 0.0
-        window_t0 = 0.0
-        acc = [0.0, 0.0, 0.0, 0.0, 0.0]  # energy, f_eff*dt, instr, refs, misses
 
-        def emit() -> None:
-            dt = t - window_t0
-            samples.append(
-                PowerSample(
-                    t_s=window_t0,
-                    dt_s=dt,
-                    power_w=acc[0] / dt if dt > 0 else 0.0,
-                    f_eff_ghz=acc[1] / dt if dt > 0 else 0.0,
-                    instructions=acc[2],
-                    llc_refs=acc[3],
-                    llc_misses=acc[4],
-                )
+def synthesize_stream(records: list[SegmentRecord], interval_s: float = 0.1) -> list[PowerSample]:
+    """Synthesize the 100 ms sampler's readings from segment records.
+
+    Traced mode produces samples by construction; closed-form runs
+    (and the sweep engine's batch pricing) only keep per-segment
+    aggregates.  Within a segment the operating point is constant, so
+    the sampler's readings are exactly recoverable: walk the segments,
+    split each across ``interval_s`` windows, and emit one reading per
+    window (plus a final partial window).  The stream's time-weighted
+    mean power equals the run's average power identically, and the
+    sample count is ``ceil(time_s / interval_s)`` — at least
+    ``1/interval_s`` Hz over the run, the paper's Figures 4–5
+    granularity.
+    """
+    if interval_s <= 0:
+        raise ValueError("interval_s must be positive")
+    samples: list[PowerSample] = []
+    t = 0.0
+    window_t0 = 0.0
+    acc = [0.0, 0.0, 0.0, 0.0, 0.0]  # energy, f_eff*dt, instr, refs, misses
+
+    def emit() -> None:
+        dt = t - window_t0
+        samples.append(
+            PowerSample(
+                t_s=window_t0,
+                dt_s=dt,
+                power_w=acc[0] / dt if dt > 0 else 0.0,
+                f_eff_ghz=acc[1] / dt if dt > 0 else 0.0,
+                instructions=acc[2],
+                llc_refs=acc[3],
+                llc_misses=acc[4],
             )
-            acc[:] = [0.0, 0.0, 0.0, 0.0, 0.0]
+        )
+        acc[:] = [0.0, 0.0, 0.0, 0.0, 0.0]
 
-        for r in self.records:
-            if r.time_s <= 0:
-                continue
-            remaining = r.time_s
-            f_eff = r.f_ghz * r.duty  # what APERF/MPERF reports under throttling
-            while remaining > 1e-15:
-                room = window_t0 + interval_s - t
-                dt = min(remaining, room)
-                frac = dt / r.time_s
-                acc[0] += r.power_w * dt
-                acc[1] += f_eff * dt
-                acc[2] += r.instructions * frac
-                acc[3] += r.llc_refs * frac
-                acc[4] += r.llc_misses * frac
-                t += dt
-                remaining -= dt
-                if t >= window_t0 + interval_s - 1e-15:
-                    emit()
-                    window_t0 = t
-        if t > window_t0:
-            emit()
-        return samples
+    for r in records:
+        if r.time_s <= 0:
+            continue
+        remaining = r.time_s
+        f_eff = r.f_ghz * r.duty  # what APERF/MPERF reports under throttling
+        while remaining > 1e-15:
+            room = window_t0 + interval_s - t
+            dt = min(remaining, room)
+            frac = dt / r.time_s
+            acc[0] += r.power_w * dt
+            acc[1] += f_eff * dt
+            acc[2] += r.instructions * frac
+            acc[3] += r.llc_refs * frac
+            acc[4] += r.llc_misses * frac
+            t += dt
+            remaining -= dt
+            if t >= window_t0 + interval_s - 1e-15:
+                emit()
+                window_t0 = t
+    if t > window_t0:
+        emit()
+    return samples
 
 
 class Processor:
@@ -202,6 +211,10 @@ class Processor:
         duty_cap: float = 1.0,
     ) -> RunResult:
         """Execute ``profile`` under ``cap_watts`` (default: TDP), closed-form.
+
+        The scalar pricing path: the governors and the in-situ runtime
+        run profiles here, and the tests use it as the oracle the sweep
+        engine's batch pricing must equal bitwise.
 
         ``f_ceiling_ghz`` pins the controller's P-state scan under a
         DVFS frequency ceiling and ``duty_cap`` bounds the clock duty

@@ -11,6 +11,7 @@ from repro.core import (
     predicted_cap,
 )
 from repro.core.study import ALGORITHM_NAMES
+from repro.machine.simulator import Processor
 
 SIZE = 32
 
@@ -20,8 +21,9 @@ def sweep_and_runs():
     engine = SweepEngine(workers=0)
     cfg = StudyConfig(name="pred", algorithms=ALGORITHM_NAMES, sizes=(SIZE,))
     result = engine.run(cfg)
+    processor = Processor(engine.spec)
     tdp_runs = {
-        alg: engine.processor.run(engine.profile_for(alg, SIZE), 120.0)
+        alg: processor.run(engine.profile_for(alg, SIZE), 120.0)
         for alg in ALGORITHM_NAMES
     }
     return result, tdp_runs
