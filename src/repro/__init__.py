@@ -16,7 +16,7 @@ The package is layered bottom-up:
   the machine, engine, and store (``repro chaos`` / ``repro doctor``).
 * :mod:`repro.lint` — contract-aware static analysis (``repro lint``),
   the zero-violation gate over the conventions listed above.
-* :mod:`repro.harness` — CSV/Markdown emitters of study results.
+* :mod:`repro.harness` — CSV emitters of study results.
 * :mod:`repro.api` — the stable facade; start here
   (``repro.run_study`` / ``repro.load_result`` / ``repro.classify_study``).
 """

@@ -39,31 +39,19 @@ from .core.pricing import LedgerCache
 from .core.profiles import DEFAULT_CACHE_PATH, ProfileCache
 from .core.runner import DEFAULT_VIZ_CYCLES, RunPoint, StudyResult
 from .core.store import ResultStore
-from .core.study import (
-    ALGORITHM_NAMES,
-    StudyConfig,
-    effective_sizes,
-    phase1_config,
-    phase2_config,
-    phase3_config,
-)
+from .core.study import PHASE_NAMES, StudyConfig, resolve_config
 from .core.validate import ValidationReport, validate_store
 from .faults import (
     GOVERNOR_PLANS,
     PLANS,
     SERVICE_PLANS,
-    ChaosReport,
-    FaultPlan,
-    GovernorChaosReport,
-    GovernorFaultPlan,
-    ServiceChaosReport,
     get_governor_plan,
     get_plan,
     get_service_plan,
+    run_chaos,
+    run_governor_chaos,
+    run_service_chaos,
 )
-from .faults import run_chaos as _run_chaos
-from .faults import run_governor_chaos as _run_governor_chaos
-from .faults import run_service_chaos as _run_service_chaos
 from .lint import LintReport
 from .lint import lint_paths as _lint_paths
 from .machine.presets import ALL_PRESETS
@@ -98,37 +86,6 @@ __all__ = [
     "cancel_study",
     "service_report",
 ]
-
-#: Phase names accepted by :func:`resolve_config` / :func:`run_study`.
-PHASE_NAMES = ("phase1", "phase2", "phase3", "table1", "table2", "table3")
-
-
-def resolve_config(config: StudyConfig | str) -> StudyConfig:
-    """Turn a phase name (or pass an explicit grid through) into a config.
-
-    Named phases get their sizes capped by ``REPRO_MAX_SIZE``; an
-    explicit :class:`StudyConfig` is returned unchanged.
-    """
-    if isinstance(config, StudyConfig):
-        return config
-    name = str(config).lower()
-    if name in ("phase1", "table1"):
-        base = phase1_config()
-    elif name in ("phase2", "table2"):
-        base = phase2_config()
-    elif name == "phase3":
-        base = phase3_config()
-    elif name == "table3":
-        base = StudyConfig(name="table3", algorithms=ALGORITHM_NAMES, sizes=(256,))
-    else:
-        raise ValueError(f"unknown study phase {config!r}; expected one of {PHASE_NAMES}")
-    return StudyConfig(
-        name=base.name,
-        algorithms=base.algorithms,
-        sizes=effective_sizes(base.sizes),
-        caps_w=base.caps_w,
-    )
-
 
 def sweep_engine(
     *,
@@ -433,43 +390,6 @@ def advise(
     )
 
 
-def run_chaos(
-    config: StudyConfig | str = "phase1",
-    *,
-    plan: FaultPlan | str = "default",
-    store: str | Path,
-    workers: int | None = 0,
-    n_cycles: int = DEFAULT_VIZ_CYCLES,
-    seed: int = 7,
-    chaos_seed: int | None = None,
-    spec=None,
-    progress=None,
-    trace=None,
-) -> ChaosReport:
-    """Run a sweep under a named (or explicit) fault plan; report survival.
-
-    The contract checked: every point surviving into the store is
-    bitwise identical to a fault-free run, unrecoverable points land in
-    the quarantine sidecar with reasons, and a torn store tail is
-    recovered on resume.  ``chaos_seed`` re-seeds the plan for a
-    different (still deterministic) fault schedule.
-    """
-    resolved_plan = get_plan(plan) if isinstance(plan, str) else plan
-    if chaos_seed is not None:
-        resolved_plan = resolved_plan.with_seed(chaos_seed)
-    return _run_chaos(
-        resolve_config(config),
-        resolved_plan,
-        store=store,
-        workers=workers,
-        n_cycles=n_cycles,
-        seed=seed,
-        spec=spec,
-        progress=progress,
-        trace=trace,
-    )
-
-
 # ----------------------------------------------------------------- service
 def sweep_service(
     spool: str | Path = DEFAULT_SPOOL,
@@ -560,70 +480,6 @@ def service_report(
     """Service-wide snapshot: queue counts, breaker state, per-job status."""
     svc = service if service is not None else sweep_service(spool)
     return svc.report()
-
-
-def run_service_chaos(
-    config: StudyConfig | str = "phase1",
-    *,
-    plan: str = "default",
-    spool: str | Path,
-    n_jobs: int = 2,
-    workers: int = 2,
-    lease_s: float = 1.0,
-    n_cycles: int = 2,
-    seed: int = 7,
-    chaos_seed: int | None = None,
-    trace=None,
-) -> ServiceChaosReport:
-    """Torture the sweep service under a named plan; report the contract.
-
-    Submits ``n_jobs`` studies, drains a daemon generation under
-    injected worker crashes / heartbeat stalls / duplicate deliveries,
-    optionally tears the WAL's last record, then replays into a fresh
-    generation.  ``report.survived`` asserts: no accepted job lost or
-    failed, duplicates ignored rather than double-counted, replay
-    convergent, and every store bitwise identical to an uninterrupted
-    run.
-    """
-    return _run_service_chaos(
-        resolve_config(config),
-        plan,
-        spool=spool,
-        n_jobs=n_jobs,
-        workers=workers,
-        lease_s=lease_s,
-        n_cycles=n_cycles,
-        seed=seed,
-        chaos_seed=chaos_seed,
-        trace=trace,
-    )
-
-
-def run_governor_chaos(
-    *,
-    plan: GovernorFaultPlan | str = "default",
-    governor: str = "step:100=0.7:200=0.5",
-    control: str = "power",
-    spec=None,
-    n_epochs: int = 10,
-) -> GovernorChaosReport:
-    """Drill a governed power policy's signal feed; report the contract.
-
-    Runs the reference pass plus the three signal-feed drills (sample
-    dropout, step discontinuity, trace truncation) for one
-    governor × control-method policy and checks every epoch against the
-    piecewise invariants.  ``report.survived`` asserts: zero invariant
-    violations in every drill, every decision inside the governor's and
-    RAPL's declared ranges, and a bitwise-identical clean replay.
-    """
-    resolved = get_governor_plan(plan) if isinstance(plan, str) else plan
-    return _run_governor_chaos(
-        resolved,
-        governor=governor,
-        control=control,
-        spec=spec,
-        n_epochs=n_epochs,
-    )
 
 
 def doctor(

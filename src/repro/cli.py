@@ -59,6 +59,8 @@ docs/static_analysis.md.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import dataclasses
 import os
 import sys
 import time
@@ -271,16 +273,26 @@ def cmd_chaos(args) -> int:
                 file=sys.stderr,
             )
             return 2
+        from .obs.trace import Tracer
+
+        plan = api.get_governor_plan(args.plan)
+        if args.seed is not None:
+            plan = dataclasses.replace(plan, seed=args.seed)
         print(
-            f"governor chaos: plan '{args.plan}', governor {args.governor_spec}, "
-            f"control {args.control}"
+            f"governor chaos: plan '{plan.name}' (seed {plan.seed}), "
+            f"governor {args.governor_spec}, control {args.control}"
         )
-        report = api.run_governor_chaos(
-            plan=args.plan,
-            governor=args.governor_spec,
-            control=args.control,
-            n_epochs=args.epochs,
-        )
+        with contextlib.ExitStack() as stack:
+            if args.trace:
+                # The drill emits its spans on the default tracer.
+                tracer = stack.enter_context(Tracer(args.trace))
+                stack.enter_context(tracer.as_default())
+            report = api.run_governor_chaos(
+                plan,
+                governor=args.governor_spec,
+                control=args.control,
+                n_epochs=args.epochs,
+            )
         print(report.render())
         return 0 if report.survived else 1
     if args.service:
@@ -417,65 +429,103 @@ def cmd_jobs(args) -> int:
         return rc
 
     # No one-shot action: speak the JSONL request/response protocol on
-    # stdin, hardened the same way as `repro advise --serve` (bounded
-    # line length, malformed input answered instead of fatal).
+    # stdin, the same loop as `repro advise --serve`.
+    def handle(doc: dict) -> dict:
+        op = doc.pop("op", None)
+        if op == "submit":
+            study = doc.pop("study", "phase1")
+            n_cycles = int(doc.pop("n_cycles", args.cycles))
+            max_retries = int(doc.pop("max_retries", args.max_retries))
+            if doc:
+                raise ValueError(f"unknown submit field(s) {sorted(doc)}")
+            receipt = api.submit_study(
+                study, service=svc, n_cycles=n_cycles, max_retries=max_retries
+            )
+            return {"ok": receipt.accepted, "op": op, **receipt.to_dict()}
+        if op == "status":
+            return {"ok": True, "op": op, **svc.status(str(doc["job_id"]))}
+        if op == "cancel":
+            return {"ok": True, "op": op, **svc.cancel(str(doc["job_id"]))}
+        if op == "report":
+            return {"ok": True, "op": op, **svc.report()}
+        raise ValueError(f"unknown op {op!r}; expected submit/status/cancel/report")
+
+    return _serve_jsonl("jobs", handle)
+
+
+class _InternalError(RuntimeError):
+    """A well-formed serve-loop request that failed while executing."""
+
+
+#: Longest request line a JSONL serve loop reads.
+_MAX_REQUEST_LINE = 64 * 1024
+
+
+def _serve_jsonl(name: str, handle) -> int:
+    """Answer one JSON request per stdin line with one JSON line back.
+
+    ``handle(doc)`` turns a request object (its optional ``"id"`` already
+    removed) into a response; the id is echoed verbatim so callers can
+    pipeline requests.  The loop is a trust boundary: lines are read
+    with a hard length bound (a pathological client cannot balloon
+    memory), an oversized line is drained and answered with an error
+    instead of poisoning the next request, and every failure increments
+    ``repro_<name>_errors_total{reason=...}`` (``oversized``,
+    ``invalid-json``, ``bad-request``, or ``internal`` for an
+    :class:`_InternalError`) — the loop itself never dies on bad input.
+    """
+    import json as _json
+
     from .obs.metrics import get_registry
 
-    max_line = 64 * 1024
     reg = get_registry()
+
+    def count_error(reason: str) -> None:
+        reg.counter(
+            f"repro_{name}_errors_total", f"{name} serve-loop failures", reason=reason
+        ).inc()
+
+    def respond(doc: dict) -> None:
+        print(_json.dumps(doc, sort_keys=True), flush=True)
+
     while True:
-        raw = sys.stdin.readline(max_line + 1)
+        raw = sys.stdin.readline(_MAX_REQUEST_LINE + 1)
         if raw == "":
-            break
-        if len(raw) > max_line:
+            return 0  # EOF
+        if len(raw) > _MAX_REQUEST_LINE:
+            # Drain the remainder of this line so the next readline
+            # starts at a fresh request, then report the rejection.
             while True:
-                chunk = sys.stdin.readline(max_line)
+                chunk = sys.stdin.readline(_MAX_REQUEST_LINE)
                 if chunk == "" or chunk.endswith("\n"):
                     break
-            reg.counter(
-                "repro_jobs_errors_total", "jobs serve-loop failures", reason="oversized"
-            ).inc()
-            out({"ok": False, "error": f"request line exceeds {max_line} bytes"})
+            count_error("oversized")
+            respond({"ok": False, "error": f"request line exceeds {_MAX_REQUEST_LINE} bytes"})
             continue
         line = raw.strip()
         if not line:
             continue
         req_id = None
         try:
-            doc = _json.loads(line)
+            try:
+                doc = _json.loads(line)
+            except ValueError as exc:
+                count_error("invalid-json")
+                raise ValueError(f"invalid JSON: {exc}") from exc
             if not isinstance(doc, dict):
-                raise ValueError("jobs request must be a JSON object")
+                count_error("bad-request")
+                raise ValueError(f"{name} request must be a JSON object")
             req_id = doc.pop("id", None)
-            op = doc.pop("op", None)
-            if op == "submit":
-                study = doc.pop("study", "phase1")
-                n_cycles = int(doc.pop("n_cycles", args.cycles))
-                max_retries = int(doc.pop("max_retries", args.max_retries))
-                if doc:
-                    raise ValueError(f"unknown submit field(s) {sorted(doc)}")
-                receipt = api.submit_study(
-                    study, service=svc, n_cycles=n_cycles, max_retries=max_retries
-                )
-                answer = {"ok": receipt.accepted, "op": op, **receipt.to_dict()}
-            elif op == "status":
-                answer = {"ok": True, "op": op, **svc.status(str(doc["job_id"]))}
-            elif op == "cancel":
-                answer = {"ok": True, "op": op, **svc.cancel(str(doc["job_id"]))}
-            elif op == "report":
-                answer = {"ok": True, "op": op, **svc.report()}
-            else:
-                raise ValueError(
-                    f"unknown op {op!r}; expected submit/status/cancel/report"
-                )
+            try:
+                answer = handle(doc)
+            except Exception as exc:
+                count_error("internal" if isinstance(exc, _InternalError) else "bad-request")
+                raise
         except Exception as exc:  # protocol boundary: report, keep serving
-            reg.counter(
-                "repro_jobs_errors_total", "jobs serve-loop failures", reason="bad-request"
-            ).inc()
             answer = {"ok": False, "error": str(exc)}
         if req_id is not None:
             answer["id"] = req_id
-        out(answer)
-    return 0
+        respond(answer)
 
 
 def cmd_doctor(args) -> int:
@@ -616,71 +666,16 @@ def cmd_advise(args) -> int:
         return advisors[machine]
 
     if args.serve:
-        # One JSON request per stdin line, one JSON response line back
-        # (see docs/pricing_service.md for the protocol).  An optional
-        # "id" field is echoed verbatim so callers can pipeline queries.
-        # The loop is a trust boundary: lines are read with a hard length
-        # bound (a pathological client cannot balloon memory), an
-        # oversized line is drained and answered with an error instead of
-        # poisoning the next request, and every failure increments
-        # repro_advise_errors_total{reason=...} — the loop itself never
-        # dies on bad input.
-        from .obs.metrics import get_registry
-
-        max_line = 64 * 1024
-        reg = get_registry()
-
-        def _count_error(reason: str) -> None:
-            reg.counter(
-                "repro_advise_errors_total", "advise serve-loop failures", reason=reason
-            ).inc()
-
-        while True:
-            raw = sys.stdin.readline(max_line + 1)
-            if raw == "":
-                break  # EOF
-            if len(raw) > max_line:
-                # Drain the remainder of this line so the next readline
-                # starts at a fresh request, then report the rejection.
-                while True:
-                    chunk = sys.stdin.readline(max_line)
-                    if chunk == "" or chunk.endswith("\n"):
-                        break
-                _count_error("oversized")
-                out = {"ok": False, "error": f"request line exceeds {max_line} bytes"}
-                print(_json.dumps(out, sort_keys=True), flush=True)
-                continue
-            line = raw.strip()
-            if not line:
-                continue
-            req_id = None
+        # See docs/pricing_service.md for the protocol.
+        def handle(doc: dict) -> dict:
+            request = api.AdviseRequest.from_dict(doc)
             try:
-                try:
-                    doc = _json.loads(line)
-                except ValueError as exc:
-                    _count_error("invalid-json")
-                    raise ValueError(f"invalid JSON: {exc}") from exc
-                if not isinstance(doc, dict):
-                    _count_error("bad-request")
-                    raise ValueError("advise request must be a JSON object")
-                req_id = doc.pop("id", None)
-                try:
-                    request = api.AdviseRequest.from_dict(doc)
-                except (KeyError, TypeError, ValueError):
-                    _count_error("bad-request")
-                    raise
-                try:
-                    resp = api.advise(request, advisor=advisor_for(request.machine))
-                except Exception:
-                    _count_error("internal")
-                    raise
-                out = {"ok": True, **resp.to_dict()}
-            except Exception as exc:  # protocol boundary: report, keep serving
-                out = {"ok": False, "error": str(exc)}
-            if req_id is not None:
-                out["id"] = req_id
-            print(_json.dumps(out, sort_keys=True), flush=True)
-        return 0
+                resp = api.advise(request, advisor=advisor_for(request.machine))
+            except Exception as exc:
+                raise _InternalError(str(exc)) from exc
+            return {"ok": True, **resp.to_dict()}
+
+        return _serve_jsonl("advise", handle)
 
     if args.algorithm is None or args.size is None:
         print("advise: need ALGORITHM and SIZE (or --serve)", file=sys.stderr)

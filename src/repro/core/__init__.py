@@ -1,6 +1,6 @@
 """The study itself: sweeps, metrics, classification, recommendations."""
 
-from .advisor import Advice, CapRecommendation, PowerAdvisor, recommend_cap, recommend_split
+from .advisor import Advice, CapRecommendation, PowerAdvisor, recommend_cap
 from .atomicio import atomic_write_json, atomic_write_text
 from .pricing import (
     BatchRepricer,
@@ -19,7 +19,7 @@ from .benchtrack import (
 )
 from .classify import Classification, PowerClass, classify, classify_result
 from .engine import EngineStats, ProfileJob, ShardTask, SweepEngine, SweepError
-from .metrics import SLOWDOWN_THRESHOLD, Ratios, element_rate, energy_delay_product, first_slowdown_cap
+from .metrics import SLOWDOWN_THRESHOLD, Ratios, element_rate, first_slowdown_cap
 from .predict import ClassPrediction, predict_class, predicted_cap
 from .profiles import (
     ProfileCache,
@@ -53,7 +53,6 @@ from .study import (
 __all__ = [
     "Ratios",
     "element_rate",
-    "energy_delay_product",
     "first_slowdown_cap",
     "SLOWDOWN_THRESHOLD",
     "StudyConfig",
@@ -99,7 +98,6 @@ __all__ = [
     "classify_result",
     "CapRecommendation",
     "recommend_cap",
-    "recommend_split",
     "Advice",
     "PowerAdvisor",
     "LedgerCache",

@@ -6,8 +6,8 @@ The paper's two use cases (§VII):
    the visualization's slowdown within tolerance, leaving headroom for
    power-hungry co-tenants (:func:`recommend_cap`).
 2. *In situ* under a node budget — split power between simulation and
-   visualization phases (:func:`recommend_split`, which drives
-   :mod:`repro.insitu.budget`).
+   visualization phases.  That split lives in the in-situ layer, which
+   sits below ``core``: :func:`repro.insitu.budget.advisor_allocation`.
 
 :class:`PowerAdvisor` packages the first use case as a hot-path query
 service: op-count ledgers come from the content-addressed
@@ -29,7 +29,6 @@ from pathlib import Path
 from ..machine.spec import BROADWELL_E5_2695V4, MachineSpec
 from ..obs.metrics import MetricsRegistry, get_registry
 from ..obs.trace import span
-from .classify import Classification
 from .metrics import SLOWDOWN_THRESHOLD
 from .pricing import BatchRepricer, LedgerCache, dataset_fingerprint, machine_spec_hash
 from .profiles import run_algorithm_ledger
@@ -42,7 +41,6 @@ __all__ = [
     "PowerAdvisor",
     "ADVISE_LATENCY_BUCKETS",
     "recommend_cap",
-    "recommend_split",
 ]
 
 #: Sub-millisecond-oriented latency buckets for the advise histogram —
@@ -90,38 +88,6 @@ def recommend_cap(
         predicted_tratio=choice.tratio,
         power_saved_w=max(base.power_w - choice.power_w, 0.0),
     )
-
-
-def recommend_split(
-    classification: Classification,
-    *,
-    node_budget_w: float,
-    tdp_w: float = 120.0,
-    floor_w: float = 40.0,
-) -> tuple[float, float]:
-    """(sim_cap, viz_cap) under a per-socket average budget.
-
-    Power-opportunity visualizations get the floor; power-sensitive
-    ones get their natural draw (capping them below it costs time
-    proportionally, which the runtime should decide explicitly).  The
-    simulation receives the *remaining* budget headroom, clamped to the
-    RAPL range — whenever the budget is feasible (at least two floors),
-    the pair is guaranteed to respect it: the visualization is trimmed
-    so the simulation keeps at least the floor, and the simulation
-    never receives more than the headroom the visualization left.
-    """
-    if node_budget_w <= 0:
-        raise ValueError("budget must be positive")
-    if classification.is_opportunity:
-        viz_cap = floor_w
-    else:
-        viz_cap = min(max(classification.natural_power_w, floor_w), tdp_w)
-    if node_budget_w >= 2.0 * floor_w:
-        # Feasible: leave the simulation at least a floor's worth.
-        viz_cap = min(viz_cap, node_budget_w - floor_w)
-    headroom = max(node_budget_w - viz_cap, 0.0)
-    sim_cap = min(max(headroom, floor_w), tdp_w)
-    return sim_cap, viz_cap
 
 
 @dataclass(frozen=True)

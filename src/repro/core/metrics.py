@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-__all__ = ["Ratios", "element_rate", "energy_delay_product", "first_slowdown_cap", "SLOWDOWN_THRESHOLD"]
+__all__ = ["Ratios", "element_rate", "first_slowdown_cap", "SLOWDOWN_THRESHOLD"]
 
 #: The paper's significance threshold: a 10 % slowdown.
 SLOWDOWN_THRESHOLD = 0.10
@@ -105,18 +105,3 @@ def first_slowdown_cap(
     """
     slowed = [cap for cap, tratio in rows if tratio >= 1.0 + threshold]
     return max(slowed) if slowed else None
-
-
-def energy_delay_product(energy_j: float, time_s: float, *, weight: int = 1) -> float:
-    """Energy-delay product ``E * T^w`` (w=1 EDP, w=2 ED²P).
-
-    The follow-on question to the paper's tables: a deep cap that costs
-    a little time but saves a lot of power *improves* EDP for the
-    power-opportunity class — the quantity a facility optimizing
-    science-per-joule actually minimizes.
-    """
-    if energy_j < 0 or time_s < 0:
-        raise ValueError("energy and time must be non-negative")
-    if weight < 1:
-        raise ValueError("weight must be at least 1")
-    return energy_j * time_s**weight

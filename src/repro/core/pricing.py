@@ -279,32 +279,6 @@ class LedgerCache:
         self._persist()
         return key
 
-    def invalidate(
-        self,
-        *,
-        algorithm: str | None = None,
-        machine: str | None = None,
-        dataset: str | None = None,
-    ) -> int:
-        """Drop entries matching the given coordinates; returns the count.
-
-        With no arguments, clears the whole cache (and its file).
-        """
-        def doomed(entry: dict) -> bool:
-            return (
-                (algorithm is None or entry["algorithm"] == algorithm)
-                and (machine is None or entry["machine"] == machine)
-                and (dataset is None or entry["dataset"] == dataset)
-            )
-
-        with self._lock:
-            keys = [k for k, e in self._entries.items() if doomed(e)]
-            for k in keys:
-                del self._entries[k]
-        if keys:
-            self._persist()
-        return len(keys)
-
     def entries(self) -> Iterator[tuple[str, int, str, str, dict[str, float]]]:
         """Iterate ``(algorithm, size, dataset, machine, ledger)`` snapshots."""
         with self._lock:

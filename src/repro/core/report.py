@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .metrics import SLOWDOWN_THRESHOLD, first_slowdown_cap
+from .metrics import SLOWDOWN_THRESHOLD, element_rate, first_slowdown_cap
 from .runner import RunPoint, StudyResult
 
 __all__ = [
@@ -128,7 +128,7 @@ def figure3_series(
         if not pts:
             continue
         caps = tuple(p.cap_w for p in pts)
-        rate = tuple(size**3 / p.time_s for p in pts)
+        rate = tuple(element_rate(size**3, p.time_s) for p in pts)
         out[alg] = FigureSeries(alg, caps, rate)
     return out
 

@@ -23,6 +23,8 @@ __all__ = [
     "phase2_config",
     "phase3_config",
     "effective_sizes",
+    "PHASE_NAMES",
+    "resolve_config",
 ]
 
 #: The paper's caps: 120 W (TDP) down to 40 W in 10 W steps.
@@ -117,3 +119,34 @@ def effective_sizes(requested: tuple[int, ...] = DATASET_SIZES) -> tuple[int, ..
     # When the cap excludes every requested size, substitute the cap
     # itself (e.g. table3's 256³ becomes a 64³ smoke run).
     return kept if kept else (cap,)
+
+
+#: Phase names accepted by :func:`resolve_config`.
+PHASE_NAMES = ("phase1", "phase2", "phase3", "table1", "table2", "table3")
+
+
+def resolve_config(config: StudyConfig | str) -> StudyConfig:
+    """Turn a phase name (or pass an explicit grid through) into a config.
+
+    Named phases get their sizes capped by ``REPRO_MAX_SIZE``; an
+    explicit :class:`StudyConfig` is returned unchanged.
+    """
+    if isinstance(config, StudyConfig):
+        return config
+    name = str(config).lower()
+    if name in ("phase1", "table1"):
+        base = phase1_config()
+    elif name in ("phase2", "table2"):
+        base = phase2_config()
+    elif name == "phase3":
+        base = phase3_config()
+    elif name == "table3":
+        base = StudyConfig(name="table3", algorithms=ALGORITHM_NAMES, sizes=(256,))
+    else:
+        raise ValueError(f"unknown study phase {config!r}; expected one of {PHASE_NAMES}")
+    return StudyConfig(
+        name=base.name,
+        algorithms=base.algorithms,
+        sizes=effective_sizes(base.sizes),
+        caps_w=base.caps_w,
+    )

@@ -30,13 +30,14 @@ from pathlib import Path
 
 from ..core.engine import SweepEngine
 from ..core.profiles import ProfileCache, profile_from_ledger
+from ..core.runner import DEFAULT_VIZ_CYCLES
 from ..core.store import ResultStore
-from ..core.study import StudyConfig
+from ..core.study import StudyConfig, resolve_config
 from ..machine.simulator import Processor
 from ..machine.spec import MachineSpec
 from ..obs.trace import Tracer, event, span
 from .machine import MachineFaultInjector, inject_machine_faults
-from .plan import FaultPlan
+from .plan import FaultPlan, get_plan
 from .storefx import tear_tail
 
 __all__ = ["ChaosReport", "run_chaos"]
@@ -129,13 +130,14 @@ def _machine_probe(
 
 
 def run_chaos(
-    config: StudyConfig,
-    plan: FaultPlan,
+    config: StudyConfig | str = "phase1",
+    plan: FaultPlan | str = "default",
     *,
     store: str | Path,
     workers: int | None = 0,
-    n_cycles: int = 2,
+    n_cycles: int = DEFAULT_VIZ_CYCLES,
     seed: int = 7,
+    chaos_seed: int | None = None,
     dataset_kind: str = "blobs",
     spec: MachineSpec | None = None,
     timeout_s: float | None = None,
@@ -144,6 +146,13 @@ def run_chaos(
 ) -> ChaosReport:
     """Execute ``config`` under ``plan`` and report what survived.
 
+    ``config`` is a phase name or an explicit grid, ``plan`` a plan name
+    or a :class:`FaultPlan`; ``chaos_seed`` re-seeds the plan for a
+    different (still deterministic) fault schedule.  The contract
+    checked: every point surviving into the store is bitwise identical
+    to a fault-free run, unrecoverable points land in the quarantine
+    sidecar with reasons, and a torn store tail is recovered on resume.
+
     ``store`` must be a path (the resume pass re-opens it from disk to
     exercise recovery).  The reference sweep is serial and in-memory.
     ``trace`` (a :class:`~repro.obs.trace.Tracer` or a path) records all
@@ -151,6 +160,10 @@ def run_chaos(
     machine probe — plus both engines' spans into one trace file.
     """
     t0 = time.perf_counter()
+    config = resolve_config(config)
+    plan = get_plan(plan) if isinstance(plan, str) else plan
+    if chaos_seed is not None:
+        plan = plan.with_seed(chaos_seed)
     store_path = Path(store)
     report = ChaosReport(plan=plan.name, config=config.name)
     tracer = trace if isinstance(trace, Tracer) or trace is None else Tracer(trace)

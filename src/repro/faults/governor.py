@@ -180,7 +180,7 @@ def _out_of_range(epochs, spec: MachineSpec) -> int:
 
 
 def run_governor_chaos(
-    plan: GovernorFaultPlan,
+    plan: GovernorFaultPlan | str = "default",
     *,
     governor: str | Governor = "step:100=0.7:200=0.5",
     control: str = "power",
@@ -201,9 +201,11 @@ def run_governor_chaos(
     Every pass's epochs go through
     :meth:`PointValidator.check_epochs <repro.core.validate.PointValidator.check_epochs>`
     and the decision-range check; finally the reference is replayed and
-    must reproduce bitwise.
+    must reproduce bitwise.  ``plan`` is a plan name or a
+    :class:`GovernorFaultPlan`.
     """
     t0 = time.perf_counter()
+    plan = get_governor_plan(plan) if isinstance(plan, str) else plan
     proc = Processor(spec) if spec is not None else Processor()
     gov = parse_governor(governor) if isinstance(governor, str) else governor
     ctrl = make_control(control, proc.spec)

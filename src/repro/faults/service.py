@@ -37,7 +37,7 @@ from pathlib import Path
 
 from ..core.engine import SweepEngine
 from ..core.store import ResultStore
-from ..core.study import StudyConfig
+from ..core.study import StudyConfig, resolve_config
 from ..obs.trace import log_event
 from ..serve.service import SweepService
 from ..serve.wal import QueueState, WriteAheadLog
@@ -261,7 +261,7 @@ class ServiceChaosReport:
 
 
 def run_service_chaos(
-    config: StudyConfig,
+    config: StudyConfig | str = "phase1",
     plan: ServiceFaultInjector | str = "default",
     *,
     spool: str | Path,
@@ -288,6 +288,7 @@ def run_service_chaos(
     identical to the reference.
     """
     t0 = time.perf_counter()
+    config = resolve_config(config)
     injector = get_service_plan(plan) if isinstance(plan, str) else plan
     if chaos_seed is not None:
         injector = injector.with_seed(chaos_seed)

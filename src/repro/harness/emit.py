@@ -1,13 +1,13 @@
-"""Result emitters: CSV and Markdown for sweep results and figure series.
+"""Result emitters: CSV for sweep results and figure series.
 
 CSV is a *round-trip* format here, not just a report: ``cap_w`` is the
 join key between a CSV row and the sweep grid that produced it, so it is
 emitted at full precision (``repr``, the shortest digits that parse back
 bitwise-equal) and :func:`result_from_csv` reads rows back into a
-:class:`~repro.core.runner.StudyResult`.  Only the Markdown renderer,
-which is for human eyes, rounds caps to whole watts.  All file output
-goes through :mod:`repro.core.atomicio`, so a crash mid-emit can't leave
-a truncated CSV sitting next to an intact store.
+:class:`~repro.core.runner.StudyResult`.  Human-readable tables are
+:mod:`repro.core.report`'s job.  All file output goes through
+:mod:`repro.core.atomicio`, so a crash mid-emit can't leave a truncated
+CSV sitting next to an intact store.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from ..core.metrics import Ratios
 from ..core.report import FigureSeries
 from ..core.runner import RunPoint, StudyResult
 
-__all__ = ["result_to_csv", "result_from_csv", "result_to_markdown", "series_to_csv"]
+__all__ = ["result_to_csv", "result_from_csv", "series_to_csv"]
 
 _FIELDS = (
     "algorithm",
@@ -114,23 +114,6 @@ def result_from_csv(source: str | Path, *, config_name: str | None = None) -> St
         for row in reader
     ]
     return StudyResult(config_name=config_name or "csv", points=points)
-
-
-def result_to_markdown(result: StudyResult, *, size: int) -> str:
-    """A compact Markdown table of Tratio per (algorithm, cap)."""
-    pts = result.select(size=size)
-    caps = sorted({p.cap_w for p in pts}, reverse=True)
-    lines = [
-        "| algorithm | " + " | ".join(f"{c:.0f}W" for c in caps) + " |",
-        "|---" * (len(caps) + 1) + "|",
-    ]
-    for alg in result.algorithms:
-        rows = {p.cap_w: p for p in result.select(algorithm=alg, size=size)}
-        if not rows:
-            continue
-        cells = " | ".join(f"{rows[c].tratio:.2f}X" for c in caps)
-        lines.append(f"| {alg} | {cells} |")
-    return "\n".join(lines)
 
 
 def series_to_csv(series: dict[str, FigureSeries], path: str | Path | None = None) -> str:

@@ -21,7 +21,7 @@ the two concurrent phases.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,7 +33,6 @@ __all__ = [
     "BudgetDecision",
     "uniform_allocation",
     "advisor_allocation",
-    "governed_allocation",
 ]
 
 
@@ -152,39 +151,3 @@ def advisor_allocation(
             viz=fallback.viz,
         )
     return decision
-
-
-def governed_allocation(
-    proc: Processor,
-    sim_profile: WorkProfile,
-    viz_profile: WorkProfile,
-    node_budget_w: float,
-    governor,
-    trace,
-    *,
-    t_s: float = 0.0,
-    tolerance: float = 0.10,
-    cap_step_w: float = 5.0,
-) -> BudgetDecision:
-    """The advisor's split under a signal-governed node budget.
-
-    Samples ``trace`` (a :class:`~repro.insitu.governors.SignalTrace`)
-    at ``t_s``, lets the governor scale the nominal budget by its
-    capacity fraction — never below the 2-socket RAPL floor — and runs
-    the paper's advisor recipe against the effective budget.  The
-    decision's strategy is tagged with the governor so downstream
-    reports can attribute the split to the policy that produced it.
-    """
-    nominal = _validate_budget(proc, node_budget_w)
-    fraction = governor.limit(trace.value_at(t_s))
-    floor = 2 * proc.spec.rapl_floor_watts
-    effective = max(floor, nominal * fraction)
-    decision = advisor_allocation(
-        proc,
-        sim_profile,
-        viz_profile,
-        effective,
-        tolerance=tolerance,
-        cap_step_w=cap_step_w,
-    )
-    return replace(decision, strategy=f"governed[{governor.describe()}]:{decision.strategy}")

@@ -36,7 +36,6 @@ __all__ = [
     "Cluster",
     "uniform_caps",
     "demand_aware_caps",
-    "governed_system_caps",
 ]
 
 
@@ -172,31 +171,3 @@ def demand_aware_caps(
         caps[donor] -= step
         caps[slow] += step
     return cluster.run(workloads, [float(c) for c in caps], "demand-aware")
-
-
-def governed_system_caps(
-    cluster: Cluster,
-    workloads: list[WorkProfile],
-    budget_w: float,
-    governor,
-    trace,
-    *,
-    t_s: float = 0.0,
-    iterations: int = 12,
-) -> ClusterResult:
-    """Demand-aware division of a signal-governed system budget.
-
-    The facility-level generalization of §III-A: the overprovisioned
-    system budget is itself time-varying (price/CO₂-driven curtailment).
-    Samples ``trace`` at ``t_s``, scales the nominal budget by the
-    governor's capacity fraction — never below the N-socket RAPL floor —
-    and water-fills the effective budget across sockets.
-    """
-    fraction = governor.limit(trace.value_at(t_s))
-    floor = cluster.n_sockets * cluster.spec.rapl_floor_watts
-    if budget_w < floor:
-        raise ValueError(f"budget below the {cluster.n_sockets}-socket floor ({floor} W)")
-    effective = max(floor, float(budget_w) * fraction)
-    result = demand_aware_caps(cluster, workloads, effective, iterations=iterations)
-    result.strategy = f"governed[{governor.describe()}]:{result.strategy}"
-    return result

@@ -37,9 +37,6 @@ class DynamicCycleRecord:
     viz_time_s: float
     sim_power_w: float
     viz_power_w: float
-    #: The node budget this cycle was decided against (equal to the
-    #: runtime's static budget unless a governor rescaled it).
-    budget_w: float = 0.0
 
     @property
     def makespan_s(self) -> float:
@@ -79,46 +76,23 @@ class DynamicPowerRuntime:
         node_budget_w: float,
         *,
         headroom_w: float = 5.0,
-        governor=None,
-        signal_trace=None,
     ):
         floor = 2 * processor.spec.rapl_floor_watts
         if node_budget_w < floor:
             raise ValueError(f"node budget below the 2-socket floor ({floor} W)")
-        if (governor is None) != (signal_trace is None):
-            raise ValueError("governor and signal_trace must be given together")
         self.proc = processor
         self.budget = float(node_budget_w)
         self.headroom = float(headroom_w)
-        #: Optional power policy (:mod:`repro.insitu.governors`): when
-        #: set, each cycle's node budget is the static budget scaled by
-        #: the governor's capacity fraction for the signal sample at the
-        #: accumulated run time (never below the 2-socket floor).
-        self.governor = governor
-        self.signal_trace = signal_trace
 
     def _clamp(self, cap: float) -> float:
         return self.proc.rapl.validate_cap(cap)
 
-    def budget_at(self, t_s: float) -> float:
-        """The effective node budget for the cycle starting at ``t_s``."""
-        if self.governor is None:
-            return self.budget
-        fraction = self.governor.limit(self.signal_trace.value_at(t_s))
-        floor = 2 * self.proc.spec.rapl_floor_watts
-        return max(floor, self.budget * fraction)
-
-    def decide(
-        self, sim_draw_w: float, viz_draw_w: float, *, budget_w: float | None = None
-    ) -> tuple[float, float]:
+    def decide(self, sim_draw_w: float, viz_draw_w: float) -> tuple[float, float]:
         """Next cycle's (sim_cap, viz_cap) from measured draws."""
-        budget = self.budget if budget_w is None else float(budget_w)
         floor = self.proc.spec.rapl_floor_watts
-        if budget < 2 * floor:
-            raise ValueError(f"cycle budget below the 2-socket floor ({2 * floor} W)")
         want_sim = sim_draw_w + self.headroom
         want_viz = viz_draw_w + self.headroom
-        surplus = budget - want_sim - want_viz
+        surplus = self.budget - want_sim - want_viz
         if surplus >= 0:
             # Both satisfied: hand the surplus to the hungrier phase
             # (it is the one a cap would hurt).
@@ -128,7 +102,7 @@ class DynamicPowerRuntime:
                 want_viz += surplus
         else:
             # Oversubscribed: shave proportionally to demand.
-            scale = budget / (want_sim + want_viz)
+            scale = self.budget / (want_sim + want_viz)
             want_sim *= scale
             want_viz *= scale
         # The surplus hand-off may push one phase's wish near (or past)
@@ -140,8 +114,8 @@ class DynamicPowerRuntime:
         # Reserving floor headroom before clamping keeps the remainder
         # in [floor, budget] and the pair within the budget, since the
         # constructor guarantees budget >= 2 * floor.
-        sim_cap = self._clamp(min(want_sim, budget - floor))
-        viz_cap = self._clamp(min(want_viz, budget - sim_cap))
+        sim_cap = self._clamp(min(want_sim, self.budget - floor))
+        viz_cap = self._clamp(min(want_viz, self.budget - sim_cap))
         return sim_cap, viz_cap
 
     def run(
@@ -153,32 +127,25 @@ class DynamicPowerRuntime:
         """Drive ``n_cycles`` with per-cycle feedback.
 
         Cycle 0 starts from the naive 50/50 split; every later cycle
-        uses the previous cycle's measured draws.  With a governor the
-        budget itself is re-sampled at each cycle boundary.
+        uses the previous cycle's measured draws.
         """
         if n_cycles < 1:
             raise ValueError("need at least one cycle")
         result = DynamicRunResult()
-        t_s = 0.0
-        budget = self.budget_at(t_s)
-        sim_cap = viz_cap = self._clamp(budget / 2.0)
+        sim_cap = viz_cap = self._clamp(self.budget / 2.0)
         for cycle in range(n_cycles):
             sim_run = self.proc.run(sim_profile, sim_cap)
             viz_run = self.proc.run(viz_profile, viz_cap)
-            record = DynamicCycleRecord(
-                cycle=cycle,
-                sim_cap_w=sim_cap,
-                viz_cap_w=viz_cap,
-                sim_time_s=sim_run.time_s,
-                viz_time_s=viz_run.time_s,
-                sim_power_w=sim_run.avg_power_w,
-                viz_power_w=viz_run.avg_power_w,
-                budget_w=budget,
+            result.cycles.append(
+                DynamicCycleRecord(
+                    cycle=cycle,
+                    sim_cap_w=sim_cap,
+                    viz_cap_w=viz_cap,
+                    sim_time_s=sim_run.time_s,
+                    viz_time_s=viz_run.time_s,
+                    sim_power_w=sim_run.avg_power_w,
+                    viz_power_w=viz_run.avg_power_w,
+                )
             )
-            result.cycles.append(record)
-            t_s += record.makespan_s
-            budget = self.budget_at(t_s)
-            sim_cap, viz_cap = self.decide(
-                sim_run.avg_power_w, viz_run.avg_power_w, budget_w=budget
-            )
+            sim_cap, viz_cap = self.decide(sim_run.avg_power_w, viz_run.avg_power_w)
         return result

@@ -46,7 +46,6 @@ from .samples import (
 from .trace import (
     TRACE_FORMAT,
     Tracer,
-    configure,
     event,
     get_tracer,
     log_event,
@@ -59,7 +58,6 @@ from .trace import (
 __all__ = [
     "TRACE_FORMAT",
     "Tracer",
-    "configure",
     "get_tracer",
     "span",
     "event",

@@ -8,9 +8,10 @@ every layer of the sweep stack a shared tracing vocabulary:
   tests), hands out spans and point events, thread-safe, monotonic-clock
   based so wall-clock adjustments can't produce negative durations.
 * :func:`span` / :func:`event` — module-level helpers bound to the
-  *default* tracer.  When no tracer is configured they are no-ops with
-  near-zero cost, so instrumented hot paths (kernel executions, engine
-  dispatch) pay nothing in untraced runs.
+  *default* tracer (installed with :meth:`Tracer.as_default`).  When no
+  tracer is installed they are no-ops with near-zero cost, so
+  instrumented hot paths (kernel executions, engine dispatch) pay
+  nothing in untraced runs.
 * :func:`read_trace` / :func:`summarize_trace` — the analysis half:
   parse a trace file (tolerating a torn final line from a killed run)
   and aggregate per-phase time, backing ``repro trace``.
@@ -34,7 +35,6 @@ __all__ = [
     "TRACE_FORMAT",
     "TRACE_VERSION",
     "Tracer",
-    "configure",
     "get_tracer",
     "span",
     "event",
@@ -248,13 +248,6 @@ class _DefaultGuard:
 
 
 _default: Tracer | None = None
-
-
-def configure(target: Tracer | str | Path | None) -> Tracer | None:
-    """Set (or clear, with None) the process-wide default tracer."""
-    global _default
-    _default = target if isinstance(target, Tracer) or target is None else Tracer(target)
-    return _default
 
 
 def get_tracer() -> Tracer | None:

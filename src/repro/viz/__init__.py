@@ -22,7 +22,7 @@ from .isovolume import Isovolume, IsovolumeOutput
 from .raytrace import RayTracer, external_surface
 from .render import Camera, ColorMap, Image, orbit_cameras
 from .slicer import Slice
-from .tetclip import clip_grid_cells, clip_tet_soup, tet_cut_recipes
+from .tetclip import clip_tet_soup, tet_cut_recipes
 from .threshold import Threshold
 from .volume import VolumeRenderer
 
@@ -70,7 +70,6 @@ __all__ = [
     "Image",
     "orbit_cameras",
     "trilinear",
-    "clip_grid_cells",
     "clip_tet_soup",
     "tet_cut_recipes",
     "COSTS",

@@ -20,9 +20,14 @@ from ..data.tiling import k_slabs, pick_tile_planes
 from ..workload import WorkSegment
 from .base import Filter, OpCounts, segment_from_cost
 from .costs import COSTS
-from .tetclip import CLIP_TILE_BYTES_PER_CELL, _assemble_tets, classify_slab, cut_cell_batch
+from .tetclip import _assemble_tets, classify_slab, cut_cell_batch
 
 __all__ = ["SphericalClip", "ClipOutput"]
+
+#: Estimated live working bytes per cell for a one-sided grid clip tile:
+#: the g slab (8 B/point ≈ 8 B/cell), its sign field, the uint8 corner
+#: counts, and the straddle/kept index scratch.
+_TILE_BYTES_PER_CELL = 40.0
 
 
 @dataclass
@@ -132,7 +137,7 @@ class SphericalClip(Filter):
                 dataset.cell_field(self.field).values if scalars.ndim != 1 else None
             ),
             tile=pick_tile_planes(
-                nx * ny, CLIP_TILE_BYTES_PER_CELL, n_planes=nz, ceiling_cells=self.chunk_cells
+                nx * ny, _TILE_BYTES_PER_CELL, n_planes=nz, ceiling_cells=self.chunk_cells
             ),
         )
 

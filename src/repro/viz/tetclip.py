@@ -20,30 +20,16 @@ from functools import lru_cache
 
 import numpy as np
 
-from ..data.grid import (
-    HEX_CORNER_OFFSETS,
-    UniformGrid,
-    cell_corner_reduce,
-    corner_gather,
-    slab_corner_reduce,
-)
+from ..data.grid import HEX_CORNER_OFFSETS, UniformGrid, slab_corner_reduce
 from ..data.mc_tables import CUBE_TETS
 from ..data.mesh import TetMesh
-from ..data.tiling import k_slabs, pick_tile_planes
 
 __all__ = [
     "tet_cut_recipes",
-    "clip_grid_cells",
     "clip_tet_soup",
     "classify_slab",
     "cut_cell_batch",
-    "GridClipResult",
 ]
-
-#: Estimated live working bytes per cell for a one-sided grid clip tile:
-#: the g slab (8 B/point ≈ 8 B/cell), its sign field, the uint8 corner
-#: counts, and the straddle/kept index scratch.
-CLIP_TILE_BYTES_PER_CELL = 40.0
 
 # A recipe vertex is ("c", corner_index) — an original tet corner kept —
 # or ("e", i, j) — the g=0 crossing on edge (i, j), always ordered with
@@ -93,22 +79,6 @@ def tet_cut_recipes() -> dict[int, Recipe]:
     return recipes
 
 
-class GridClipResult:
-    """Outcome of clipping structured cells: whole keeps + cut tets."""
-
-    def __init__(
-        self,
-        kept_cell_ids: np.ndarray,
-        cut: TetMesh,
-        n_tets_cut: int,
-        n_cells_straddling: int,
-    ):
-        self.kept_cell_ids = np.asarray(kept_cell_ids, dtype=np.int64)
-        self.cut = cut
-        self.n_tets_cut = int(n_tets_cut)
-        self.n_cells_straddling = int(n_cells_straddling)
-
-
 def classify_slab(g_slab_lat: np.ndarray) -> np.ndarray:
     """Inside-corner counts for a point-``g`` lattice slab.
 
@@ -147,73 +117,6 @@ def cut_cell_batch(
     return _cut_tets(tpos, tg, ts, keep_output)
 
 
-def clip_grid_cells(
-    grid: UniformGrid,
-    point_g: np.ndarray,
-    *,
-    scalars: np.ndarray | None = None,
-    cell_ids: np.ndarray | None = None,
-    chunk_cells: int = 1 << 20,
-    keep_output: bool = True,
-) -> GridClipResult:
-    """Clip grid cells against the point field ``g >= 0``.
-
-    ``scalars`` (optional) is a point field carried through to the cut
-    tets' vertices (isovolume needs the original scalar there).
-
-    The full-grid path walks the lattice in cache-sized k-slab tiles
-    (:mod:`repro.data.tiling`): classification never materializes a
-    grid-sized id or mask array, and only straddling cells — the ones
-    that actually get cut — are ever gathered.  Tiles are visited in
-    ascending k order, so kept ids come out in linear cell order and
-    every count matches the untiled pass bitwise; only the row order of
-    cut tets (content-identical) depends on the tiling.
-    """
-    g_flat = np.asarray(point_g, dtype=np.float64).reshape(-1)
-    if cell_ids is not None:
-        return _clip_cells_subset(grid, g_flat, scalars, cell_ids, chunk_cells, keep_output)
-
-    nx, ny, nz = grid.cell_dims
-    px, py = nx + 1, ny + 1
-    g_lat = g_flat.reshape(nz + 1, py, px)
-    s_flat = None if scalars is None else np.asarray(scalars).reshape(-1)
-    tile = pick_tile_planes(
-        nx * ny, CLIP_TILE_BYTES_PER_CELL, n_planes=nz, ceiling_cells=chunk_cells
-    )
-
-    kept_chunks: list[np.ndarray] = []
-    pts_chunks: list[np.ndarray] = []
-    val_chunks: list[np.ndarray] = []
-    n_tets_cut = 0
-    n_straddle = 0
-    for k0, k1 in k_slabs(0, nz, tile):
-        kz = k1 - k0
-        n_in = classify_slab(g_lat[k0 : k1 + 1])
-        kept_local = np.nonzero(n_in == 8)[0]
-        straddle_local = np.nonzero((n_in > 0) & (n_in < 8))[0]
-        cell_base = k0 * nx * ny
-        if kept_local.size:
-            kept_chunks.append(kept_local + cell_base)
-        n_straddle += straddle_local.size
-        base_l, strides = corner_gather((nx, ny, kz))
-        for start in range(0, straddle_local.size, chunk_cells):
-            loc = straddle_local[start : start + chunk_cells]
-            pids = (base_l[loc] + k0 * px * py)[:, None] + strides[None, :]
-            gv = g_flat[pids]  # (ns, 8)
-            sv = s_flat[pids] if s_flat is not None else gv
-            pts, vals, n_out = cut_cell_batch(grid, loc + cell_base, gv, sv, keep_output)
-            n_tets_cut += n_out
-            if keep_output and pts is not None:
-                pts_chunks.append(pts)
-                val_chunks.append(vals)
-
-    kept = (
-        np.concatenate(kept_chunks) if kept_chunks else np.empty(0, dtype=np.int64)
-    )
-    cut = _assemble_tets(pts_chunks, val_chunks) if keep_output else TetMesh.empty()
-    return GridClipResult(kept, cut, n_tets_cut, n_straddle)
-
-
 def _assemble_tets(
     pts_chunks: list[np.ndarray], val_chunks: list[np.ndarray]
 ) -> TetMesh:
@@ -224,45 +127,6 @@ def _assemble_tets(
     values = np.concatenate(val_chunks)
     tets = np.arange(points.shape[0], dtype=np.int64).reshape(-1, 4)
     return TetMesh(points, tets, values)
-
-
-def _clip_cells_subset(
-    grid: UniformGrid,
-    g_flat: np.ndarray,
-    scalars: np.ndarray | None,
-    cell_ids: np.ndarray,
-    chunk_cells: int,
-    keep_output: bool,
-) -> GridClipResult:
-    """Legacy dense path for an explicit cell subset.
-
-    Classifies the whole lattice once and indexes the caller's ids, so
-    the caller's id order is preserved exactly (the two-pass isovolume
-    formulation depended on that; the fused filter no longer calls
-    this, but the public API keeps it for subset callers).
-    """
-    cell_ids = np.asarray(cell_ids, dtype=np.int64)
-    n_in = cell_corner_reduce(
-        grid.cell_dims, (g_flat >= 0.0).astype(np.uint8), np.add
-    )[cell_ids]
-    kept = cell_ids[n_in == 8]
-    straddle_ids = cell_ids[(n_in > 0) & (n_in < 8)]
-
-    pts_chunks: list[np.ndarray] = []
-    val_chunks: list[np.ndarray] = []
-    n_tets_cut = 0
-    for start in range(0, straddle_ids.size, chunk_cells):
-        ids = straddle_ids[start : start + chunk_cells]
-        cpids = grid.cell_point_ids(ids)
-        gv = g_flat[cpids]  # (ns, 8)
-        sv = scalars[cpids] if scalars is not None else gv
-        pts, vals, n_out = cut_cell_batch(grid, ids, gv, sv, keep_output)
-        n_tets_cut += n_out
-        if keep_output and pts is not None:
-            pts_chunks.append(pts)
-            val_chunks.append(vals)
-    cut = _assemble_tets(pts_chunks, val_chunks) if keep_output else TetMesh.empty()
-    return GridClipResult(kept, cut, n_tets_cut, straddle_ids.size)
 
 
 def clip_tet_soup(

@@ -1,9 +1,8 @@
-"""PowerAdvisor service, recommend_cap edge cases, recommend_split budget."""
+"""PowerAdvisor service and recommend_cap edge cases."""
 
 import pytest
 
-from repro.core.advisor import PowerAdvisor, recommend_cap, recommend_split
-from repro.core.classify import Classification, PowerClass
+from repro.core.advisor import PowerAdvisor, recommend_cap
 from repro.core.metrics import Ratios
 from repro.core.pricing import LedgerCache
 from repro.core.runner import RunPoint
@@ -26,18 +25,6 @@ def _point(cap_w, tratio, power_w=None, algorithm="contour", size=16):
         ipc=1.0,
         llc_miss_rate=0.01,
         ratios=Ratios(pratio=120.0 / cap_w, tratio=tratio, fratio=1.0),
-    )
-
-
-def _classification(power_class, natural_power_w):
-    return Classification(
-        algorithm="contour",
-        size=16,
-        power_class=power_class,
-        first_slowdown_cap_w=None,
-        natural_power_w=natural_power_w,
-        baseline_ipc=1.0,
-        llc_miss_rate=0.01,
     )
 
 
@@ -71,48 +58,6 @@ class TestRecommendCap:
     def test_empty_input_raises(self):
         with pytest.raises(ValueError):
             recommend_cap([])
-
-
-class TestRecommendSplit:
-    def test_budget_respected_for_opportunity(self):
-        cls = _classification(PowerClass.OPPORTUNITY, natural_power_w=45.0)
-        for budget in (80.0, 100.0, 130.0, 200.0, 240.0):
-            sim, viz = recommend_split(cls, node_budget_w=budget)
-            assert sim + viz <= budget + 1e-9, f"budget {budget}: {sim}+{viz}"
-            assert sim >= 40.0 and viz >= 40.0
-
-    def test_budget_respected_for_sensitive(self):
-        # The old allocator handed the simulation the full remaining
-        # headroom *plus* the floor, overshooting the budget.
-        cls = _classification(PowerClass.SENSITIVE, natural_power_w=95.0)
-        for budget in (80.0, 110.0, 135.0, 160.0, 240.0):
-            sim, viz = recommend_split(cls, node_budget_w=budget)
-            assert sim + viz <= budget + 1e-9, f"budget {budget}: {sim}+{viz}"
-            assert sim >= 40.0 and viz >= 40.0
-
-    def test_sensitive_keeps_natural_draw_when_budget_allows(self):
-        cls = _classification(PowerClass.SENSITIVE, natural_power_w=95.0)
-        sim, viz = recommend_split(cls, node_budget_w=200.0)
-        assert viz == 95.0
-        assert sim == 105.0
-
-    def test_opportunity_gets_floor(self):
-        cls = _classification(PowerClass.OPPORTUNITY, natural_power_w=45.0)
-        sim, viz = recommend_split(cls, node_budget_w=160.0)
-        assert viz == 40.0
-        assert sim == 120.0  # headroom clamped to TDP
-
-    def test_infeasible_budget_clamps_to_floors(self):
-        # Below two floors the pair cannot fit; both sides still get a
-        # valid RAPL cap (the floor) rather than an out-of-range value.
-        cls = _classification(PowerClass.OPPORTUNITY, natural_power_w=45.0)
-        sim, viz = recommend_split(cls, node_budget_w=60.0)
-        assert sim == 40.0 and viz == 40.0
-
-    def test_non_positive_budget_raises(self):
-        cls = _classification(PowerClass.OPPORTUNITY, natural_power_w=45.0)
-        with pytest.raises(ValueError):
-            recommend_split(cls, node_budget_w=0.0)
 
 
 class TestPowerAdvisor:

@@ -113,26 +113,12 @@ class TestStudyConfig:
 
 
 class TestEnergyDelayProduct:
-    def test_edp_and_ed2p(self):
-        from repro.core import energy_delay_product
-
-        assert energy_delay_product(100.0, 2.0) == pytest.approx(200.0)
-        assert energy_delay_product(100.0, 2.0, weight=2) == pytest.approx(400.0)
-
-    def test_validation(self):
-        from repro.core import energy_delay_product
-
-        with pytest.raises(ValueError):
-            energy_delay_product(-1.0, 1.0)
-        with pytest.raises(ValueError):
-            energy_delay_product(1.0, 1.0, weight=0)
-
     def test_deep_caps_cost_opportunity_class_little_edp(self):
         """Free-region caps leave a power-opportunity algorithm's EDP
         untouched, while the same relative cap costs a compute-bound
         algorithm far more — the facility-level version of the paper's
         tradeoff."""
-        from repro.core import SweepEngine, energy_delay_product
+        from repro.core import SweepEngine
         from repro.machine import Processor
 
         engine = SweepEngine(n_cycles=2, workers=0)
@@ -142,8 +128,6 @@ class TestEnergyDelayProduct:
             prof = engine.profile_for(alg, 16)
             base = proc.run(prof, 120.0)
             deep = proc.run(prof, 60.0)
-            degradation[alg] = energy_delay_product(
-                deep.energy_j, deep.time_s
-            ) / energy_delay_product(base.energy_j, base.time_s)
+            degradation[alg] = (deep.energy_j * deep.time_s) / (base.energy_j * base.time_s)
         assert degradation["threshold"] == pytest.approx(1.0, abs=0.02)
         assert degradation["volume"] > degradation["threshold"] + 0.1

@@ -110,16 +110,6 @@ class TestLedgerCache:
         reloaded = LedgerCache(path)
         assert len(reloaded) == 1
 
-    def test_invalidate_by_coordinate(self, tmp_path, ledgers):
-        cache = LedgerCache(tmp_path / "c.json")
-        for alg in ("contour", "volume"):
-            cache.put(alg, SIZE, ledgers[alg], dataset=DATASET, machine=MACHINE)
-        assert cache.invalidate(algorithm="contour") == 1
-        assert cache.get("contour", SIZE, dataset=DATASET, machine=MACHINE) is None
-        assert cache.get("volume", SIZE, dataset=DATASET, machine=MACHINE) is not None
-        assert cache.invalidate(machine=MACHINE) == 1
-        assert len(cache) == 0
-
     def test_ingest_profile_cache(self, tmp_path, ledgers):
         pcache = ProfileCache(tmp_path / "profiles.json")
         pcache.put("threshold", SIZE, ledgers["threshold"])

@@ -13,7 +13,6 @@ from repro.core import (
     figure3_series,
     ipc_by_size_series,
     recommend_cap,
-    recommend_split,
     render_slowdown_table,
     render_table1,
 )
@@ -109,33 +108,6 @@ class TestAdvisor:
         result, _ = mini_result
         rec = recommend_cap(result.select(algorithm="volume", size=16))
         assert rec.cap_w >= 70.0
-
-    def test_recommend_split_opportunity(self, mini_result):
-        result, _ = mini_result
-        c = classify_result(result, size=16)["contour"]
-        sim_cap, viz_cap = recommend_split(c, node_budget_w=160.0)
-        assert viz_cap == 40.0
-        assert sim_cap == 120.0  # all headroom, clamped to TDP
-
-    def test_recommend_split_sensitive(self, mini_result):
-        result, _ = mini_result
-        c = classify_result(result, size=16)["volume"]
-        _, viz_cap = recommend_split(c, node_budget_w=200.0)
-        assert viz_cap > 40.0  # sensitive algorithms keep their natural draw
-
-    def test_recommend_split_respects_feasible_budget(self, mini_result):
-        result, _ = mini_result
-        for name, c in classify_result(result, size=16).items():
-            for budget in (80.0, 100.0, 130.0, 200.0):
-                sim_cap, viz_cap = recommend_split(c, node_budget_w=budget)
-                assert sim_cap + viz_cap <= budget + 1e-9, (name, budget)
-                assert sim_cap >= 40.0 and viz_cap >= 40.0
-
-    def test_split_budget_validation(self, mini_result):
-        result, _ = mini_result
-        c = classify_result(result, size=16)["volume"]
-        with pytest.raises(ValueError):
-            recommend_split(c, node_budget_w=0.0)
 
 
 class TestReports:

@@ -221,49 +221,57 @@ class TestTelemetryCommands:
 
 
 class TestAdviseServeHardening:
-    def _serve(self, monkeypatch, small, lines):
-        import io
-
-        monkeypatch.setattr("sys.stdin", io.StringIO(lines))
-        return main([
-            "advise", "--serve",
-            "--cache", str(small / "ledgers.json"), "--cycles", "2",
-        ])
+    def _serve_loops(self, small):
+        """(argv, one good request) for both JSONL serve loops."""
+        return [
+            (
+                ["advise", "--serve", "--cache", str(small / "ledgers.json"), "--cycles", "2"],
+                {"algorithm": "threshold", "size": 12, "id": 9},
+            ),
+            (["jobs", str(small / "spool")], {"op": "report", "id": 9}),
+        ]
 
     def test_oversized_line_is_answered_and_loop_survives(
         self, capsys, small, monkeypatch
     ):
+        import io
         import json
 
-        huge = json.dumps({"algorithm": "threshold", "size": 12, "pad": "x" * 70_000})
-        good = json.dumps({"algorithm": "threshold", "size": 12, "id": 9})
-        rc = self._serve(monkeypatch, small, huge + "\n" + good + "\n")
-        assert rc == 0
-        out = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
-        assert len(out) == 2
-        assert not out[0]["ok"] and "exceeds" in out[0]["error"]
-        assert out[1]["ok"] and out[1]["id"] == 9  # the loop kept serving
+        for argv, good in self._serve_loops(small):
+            huge = json.dumps({**good, "pad": "x" * 70_000})
+            lines = huge + "\n" + json.dumps(good) + "\n"
+            monkeypatch.setattr("sys.stdin", io.StringIO(lines))
+            assert main(argv) == 0
+            out = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
+            assert len(out) == 2, argv[0]
+            assert not out[0]["ok"] and "exceeds" in out[0]["error"]
+            assert out[1]["ok"] and out[1]["id"] == 9  # the loop kept serving
 
     def test_invalid_json_is_answered_not_fatal(self, capsys, small, monkeypatch):
+        import io
         import json
 
-        good = json.dumps({"algorithm": "threshold", "size": 12})
-        rc = self._serve(monkeypatch, small, "{truncated\n" + good + "\n")
-        assert rc == 0
-        out = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
-        assert not out[0]["ok"]
-        assert out[1]["ok"]
+        for argv, good in self._serve_loops(small):
+            monkeypatch.setattr("sys.stdin", io.StringIO("{truncated\n" + json.dumps(good) + "\n"))
+            assert main(argv) == 0
+            out = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
+            assert not out[0]["ok"] and out[0]["error"].startswith("invalid JSON"), argv[0]
+            assert out[1]["ok"]
 
     def test_errors_are_counted_by_reason(self, small, monkeypatch, capsys):
+        import io
+
         from repro.obs.metrics import get_registry
 
-        counter = get_registry().counter(
-            "repro_advise_errors_total", reason="invalid-json"
-        )
-        before = counter.value
-        assert self._serve(monkeypatch, small, "nope\n") == 0
-        capsys.readouterr()
-        assert counter.value == before + 1
+        for argv, _ in self._serve_loops(small):
+            counter = get_registry().counter(
+                f"repro_{argv[0]}_errors_total", reason="invalid-json"
+            )
+            before = counter.value
+            monkeypatch.setattr("sys.stdin", io.StringIO("nope\n"))
+            assert main(argv) == 0
+            capsys.readouterr()
+            assert counter.value == before + 1, argv[0]
 
 
 class TestServeAndJobsCommands:
@@ -364,3 +372,25 @@ class TestChaosServiceCommand:
         assert rc == 0, out
         assert "service chaos report" in out
         assert "bitwise identical" in out
+
+
+class TestChaosGovernorCommand:
+    def _drill(self, capsys, *extra):
+        rc = main(["chaos", "--governor", "--plan", "default", "--epochs", "6", *extra])
+        out = capsys.readouterr().out
+        assert rc == 0, out
+        return out
+
+    def test_seed_reseeds_the_signal_faults(self, capsys):
+        # The plan's own seed (2019) drops 13 of the 24 samples.
+        for _ in range(2):
+            assert "7/24 samples dropped" in self._drill(capsys, "--seed", "99")
+
+    def test_trace_records_the_drill_spans(self, capsys, tmp_path):
+        from repro.obs.trace import read_trace
+
+        trace = tmp_path / "governor.trace.jsonl"
+        self._drill(capsys, "--trace", str(trace))
+        _, records = read_trace(trace)
+        names = {r["name"] for r in records if r["kind"] == "span"}
+        assert {"governor-chaos", "governor-drill"} <= names

@@ -6,7 +6,7 @@ from repro import api
 from repro.core import StudyConfig, SweepEngine
 from repro.core.profiles import ProfileCache
 from repro.core.study import effective_sizes
-from repro.harness import result_to_csv, result_to_markdown, series_to_csv
+from repro.harness import result_to_csv, series_to_csv
 from repro.core.report import FigureSeries
 
 
@@ -92,12 +92,6 @@ class TestEmitters:
         assert lines[0].startswith("algorithm,size,cap_w")
         assert len(lines) == 1 + len(small_result.points)
         assert (tmp_path / "r.csv").read_text() == text
-
-    def test_markdown_table(self, small_result):
-        md = result_to_markdown(small_result, size=16)
-        assert md.startswith("| algorithm |")
-        assert "threshold" in md
-        assert "120W" in md
 
     def test_series_csv(self, tmp_path):
         s = {"a": FigureSeries("a", (1.0, 2.0), (3.0, 4.0))}

@@ -8,9 +8,7 @@ from repro.core import SweepEngine
 from repro.insitu import (
     DynamicPowerRuntime,
     DynamicRunResult,
-    SignalTrace,
     advisor_allocation,
-    parse_governor,
     uniform_allocation,
 )
 
@@ -119,11 +117,6 @@ class TestDecideCapArithmetic:
         for c in res.cycles:
             assert c.sim_cap_w + c.viz_cap_w <= 90.0 + 1e-9
 
-    def test_explicit_budget_below_floor_rejected(self, processor):
-        rt = DynamicPowerRuntime(processor, 140.0)
-        with pytest.raises(ValueError, match="floor"):
-            rt.decide(50.0, 50.0, budget_w=60.0)
-
 
 class TestFinalCapsEmptyRun:
     def test_empty_run_raises_value_error(self):
@@ -134,36 +127,3 @@ class TestFinalCapsEmptyRun:
         res = DynamicPowerRuntime(processor, BUDGET).run(*profiles, n_cycles=2)
         sim_cap, viz_cap = res.final_caps()
         assert sim_cap > 0 and viz_cap > 0
-
-
-class TestGovernedDynamicRuntime:
-    def test_governor_rescales_budget_per_cycle(self, processor, profiles):
-        gov = parse_governor("const:0.7")
-        rt = DynamicPowerRuntime(
-            processor, 200.0, governor=gov, signal_trace=SignalTrace.constant(0.0)
-        )
-        res = rt.run(*profiles, n_cycles=3)
-        for c in res.cycles:
-            assert c.budget_w == pytest.approx(140.0)
-            assert c.sim_cap_w + c.viz_cap_w <= c.budget_w + 1e-9
-
-    def test_governed_budget_never_below_two_socket_floor(self, processor, profiles):
-        # A 0.25 fraction of 170 W is under the 80 W floor; the runtime
-        # must clamp rather than crash.
-        gov = parse_governor("const:0.25")
-        rt = DynamicPowerRuntime(
-            processor, 170.0, governor=gov, signal_trace=SignalTrace.constant(0.0)
-        )
-        res = rt.run(*profiles, n_cycles=2)
-        floor = 2 * processor.spec.rapl_floor_watts
-        for c in res.cycles:
-            assert c.budget_w >= floor
-            assert c.sim_cap_w + c.viz_cap_w <= c.budget_w + 1e-9
-
-    def test_no_governor_matches_static_budget(self, processor, profiles):
-        plain = DynamicPowerRuntime(processor, BUDGET).run(*profiles, n_cycles=3)
-        assert all(c.budget_w == BUDGET for c in plain.cycles)
-
-    def test_governor_requires_trace(self, processor):
-        with pytest.raises(ValueError, match="together"):
-            DynamicPowerRuntime(processor, BUDGET, governor=parse_governor("const:0.8"))

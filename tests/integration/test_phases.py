@@ -5,7 +5,7 @@ path the CLI table commands use — including the ledger cache round trip."""
 import pytest
 
 from repro import api
-from repro.harness import result_to_csv, result_to_markdown
+from repro.harness import result_to_csv
 
 
 @pytest.fixture(scope="module")
@@ -57,5 +57,3 @@ class TestPhases:
         r = run(engine, "table2")
         csv = result_to_csv(r)
         assert csv.count("\n") == 1 + len(r.points)
-        md = result_to_markdown(r, size=16)
-        assert md.count("|") > 20

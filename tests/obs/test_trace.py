@@ -9,7 +9,6 @@ import pytest
 from repro.obs.trace import (
     TRACE_FORMAT,
     Tracer,
-    configure,
     event,
     get_tracer,
     log_event,
@@ -23,9 +22,9 @@ from repro.obs.trace import (
 @pytest.fixture(autouse=True)
 def no_default_tracer():
     """Each test starts (and leaves) with tracing off."""
-    configure(None)
+    assert get_tracer() is None
     yield
-    configure(None)
+    assert get_tracer() is None
 
 
 class TestSpans:
@@ -114,8 +113,8 @@ class TestDefaultTracer:
             event("ping")
 
     def test_configure_and_module_span(self):
-        tr = configure(Tracer())
-        with span("phase"):
+        tr = Tracer()
+        with tr.as_default(), span("phase"):
             event("tick")
         assert {r["name"] for r in tr.records()} == {"phase", "tick"}
 
@@ -129,8 +128,8 @@ class TestDefaultTracer:
         assert get_tracer() is None
 
     def test_log_event_logs_and_traces(self, caplog):
-        tr = configure(Tracer())
-        with caplog.at_level(logging.WARNING, logger="repro.obs"):
+        tr = Tracer()
+        with tr.as_default(), caplog.at_level(logging.WARNING, logger="repro.obs"):
             log_event("cache-corrupt", "the cache is toast", path="/x")
         assert "the cache is toast" in caplog.text
         (rec,) = tr.records()

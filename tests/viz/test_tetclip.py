@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from repro.data import Association, DataSet, TetMesh, UniformGrid
 from repro.data.generators import linear_ramp
-from repro.viz.tetclip import clip_grid_cells, clip_tet_soup, tet_cut_recipes
+from repro.viz import Isovolume, SphericalClip
+from repro.viz.tetclip import clip_tet_soup, tet_cut_recipes
 
 
 class TestRecipes:
@@ -49,60 +50,73 @@ class TestRecipes:
         assert total == pytest.approx(1.0 / 6.0, rel=1e-9)
 
 
+def _dataset(grid: UniformGrid, values: np.ndarray) -> DataSet:
+    ds = DataSet(grid)
+    ds.add_field("energy", values, Association.POINT)
+    return ds
+
+
+def _kept_volume(out, grid: UniformGrid) -> float:
+    return out.total_volume(cell_volume=float(np.prod(grid.spacing)))
+
+
 class TestGridClip:
+    """The grid clip loop, through the two filters that run it: a
+    one-sided :class:`Isovolume` (``hi`` above the field) keeps exactly
+    ``g = s - lo >= 0``; :class:`SphericalClip` carries a scalar that is
+    not its clip function."""
+
     def test_halfspace_keeps_half(self, grid8):
-        g = linear_ramp(grid8) - 0.5
-        res = clip_grid_cells(grid8, g)
-        cell_vol = float(np.prod(grid8.spacing))
-        vol = res.kept_cell_ids.size * cell_vol + res.cut.total_volume()
-        assert vol == pytest.approx(0.5, rel=1e-9)
+        out = Isovolume(lo=0.5, hi=2.0).execute(_dataset(grid8, linear_ramp(grid8))).output
+        assert _kept_volume(out, grid8) == pytest.approx(0.5, rel=1e-9)
 
     def test_all_inside(self, grid8):
-        res = clip_grid_cells(grid8, np.ones(grid8.n_points))
-        assert res.kept_cell_ids.size == grid8.n_cells
-        assert res.cut.n_tets == 0
-        assert res.n_cells_straddling == 0
+        res = SphericalClip(center=(5.0, 5.0, 5.0), radius=0.1).execute(
+            _dataset(grid8, linear_ramp(grid8))
+        )
+        assert res.output.kept.n_cells == grid8.n_cells
+        assert res.output.cut.n_tets == 0
+        assert res.counts["cells_straddling"] == 0
 
     def test_all_outside(self, grid8):
-        res = clip_grid_cells(grid8, -np.ones(grid8.n_points))
-        assert res.kept_cell_ids.size == 0
-        assert res.cut.n_tets == 0
+        out = Isovolume(lo=2.0, hi=3.0).execute(_dataset(grid8, linear_ramp(grid8))).output
+        assert out.kept.n_cells == 0
+        assert out.cut.n_tets == 0
 
     def test_oblique_halfspace(self, grid8):
         """Plane not aligned with the lattice still partitions exactly."""
         pts = grid8.point_coords()
         g = (pts @ np.array([1.0, 1.0, 0.0])) / np.sqrt(2) - np.sqrt(2) / 2
-        cell_vol = float(np.prod(grid8.spacing))
-        res = clip_grid_cells(grid8, g)
-        vol = res.kept_cell_ids.size * cell_vol + res.cut.total_volume()
-        assert vol == pytest.approx(0.5, rel=1e-9)
+        out = Isovolume(lo=0.0, hi=2.0).execute(_dataset(grid8, g)).output
+        assert _kept_volume(out, grid8) == pytest.approx(0.5, rel=1e-9)
 
     def test_scalars_interpolated_on_cut(self, grid8):
         """Cut-tet vertex scalars must equal the carried field's value."""
-        g = linear_ramp(grid8) - 0.5
-        scal = linear_ramp(grid8) * 2.0  # carried field = 2x
-        res = clip_grid_cells(grid8, g, scalars=scal)
-        assert res.cut.n_tets > 0
-        np.testing.assert_allclose(res.cut.scalars, res.cut.points[:, 0] * 2.0, atol=1e-9)
+        ds = _dataset(grid8, linear_ramp(grid8) * 2.0)  # carried field = 2x
+        out = SphericalClip(radius=0.3).execute(ds).output
+        assert out.cut.n_tets > 0
+        np.testing.assert_allclose(out.cut.scalars, out.cut.points[:, 0] * 2.0, atol=1e-9)
 
     def test_chunking_invariant(self, grid8):
-        g = linear_ramp(grid8) - 0.37
-        r1 = clip_grid_cells(grid8, g, chunk_cells=1 << 20)
-        r2 = clip_grid_cells(grid8, g, chunk_cells=13)
-        assert r1.kept_cell_ids.size == r2.kept_cell_ids.size
-        assert r1.cut.total_volume() == pytest.approx(r2.cut.total_volume(), rel=1e-12)
+        ds = _dataset(grid8, linear_ramp(grid8))
+        for make in (
+            lambda chunk: SphericalClip(radius=0.37, chunk_cells=chunk),
+            lambda chunk: Isovolume(lo=0.37, hi=0.8, chunk_cells=chunk),
+        ):
+            r1 = make(1 << 20).execute(ds)
+            r2 = make(13).execute(ds)
+            assert np.array_equal(r1.output.kept.cell_ids, r2.output.kept.cell_ids)
+            assert r1.output.cut.total_volume() == pytest.approx(
+                r2.output.cut.total_volume(), rel=1e-12
+            )
+            assert r1.counts == r2.counts
 
     def test_keep_output_false(self, grid8):
-        g = linear_ramp(grid8) - 0.5
-        res = clip_grid_cells(grid8, g, keep_output=False)
-        assert res.cut.n_tets == 0
-        assert res.n_tets_cut > 0
-
-    def test_subset_cell_ids(self, grid8):
-        g = linear_ramp(grid8) - 0.5
-        subset = np.arange(0, grid8.n_cells, 2)
-        res = clip_grid_cells(grid8, g, cell_ids=subset)
-        assert set(res.kept_cell_ids).issubset(set(subset))
+        res = SphericalClip(radius=0.3, keep_output=False).execute(
+            _dataset(grid8, linear_ramp(grid8))
+        )
+        assert res.output.cut.n_tets == 0
+        assert res.counts["tets_emitted"] > 0
 
 
 class TestTetSoupClip:
@@ -125,10 +139,7 @@ class TestTetSoupClip:
         """Clipping a unit cube's tets by an axis plane keeps the exact
         fraction of the volume on the kept side."""
         grid = UniformGrid.cube(4)
-        pts = grid.point_coords()
         offset = 0.5 + n / 2.0
-        g = pts[:, axis] - offset
-        res = clip_grid_cells(grid, g)
-        cell_vol = float(np.prod(grid.spacing))
-        vol = res.kept_cell_ids.size * cell_vol + res.cut.total_volume()
-        assert vol == pytest.approx(1.0 - offset, abs=1e-9)
+        ds = _dataset(grid, grid.point_coords()[:, axis].copy())
+        out = Isovolume(lo=offset, hi=2.0).execute(ds).output
+        assert _kept_volume(out, grid) == pytest.approx(1.0 - offset, abs=1e-9)
