@@ -34,8 +34,7 @@ from pathlib import Path
 
 from repro.core.advisor import PowerAdvisor
 from repro.core.atomicio import atomic_write_json
-from repro.core.pricing import LedgerCache
-from repro.core.profiles import profile_from_ledger
+from repro.core.profiles import DEFAULT_CACHE_PATH, ProfileCache, profile_from_ledger
 from repro.core.runner import DEFAULT_VIZ_CYCLES, make_run_point
 from repro.core.study import ALGORITHM_NAMES, POWER_CAPS_W, effective_sizes
 from repro.machine.simulator import Processor
@@ -44,7 +43,6 @@ BENCH_FORMAT = "repro-bench-advisor"
 BENCH_VERSION = 1
 
 DEFAULT_BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_advisor.json"
-DEFAULT_CACHE_PATH = Path(".cache") / "advise-ledgers.json"
 
 #: The acceptance grid: every algorithm, three sizes, every paper cap.
 GRID_SIZES: tuple[int, ...] = (32, 64, 128)
@@ -104,7 +102,7 @@ def run_suite(
 ) -> dict:
     """Measure fill/cold/warm advisor throughput; record and return the doc."""
     sizes = sorted(set(int(s) for s in sizes))
-    cache = LedgerCache(cache_path)
+    cache = ProfileCache(cache_path)
     advisor = PowerAdvisor(cache=cache, n_cycles=n_cycles)
     n_queries = len(ALGORITHM_NAMES) * len(sizes) * len(POWER_CAPS_W)
 
@@ -205,8 +203,9 @@ def main(argv: list[str] | None = None) -> int:
                         help="visualization cycles per measurement")
     parser.add_argument("--path", default=str(DEFAULT_BENCH_PATH),
                         help="benchmark document to write")
-    parser.add_argument("--cache", default=str(DEFAULT_CACHE_PATH),
-                        help="ledger cache path ('' for in-memory)")
+    parser.add_argument("--cache", default=DEFAULT_CACHE_PATH,
+                        help="ledger cache path, the one sweep and advise use "
+                        "('' for in-memory)")
     parser.add_argument("--no-check", action="store_true",
                         help="skip the throughput-floor regression check")
     parser.add_argument("--no-verify", action="store_true",

@@ -35,7 +35,6 @@ from .core.advisor import PowerAdvisor
 from .core.classify import Classification, classify_result
 from .core.engine import SweepEngine
 from .core.metrics import SLOWDOWN_THRESHOLD
-from .core.pricing import LedgerCache
 from .core.profiles import DEFAULT_CACHE_PATH, ProfileCache
 from .core.runner import DEFAULT_VIZ_CYCLES, RunPoint, StudyResult
 from .core.store import ResultStore
@@ -286,7 +285,7 @@ class AdviseResponse:
 def advisor(
     *,
     machine: str = "broadwell",
-    cache: LedgerCache | str | Path | None = None,
+    cache: ProfileCache | str | Path | None = None,
     dataset_kind: str = "blobs",
     seed: int = 7,
     n_cycles: int = DEFAULT_VIZ_CYCLES,
@@ -295,8 +294,11 @@ def advisor(
     """A configured :class:`~repro.core.advisor.PowerAdvisor`.
 
     The facade's construction point for the advise service: ``machine``
-    names a preset, ``cache`` a content-addressed ledger cache (path or
-    instance; None keeps it in memory).
+    names a preset, ``cache`` the ledger store (a path or a
+    :class:`~repro.core.profiles.ProfileCache`; None keeps it in
+    memory).  A sweep's cache file serves it as it is, and advisors for
+    different machines can share one store: no machine enters a
+    ledger.  Pass one instance to every advisor on a file.
     """
     if machine not in ALL_PRESETS:
         raise ValueError(
@@ -313,18 +315,23 @@ def advisor(
 
 
 #: Process-wide advisors for the zero-setup ``api.advise()`` path, one
-#: per (machine, cache) pair so repeat queries stay warm.
+#: per (machine, cache) pair so repeat queries stay warm, over one
+#: ledger store per cache value (``None`` included) shared by every
+#: machine's advisor.
 _ADVISORS: dict[tuple[str, str | None], PowerAdvisor] = {}
+_STORES: dict[str | None, ProfileCache] = {}
 _ADVISORS_LOCK = threading.Lock()
 
 
 def _shared_advisor(machine: str, cache: str | Path | None) -> PowerAdvisor:
-    key = (machine, str(cache) if cache is not None else None)
+    where = str(cache) if cache is not None else None
     with _ADVISORS_LOCK:
-        adv = _ADVISORS.get(key)
+        adv = _ADVISORS.get((machine, where))
         if adv is None:
-            adv = advisor(machine=machine, cache=cache)
-            _ADVISORS[key] = adv
+            store = _STORES.get(where)
+            if store is None:
+                store = _STORES[where] = ProfileCache(cache)
+            adv = _ADVISORS[(machine, where)] = advisor(machine=machine, cache=store)
         return adv
 
 
@@ -347,8 +354,9 @@ def advise(
 
     With no explicit ``advisor``, a process-wide advisor per (machine,
     cache) pair serves the query, so repeated calls stay warm.  The
-    first query for an (algorithm, size) executes the real algorithm
-    once; every later one reprices its cached ledger closed-form.
+    first query for an (algorithm, size), on any machine, executes the
+    real algorithm once; every later one reprices its cached ledger
+    closed-form.
     """
     if request is None:
         request = AdviseRequest(**kwargs)

@@ -77,7 +77,7 @@ from .core import (
     render_table1,
 )
 from .core.engine import SweepEngine
-from .core.profiles import DEFAULT_CACHE_PATH
+from .core.profiles import DEFAULT_CACHE_PATH, ProfileCache
 from .core.runner import DEFAULT_VIZ_CYCLES
 from .core.study import ALGORITHM_NAMES
 from .machine.presets import ALL_PRESETS
@@ -656,13 +656,14 @@ def _render_advise(resp) -> str:
 def cmd_advise(args) -> int:
     import json as _json
 
+    # One store for every machine's advisor: each store instance
+    # rewrites the whole file from its own entries.
+    store = ProfileCache(args.cache or None)
     advisors: dict[str, object] = {}
 
     def advisor_for(machine: str):
         if machine not in advisors:
-            advisors[machine] = api.advisor(
-                machine=machine, cache=args.cache or None, n_cycles=args.cycles
-            )
+            advisors[machine] = api.advisor(machine=machine, cache=store, n_cycles=args.cycles)
         return advisors[machine]
 
     if args.serve:
@@ -763,7 +764,8 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="visualization cycles per measurement")
     cache = argparse.ArgumentParser(add_help=False)
     cache.add_argument("--cache", default=DEFAULT_CACHE_PATH,
-                       help="op-ledger cache path ('' to disable)")
+                       help="op-ledger cache path, shared by sweep, the table "
+                       "commands and advise ('' keeps it in memory)")
     csv = argparse.ArgumentParser(add_help=False)
     csv.add_argument("--csv", default=None, metavar="DIR",
                      help="also write CSV artifacts to DIR")
@@ -926,13 +928,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     advise = sub.add_parser(
         "advise",
+        parents=[cache],
         help="price an algorithm under a cap from the ledger cache (or --serve)",
         description="Hot-path pricing queries: the first query per "
-        "(algorithm, size, machine) executes the real algorithm once to "
-        "record its op-count ledger; every later query reprices the cached "
-        "ledger closed-form in microseconds. --serve reads one JSON request "
-        "per stdin line and writes one JSON response line "
-        "(see docs/pricing_service.md).",
+        "(algorithm, size) executes the real algorithm once to record its "
+        "op-count ledger, unless a sweep already did; every later query, on "
+        "any machine, reprices the cached ledger closed-form in "
+        "microseconds. --serve reads one JSON request per stdin line and "
+        "writes one JSON response line (see docs/pricing_service.md).",
     )
     advise.add_argument("algorithm", nargs="?", default=None, choices=list(ALGORITHM_NAMES),
                         help="visualization algorithm to price")
@@ -945,9 +948,6 @@ def _build_parser() -> argparse.ArgumentParser:
     advise.add_argument("--machine", default="broadwell",
                         choices=sorted(ALL_PRESETS),
                         help="machine preset to price on (default: broadwell)")
-    advise.add_argument("--cache", default=str(Path(".cache") / "advise-ledgers.json"),
-                        metavar="PATH",
-                        help="content-addressed ledger cache ('' to keep in memory)")
     advise.add_argument("--cycles", type=int, default=DEFAULT_VIZ_CYCLES,
                         help="visualization cycles per measurement")
     advise.add_argument("--serve", action="store_true",

@@ -2,13 +2,7 @@
 
 from .advisor import Advice, CapRecommendation, PowerAdvisor, recommend_cap
 from .atomicio import atomic_write_json, atomic_write_text
-from .pricing import (
-    BatchRepricer,
-    LedgerCache,
-    dataset_fingerprint,
-    ledger_key,
-    machine_spec_hash,
-)
+from .pricing import BatchRepricer
 from .benchtrack import (
     SPEEDUP_FLOORS,
     BenchTracker,
@@ -100,11 +94,7 @@ __all__ = [
     "recommend_cap",
     "Advice",
     "PowerAdvisor",
-    "LedgerCache",
     "BatchRepricer",
-    "machine_spec_hash",
-    "dataset_fingerprint",
-    "ledger_key",
     "ClassPrediction",
     "predict_class",
     "predicted_cap",

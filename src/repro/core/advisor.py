@@ -10,13 +10,13 @@ The paper's two use cases (§VII):
    sits below ``core``: :func:`repro.insitu.budget.advisor_allocation`.
 
 :class:`PowerAdvisor` packages the first use case as a hot-path query
-service: op-count ledgers come from the content-addressed
-:class:`~repro.core.pricing.LedgerCache` (recorded once per
-(algorithm, size, dataset, machine) by executing the real algorithm),
-caps are priced through the vectorized
-:class:`~repro.core.pricing.BatchRepricer`, and every query is
-instrumented with :mod:`repro.obs` spans and metrics — the backing for
-``repro advise`` and :func:`repro.api.advise`.
+service: op-count ledgers come from the one ledger store,
+:class:`~repro.core.profiles.ProfileCache` (recorded once per
+(algorithm, size) and dataset recipe by executing the real algorithm,
+by a sweep or by an earlier query on any machine), caps are priced
+through the vectorized :class:`~repro.core.pricing.BatchRepricer`, and
+every query is instrumented with :mod:`repro.obs` spans and metrics —
+the backing for ``repro advise`` and :func:`repro.api.advise`.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ from ..machine.spec import BROADWELL_E5_2695V4, MachineSpec
 from ..obs.metrics import MetricsRegistry, get_registry
 from ..obs.trace import span
 from .metrics import SLOWDOWN_THRESHOLD
-from .pricing import BatchRepricer, LedgerCache, dataset_fingerprint, machine_spec_hash
-from .profiles import run_algorithm_ledger
+from .pricing import BatchRepricer
+from .profiles import ProfileCache, run_algorithm_ledger
 from .runner import DEFAULT_VIZ_CYCLES, RunPoint
 from .study import POWER_CAPS_W
 
@@ -106,7 +106,9 @@ class PowerAdvisor:
     The first query for an (algorithm, size) executes the real
     algorithm once to record its op-count ledger (a cache fill — the
     same job body the sweep engine runs); every later query reprices
-    the cached ledger closed-form in microseconds.
+    the cached ledger closed-form in microseconds.  The cache is bound
+    to the advisor's dataset recipe, as the engine binds its own, so
+    advisors for every machine and sweep engines can share one.
 
     Instrumentation: ``repro_advise_queries_total{outcome=hit|miss}``
     counters, a ``repro_advise_latency_seconds`` histogram, and
@@ -117,7 +119,7 @@ class PowerAdvisor:
         self,
         spec: MachineSpec | None = None,
         *,
-        cache: LedgerCache | str | Path | None = None,
+        cache: ProfileCache | str | Path | None = None,
         dataset_kind: str = "blobs",
         seed: int = 7,
         n_cycles: int = DEFAULT_VIZ_CYCLES,
@@ -126,7 +128,8 @@ class PowerAdvisor:
         metrics: MetricsRegistry | None = None,
     ):
         self.spec = spec if spec is not None else BROADWELL_E5_2695V4
-        self.cache = cache if isinstance(cache, LedgerCache) else LedgerCache(cache)
+        self.cache = cache if isinstance(cache, ProfileCache) else ProfileCache(cache)
+        self.cache.bind(dataset_kind, seed)
         self.repricer = BatchRepricer(self.spec, n_cycles=n_cycles)
         self.dataset_kind = str(dataset_kind)
         self.seed = int(seed)
@@ -134,8 +137,10 @@ class PowerAdvisor:
         if not self.caps_w:
             raise ValueError("need at least one power cap")
         self.tolerance = float(tolerance)
-        self.dataset = dataset_fingerprint(self.dataset_kind, seed=self.seed)
-        self.machine = machine_spec_hash(self.spec)
+        #: The ``(dataset_kind, seed)`` recipe and the spec name, in the
+        #: shape :meth:`ProfileCache.ingest_profile_cache` takes them.
+        self.dataset = (self.dataset_kind, self.seed)
+        self.machine = self.spec.name
         reg = metrics if metrics is not None else get_registry()
         self._q_hit = reg.counter(
             "repro_advise_queries_total", "advise queries", outcome="hit"
@@ -155,16 +160,16 @@ class PowerAdvisor:
 
         A miss executes the real algorithm once — the same cache-fill
         body the sweep engine's profile jobs run — and stores the
-        ledger under its content address for every later query.
+        ledger for every later query, on any machine.
         """
-        ledger = self.cache.get(algorithm, size, dataset=self.dataset, machine=self.machine)
+        ledger = self.cache.get(algorithm, size)
         if ledger is not None:
             return ledger, True
         with span("advise-fill", algorithm=algorithm, size=int(size)):
             ledger = run_algorithm_ledger(
                 algorithm, size, dataset_kind=self.dataset_kind, seed=self.seed
             )
-        self.cache.put(algorithm, size, ledger, dataset=self.dataset, machine=self.machine)
+        self.cache.put(algorithm, size, ledger)
         return ledger, False
 
     def warm(self, algorithms, sizes) -> int:

@@ -1,17 +1,13 @@
-"""Content-addressed ledger cache and vectorized batch repricing.
+"""Vectorized batch repricing.
 
 The expensive half of answering "what does algorithm X at size S cost
 under cap C?" is executing the real algorithm; everything after the
-op-count ledger is closed-form.  This module makes the cheap half
-*actually cheap* and the expensive half *happen once*:
-
-* :class:`LedgerCache` — a content-addressed store of op-count ledgers
-  keyed by ``(algorithm, size, dataset fingerprint, machine spec hash)``.
-  The key is a SHA-256 digest of the canonical-JSON coordinate tuple, so
-  a ledger recorded under one machine/dataset can never be silently
-  repriced under another — changing the spec *is* cache invalidation.
-  Persistence goes through :mod:`repro.core.atomicio` (temp + fsync +
-  ``os.replace``), the same crash-safety contract the result store makes.
+op-count ledger is closed-form.  The expensive half happens once per
+(algorithm, size) and dataset recipe: its ledger lands in the one
+ledger store, :class:`~repro.core.profiles.ProfileCache`, which the
+sweep engine, the service and the advisor share.  No machine enters a
+ledger, so one recorded ledger prices on every socket.  This module
+makes the cheap half *actually cheap*:
 
 * :class:`BatchRepricer` — reprices whole cap grids in one numpy pass,
   **bitwise identical** to :meth:`repro.machine.simulator.Processor.run`
@@ -34,8 +30,8 @@ op-count ledger is closed-form.  This module makes the cheap half
   :class:`~repro.machine.simulator.SegmentRecord`\\ s that sample
   streams are synthesized from.
 
-``docs/pricing_service.md`` documents the key scheme, the invalidation
-story, and the bench methodology behind ``BENCH_advisor.json``.
+``docs/pricing_service.md`` documents the ledger store, the pricing
+pass, and the bench methodology behind ``BENCH_advisor.json``.
 """
 
 from __future__ import annotations
@@ -45,9 +41,6 @@ import json
 import math
 import threading
 from collections import OrderedDict
-from dataclasses import asdict
-from pathlib import Path
-from typing import Iterator
 
 import numpy as np
 
@@ -56,264 +49,21 @@ from ..machine.power import PowerModel
 from ..machine.rapl import RaplController
 from ..machine.simulator import SegmentRecord
 from ..machine.spec import BROADWELL_E5_2695V4, MachineSpec
-from ..obs.metrics import MetricsRegistry, get_registry
-from ..obs.trace import log_event
-from .atomicio import atomic_write_json
 from .metrics import Ratios
 from .profiles import ProfileCache, profile_from_ledger
 from .runner import DEFAULT_VIZ_CYCLES, RunPoint
 
-__all__ = [
-    "LEDGER_CACHE_FORMAT",
-    "LEDGER_CACHE_VERSION",
-    "machine_spec_hash",
-    "dataset_fingerprint",
-    "ledger_key",
-    "LedgerCache",
-    "BatchRepricer",
-    "PricedPoints",
-]
+__all__ = ["BatchRepricer", "PricedPoints"]
 
-LEDGER_CACHE_FORMAT = "repro-ledger-cache"
-LEDGER_CACHE_VERSION = 1
+#: The name the benchmark's span wrappers and advise workload still use
+#: for the one ledger store.
+LedgerCache = ProfileCache
 
 
 def _digest(payload: dict) -> str:
     """SHA-256 over canonical (sorted-key) JSON, truncated to 16 hex chars."""
     text = json.dumps(payload, sort_keys=True, default=repr)
     return hashlib.sha256(text.encode()).hexdigest()[:16]
-
-
-def machine_spec_hash(spec: MachineSpec) -> str:
-    """Content hash of a machine spec — every field participates.
-
-    Any electrical-constant recalibration, cache-size tweak, or new
-    frequency bin changes the hash, so every ledger recorded under the
-    old machine stops matching instead of being repriced on stale terms.
-    """
-    return _digest(asdict(spec))
-
-
-def dataset_fingerprint(kind: str = "blobs", *, seed: int = 7) -> str:
-    """Content hash of the dataset recipe the ledger was recorded against.
-
-    Ledgers depend on the field *values* (cells intersected, rays
-    traced, ...), and the generators are deterministic in (kind, seed) —
-    that pair plus the size (which is part of the cache coordinates) is
-    the full recipe.
-    """
-    return _digest({"kind": str(kind), "seed": int(seed)})
-
-
-def ledger_key(algorithm: str, size: int, *, dataset: str, machine: str) -> str:
-    """The content address of one ledger cache entry."""
-    return _digest(
-        {
-            "algorithm": str(algorithm),
-            "size": int(size),
-            "dataset": str(dataset),
-            "machine": str(machine),
-        }
-    )
-
-
-class LedgerCache:
-    """Content-addressed (algorithm, size, dataset, machine) → ledger cache.
-
-    ``path=None`` keeps the cache in memory only; otherwise the whole
-    document is persisted atomically after every mutation (ledgers are
-    tiny — a few dozen floats each) by a write-behind drain that never
-    holds the mutation lock across the disk write, so readers are never
-    stalled behind an fsync.  Hit/miss traffic is published to the
-    metrics registry as ``repro_ledger_cache_requests_total``.
-    """
-
-    FORMAT = LEDGER_CACHE_FORMAT
-    VERSION = LEDGER_CACHE_VERSION
-
-    def __init__(self, path: str | Path | None = None, *, metrics: MetricsRegistry | None = None):
-        self._lock = threading.Lock()
-        #: key → {"algorithm", "size", "dataset", "machine", "ledger"}
-        self._entries: dict[str, dict] = {}
-        # Write-behind persist state (see _persist): guarded by _lock.
-        self._persist_active = False
-        self._persist_pending = False
-        self.path = Path(path) if path is not None else None
-        reg = metrics if metrics is not None else get_registry()
-        self._hits = reg.counter(
-            "repro_ledger_cache_requests_total", "ledger cache lookups", outcome="hit"
-        )
-        self._misses = reg.counter(
-            "repro_ledger_cache_requests_total", "ledger cache lookups", outcome="miss"
-        )
-        if self.path is not None and self.path.exists():
-            self._load(self.path)
-
-    # ------------------------------------------------------------ persistence
-    def _load(self, p: Path) -> None:
-        try:
-            doc = json.loads(p.read_text())
-        except json.JSONDecodeError as exc:
-            # Torn mid-record (crash before this cache existed, external
-            # truncation): the cache only memoizes re-runnable work, so
-            # recover by starting empty — but move the damage aside so it
-            # is inspectable, and say so through obs.  Wrong-format and
-            # too-new files still raise below: those are *intact* files
-            # we must not destroy.
-            corrupt = p.with_name(p.name + ".corrupt")
-            log_event(
-                "ledger-cache-corrupt",
-                f"ledger cache {p} is truncated or corrupt ({exc!r}); "
-                f"renaming to {corrupt.name} and starting with an empty cache",
-                path=str(p),
-                renamed_to=str(corrupt),
-            )
-            try:
-                p.replace(corrupt)
-            except OSError:
-                pass  # read-only cache dir: the warning above still fired
-            return
-        if doc.get("format") != self.FORMAT:
-            raise ValueError(f"{p} is not a ledger cache (format={doc.get('format')!r})")
-        if int(doc.get("version", 1)) > self.VERSION:
-            raise ValueError(
-                f"{p} has cache version {doc['version']}, newer than supported {self.VERSION}"
-            )
-        entries: dict[str, dict] = {}
-        dropped = 0
-        for key, entry in doc.get("entries", {}).items():
-            expect = ledger_key(
-                entry["algorithm"],
-                int(entry["size"]),
-                dataset=entry["dataset"],
-                machine=entry["machine"],
-            )
-            if key != expect:
-                # Content addressing is the integrity check: a key that
-                # no longer matches its coordinates means the file was
-                # hand-edited or torn — drop the entry, keep the rest.
-                dropped += 1
-                continue
-            entries[key] = {
-                "algorithm": str(entry["algorithm"]),
-                "size": int(entry["size"]),
-                "dataset": str(entry["dataset"]),
-                "machine": str(entry["machine"]),
-                "ledger": {k: float(v) for k, v in entry["ledger"].items()},
-            }
-        if dropped:
-            log_event(
-                "ledger-cache-integrity",
-                f"dropped {dropped} ledger cache entr{'y' if dropped == 1 else 'ies'} "
-                f"whose content address does not match its coordinates",
-                path=str(p),
-                dropped=dropped,
-            )
-        with self._lock:
-            self._entries = entries
-
-    def _persist(self) -> None:
-        """Write-behind persist: snapshot under the lock, write outside it.
-
-        Holding ``_lock`` across the atomic write (flush + fsync) would
-        stall every reader behind disk latency — the blocking-under-lock
-        hazard RPR011 flags.  Instead one writer at a time drains: it
-        snapshots the entries under the lock, writes with no lock held,
-        and loops if a mutation landed mid-write, so the file always
-        converges to the latest state and writes can never interleave
-        out of order.
-        """
-        if self.path is None:
-            return
-        with self._lock:
-            if self._persist_active:
-                self._persist_pending = True
-                return
-            self._persist_active = True
-        while True:
-            with self._lock:
-                self._persist_pending = False
-                entries = {
-                    k: dict(e, ledger=dict(e["ledger"])) for k, e in self._entries.items()
-                }
-            doc = {"format": self.FORMAT, "version": self.VERSION, "entries": entries}
-            atomic_write_json(self.path, doc)
-            with self._lock:
-                if not self._persist_pending:
-                    self._persist_active = False
-                    return
-
-    # ----------------------------------------------------------------- access
-    def get(
-        self, algorithm: str, size: int, *, dataset: str, machine: str
-    ) -> dict[str, float] | None:
-        key = ledger_key(algorithm, size, dataset=dataset, machine=machine)
-        with self._lock:
-            entry = self._entries.get(key)
-        if entry is None:
-            self._misses.inc()
-            return None
-        self._hits.inc()
-        return dict(entry["ledger"])
-
-    def put(
-        self,
-        algorithm: str,
-        size: int,
-        ledger: dict[str, float],
-        *,
-        dataset: str,
-        machine: str,
-    ) -> str:
-        """Store a ledger under its content address; returns the key."""
-        key = ledger_key(algorithm, size, dataset=dataset, machine=machine)
-        entry = {
-            "algorithm": str(algorithm),
-            "size": int(size),
-            "dataset": str(dataset),
-            "machine": str(machine),
-            "ledger": {k: float(v) for k, v in ledger.items()},
-        }
-        with self._lock:
-            self._entries[key] = entry
-        self._persist()
-        return key
-
-    def entries(self) -> Iterator[tuple[str, int, str, str, dict[str, float]]]:
-        """Iterate ``(algorithm, size, dataset, machine, ledger)`` snapshots."""
-        with self._lock:
-            snapshot = [dict(e, ledger=dict(e["ledger"])) for e in self._entries.values()]
-        for e in snapshot:
-            yield (e["algorithm"], e["size"], e["dataset"], e["machine"], e["ledger"])
-
-    def ingest_profile_cache(
-        self, cache: ProfileCache, *, dataset: str, machine: str
-    ) -> int:
-        """Import a sweep engine's :class:`ProfileCache` wholesale.
-
-        The engine's cache is keyed by (algorithm, size) only — the
-        caller asserts which dataset recipe and machine those ledgers
-        were recorded under.  Returns the number of entries added.
-        """
-        added = 0
-        for algorithm, size, ledger in cache.entries():
-            key = ledger_key(algorithm, size, dataset=dataset, machine=machine)
-            with self._lock:
-                known = key in self._entries
-            if not known:
-                self.put(algorithm, size, ledger, dataset=dataset, machine=machine)
-                added += 1
-        return added
-
-    def __contains__(self, coords: tuple[str, int, str, str]) -> bool:
-        algorithm, size, dataset, machine = coords
-        key = ledger_key(algorithm, size, dataset=dataset, machine=machine)
-        with self._lock:
-            return key in self._entries
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
 
 
 class _PricingTable:

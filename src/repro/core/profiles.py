@@ -20,9 +20,11 @@ This module owns that bridge for the whole repo:
 * :func:`profile_from_ledger` — ledger → cycle-scaled
   :class:`~repro.workload.WorkProfile`, the single pricing path used by
   the engine and the facade.
-* :class:`ProfileCache` — the versioned JSON cache of ledgers shared by
-  every engine over the same file (``DEFAULT_CACHE_PATH`` for the CLI),
-  bound to the one dataset recipe its ledgers were recorded under.
+* :class:`ProfileCache` — the one ledger store: a versioned JSON cache
+  shared by every engine and advisor over the same file
+  (``DEFAULT_CACHE_PATH`` for the CLI), bound to the one dataset recipe
+  its ledgers were recorded under.  No machine enters its key: a ledger
+  counts operations, and any socket prices them.
 """
 
 from __future__ import annotations
@@ -50,7 +52,8 @@ __all__ = [
     "supports_sharding",
 ]
 
-#: Default ledger-cache location of the CLI and the table regenerators.
+#: Default ledger-cache location of the CLI (``sweep``, the table
+#: commands and ``advise``) and the table regenerators.
 DEFAULT_CACHE_PATH = ".cache/counts.json"
 
 
@@ -153,18 +156,24 @@ class ProfileCache:
     ``path=None`` keeps the cache in memory only.  Entries are keyed by
     (algorithm, size) alone, so the cache also records the dataset
     recipe — ``(dataset_kind, seed)`` — its ledgers were recorded under
-    and refuses to serve another one (:meth:`bind`).
+    and refuses to serve another one (:meth:`bind`).  Keep one instance
+    per file in a process: each instance rewrites the whole file from
+    its own entries.
     """
 
     FORMAT = "repro-profile-cache"
     VERSION = 1
 
     def __init__(self, path: str | Path | None = None):
-        # Shared between the sweep engine's control loop and chaos-drill
-        # threads, so every _entries/_recipe access goes through this lock.
+        # Shared between engines, advisors, service workers and
+        # chaos-drill threads, so every _entries/_recipe access goes
+        # through this lock.
         self._lock = threading.Lock()
         self._entries: dict[str, dict[str, float]] = {}
         self._recipe: tuple[str, int] | None = None
+        # Write-behind persist state (see _persist): guarded by _lock.
+        self._persist_active = False
+        self._persist_pending = False
         self.path: Path | None = None
         if path is None:
             return
@@ -210,25 +219,51 @@ class ProfileCache:
             if recipe is not None:
                 self._recipe = (str(recipe["dataset_kind"]), int(recipe["seed"]))
 
-    def _save(self) -> None:
+    def _persist(self) -> None:
+        """Write-behind persist: snapshot under the lock, write outside it.
+
+        Holding ``_lock`` across the atomic write (flush + fsync) would
+        stall every reader behind disk latency — the blocking-under-lock
+        hazard RPR011 flags.  Instead one writer at a time drains: it
+        snapshots the entries under the lock, writes with no lock held,
+        and loops if a put landed mid-write, so the file always
+        converges to the latest state and an older snapshot can never
+        replace a newer one.
+        """
         if self.path is None:
             return
-        # Snapshot under the lock, write outside it: holding _lock across
-        # flush+fsync would stall every reader behind disk latency.
         with self._lock:
-            entries = {k: dict(v) for k, v in self._entries.items()}
-            recipe = self._recipe
-        doc = {"format": self.FORMAT, "version": self.VERSION, "entries": entries}
-        if recipe is not None:
-            doc["recipe"] = {"dataset_kind": recipe[0], "seed": recipe[1]}
-        # Temp-file + os.replace (+ fsync): a crashed or concurrent sweep
-        # worker can never leave a truncated profiles.json — readers see
-        # the old complete document or the new one, nothing in between
-        # (the same crash-safety contract the ResultStore makes).
-        atomic_write_json(self.path, doc)
+            if self._persist_active:
+                self._persist_pending = True
+                return
+            self._persist_active = True
+        try:
+            while True:
+                with self._lock:
+                    self._persist_pending = False
+                    entries = {k: dict(v) for k, v in self._entries.items()}
+                    recipe = self._recipe
+                doc = {"format": self.FORMAT, "version": self.VERSION, "entries": entries}
+                if recipe is not None:
+                    doc["recipe"] = {"dataset_kind": recipe[0], "seed": recipe[1]}
+                # Temp-file + os.replace (+ fsync): a crashed writer can
+                # never leave a truncated cache — readers see the old
+                # complete document or the new one, nothing in between
+                # (the same crash-safety contract the ResultStore makes).
+                atomic_write_json(self.path, doc)
+                with self._lock:
+                    if not self._persist_pending:
+                        self._persist_active = False
+                        return
+        except BaseException:
+            # A failed write must not leave the drain claimed: the next
+            # put writes everything, this one's entry included.
+            with self._lock:
+                self._persist_active = False
+            raise
 
     def bind(self, dataset_kind: str, seed: int) -> None:
-        """Tie the cache to the dataset recipe of the engine using it.
+        """Tie the cache to the dataset recipe of the engine or advisor using it.
 
         A cache that records a recipe raises ``ValueError`` for any
         other: its ledgers measured a different dataset.  A cache
@@ -258,20 +293,36 @@ class ProfileCache:
     def put(self, algorithm: str, size: int, ledger: dict[str, float]) -> None:
         with self._lock:
             self._entries[self._key(algorithm, size)] = dict(ledger)
-        self._save()
+        self._persist()
 
     def entries(self):
-        """Iterate ``(algorithm, size, ledger)`` over every cached entry.
-
-        The interop point for :meth:`repro.core.pricing.LedgerCache.\
-ingest_profile_cache`: a sweep's ledgers can seed the advise service
-        without re-running a single algorithm.
-        """
+        """Iterate ``(algorithm, size, ledger)`` over every cached entry."""
         with self._lock:
             snapshot = list(self._entries.items())
         for key, ledger in snapshot:
             algorithm, _, size = key.rpartition("/")
             yield algorithm, int(size), dict(ledger)
+
+    def ingest_profile_cache(
+        self, cache: ProfileCache, *, dataset: tuple[str, int], machine: str
+    ) -> int:
+        """Copy the entries of ``cache`` that this store lacks.
+
+        Binds both stores to the recipe ``dataset`` (a
+        ``(dataset_kind, seed)`` pair) first, so ledgers of another
+        dataset are refused, never mixed.  ``machine`` is accepted and
+        unused: no machine enters a ledger.  Returns the number of
+        entries added.
+        """
+        self.bind(*dataset)
+        cache.bind(*dataset)
+        incoming = {self._key(a, s): ledger for a, s, ledger in cache.entries()}
+        with self._lock:
+            added = {k: v for k, v in incoming.items() if k not in self._entries}
+            self._entries.update(added)
+        if added:
+            self._persist()
+        return len(added)
 
     def __contains__(self, key: tuple[str, int]) -> bool:
         with self._lock:

@@ -40,7 +40,6 @@ from .service import (
     ServiceFaultInjector,
     get_service_plan,
     run_service_chaos,
-    tear_wal_tail,
 )
 from .storefx import corrupt_header, flip_fingerprint, tear_tail
 
@@ -62,7 +61,6 @@ __all__ = [
     "get_service_plan",
     "ServiceChaosReport",
     "run_service_chaos",
-    "tear_wal_tail",
     "GovernorFaultPlan",
     "GOVERNOR_PLANS",
     "get_governor_plan",

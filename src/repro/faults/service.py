@@ -15,9 +15,9 @@ its duck-typed hooks:
   ``complete`` ignored);
 * **duplicate delivery** — ``duplicate_claim`` hands a running job to a
   second worker outright;
-* **WAL torn tail** — :func:`tear_wal_tail` cuts the final record in
-  half between daemon generations, the byte state a ``kill -9`` mid-append
-  leaves behind.
+* **WAL torn tail** — :func:`~repro.faults.storefx.tear_tail` cuts the
+  final record in half between daemon generations, the byte state a
+  ``kill -9`` mid-append leaves behind.
 
 Every decision is the usual pure SHA-256 draw on
 ``(seed, site, key)``, and every fault class is *budgeted*
@@ -42,6 +42,7 @@ from ..obs.trace import log_event
 from ..serve.service import SweepService
 from ..serve.wal import QueueState, WriteAheadLog
 from .plan import InjectedFault
+from .storefx import tear_tail
 
 __all__ = [
     "SERVICE_PLANS",
@@ -49,7 +50,6 @@ __all__ = [
     "ServiceFaultInjector",
     "get_service_plan",
     "run_service_chaos",
-    "tear_wal_tail",
 ]
 
 
@@ -173,27 +173,6 @@ def get_service_plan(name: str) -> ServiceFaultInjector:
             f"unknown service plan {name!r}; expected one of {sorted(SERVICE_PLANS)}"
         ) from None
     return plan.with_seed(plan.seed)
-
-
-def tear_wal_tail(path: str | Path) -> int:
-    """Cut the WAL's final record in half — a crash mid-append, byte for byte.
-
-    Returns the number of bytes removed (0 when the file is too small to
-    tear).  At most one record is damaged, and every record's effect is
-    re-derivable, so replay after the tear must converge to the same
-    terminal state.
-    """
-    p = Path(path)
-    data = p.read_bytes()
-    body = data[:-1] if data.endswith(b"\n") else data
-    start = body.rfind(b"\n") + 1
-    last = body[start:]
-    if len(last) < 2:
-        return 0
-    keep = start + len(last) // 2
-    with open(p, "r+b") as fh:
-        fh.truncate(keep)
-    return len(data) - keep
 
 
 @dataclass
@@ -333,7 +312,7 @@ def run_service_chaos(
 
     # 4. The byte state a kill -9 mid-append leaves behind.
     if injector.torn_wal:
-        report.torn_bytes = tear_wal_tail(spool / "wal.jsonl")
+        report.torn_bytes = tear_tail(spool / "wal.jsonl")
         log_event(
             "serve-wal-torn", f"tore {report.torn_bytes} bytes off {spool}/wal.jsonl",
             bytes=report.torn_bytes,

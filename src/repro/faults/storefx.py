@@ -24,6 +24,9 @@ __all__ = ["tear_tail", "corrupt_header", "flip_fingerprint"]
 def tear_tail(path: str | Path, *, keep_fraction: float = 0.5) -> int:
     """Truncate the final record mid-line (a writer killed mid-append).
 
+    Works on any JSONL file whose first line is a header: a result
+    store, or the sweep service's WAL.
+
     Keeps ``keep_fraction`` of the last non-empty line's bytes (at
     least one).  Returns the number of bytes torn off; 0 when the file
     has no record line to tear (header-only or empty stores are left

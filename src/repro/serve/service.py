@@ -5,7 +5,7 @@ A :class:`SweepService` owns one *spool* directory::
     spool/
       wal.jsonl                     # the durable job queue (the IPC)
       stores/<job_id>.jsonl         # one fingerprinted ResultStore per job
-      profiles-<dataset>-<seed>.json  # shared ledger caches
+      profiles-<dataset>-<seed>.json  # one ledger cache per dataset recipe
       service.metrics.json          # daemon metrics dump
 
 Clients and the daemon are symmetric: both derive queue state by
@@ -32,6 +32,7 @@ ledgers, so surviving points are identical to an uninterrupted run.
 
 from __future__ import annotations
 
+import threading
 import time
 import uuid
 from dataclasses import dataclass
@@ -141,6 +142,11 @@ class SweepService:
         self.metrics = metrics if metrics is not None else get_registry()
         self.tracer = trace if isinstance(trace, Tracer) or trace is None else Tracer(trace)
         self.injector = injector
+        # One ledger cache per dataset recipe for the service's lifetime,
+        # shared by concurrent jobs: a store per job would rewrite the
+        # file from its own entries and drop the other jobs' ledgers.
+        self._caches: dict[tuple[str, int], ProfileCache] = {}
+        self._caches_lock = threading.Lock()
 
     # ---------------------------------------------------------------- state
     def refresh(self) -> None:
@@ -282,10 +288,15 @@ class SweepService:
     def store_path(self, job_id: str) -> Path:
         return self.spool / "stores" / f"{job_id}.jsonl"
 
-    def _cache_path(self, dataset_kind: str, seed: int) -> Path:
+    def _profile_cache(self, dataset_kind: str, seed: int) -> ProfileCache:
         # A ProfileCache holds one dataset recipe's ledgers (binding
         # another raises), so each recipe gets its own file.
-        return self.spool / f"profiles-{dataset_kind}-{seed}.json"
+        with self._caches_lock:
+            cache = self._caches.get((dataset_kind, seed))
+            if cache is None:
+                cache = ProfileCache(self.spool / f"profiles-{dataset_kind}-{seed}.json")
+                self._caches[(dataset_kind, seed)] = cache
+            return cache
 
     def _run_job(self, job, progress=None) -> dict:
         spec = job.spec
@@ -299,7 +310,7 @@ class SweepService:
             seed=seed,
             workers=0,
             store=store,
-            profile_cache=ProfileCache(self._cache_path(dataset_kind, seed)),
+            profile_cache=self._profile_cache(dataset_kind, seed),
             progress=progress,
             trace=self.tracer,
             metrics=self.metrics,

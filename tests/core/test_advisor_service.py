@@ -1,12 +1,17 @@
-"""PowerAdvisor service and recommend_cap edge cases."""
+"""PowerAdvisor service, its ledger store, and recommend_cap edge cases."""
 
 import pytest
 
+from repro import api
+from repro.core import advisor as advisor_module
 from repro.core.advisor import PowerAdvisor, recommend_cap
+from repro.core.engine import SweepEngine
 from repro.core.metrics import Ratios
-from repro.core.pricing import LedgerCache
+from repro.core.pricing import BatchRepricer
+from repro.core.profiles import ProfileCache
 from repro.core.runner import RunPoint
-from repro.core.study import ALGORITHM_NAMES
+from repro.core.study import ALGORITHM_NAMES, POWER_CAPS_W, StudyConfig
+from repro.machine.presets import ALL_PRESETS, SKYLAKE_LIKE
 from repro.obs.metrics import MetricsRegistry
 
 SIZE = 12
@@ -63,7 +68,7 @@ class TestRecommendCap:
 class TestPowerAdvisor:
     @pytest.fixture(scope="class")
     def advisor(self, tmp_path_factory):
-        cache = LedgerCache(tmp_path_factory.mktemp("advise") / "ledgers.json")
+        cache = ProfileCache(tmp_path_factory.mktemp("advise") / "ledgers.json")
         registry = MetricsRegistry()
         return PowerAdvisor(cache=cache, n_cycles=5, metrics=registry), registry
 
@@ -117,3 +122,47 @@ class TestPowerAdvisor:
         adv, _ = advisor
         advice = adv.advise("contour", SIZE)
         assert advice.latency_s > 0.0
+
+
+class TestOneLedgerStore:
+    """Advisors share the sweep engine's recipe-bound ledger store."""
+
+    def test_sweep_cache_serves_every_machine(self, tmp_path, monkeypatch):
+        path = tmp_path / "counts.json"
+        config = StudyConfig(name="t", algorithms=("contour",), sizes=(SIZE,))
+        SweepEngine(workers=0, n_cycles=2, profile_cache=ProfileCache(path)).run(config)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the advisor executed a kernel")
+
+        monkeypatch.setattr(advisor_module, "run_algorithm_ledger", refuse)
+        for machine in sorted(ALL_PRESETS):
+            adv = api.advisor(machine=machine, cache=path, n_cycles=2)
+            assert adv.advise("contour", SIZE).cache_hit, machine
+
+    def test_second_machine_hits_and_prices_on_its_own_spec(self):
+        store = ProfileCache(None)
+        broadwell = PowerAdvisor(cache=store, n_cycles=2, metrics=MetricsRegistry())
+        assert not broadwell.advise("threshold", SIZE, cap_w=60.0).cache_hit
+        skylake = PowerAdvisor(SKYLAKE_LIKE, cache=store, n_cycles=2, metrics=MetricsRegistry())
+        advice = skylake.advise("threshold", SIZE, cap_w=60.0)
+        assert advice.cache_hit
+        expected = BatchRepricer(SKYLAKE_LIKE, n_cycles=2).reprice(
+            "threshold", SIZE, store.get("threshold", SIZE), POWER_CAPS_W
+        )
+        assert advice.point == expected[POWER_CAPS_W.index(60.0)]
+
+    def test_shared_advisors_share_one_store_across_machines(self, tmp_path):
+        path = tmp_path / "counts.json"
+        first = api.advise(algorithm="slice", size=SIZE, machine="broadwell", cache=path)
+        second = api.advise(algorithm="slice", size=SIZE, machine="skylake", cache=path)
+        assert not first.cache_hit
+        assert second.cache_hit
+
+    def test_store_of_another_recipe_is_refused(self, tmp_path):
+        path = tmp_path / "counts.json"
+        store = ProfileCache(path)
+        store.bind("blobs", 8)
+        store.put("threshold", SIZE, {"flops": 1.0})
+        with pytest.raises(ValueError, match=r"seed=8.*seed=7"):
+            api.advisor(cache=path)

@@ -4,9 +4,7 @@ import json
 
 import pytest
 
-from repro.core.pricing import LedgerCache
 from repro.core.profiles import ProfileCache
-from repro.obs.metrics import MetricsRegistry
 
 
 class TestProfileCacheRecovery:
@@ -46,20 +44,3 @@ class TestProfileCacheRecovery:
         }))
         with pytest.raises(ValueError, match="newer than supported"):
             ProfileCache(path)
-
-
-class TestLedgerCacheRecovery:
-    def test_truncated_file_starts_empty_with_sidecar(self, tmp_path):
-        path = tmp_path / "ledgers.json"
-        path.write_text('{"format": "repro-ledger-cach')
-        cache = LedgerCache(path, metrics=MetricsRegistry())
-        assert len(cache) == 0
-        assert (tmp_path / "ledgers.json.corrupt").exists()
-        assert not path.exists()
-
-    def test_intact_wrong_format_file_still_raises(self, tmp_path):
-        path = tmp_path / "ledgers.json"
-        path.write_text(json.dumps({"format": "something-else", "entries": {}}))
-        with pytest.raises(ValueError, match="not a ledger cache"):
-            LedgerCache(path, metrics=MetricsRegistry())
-        assert path.exists()

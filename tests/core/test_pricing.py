@@ -1,17 +1,11 @@
-"""Content-addressed ledger cache and bitwise batch repricing."""
+"""The ledger store's benchmark-facing names and bitwise batch repricing."""
 
 import dataclasses
-import json
 
 import pytest
 
-from repro.core.pricing import (
-    BatchRepricer,
-    LedgerCache,
-    dataset_fingerprint,
-    ledger_key,
-    machine_spec_hash,
-)
+from repro import api
+from repro.core.pricing import BatchRepricer, LedgerCache
 from repro.core.profiles import ProfileCache, profile_from_ledger, run_algorithm_ledger
 from repro.core.runner import make_run_point
 from repro.core.study import POWER_CAPS_W
@@ -19,8 +13,6 @@ from repro.machine.simulator import Processor
 from repro.machine.spec import BROADWELL_E5_2695V4
 
 SIZE = 16
-DATASET = dataset_fingerprint()
-MACHINE = machine_spec_hash(BROADWELL_E5_2695V4)
 
 
 @pytest.fixture(scope="module")
@@ -48,75 +40,34 @@ def engine_points(spec, algorithm, ledger, caps, n_cycles=5):
     ]
 
 
-class TestContentAddressing:
-    def test_key_deterministic(self):
-        a = ledger_key("contour", SIZE, dataset=DATASET, machine=MACHINE)
-        b = ledger_key("contour", SIZE, dataset=DATASET, machine=MACHINE)
-        assert a == b
-
-    def test_key_separates_coordinates(self):
-        base = ledger_key("contour", SIZE, dataset=DATASET, machine=MACHINE)
-        assert ledger_key("volume", SIZE, dataset=DATASET, machine=MACHINE) != base
-        assert ledger_key("contour", 32, dataset=DATASET, machine=MACHINE) != base
-        assert ledger_key("contour", SIZE, dataset="other", machine=MACHINE) != base
-        assert ledger_key("contour", SIZE, dataset=DATASET, machine="other") != base
-
-    def test_machine_hash_sensitive_to_spec(self):
-        tweaked = dataclasses.replace(BROADWELL_E5_2695V4, tdp_watts=100.0)
-        assert machine_spec_hash(tweaked) != MACHINE
-
-    def test_dataset_fingerprint_seed(self):
-        assert dataset_fingerprint(seed=7) == DATASET
-        assert dataset_fingerprint(seed=8) != DATASET
-
-
 class TestLedgerCache:
+    """``LedgerCache`` is the one store under the name perfbench uses."""
+
     def test_round_trip_and_persistence(self, tmp_path, ledgers):
+        assert LedgerCache is ProfileCache
         path = tmp_path / "cache.json"
         cache = LedgerCache(path)
-        cache.put("contour", SIZE, ledgers["contour"],
-                  dataset=DATASET, machine=MACHINE)
-        assert ("contour", SIZE, DATASET, MACHINE) in cache
+        cache.put("contour", SIZE, ledgers["contour"])
+        assert ("contour", SIZE) in cache
         reloaded = LedgerCache(path)
-        got = reloaded.get("contour", SIZE, dataset=DATASET, machine=MACHINE)
-        assert got == ledgers["contour"]
-        assert len(reloaded) == 1
-
-    def test_miss_then_hit_counters(self, tmp_path, ledgers):
-        from repro.obs.metrics import MetricsRegistry
-
-        registry = MetricsRegistry()
-        cache = LedgerCache(tmp_path / "c.json", metrics=registry)
-        assert cache.get("volume", SIZE, dataset=DATASET, machine=MACHINE) is None
-        cache.put("volume", SIZE, ledgers["volume"], dataset=DATASET, machine=MACHINE)
-        assert cache.get("volume", SIZE, dataset=DATASET, machine=MACHINE) is not None
-        rendered = registry.to_prometheus()
-        assert 'outcome="miss"' in rendered
-        assert 'outcome="hit"' in rendered
-
-    def test_integrity_check_drops_tampered_entries(self, tmp_path, ledgers):
-        path = tmp_path / "cache.json"
-        cache = LedgerCache(path)
-        cache.put("contour", SIZE, ledgers["contour"], dataset=DATASET, machine=MACHINE)
-        cache.put("volume", SIZE, ledgers["volume"], dataset=DATASET, machine=MACHINE)
-
-        doc = json.loads(path.read_text())
-        # Corrupt one entry's coordinates so its content address no
-        # longer matches the stored key.
-        victim = next(iter(doc["entries"]))
-        doc["entries"][victim]["algorithm"] = "tampered"
-        path.write_text(json.dumps(doc))
-
-        reloaded = LedgerCache(path)
+        assert reloaded.get("contour", SIZE) == ledgers["contour"]
         assert len(reloaded) == 1
 
     def test_ingest_profile_cache(self, tmp_path, ledgers):
+        # The advise workload's set-up call shape.
         pcache = ProfileCache(tmp_path / "profiles.json")
         pcache.put("threshold", SIZE, ledgers["threshold"])
-        cache = LedgerCache(tmp_path / "ledgers.json")
-        n = cache.ingest_profile_cache(pcache, dataset=DATASET, machine=MACHINE)
+        cache = LedgerCache(None)
+        adv = api.advisor(cache=cache)
+        n = cache.ingest_profile_cache(pcache, dataset=adv.dataset, machine=adv.machine)
         assert n == 1
-        assert cache.get("threshold", SIZE, dataset=DATASET, machine=MACHINE) == ledgers["threshold"]
+        assert cache.ingest_profile_cache(pcache, dataset=adv.dataset, machine=adv.machine) == 0
+        assert cache.get("threshold", SIZE) == ledgers["threshold"]
+        assert adv.advise("threshold", SIZE).cache_hit
+        other = ProfileCache(None)
+        other.bind("blobs", 8)
+        with pytest.raises(ValueError, match="seed=8"):
+            cache.ingest_profile_cache(other, dataset=adv.dataset, machine=adv.machine)
 
 
 class TestBitwiseRepricing:

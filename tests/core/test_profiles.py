@@ -7,11 +7,15 @@ it only when the filter they run reads ``velocity``.
 
 A :class:`ProfileCache` keys ledgers by (algorithm, size) alone, so it
 records the dataset recipe its ledgers came from and refuses another.
+One writer at a time drains its puts to disk, so the file always ends
+at the latest entries.
 """
 
 from __future__ import annotations
 
 import json
+import sys
+import threading
 
 import pytest
 
@@ -89,3 +93,77 @@ class TestProfileCacheRecipe:
         assert cache.get("threshold", 12) == {"flops": 1.0}
         cache.put("clip", 12, {"flops": 2.0})
         assert json.loads(path.read_text())["recipe"] == {"dataset_kind": "blobs", "seed": 8}
+
+
+class TestProfileCacheDrain:
+    def test_put_during_a_write_lands_on_disk(self, tmp_path, monkeypatch):
+        """A put made while another thread's write is in flight returns at
+        once; that thread's drain writes it, and its older snapshot never
+        replaces the newer one."""
+        path = tmp_path / "profiles.json"
+        cache = ProfileCache(path)
+        real = profiles.atomic_write_json
+        in_write, release = threading.Event(), threading.Event()
+        writes = []
+
+        def held_write(target, doc, **kwargs):
+            writes.append(sorted(doc["entries"]))
+            if len(writes) == 1:
+                in_write.set()
+                release.wait(timeout=30)
+            real(target, doc, **kwargs)
+
+        monkeypatch.setattr(profiles, "atomic_write_json", held_write)
+        first = threading.Thread(target=cache.put, args=("threshold", 12, {"flops": 1.0}))
+        first.start()
+        try:
+            assert in_write.wait(timeout=30)
+            second = threading.Thread(target=cache.put, args=("clip", 12, {"flops": 2.0}))
+            second.start()
+            second.join(timeout=30)
+            assert not second.is_alive()
+        finally:
+            release.set()
+            first.join(timeout=30)
+        assert not first.is_alive()
+        doc = json.loads(path.read_text())
+        assert sorted(doc["entries"]) == ["clip/12", "threshold/12"]
+        assert writes == [["threshold/12"], ["clip/12", "threshold/12"]]
+
+    def test_failed_write_leaves_later_puts_persisting(self, tmp_path, monkeypatch):
+        path = tmp_path / "profiles.json"
+        cache = ProfileCache(path)
+
+        def disk_full(target, doc, **kwargs):
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(profiles, "atomic_write_json", disk_full)
+        with pytest.raises(OSError):
+            cache.put("threshold", 12, {"flops": 1.0})
+        monkeypatch.undo()
+        cache.put("clip", 12, {"flops": 2.0})
+        assert sorted(json.loads(path.read_text())["entries"]) == ["clip/12", "threshold/12"]
+
+    def test_concurrent_puts_all_reach_the_file(self, tmp_path):
+        path = tmp_path / "profiles.json"
+        cache = ProfileCache(path)
+        n_threads, n_puts = 8, 5
+
+        def writer(t):
+            for i in range(n_puts):
+                cache.put(f"alg{t}", i + 1, {"flops": float(t * n_puts + i)})
+
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=writer, args=(t,)) for t in range(n_threads)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old_interval)
+        assert not any(th.is_alive() for th in threads)
+        on_disk = json.loads(path.read_text())["entries"]
+        assert len(on_disk) == n_threads * n_puts
+        assert ProfileCache(path).get("alg7", 5) == {"flops": 39.0}

@@ -11,7 +11,7 @@ from repro.faults import (
     ServiceFaultInjector,
     get_service_plan,
     run_service_chaos,
-    tear_wal_tail,
+    tear_tail,
 )
 from repro.faults.plan import InjectedFault
 from repro.serve import WriteAheadLog
@@ -85,7 +85,7 @@ class TestTearWalTail:
         wal = WriteAheadLog(tmp_path / "wal.jsonl")
         wal.append({"kind": "submit", "job_id": "job-1", "spec": {}, "t": 1.0})
         wal.append({"kind": "submit", "job_id": "job-2", "spec": {}, "t": 2.0})
-        removed = tear_wal_tail(tmp_path / "wal.jsonl")
+        removed = tear_tail(tmp_path / "wal.jsonl")
         assert removed > 0
         survivors = [r["job_id"] for r in WriteAheadLog(tmp_path / "wal.jsonl").replay()]
         assert survivors == ["job-1"]  # job-2's record is the torn tail

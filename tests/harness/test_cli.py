@@ -169,6 +169,40 @@ class TestAdviseCommand:
         assert second["cache_hit"]
         assert second["recommended_cap_w"] == first["recommended_cap_w"]
 
+    def test_serve_shares_ledgers_across_machines(self, capsys, small, monkeypatch):
+        import io
+        import json
+
+        from repro.core.profiles import ProfileCache
+
+        path = small / "counts.json"
+        asked = [("threshold", "broadwell"), ("threshold", "skylake"), ("contour", "broadwell")]
+        monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(
+            json.dumps({"algorithm": a, "size": 12, "machine": m}) for a, m in asked
+        )))
+        assert main(["advise", "--serve", "--cache", str(path), "--cycles", "2"]) == 0
+        out = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
+        assert [(r["algorithm"], r["machine"], r["cache_hit"]) for r in out] == [
+            ("threshold", "broadwell", False),
+            ("threshold", "skylake", True),
+            ("contour", "broadwell", False),
+        ]
+        on_disk = ProfileCache(path)
+        assert sorted((a, s) for a, s, _ in on_disk.entries()) == [
+            ("contour", 12), ("threshold", 12),
+        ]
+
+    def test_answers_from_the_sweep_cache_by_default(self, capsys, small, monkeypatch):
+        import json
+
+        monkeypatch.chdir(small)
+        assert main(["sweep", "phase1", "--workers", "0", "--cycles", "2"]) == 0
+        capsys.readouterr()
+        for machine in ("broadwell", "skylake"):
+            assert main(["advise", "contour", "16", "--json", "--cycles", "2",
+                         "--machine", machine]) == 0
+            assert json.loads(capsys.readouterr().out)["cache_hit"], machine
+
 
 class TestTelemetryCommands:
     def _traced_sweep(self, small):

@@ -1,11 +1,14 @@
 """SweepService: spool layout, submission ladder, daemon drain, resume."""
 
 import json
+import threading
 import time
 
 import pytest
 
-from repro.core import ResultStore, StudyConfig
+from repro.core import ResultStore, StudyConfig, engine
+from repro.core.profiles import ProfileCache
+from repro.core.study import ALGORITHM_NAMES
 from repro.obs.metrics import MetricsRegistry
 from repro.serve import SweepService, study_from_dict, study_to_dict
 
@@ -123,6 +126,32 @@ class TestDaemon:
         report = fresh.run_daemon(drain=True)
         assert report["counts"]["completed"] == 1
         assert fresh.store_path(receipt.job_id).read_bytes() == before
+
+    def test_concurrent_cold_jobs_keep_every_ledger(self, tmp_path, monkeypatch):
+        """Two cold jobs of one recipe on two workers: the recipe's
+        ledger file ends holding both jobs' ledgers."""
+        halves = (ALGORITHM_NAMES[:4], ALGORITHM_NAMES[4:])
+        firsts = {algorithms[0] for algorithms in halves}
+        both_running = threading.Barrier(2, timeout=60)
+        real = engine.run_algorithm_ledger
+
+        def ledger(algorithm, size, **kwargs):
+            # Each job's first execution waits for the other's, so both
+            # jobs are under way before either records a ledger.
+            if algorithm in firsts:
+                both_running.wait()
+            return real(algorithm, size, **kwargs)
+
+        monkeypatch.setattr(engine, "run_algorithm_ledger", ledger)
+        svc = make_service(tmp_path)
+        for algorithms in halves:
+            config = StudyConfig(name="t", algorithms=algorithms, sizes=(12,),
+                                 caps_w=(120.0, 60.0))
+            assert svc.submit(config, n_cycles=2).accepted
+        report = svc.run_daemon(drain=True)
+        assert report["counts"]["completed"] == 2
+        on_disk = ProfileCache(svc.spool / "profiles-blobs-7.json")
+        assert sorted(a for a, _, _ in on_disk.entries()) == sorted(ALGORITHM_NAMES)
 
     def test_jobs_with_different_seeds_get_separate_ledger_files(self, tmp_path):
         svc = make_service(tmp_path)
