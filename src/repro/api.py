@@ -40,17 +40,7 @@ from .core.runner import DEFAULT_VIZ_CYCLES, RunPoint, StudyResult
 from .core.store import ResultStore
 from .core.study import PHASE_NAMES, StudyConfig, resolve_config
 from .core.validate import ValidationReport, validate_store
-from .faults import (
-    GOVERNOR_PLANS,
-    PLANS,
-    SERVICE_PLANS,
-    get_governor_plan,
-    get_plan,
-    get_service_plan,
-    run_chaos,
-    run_governor_chaos,
-    run_service_chaos,
-)
+from .faults import PLANS, get_plan, run_chaos, run_governor_chaos, run_service_chaos
 from .lint import LintReport
 from .lint import lint_paths as _lint_paths
 from .machine.presets import ALL_PRESETS
@@ -75,15 +65,8 @@ __all__ = [
     "lint",
     "PLANS",
     "get_plan",
-    "SERVICE_PLANS",
-    "get_service_plan",
-    "GOVERNOR_PLANS",
-    "get_governor_plan",
     "sweep_service",
     "submit_study",
-    "study_status",
-    "cancel_study",
-    "service_report",
 ]
 
 def sweep_engine(
@@ -456,38 +439,6 @@ def submit_study(
         n_cycles=n_cycles,
         max_retries=max_retries,
     )
-
-
-def study_status(
-    job_id: str,
-    *,
-    spool: str | Path = DEFAULT_SPOOL,
-    service: SweepService | None = None,
-) -> dict:
-    """One job's current state, derived by replaying the spool's WAL."""
-    svc = service if service is not None else sweep_service(spool)
-    return svc.status(job_id)
-
-
-def cancel_study(
-    job_id: str,
-    *,
-    spool: str | Path = DEFAULT_SPOOL,
-    service: SweepService | None = None,
-) -> dict:
-    """Cooperatively cancel a pending/running job; returns its snapshot."""
-    svc = service if service is not None else sweep_service(spool)
-    return svc.cancel(job_id)
-
-
-def service_report(
-    *,
-    spool: str | Path = DEFAULT_SPOOL,
-    service: SweepService | None = None,
-) -> dict:
-    """Service-wide snapshot: queue counts, breaker state, per-job status."""
-    svc = service if service is not None else sweep_service(spool)
-    return svc.report()
 
 
 def doctor(

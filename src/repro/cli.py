@@ -201,8 +201,6 @@ def _sweep_progress(event: dict) -> None:
 
 def _governed_config(config, args):
     """Replace the static cap grid with a governed cap series."""
-    import dataclasses
-
     from .insitu.governors import SignalTrace, governed_caps_w, parse_governor
 
     gov = parse_governor(args.governor)
@@ -264,84 +262,53 @@ def cmd_sweep(args) -> None:
 
 
 def cmd_chaos(args) -> int:
-    config = api.resolve_config(args.phase)
-    if args.governor:
-        if args.plan not in api.GOVERNOR_PLANS:
-            print(
-                f"chaos --governor: unknown governor plan {args.plan!r} "
-                f"(expected one of {', '.join(sorted(api.GOVERNOR_PLANS))})",
-                file=sys.stderr,
-            )
-            return 2
-        from .obs.trace import Tracer
+    from .obs.trace import Tracer
 
-        plan = api.get_governor_plan(args.plan)
-        if args.seed is not None:
-            plan = dataclasses.replace(plan, seed=args.seed)
+    config = api.resolve_config(args.phase)
+    drill = "governor" if args.governor else "service" if args.service else "sweep"
+    try:
+        plan = api.get_plan(args.plan, drill, seed=args.seed)
+    except ValueError as exc:
         print(
-            f"governor chaos: plan '{plan.name}' (seed {plan.seed}), "
-            f"governor {args.governor_spec}, control {args.control}"
-        )
-        with contextlib.ExitStack() as stack:
-            if args.trace:
-                # The drill emits its spans on the default tracer.
-                tracer = stack.enter_context(Tracer(args.trace))
-                stack.enter_context(tracer.as_default())
-            report = api.run_governor_chaos(
-                plan,
-                governor=args.governor_spec,
-                control=args.control,
-                n_epochs=args.epochs,
-            )
-        print(report.render())
-        return 0 if report.survived else 1
-    if args.service:
-        if args.plan not in api.SERVICE_PLANS:
-            print(
-                f"chaos --service: unknown service plan {args.plan!r} "
-                f"(expected one of {', '.join(sorted(api.SERVICE_PLANS))})",
-                file=sys.stderr,
-            )
-            return 2
-        spool = args.spool or str(Path(".cache") / f"service-chaos-{config.name}")
-        print(f"service chaos {config.name}: plan '{args.plan}', spool={spool}")
-        report = api.run_service_chaos(
-            config,
-            plan=args.plan,
-            spool=spool,
-            n_jobs=args.jobs,
-            workers=args.workers if args.workers else 2,
-            lease_s=args.lease,
-            n_cycles=args.cycles,
-            chaos_seed=args.seed,
-            trace=args.trace,
-        )
-        print(report.render())
-        return 0 if report.survived else 1
-    if args.plan not in api.PLANS:
-        print(
-            f"chaos: unknown fault plan {args.plan!r} "
-            f"(expected one of {', '.join(sorted(api.PLANS))}; "
-            "service plans need --service, governor plans --governor)",
+            f"chaos: {exc} (service plans need --service, governor plans --governor)",
             file=sys.stderr,
         )
         return 2
-    store = args.store or str(Path(".cache") / f"chaos-{config.name}.jsonl")
-    plan = api.get_plan(args.plan)
-    print(
-        f"chaos {config.name}: plan '{plan.name}' "
-        f"(seed {args.seed if args.seed is not None else plan.seed}), store={store}"
-    )
-    report = api.run_chaos(
-        config,
-        plan=plan,
-        store=store,
-        workers=args.workers,
-        n_cycles=args.cycles,
-        chaos_seed=args.seed,
-        progress=_sweep_progress if args.verbose else None,
-        trace=args.trace,
-    )
+    with contextlib.ExitStack() as stack:
+        if args.trace:
+            # Every drill records its phases on the default tracer.
+            stack.enter_context(stack.enter_context(Tracer(args.trace)).as_default())
+        if drill == "governor":
+            print(
+                f"governor chaos: plan '{plan.name}' (seed {plan.seed}), "
+                f"governor {args.governor_spec}, control {args.control}"
+            )
+            report = api.run_governor_chaos(
+                plan, governor=args.governor_spec, control=args.control, n_epochs=args.epochs
+            )
+        elif drill == "service":
+            spool = args.spool or str(Path(".cache") / f"service-chaos-{config.name}")
+            print(f"service chaos {config.name}: plan '{plan.name}', spool={spool}")
+            report = api.run_service_chaos(
+                config,
+                plan,
+                spool=spool,
+                n_jobs=args.jobs,
+                workers=args.workers or 2,
+                lease_s=args.lease,
+                n_cycles=args.cycles,
+            )
+        else:
+            store = args.store or str(Path(".cache") / f"chaos-{config.name}.jsonl")
+            print(f"chaos {config.name}: plan '{plan.name}' (seed {plan.seed}), store={store}")
+            report = api.run_chaos(
+                config,
+                plan,
+                store=store,
+                workers=args.workers,
+                n_cycles=args.cycles,
+                progress=_sweep_progress if args.verbose else None,
+            )
     print(report.render())
     return 0 if report.survived else 1
 
@@ -836,9 +803,7 @@ def _build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("phase", nargs="?", default="phase1", choices=list(api.PHASE_NAMES),
                        help="which factor grid to sweep (default: phase1)")
     chaos.add_argument("--plan", default="default",
-                       choices=sorted(
-                           set(api.PLANS) | set(api.SERVICE_PLANS) | set(api.GOVERNOR_PLANS)
-                       ),
+                       choices=sorted(set().union(*api.PLANS.values())),
                        help="named fault plan (default: 'default'; service plans "
                        "need --service, governor plans --governor)")
     chaos.add_argument("--seed", type=int, default=None, metavar="N",
@@ -850,7 +815,8 @@ def _build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--verbose", action="store_true",
                        help="stream per-point engine events")
     chaos.add_argument("--trace", default=None, metavar="PATH",
-                       help="write a span/event trace of all five chaos phases")
+                       help="write a span/event trace of every phase of the drill "
+                       "(any drill; read with `repro trace`)")
     chaos.add_argument("--service", action="store_true",
                        help="drill the daemon layer instead (WAL queue, "
                        "supervision, crash/stall/duplicate faults)")

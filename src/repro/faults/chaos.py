@@ -1,6 +1,12 @@
-"""The chaos driver: run a sweep under a fault plan and report survival.
+"""The chaos drills' shared scaffold, and the sweep drill behind ``repro chaos``.
 
-One chaos run answers the robustness question end to end:
+The sweep, service (:mod:`repro.faults.service`) and governor
+(:mod:`repro.faults.governor`) drills share one report contract,
+:class:`DrillReport`, and trace their phases on the default tracer; the
+first two also share :func:`reference_points`, :func:`store_points` and
+:func:`tear`.
+
+The sweep drill answers the robustness question end to end:
 
 1. a **fault-free reference** sweep establishes ground truth;
 2. the **chaos pass** runs the same grid through the engine with the
@@ -16,15 +22,14 @@ One chaos run answers the robustness question end to end:
 
 The :class:`ChaosReport` then states the contract the paper's tables
 depend on: every surviving point is bitwise identical to the fault-free
-run, and everything else is quarantined with a reason — never silently
-wrong in the main store.
+run, and every lost point is in the quarantine sidecar with a reason —
+never silently wrong in the main store.
 """
 
 from __future__ import annotations
 
-import os
 import time
-from contextlib import nullcontext
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -35,17 +40,78 @@ from ..core.store import ResultStore
 from ..core.study import StudyConfig, resolve_config
 from ..machine.simulator import Processor
 from ..machine.spec import MachineSpec
-from ..obs.trace import Tracer, event, span
-from .machine import MachineFaultInjector, inject_machine_faults
+from ..obs.trace import event, get_tracer, span
+from .machine import inject_machine_faults
 from .plan import FaultPlan, get_plan
 from .storefx import tear_tail
 
-__all__ = ["ChaosReport", "run_chaos"]
+__all__ = ["ChaosReport", "DrillReport", "run_chaos"]
+
+
+class DrillReport:
+    """The report contract every drill shares.
+
+    A report gives its :meth:`header` lines and an ordered
+    :meth:`contract` of line text → bool.  :meth:`render` prints every
+    contract line as ``text: yes`` or ``text: NO`` (CI greps them), and
+    the drill :attr:`survived` exactly when every one is true.
+    """
+
+    def header(self) -> list[str]:
+        raise NotImplementedError
+
+    def contract(self) -> dict[str, bool]:
+        raise NotImplementedError
+
+    @property
+    def survived(self) -> bool:
+        return all(self.contract().values())
+
+    def render(self) -> str:
+        lines = self.header()
+        lines += [f"  {text}: {'yes' if ok else 'NO'}" for text, ok in self.contract().items()]
+        return "\n".join(lines)
+
+
+def reference_points(
+    config: StudyConfig,
+    *,
+    spec: MachineSpec | None = None,
+    dataset_kind: str,
+    n_cycles: int,
+    seed: int,
+) -> dict:
+    """Ground truth: one serial, in-memory, fault-free sweep, as
+    ``{key: point.to_dict()}``."""
+    with span("chaos-reference"):
+        result = SweepEngine(
+            spec,
+            dataset_kind=dataset_kind,
+            n_cycles=n_cycles,
+            seed=seed,
+            workers=0,
+            trace=get_tracer(),
+        ).run(config)
+    return {p.key: p.to_dict() for p in result.points}
+
+
+def store_points(store: ResultStore) -> dict:
+    """A store's completed points in :func:`reference_points`' form."""
+    return {key: p.to_dict() for key, p in store.points.items()}
+
+
+def tear(path: Path, event_name: str) -> int:
+    """Tear ``path``'s last record in half, as a kill mid-write leaves it;
+    returns the bytes torn off."""
+    with span("chaos-tear-store"):
+        torn = tear_tail(path)
+    event(event_name, bytes=torn, store=str(path))
+    return torn
 
 
 @dataclass
-class ChaosReport:
-    """Survival accounting for one chaos run."""
+class ChaosReport(DrillReport):
+    """Survival accounting for one sweep drill."""
 
     plan: str
     config: str
@@ -53,6 +119,8 @@ class ChaosReport:
     completed: int = 0
     quarantined: int = 0
     lost: int = 0
+    #: Lost points with no sidecar record giving a reason.
+    lost_unquarantined: int = 0
     retries: int = 0
     faults_injected: int = 0
     fell_back_serial: bool = False
@@ -67,12 +135,7 @@ class ChaosReport:
     quarantine_reasons: dict[str, int] = field(default_factory=dict)
     wall_s: float = 0.0
 
-    @property
-    def survived(self) -> bool:
-        """Did the contract hold? (survivors bitwise-sane, rest quarantined)"""
-        return self.bitwise_identical and self.completed + self.lost == self.expected
-
-    def render(self) -> str:
+    def header(self) -> list[str]:
         lines = [
             f"chaos report — plan '{self.plan}' on {self.config} ({self.wall_s:.2f}s)",
             f"  sweep: {self.completed}/{self.expected} points completed, "
@@ -95,11 +158,15 @@ class ChaosReport:
         if self.quarantine_reasons:
             reasons = ", ".join(f"{c}={n}" for c, n in sorted(self.quarantine_reasons.items()))
             lines.append(f"  quarantine reasons: {reasons}")
-        lines.append(
-            "  surviving points bitwise identical to fault-free run: "
-            + ("yes" if self.bitwise_identical else "NO")
-        )
-        return "\n".join(lines)
+        return lines
+
+    def contract(self) -> dict[str, bool]:
+        return {
+            "every lost point quarantined with a reason": (
+                self.completed + self.lost == self.expected and self.lost_unquarantined == 0
+            ),
+            "surviving points bitwise identical to fault-free run": self.bitwise_identical,
+        }
 
 
 def _machine_probe(
@@ -137,36 +204,32 @@ def run_chaos(
     workers: int | None = 0,
     n_cycles: int = DEFAULT_VIZ_CYCLES,
     seed: int = 7,
-    chaos_seed: int | None = None,
     dataset_kind: str = "blobs",
     spec: MachineSpec | None = None,
     timeout_s: float | None = None,
     progress=None,
-    trace: Tracer | str | os.PathLike | None = None,
 ) -> ChaosReport:
     """Execute ``config`` under ``plan`` and report what survived.
 
-    ``config`` is a phase name or an explicit grid, ``plan`` a plan name
-    or a :class:`FaultPlan`; ``chaos_seed`` re-seeds the plan for a
-    different (still deterministic) fault schedule.  The contract
-    checked: every point surviving into the store is bitwise identical
-    to a fault-free run, unrecoverable points land in the quarantine
-    sidecar with reasons, and a torn store tail is recovered on resume.
+    ``config`` is a phase name or an explicit grid, ``plan`` a sweep
+    plan name or a :class:`FaultPlan` (``get_plan(name, seed=N)``
+    re-seeds one).  The contract checked: every point surviving into the
+    store is bitwise identical to a fault-free run, every lost point is
+    in the quarantine sidecar with a reason, and a torn store tail is
+    recovered on resume.
 
     ``store`` must be a path (the resume pass re-opens it from disk to
     exercise recovery).  The reference sweep is serial and in-memory.
-    ``trace`` (a :class:`~repro.obs.trace.Tracer` or a path) records all
-    five phases — reference sweep, chaos pass, store tear, resume pass,
-    machine probe — plus both engines' spans into one trace file.
+    All five phases, and both engines' spans, go to the default tracer.
     """
     t0 = time.perf_counter()
     config = resolve_config(config)
     plan = get_plan(plan) if isinstance(plan, str) else plan
-    if chaos_seed is not None:
-        plan = plan.with_seed(chaos_seed)
     store_path = Path(store)
     report = ChaosReport(plan=plan.name, config=config.name)
-    tracer = trace if isinstance(trace, Tracer) or trace is None else Tracer(trace)
+    # A hang is only a fault if something times it out.
+    if timeout_s is None and plan.worker_hang_p > 0:
+        timeout_s = max(plan.hang_s * 0.5, 0.05)
 
     def engine(**kw) -> SweepEngine:
         return SweepEngine(
@@ -174,93 +237,72 @@ def run_chaos(
             dataset_kind=dataset_kind,
             n_cycles=n_cycles,
             seed=seed,
+            workers=workers,
+            timeout_s=timeout_s,
+            # The plan bounds faults per job, so a retry budget at least
+            # that deep always recovers from injected crashes.
+            max_retries=max(2, plan.max_faults_per_job + 1),
             backoff_s=0.01,
-            trace=tracer,
+            store=store_path,
+            faults=plan,
+            progress=progress,
+            trace=get_tracer(),
             **kw,
         )
 
-    # Install the tracer as the process default for the duration so the
-    # kernel spans fired inside serial engine runs land in the same file.
-    with (tracer.as_default() if tracer is not None else nullcontext()):
-        with span("chaos", plan=plan.name, config=config.name):
-            # 1. Ground truth, no faults.
-            with span("chaos-reference"):
-                reference = engine(workers=0).run(config)
-            ref_points = {p.key: p for p in reference.points}
-            report.expected = len(ref_points)
+    with span("chaos", plan=plan.name, config=config.name):
+        # 1. Ground truth, no faults.
+        reference = reference_points(
+            config, spec=spec, dataset_kind=dataset_kind, n_cycles=n_cycles, seed=seed
+        )
+        report.expected = len(reference)
 
-            # A hang is only a fault if something times it out.
-            if timeout_s is None and plan.worker_hang_p > 0:
-                timeout_s = max(plan.hang_s * 0.5, 0.05)
-            # The plan bounds faults per job, so a retry budget at least
-            # that deep always recovers from injected crashes.
-            max_retries = max(2, plan.max_faults_per_job + 1)
+        # 2. Chaos pass.
+        chaos_engine = engine()
+        with span("chaos-pass", plan=plan.name):
+            chaos_engine.run(config, resume=False)
+        report.retries = chaos_engine.stats.retries
+        report.faults_injected = chaos_engine.stats.faults_injected
+        report.fell_back_serial = chaos_engine.stats.fell_back_serial
 
-            # 2. Chaos pass.
-            chaos_engine = engine(
-                workers=workers,
-                timeout_s=timeout_s,
-                max_retries=max_retries,
-                store=store_path,
-                faults=plan,
-                progress=progress,
+        # 3. Damage the store the way a mid-write kill would.
+        if plan.torn_tail:
+            report.torn_bytes = tear(store_path, "store-torn")
+
+        # 4. Resume: recovery must complete exactly the missing points.
+        resume_engine = engine(profile_cache=chaos_engine.profile_cache)
+        with span("chaos-resume"):
+            resume_engine.run(config, resume=True)
+        report.resumed_points = resume_engine.stats.points_resumed
+        report.retries += resume_engine.stats.retries
+        report.faults_injected += resume_engine.stats.faults_injected
+
+        # 5. Survival accounting against ground truth: quarantined
+        # points are absent from the store, so it is a subset.
+        final = ResultStore(store_path)
+        points = store_points(final)
+        report.completed = len(points)
+        report.bitwise_identical = points.items() <= reference.items()
+        sidecar = final.quarantined()
+        report.quarantined = len({p.key for p, _ in sidecar})
+        lost = reference.keys() - points.keys()
+        report.lost = len(lost)
+        report.lost_unquarantined = len(lost - {p.key for p, reasons in sidecar if reasons})
+        report.quarantine_reasons = dict(
+            Counter(r.get("code", "?") for _, reasons in sidecar for r in reasons)
+        )
+
+        # 6. Sensor-level probe (traced), if the plan has machine faults.
+        if any(
+            (
+                plan.cap_jitter_w,
+                plan.cap_excursion_p,
+                plan.sample_dropout_p,
+                plan.sample_noise_w,
             )
-            with span("chaos-pass", plan=plan.name):
-                chaos_engine.run(config, resume=False)
-            report.retries = chaos_engine.stats.retries
-            report.faults_injected = chaos_engine.stats.faults_injected
-            report.fell_back_serial = chaos_engine.stats.fell_back_serial
-
-            # 3. Damage the store the way a mid-write kill would.
-            if plan.torn_tail:
-                with span("chaos-tear-store"):
-                    report.torn_bytes = tear_tail(store_path)
-                event("store-torn", bytes=report.torn_bytes, store=str(store_path))
-
-            # 4. Resume: recovery must complete exactly the missing points.
-            resume_engine = engine(
-                workers=workers,
-                timeout_s=timeout_s,
-                max_retries=max_retries,
-                store=store_path,
-                faults=plan,
-                profile_cache=chaos_engine.profile_cache,
-                progress=progress,
-            )
-            with span("chaos-resume"):
-                resume_engine.run(config, resume=True)
-            report.resumed_points = resume_engine.stats.points_resumed
-            report.retries += resume_engine.stats.retries
-            report.faults_injected += resume_engine.stats.faults_injected
-
-            # 5. Survival accounting against ground truth.
-            final = ResultStore(store_path)
-            report.completed = len(final)
-            report.bitwise_identical = all(
-                key in ref_points and point.to_dict() == ref_points[key].to_dict()
-                for key, point in final.points.items()
-            )
-            quarantined_keys = {p.key for p, _ in final.quarantined()}
-            report.quarantined = len(quarantined_keys)
-            report.lost = len(set(ref_points) - final.completed_keys())
-            for _, reasons in final.quarantined():
-                for r in reasons:
-                    code = r.get("code", "?")
-                    report.quarantine_reasons[code] = (
-                        report.quarantine_reasons.get(code, 0) + 1
-                    )
-
-            # 6. Sensor-level probe (traced), if the plan has machine faults.
-            if any(
-                (
-                    plan.cap_jitter_w,
-                    plan.cap_excursion_p,
-                    plan.sample_dropout_p,
-                    plan.sample_noise_w,
-                )
-            ):
-                with span("chaos-machine-probe"):
-                    _machine_probe(report, plan, config, chaos_engine.profile_cache, spec)
+        ):
+            with span("chaos-machine-probe"):
+                _machine_probe(report, plan, config, chaos_engine.profile_cache, spec)
 
     report.wall_s = time.perf_counter() - t0
     return report

@@ -38,85 +38,14 @@ from ..insitu.governors import (
 from ..machine.simulator import Processor
 from ..machine.spec import MachineSpec
 from ..obs.trace import event, span
-from .plan import _unit
+from .chaos import DrillReport
+from .plan import GovernorFaultPlan, get_plan
 
-__all__ = [
-    "GovernorFaultPlan",
-    "GOVERNOR_PLANS",
-    "get_governor_plan",
-    "GovernorChaosReport",
-    "run_governor_chaos",
-]
-
-
-@dataclass(frozen=True)
-class GovernorFaultPlan:
-    """What to do to the signal feed, how hard, under which seed."""
-
-    name: str
-    seed: int = 2019
-    #: Probability each non-initial sample is lost (deterministic per
-    #: ``(seed, index)`` — same plan, same holes).
-    signal_dropout_p: float = 0.0
-    #: Signal offset added to the second half of the trace: a provider
-    #: re-basing its series mid-run.
-    step_jump: float = 0.0
-    #: Fraction of the trace kept in the truncation drill (the governor
-    #: runs off the end of its forecast and must hold the last sample).
-    truncate_frac: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.signal_dropout_p <= 1.0):
-            raise ValueError("signal_dropout_p must be in [0, 1]")
-        if not (0.0 < self.truncate_frac <= 1.0):
-            raise ValueError("truncate_frac must be in (0, 1]")
-
-    def dropout_indices(self, n_samples: int) -> list[int]:
-        """Which sample indices this plan drops (index 0 never drops)."""
-        if self.signal_dropout_p <= 0.0:
-            return []
-        return [
-            i
-            for i in range(1, n_samples)
-            if _unit(self.seed, "signal-dropout", str(i)) < self.signal_dropout_p
-        ]
-
-
-GOVERNOR_PLANS: dict[str, GovernorFaultPlan] = {
-    p.name: p
-    for p in (
-        GovernorFaultPlan(name="none"),
-        GovernorFaultPlan(
-            name="default",
-            seed=2019,
-            signal_dropout_p=0.5,
-            step_jump=150.0,
-            truncate_frac=0.4,
-        ),
-        GovernorFaultPlan(
-            name="blackout",
-            seed=31,
-            signal_dropout_p=0.9,
-            step_jump=400.0,
-            truncate_frac=0.1,
-        ),
-    )
-}
-
-
-def get_governor_plan(name: str) -> GovernorFaultPlan:
-    """Look up a named plan (``repro chaos --governor --plan NAME``)."""
-    try:
-        return GOVERNOR_PLANS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown governor fault plan {name!r}; "
-            f"expected one of {sorted(GOVERNOR_PLANS)}"
-        ) from None
+__all__ = ["GovernorChaosReport", "run_governor_chaos"]
 
 
 @dataclass
-class GovernorChaosReport:
+class GovernorChaosReport(DrillReport):
     """Contract accounting for one governor chaos run."""
 
     plan: str
@@ -134,16 +63,7 @@ class GovernorChaosReport:
     bitwise_identical: bool = True
     wall_s: float = 0.0
 
-    @property
-    def survived(self) -> bool:
-        """Did every drill keep the piecewise invariants intact?"""
-        return (
-            self.bitwise_identical
-            and self.out_of_range_decisions == 0
-            and all(n == 0 for n in self.violations.values())
-        )
-
-    def render(self) -> str:
+    def header(self) -> list[str]:
         lines = [
             f"governor chaos report — plan '{self.plan}', governor {self.governor}, "
             f"control {self.control} ({self.wall_s:.2f}s)",
@@ -156,15 +76,16 @@ class GovernorChaosReport:
             lines.append(f"  {drill}: {n} invariant violation(s)")
         if self.out_of_range_decisions:
             lines.append(f"  {self.out_of_range_decisions} decision(s) out of range")
-        lines.append(
-            "  clean replay bitwise identical: "
-            + ("yes" if self.bitwise_identical else "NO")
-        )
-        lines.append(
-            "governor invariants intact under chaos: "
-            + ("yes" if self.survived else "NO")
-        )
-        return "\n".join(lines)
+        return lines
+
+    def contract(self) -> dict[str, bool]:
+        return {
+            "clean replay bitwise identical": self.bitwise_identical,
+            "governor invariants intact under chaos": (
+                self.out_of_range_decisions == 0
+                and all(n == 0 for n in self.violations.values())
+            ),
+        }
 
 
 def _out_of_range(epochs, spec: MachineSpec) -> int:
@@ -201,11 +122,12 @@ def run_governor_chaos(
     Every pass's epochs go through
     :meth:`PointValidator.check_epochs <repro.core.validate.PointValidator.check_epochs>`
     and the decision-range check; finally the reference is replayed and
-    must reproduce bitwise.  ``plan`` is a plan name or a
-    :class:`GovernorFaultPlan`.
+    must reproduce bitwise.  ``plan`` is a governor plan name or a
+    :class:`~repro.faults.plan.GovernorFaultPlan`.  The passes are spans
+    on the default tracer.
     """
     t0 = time.perf_counter()
-    plan = get_governor_plan(plan) if isinstance(plan, str) else plan
+    plan = get_plan(plan, "governor") if isinstance(plan, str) else plan
     proc = Processor(spec) if spec is not None else Processor()
     gov = parse_governor(governor) if isinstance(governor, str) else governor
     ctrl = make_control(control, proc.spec)

@@ -1,7 +1,7 @@
-"""Seedable, deterministic fault plans.
+"""Seedable, deterministic fault plans: one registry for every chaos drill.
 
-A :class:`FaultPlan` describes *which* faults to inject and *how often*,
-at three layers of the stack:
+A :class:`FaultPlan` describes *which* faults the sweep drill injects
+and *how often*, at three layers of the stack:
 
 * **machine** — RAPL cap-enforcement jitter, transient cap-not-met
   excursions, 100 ms power-sample dropout and noise (consumed by
@@ -19,6 +19,12 @@ draw, no global RNG state — so a fault schedule is reproducible across
 processes, worker pools, and resumed sweeps: the retry of a crashed job
 sees the *same* plan but a different attempt key, which is what lets a
 bounded-fault plan guarantee eventual completion.
+
+The service drill's :class:`ServiceFaultInjector` and the governor
+drill's :class:`GovernorFaultPlan` draw through the same function.  All
+named plans live in one registry, :data:`PLANS` (``{drill: {name:
+plan}}``), behind one lookup, :func:`get_plan`, which is also the one
+way to re-seed a plan.
 """
 
 from __future__ import annotations
@@ -26,9 +32,16 @@ from __future__ import annotations
 import hashlib
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
-__all__ = ["FaultPlan", "InjectedFault", "PLANS", "get_plan"]
+__all__ = [
+    "FaultPlan",
+    "GovernorFaultPlan",
+    "InjectedFault",
+    "PLANS",
+    "ServiceFaultInjector",
+    "get_plan",
+]
 
 
 class InjectedFault(RuntimeError):
@@ -95,10 +108,6 @@ class FaultPlan:
         u2 = _unit(self.seed, site, key, lane=2)
         return sigma * math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
 
-    def with_seed(self, seed: int) -> "FaultPlan":
-        """The same plan under a different seed (a different schedule)."""
-        return replace(self, seed=int(seed))
-
     # -------------------------------------------------------- engine hooks
     def wrap_job(self, base, attempt: int):
         """Wrap a profile-job body with this plan's engine-layer faults.
@@ -155,13 +164,130 @@ class _FaultedJob:
         return self.base(job)
 
 
-#: Named plans for the ``repro chaos`` CLI.  The ``default`` plan is the
-#: acceptance scenario: worker crashes + sample dropout + one torn store
-#: tail, all recoverable (``max_faults_per_job=1`` bounds crashes per
-#: job, so a retry budget ≥ 1 always completes the sweep).
-PLANS: dict[str, FaultPlan] = {
-    p.name: p
-    for p in (
+@dataclass
+class ServiceFaultInjector:
+    """Seeded, budgeted fault decisions for the supervisor's hooks.
+
+    Unlike :class:`FaultPlan` this counts the faults it fires.  The
+    counters are ``init=False`` fields, so ``dataclasses.replace`` (and
+    :func:`get_plan`) hands back a fresh injector; each service drill
+    fires such a copy and leaves the caller's object untouched.
+    """
+
+    name: str = "custom"
+    seed: int = 20107
+
+    job_crash_p: float = 0.0        # P(a delivery crashes mid-study)
+    crash_after_groups: int = 1     # profile completions before the crash fires
+    max_crashes: int = 2            # total crash budget (keeps completion reachable)
+    heartbeat_stall_p: float = 0.0  # P(a delivery's heartbeats go silent)
+    max_stalls: int = 1             # total stall budget (lease-expiry budget is finite)
+    duplicate_delivery_p: float = 0.0  # P(a running job is redelivered once)
+    torn_wal: bool = False          # cut the WAL's last record between daemons
+
+    crashes_injected: int = field(default=0, init=False)
+    stalls_injected: int = field(default=0, init=False)
+    duplicates_injected: int = field(default=0, init=False)
+    _dup_fired: set = field(default_factory=set, init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        for f in ("job_crash_p", "heartbeat_stall_p", "duplicate_delivery_p"):
+            p = getattr(self, f)
+            if not 0.0 <= p <= 1.0:
+                raise ValueError(f"{f} must be a probability, got {p}")
+
+    def _decide(self, site: str, key: str, p: float) -> bool:
+        return p > 0.0 and _unit(self.seed, site, key) < p
+
+    # ----------------------------------------------------- supervisor hooks
+    def wrap_progress(self, job_id: str, attempt: int, progress):
+        """Crash this delivery after N profile completions (maybe)."""
+        if self.crashes_injected >= self.max_crashes or not self._decide(
+            "job-crash", f"{job_id}|{attempt}", self.job_crash_p
+        ):
+            return progress
+        seen = {"n": 0}
+
+        def crashing(event: dict) -> None:
+            progress(event)
+            if event.get("kind") != "profile-done":
+                return
+            seen["n"] += 1
+            if seen["n"] >= self.crash_after_groups:
+                self.crashes_injected += 1
+                raise InjectedFault(
+                    f"service chaos: crashed delivery of {job_id} "
+                    f"(attempt {attempt}, after {seen['n']} profile(s))"
+                )
+
+        return crashing
+
+    def stall_heartbeat(self, job_id: str, worker: str) -> bool:
+        """Silence this delivery's lease extensions (maybe)."""
+        if self.stalls_injected >= self.max_stalls or not self._decide(
+            "heartbeat-stall", f"{job_id}|{worker}", self.heartbeat_stall_p
+        ):
+            return False
+        self.stalls_injected += 1
+        return True
+
+    def duplicate_claim(self, job_id: str) -> bool:
+        """Redeliver a running job to a second worker (once per job)."""
+        if job_id in self._dup_fired or not self._decide(
+            "duplicate-delivery", job_id, self.duplicate_delivery_p
+        ):
+            return False
+        self._dup_fired.add(job_id)
+        self.duplicates_injected += 1
+        return True
+
+
+@dataclass(frozen=True)
+class GovernorFaultPlan:
+    """What to do to a governor's signal feed, how hard, under which seed."""
+
+    name: str
+    seed: int = 2019
+    #: Probability each non-initial sample is lost (deterministic per
+    #: ``(seed, index)`` — same plan, same holes).
+    signal_dropout_p: float = 0.0
+    #: Signal offset added to the second half of the trace: a provider
+    #: re-basing its series mid-run.
+    step_jump: float = 0.0
+    #: Fraction of the trace kept in the truncation drill (the governor
+    #: runs off the end of its forecast and must hold the last sample).
+    truncate_frac: float = 1.0
+
+    def __post_init__(self) -> None:
+        if not (0.0 <= self.signal_dropout_p <= 1.0):
+            raise ValueError("signal_dropout_p must be in [0, 1]")
+        if not (0.0 < self.truncate_frac <= 1.0):
+            raise ValueError("truncate_frac must be in (0, 1]")
+
+    def dropout_indices(self, n_samples: int) -> list[int]:
+        """Which sample indices this plan drops (index 0 never drops)."""
+        if self.signal_dropout_p <= 0.0:
+            return []
+        return [
+            i
+            for i in range(1, n_samples)
+            if _unit(self.seed, "signal-dropout", str(i)) < self.signal_dropout_p
+        ]
+
+
+def _by_name(*plans) -> dict:
+    return {p.name: p for p in plans}
+
+
+#: Every drill's named plans, ``PLANS[drill][name]`` with the drills
+#: ``sweep`` (``repro chaos``), ``service`` (``--service``) and
+#: ``governor`` (``--governor``).  The sweep drill's ``default`` plan is
+#: the acceptance scenario: worker crashes + sample dropout + one torn
+#: store tail, all recoverable (``max_faults_per_job=1`` bounds crashes
+#: per job, so a retry budget ≥ 1 always completes the sweep).  Every
+#: service fault class is budgeted for the same reason.
+PLANS: dict[str, dict] = {
+    "sweep": _by_name(
         FaultPlan(
             name="default",
             seed=2019,
@@ -199,15 +325,55 @@ PLANS: dict[str, FaultPlan] = {
             point_corrupt_p=0.3,
             torn_tail=True,
         ),
-    )
+    ),
+    "service": _by_name(
+        ServiceFaultInjector(name="none"),
+        ServiceFaultInjector(
+            name="default",
+            job_crash_p=1.0,
+            max_crashes=2,
+            heartbeat_stall_p=1.0,
+            max_stalls=1,
+            duplicate_delivery_p=0.5,
+            torn_wal=True,
+        ),
+        ServiceFaultInjector(
+            name="crashy", job_crash_p=1.0, max_crashes=3, crash_after_groups=1
+        ),
+        ServiceFaultInjector(name="torn", torn_wal=True),
+    ),
+    "governor": _by_name(
+        GovernorFaultPlan(name="none"),
+        GovernorFaultPlan(
+            name="default",
+            seed=2019,
+            signal_dropout_p=0.5,
+            step_jump=150.0,
+            truncate_frac=0.4,
+        ),
+        GovernorFaultPlan(
+            name="blackout",
+            seed=31,
+            signal_dropout_p=0.9,
+            step_jump=400.0,
+            truncate_frac=0.1,
+        ),
+    ),
 }
 
 
-def get_plan(name: str) -> FaultPlan:
-    """Look up a named plan (``repro chaos --plan NAME``)."""
-    try:
-        return PLANS[name]
-    except KeyError:
+def get_plan(name: str, drill: str = "sweep", *, seed: int | None = None):
+    """A fresh copy of ``drill``'s plan ``name``, re-seeded when ``seed``
+    is given (``repro chaos [--service | --governor] --plan NAME --seed N``).
+
+    The copy is what lets a drill fire a service injector's counters
+    without touching the registry entry.
+    """
+    plans = PLANS[drill]
+    if name not in plans:
         raise ValueError(
-            f"unknown fault plan {name!r}; expected one of {sorted(PLANS)}"
-        ) from None
+            f"unknown fault plan {name!r} for the {drill} drill; "
+            f"expected one of {sorted(plans)}"
+        )
+    plan = plans[name]
+    return replace(plan) if seed is None else replace(plan, seed=int(seed))

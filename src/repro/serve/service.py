@@ -140,7 +140,10 @@ class SweepService:
         self.backoff_base_s = float(backoff_base_s)
         self.backoff_cap_s = float(backoff_cap_s)
         self.metrics = metrics if metrics is not None else get_registry()
-        self.tracer = trace if isinstance(trace, Tracer) or trace is None else Tracer(trace)
+        # Close only a tracer opened here from a path; a handed-in one
+        # belongs to the caller (a chaos drill traces two generations).
+        self._owns_tracer = trace is not None and not isinstance(trace, Tracer)
+        self.tracer = Tracer(trace) if self._owns_tracer else trace
         self.injector = injector
         # One ledger cache per dataset recipe for the service's lifetime,
         # shared by concurrent jobs: a store per job would rewrite the
@@ -273,7 +276,7 @@ class SweepService:
             sup.run(drain=drain)
         finally:
             self._dump_metrics()
-            if self.tracer is not None:
+            if self._owns_tracer:
                 self.tracer.close()
         return self.report()
 

@@ -2,24 +2,23 @@
 
 import pytest
 
-from repro.faults import (
-    GOVERNOR_PLANS,
-    GovernorFaultPlan,
-    get_governor_plan,
-    run_governor_chaos,
-)
+from repro.faults import PLANS, GovernorFaultPlan, get_plan, run_governor_chaos
 from repro.insitu.governors import CONTROL_METHODS
 
 
 class TestPlans:
     def test_named_plans_resolve(self):
-        assert set(GOVERNOR_PLANS) == {"none", "default", "blackout"}
-        assert get_governor_plan("default").signal_dropout_p > 0
-        with pytest.raises(ValueError, match="unknown governor fault plan"):
-            get_governor_plan("nope")
+        assert set(PLANS["governor"]) == {"none", "default", "blackout"}
+        assert get_plan("default", "governor").signal_dropout_p > 0
+        with pytest.raises(
+            ValueError,
+            match=r"unknown fault plan 'nope' for the governor drill; "
+            r"expected one of \['blackout', 'default', 'none'\]",
+        ):
+            get_plan("nope", "governor")
 
     def test_dropout_indices_deterministic_and_seeded(self):
-        plan = get_governor_plan("default")
+        plan = get_plan("default", "governor")
         assert plan.dropout_indices(40) == plan.dropout_indices(40)
         reseeded = GovernorFaultPlan(
             name="x", seed=99, signal_dropout_p=plan.signal_dropout_p
@@ -39,7 +38,7 @@ class TestDrillsSurvive:
     @pytest.mark.parametrize("control", sorted(CONTROL_METHODS))
     def test_default_plan_survives_every_control(self, control):
         report = run_governor_chaos(
-            get_governor_plan("default"), control=control, n_epochs=6, n_steps=30
+            get_plan("default", "governor"), control=control, n_epochs=6, n_steps=30
         )
         assert report.survived, report.render()
         assert report.bitwise_identical
@@ -53,7 +52,7 @@ class TestDrillsSurvive:
 
     def test_blackout_plan_survives(self):
         report = run_governor_chaos(
-            get_governor_plan("blackout"), n_epochs=6, n_steps=30
+            get_plan("blackout", "governor"), n_epochs=6, n_steps=30
         )
         assert report.survived, report.render()
         # Blackout really does degrade the feed, not just nominally.
@@ -62,7 +61,7 @@ class TestDrillsSurvive:
 
     def test_governor_spec_and_linear_policy(self):
         report = run_governor_chaos(
-            get_governor_plan("default"),
+            get_plan("default", "governor"),
             governor="linear:50:250:0.4",
             n_epochs=5,
             n_steps=30,
@@ -71,13 +70,13 @@ class TestDrillsSurvive:
         assert report.governor.startswith("linear:")
 
     def test_render_is_greppable(self):
-        report = run_governor_chaos(get_governor_plan("none"), n_epochs=4, n_steps=30)
+        report = run_governor_chaos(get_plan("none", "governor"), n_epochs=4, n_steps=30)
         text = report.render()
         assert "governor invariants intact under chaos: yes" in text
         assert "clean replay bitwise identical: yes" in text
 
     def test_broken_contract_reports_no(self):
-        report = run_governor_chaos(get_governor_plan("none"), n_epochs=4, n_steps=30)
+        report = run_governor_chaos(get_plan("none", "governor"), n_epochs=4, n_steps=30)
         report.violations["signal-dropout"] = 2
         assert not report.survived
         assert "governor invariants intact under chaos: NO" in report.render()

@@ -2,6 +2,7 @@
 
 import pickle
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -10,6 +11,13 @@ from repro.core.engine import ProfileJob, execute_profile_job
 from repro.faults import PLANS, FaultPlan, InjectedFault, get_plan
 
 JOB = ProfileJob("threshold", 12, "blobs", 7)
+
+#: (plan name, fault schedule) per drill, for the re-seed check.
+SCHEDULES = {
+    "sweep": ("hostile", lambda p: [p.decide("s", f"k{i}", 0.5) for i in range(64)]),
+    "service": ("default", lambda p: [p.duplicate_claim(f"job-{i}") for i in range(64)]),
+    "governor": ("default", lambda p: p.dropout_indices(64)),
+}
 
 
 def _ok(job):
@@ -42,9 +50,18 @@ class TestDecisions:
         assert plan.gauss("s", "k", 0.0) == 0.0
 
     def test_with_seed_changes_the_schedule(self):
-        a, b = FaultPlan(seed=1), FaultPlan(seed=1).with_seed(2)
+        a, b = FaultPlan(seed=1), replace(FaultPlan(seed=1), seed=2)
         keys = [f"k{i}" for i in range(100)]
         assert [a.decide("s", k, 0.5) for k in keys] != [b.decide("s", k, 0.5) for k in keys]
+
+    @pytest.mark.parametrize("drill", sorted(SCHEDULES))
+    def test_get_plan_seed_reschedules_every_plan_type(self, drill):
+        name, schedule = SCHEDULES[drill]
+        assert get_plan(name, drill, seed=5).seed == 5
+        assert get_plan(name, drill).seed == PLANS[drill][name].seed
+        # Fresh copies each time: a service injector's draws fire once per job.
+        first, again, other = (schedule(get_plan(name, drill, seed=s)) for s in (1, 1, 2))
+        assert first == again != other
 
     def test_invalid_probabilities_rejected(self):
         for f in ("worker_crash_p", "sample_dropout_p", "point_corrupt_p"):
@@ -56,8 +73,18 @@ class TestDecisions:
             FaultPlan(max_faults_per_job=-1)
 
     def test_get_plan(self):
-        assert get_plan("default") is PLANS["default"]
-        with pytest.raises(ValueError, match="unknown fault plan"):
+        # Every drill's every entry resolves to an equal, separate copy.
+        assert set(PLANS) == {"sweep", "service", "governor"}
+        for drill, plans in PLANS.items():
+            for name, plan in plans.items():
+                copy = get_plan(name, drill)
+                assert copy == plan and copy is not plan, (drill, name)
+        assert get_plan("default") == PLANS["sweep"]["default"]
+        with pytest.raises(
+            ValueError,
+            match=r"unknown fault plan 'nope' for the sweep drill; expected one of "
+            r"\['default', 'engine', 'hostile', 'machine', 'store'\]",
+        ):
             get_plan("nope")
 
 

@@ -1,19 +1,22 @@
 """Service-layer chaos: injector decisions, WAL tearing, the full drill."""
 
-import json
+from dataclasses import replace
 
 import pytest
 
 from repro.core import StudyConfig
 from repro.faults import (
-    SERVICE_PLANS,
+    PLANS,
+    ChaosReport,
+    GovernorChaosReport,
     ServiceChaosReport,
     ServiceFaultInjector,
-    get_service_plan,
+    get_plan,
     run_service_chaos,
     tear_tail,
 )
 from repro.faults.plan import InjectedFault
+from repro.obs.trace import Tracer, read_trace
 from repro.serve import WriteAheadLog
 
 pytestmark = pytest.mark.timeout(600)
@@ -23,19 +26,25 @@ CFG = StudyConfig(name="t", algorithms=("threshold",), sizes=(12,))
 
 class TestServiceFaultInjector:
     def test_plans_registry(self):
-        assert set(SERVICE_PLANS) >= {"none", "default", "crashy", "torn"}
-        assert SERVICE_PLANS["none"].job_crash_p == 0.0
-        assert SERVICE_PLANS["default"].torn_wal
+        service = PLANS["service"]
+        assert set(service) >= {"none", "default", "crashy", "torn"}
+        assert service["none"].job_crash_p == 0.0
+        assert service["default"].torn_wal
 
     def test_get_service_plan_returns_fresh_counters(self):
-        a = get_service_plan("default")
+        entry = PLANS["service"]["default"]
+        a = get_plan("default", "service")
+        assert (a.crashes_injected, a.stalls_injected, a.duplicates_injected) == (0, 0, 0)
+        assert a._dup_fired == set() and a._dup_fired is not entry._dup_fired
         a.crashes_injected = 5
-        b = get_service_plan("default")
-        assert b.crashes_injected == 0
+        a._dup_fired.add("job-x")
+        b = get_plan("default", "service")
+        assert b.crashes_injected == 0 and b._dup_fired == set()
+        assert entry.crashes_injected == 0 and entry._dup_fired == set()
 
     def test_unknown_plan_lists_names(self):
-        with pytest.raises(ValueError, match="crashy"):
-            get_service_plan("nope")
+        with pytest.raises(ValueError, match="for the service drill.*crashy"):
+            get_plan("nope", "service")
 
     def test_probability_validation(self):
         with pytest.raises(ValueError, match="probability"):
@@ -91,22 +100,52 @@ class TestTearWalTail:
         assert survivors == ["job-1"]  # job-2's record is the torn tail
 
 
+def _says_no(report) -> bool:
+    return any(line.endswith(": NO") for line in report.render().splitlines())
+
+
 class TestChaosReport:
     def test_survived_requires_every_clause(self):
-        good = ServiceChaosReport(
-            plan="p", config="c", n_jobs=2, completed=2, failed=0, lost=0
-        )
-        assert good.survived
-        for broken in (
-            dict(completed=1),
-            dict(failed=1),
-            dict(lost=1),
-            dict(bitwise_identical=False),
-            dict(replay_consistent=False),
-        ):
-            fields = {"completed": 2, "failed": 0, "lost": 0, **broken}
-            report = ServiceChaosReport(plan="p", config="c", n_jobs=2, **fields)
-            assert not report.survived, broken
+        """For every drill's report, ``survived`` is false exactly when a
+        printed contract line says NO, with each clause broken in turn."""
+        drills = [
+            (
+                ServiceChaosReport(plan="p", config="c", n_jobs=2, completed=2),
+                (
+                    dict(completed=1),
+                    dict(failed=1),
+                    dict(lost=1),
+                    dict(bitwise_identical=False),
+                    dict(replay_consistent=False),
+                ),
+            ),
+            (
+                ChaosReport(plan="p", config="c", expected=3, completed=2, quarantined=1,
+                            lost=1),
+                (
+                    dict(completed=3),
+                    dict(lost=2),
+                    # A lost key absent from the quarantine sidecar.
+                    dict(lost_unquarantined=1),
+                    dict(bitwise_identical=False),
+                ),
+            ),
+            (
+                GovernorChaosReport(plan="p", governor="g", control="power",
+                                    violations={"reference": 0, "signal-dropout": 0}),
+                (
+                    dict(violations={"reference": 0, "signal-dropout": 2}),
+                    dict(out_of_range_decisions=1),
+                    dict(bitwise_identical=False),
+                ),
+            ),
+        ]
+        for good, clauses in drills:
+            assert good.survived and not _says_no(good), good.render()
+            for broken in clauses:
+                report = replace(good, **broken)
+                assert not report.survived, (type(report).__name__, broken)
+                assert _says_no(report), report.render()
 
     def test_render_names_the_contract(self):
         text = ServiceChaosReport(
@@ -144,7 +183,43 @@ class TestRunServiceChaos:
         # not the exact schedule, under re-seeded plans.
         for seed in (1, 2):
             report = run_service_chaos(
-                CFG, "crashy", spool=tmp_path / f"s{seed}",
-                n_jobs=1, n_cycles=2, chaos_seed=seed,
+                CFG, get_plan("crashy", "service", seed=seed), spool=tmp_path / f"s{seed}",
+                n_jobs=1, n_cycles=2,
             )
             assert report.survived, report.render()
+
+    def test_reused_injector_starts_fresh_each_drill(self, tmp_path):
+        # Each drill fires a copy: the budget is the plan's, per drill,
+        # and the caller's counters never move.
+        injector = ServiceFaultInjector(job_crash_p=1.0, max_crashes=1)
+        for run in ("a", "b"):
+            report = run_service_chaos(
+                CFG, injector, spool=tmp_path / run, n_jobs=1, n_cycles=2
+            )
+            assert report.survived, report.render()
+            # One crash fired in this drill, so the queue retried once.
+            assert report.crashes_injected == report.retries == 1, report.render()
+        assert injector.crashes_injected == 0 and injector._dup_fired == set()
+
+    def test_trace_covers_every_phase(self, tmp_path):
+        path = tmp_path / "service.trace.jsonl"
+        with Tracer(path) as tracer, tracer.as_default():
+            report = run_service_chaos(
+                CFG, "torn", spool=tmp_path / "spool", n_jobs=1, n_cycles=2
+            )
+        assert report.survived, report.render()
+        _, records = read_trace(path)
+        spans = [r for r in records if r["kind"] == "span"]
+        ids = [r["span_id"] for r in spans]
+        assert len(ids) == len(set(ids))
+        by_name = {r["name"]: r for r in spans}
+        assert {
+            "service-chaos", "chaos-reference", "chaos-pass", "chaos-tear-store",
+            "chaos-resume", "serve",
+        } <= set(by_name)
+        root = by_name["service-chaos"]["span_id"]
+        for phase in ("chaos-reference", "chaos-pass", "chaos-tear-store", "chaos-resume"):
+            assert by_name[phase]["parent_id"] == root, phase
+        # One daemon generation per phase, both on the drill's tracer.
+        assert sum(r["name"] == "serve" for r in spans) == 2
+        assert "serve-wal-torn" in {r["name"] for r in records if r["kind"] == "event"}

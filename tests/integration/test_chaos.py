@@ -10,7 +10,7 @@ import pytest
 
 from repro import api
 from repro.cli import main
-from repro.core import StudyConfig, validate_store
+from repro.core import ResultStore, StudyConfig, validate_store
 from repro.faults import get_plan, run_chaos
 
 CFG = StudyConfig(name="t", algorithms=("threshold", "clip"), sizes=(12,))
@@ -65,6 +65,14 @@ class TestHostilePlan:
         assert rep.quarantine_reasons  # machine-readable codes in the sidecar
         assert validate_store(store).ok  # the main store is never polluted
 
+    def test_lost_point_missing_from_the_sidecar_fails(self, tmp_path, monkeypatch):
+        # docs/robustness.md: everything lost is in the sidecar with reasons.
+        monkeypatch.setattr(ResultStore, "quarantined", lambda self: [])
+        rep = run_chaos(CFG, get_plan("hostile"), store=tmp_path / "s.jsonl", n_cycles=2)
+        assert rep.lost > 0 and rep.lost_unquarantined == rep.lost
+        assert rep.bitwise_identical and not rep.survived
+        assert "every lost point quarantined with a reason: NO" in rep.render()
+
     def test_chaos_is_deterministic(self, tmp_path):
         runs = []
         for name in ("a", "b"):
@@ -79,13 +87,13 @@ class TestHostilePlan:
 
 class TestTracedChaos:
     def test_trace_covers_all_phases(self, tmp_path):
-        from repro.obs.trace import read_trace
+        from repro.obs.trace import Tracer, read_trace
 
         trace = tmp_path / "chaos.trace.jsonl"
-        rep = run_chaos(
-            CFG, get_plan("default"), store=tmp_path / "s.jsonl",
-            workers=0, n_cycles=2, trace=trace,
-        )
+        with Tracer(trace) as tracer, tracer.as_default():
+            rep = run_chaos(
+                CFG, get_plan("default"), store=tmp_path / "s.jsonl", workers=0, n_cycles=2
+            )
         assert rep.survived
         _, records = read_trace(trace)
         names = {r["name"] for r in records if r["kind"] == "span"}
@@ -101,7 +109,8 @@ class TestTracedChaos:
 class TestApiFacade:
     def test_run_chaos_accepts_names_and_reseeds(self, tmp_path):
         rep = api.run_chaos(
-            "table1", plan="store", store=tmp_path / "s.jsonl", chaos_seed=123, n_cycles=1
+            "table1", plan=api.get_plan("store", seed=123), store=tmp_path / "s.jsonl",
+            n_cycles=1,
         )
         assert rep.plan == "store" and rep.survived
         assert rep.torn_bytes > 0

@@ -10,6 +10,7 @@ from repro.core import ResultStore, StudyConfig, engine
 from repro.core.profiles import ProfileCache
 from repro.core.study import ALGORITHM_NAMES
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.trace import Tracer, read_trace
 from repro.serve import SweepService, study_from_dict, study_to_dict
 
 pytestmark = pytest.mark.timeout(300)
@@ -126,6 +127,23 @@ class TestDaemon:
         report = fresh.run_daemon(drain=True)
         assert report["counts"]["completed"] == 1
         assert fresh.store_path(receipt.job_id).read_bytes() == before
+
+    def test_handed_in_tracer_stays_open_across_generations(self, tmp_path):
+        """A tracer the caller hands in is the caller's to close: two
+        daemon generations trace into one file, one ``serve`` root each."""
+        path = tmp_path / "serve.trace.jsonl"
+        with Tracer(path) as tracer:
+            for _ in range(2):
+                svc = make_service(tmp_path, trace=tracer)
+                svc.submit(CFG, n_cycles=2)
+                svc.run_daemon(drain=True)
+            tracer.event("after-both-generations")
+        _, records = read_trace(path)
+        spans = [r for r in records if r["kind"] == "span"]
+        roots = [r for r in spans if r["name"] == "serve" and r["parent_id"] is None]
+        assert len(roots) == 2
+        assert len({r["span_id"] for r in spans}) == len(spans)
+        assert "after-both-generations" in {r["name"] for r in records}
 
     def test_concurrent_cold_jobs_keep_every_ledger(self, tmp_path, monkeypatch):
         """Two cold jobs of one recipe on two workers: the recipe's
