@@ -12,11 +12,11 @@ from repro.core.study import ALGORITHM_NAMES, StudyConfig, effective_sizes
 from repro.machine import ALL_PRESETS
 
 
-def bench_ablation_architectures(benchmark, engine):
+def bench_ablation_architectures(benchmark, engine, study_profile):
     size = effective_sizes((128,))[0]
-    # Warm the ledger cache through the shared engine.
+    # Warm the shared engine's ledger cache.
     for alg in ALGORITHM_NAMES:
-        engine.profile_for(alg, size)
+        study_profile(alg, size)
 
     def sweep():
         out = {}

@@ -22,7 +22,7 @@ def _scaled(profile, factor):
     return out
 
 
-def bench_ablation_budget(benchmark, engine):
+def bench_ablation_budget(benchmark, engine, study_profile):
     size = min(effective_sizes((128,))[0], 128)
     proc = Processor(engine.spec)
     # Paper-like composition: the simulation dominates; visualization is
@@ -32,7 +32,7 @@ def bench_ablation_budget(benchmark, engine):
     def sweep():
         rows = []
         for viz_alg in ("contour", "volume"):
-            viz = _scaled(engine.profile_for(viz_alg, size), 10.0 / 87.0)
+            viz = _scaled(study_profile(viz_alg, size), 10.0 / 87.0)
             for budget in (100.0, 140.0, 180.0):
                 uni = uniform_allocation(proc, sim, viz, budget)
                 adv = advisor_allocation(proc, sim, viz, budget)

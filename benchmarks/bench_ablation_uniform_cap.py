@@ -12,13 +12,13 @@ from repro.core.study import effective_sizes
 from repro.machine.simulator import Processor
 
 
-def bench_ablation_uniform_cap(benchmark, engine):
+def bench_ablation_uniform_cap(benchmark, engine, study_profile):
     sizes = effective_sizes((32, 128))
     small, large = sizes[0], sizes[-1]
     proc = Processor(engine.spec)
 
-    light = engine.profile_for("contour", small)   # lightly loaded socket
-    heavy = engine.profile_for("volume", large)    # heavily loaded socket
+    light = study_profile("contour", small)   # lightly loaded socket
+    heavy = study_profile("volume", large)    # heavily loaded socket
     budget = 160.0
 
     def run():

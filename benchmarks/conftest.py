@@ -12,13 +12,26 @@ suite without the 256³ extractions.
 import pytest
 
 from repro import api
-from repro.core import SweepEngine
+from repro.core import PowerAdvisor, SweepEngine, profile_from_ledger
 from repro.core.profiles import DEFAULT_CACHE_PATH
 
 
 @pytest.fixture(scope="session")
 def engine() -> SweepEngine:
     return api.sweep_engine(workers=0, cache=DEFAULT_CACHE_PATH)
+
+
+@pytest.fixture(scope="session")
+def study_profile(engine):
+    """``study_profile(algorithm, size)``: the engine's cycle-scaled work
+    profile, from the shared ledger cache (recorded there on a miss)."""
+    advisor = PowerAdvisor(engine.spec, cache=engine.profile_cache, n_cycles=engine.n_cycles)
+
+    def profile(algorithm: str, size: int):
+        ledger, _ = advisor.ledger_for(algorithm, size)
+        return profile_from_ledger(algorithm, size, ledger, n_cycles=engine.n_cycles)
+
+    return profile
 
 
 @pytest.fixture(scope="session")

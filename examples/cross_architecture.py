@@ -8,7 +8,7 @@ Broadwell findings transfer.
 Run:  python examples/cross_architecture.py
 """
 
-from repro.core import ProfileCache, StudyConfig, SweepEngine, first_slowdown_cap
+from repro.core import PowerAdvisor, ProfileCache, StudyConfig, SweepEngine, first_slowdown_cap
 from repro.core.study import ALGORITHM_NAMES
 from repro.machine import ALL_PRESETS
 
@@ -19,9 +19,7 @@ def main() -> None:
     # One ledger cache shared by every socket's engine: each algorithm
     # runs once, then every socket reprices the same ledgers.
     ledgers = ProfileCache()
-    reference = SweepEngine(workers=0, profile_cache=ledgers)
-    for alg in ALGORITHM_NAMES:
-        reference.profile_for(alg, size)
+    PowerAdvisor(cache=ledgers).warm(ALGORITHM_NAMES, (size,))
 
     print(f"\n{'':>10s} " + " ".join(f"{n:>12s}" for n in ALL_PRESETS))
     header = " ".join(

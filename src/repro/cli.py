@@ -775,7 +775,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--trace", default=None, metavar="PATH",
                        help="write a span/event trace (JSONL; read with `repro trace`)")
     sweep.add_argument("--samples", action="store_true",
-                       help="stream 100 ms power samples to <store>.samples.jsonl")
+                       help="record each stored point's segment records in "
+                       "<store>.samples.jsonl (read back as 100 ms power samples)")
     sweep.add_argument("--governor", default=None, metavar="SPEC",
                        help="replace the cap grid with a governed cap series "
                        "(e.g. 'const:0.8', 'step:100=0.7:200=0.5', "
@@ -1008,10 +1009,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sanitize = sub.add_parser(
         "sanitize",
         help="run a repro subcommand under the runtime concurrency sanitizer",
-        description="Install the lock-order/lockset sanitizer "
+        description="Install the lock-order sanitizer "
         "(repro.lint.sanitizer), run the given repro subcommand in-process, "
-        "then report lock-order cycles and lockset races. Exits 1 when the "
-        "sanitizer observed a cycle or race (regardless of the inner "
+        "then report lock-order cycles. Exits 1 when the "
+        "sanitizer observed a cycle (regardless of the inner "
         "command's own exit code), 2 on usage errors. Equivalent to running "
         "any entry point with REPRO_SANITIZE=1, plus the report.",
     )

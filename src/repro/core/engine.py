@@ -46,9 +46,8 @@ import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, ProcessPoolExecutor, wait
 from contextlib import nullcontext
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, replace
 
-from ..machine.simulator import synthesize_stream
 from ..machine.spec import BROADWELL_E5_2695V4, MachineSpec
 from ..obs.manifest import build_manifest, manifest_path_for, write_manifest
 from ..obs.metrics import MetricsRegistry, get_registry
@@ -60,7 +59,6 @@ from .pricing import BatchRepricer
 from .profiles import (
     ProfileCache,
     merge_shard_ledgers,
-    profile_from_ledger,
     run_algorithm_ledger,
     run_algorithm_ledger_shard,
     supports_sharding,
@@ -84,9 +82,6 @@ __all__ = [
 
 #: Upper bound on a single retry delay.
 BACKOFF_CAP_S = 5.0
-
-#: Sampler granularity of the per-point sample streams (the paper's 100 ms).
-SAMPLE_INTERVAL_S = 0.1
 
 
 class SweepError(RuntimeError):
@@ -157,7 +152,8 @@ def execute_shard_task(task: ShardTask) -> dict[str, float]:
 
 @dataclass
 class EngineStats:
-    """What one :meth:`SweepEngine.run` actually did."""
+    """What one :meth:`SweepEngine.run` actually did: a fold over the
+    events the run reported (:meth:`fold`)."""
 
     profile_jobs_run: int = 0
     profile_jobs_cached: int = 0
@@ -181,6 +177,72 @@ class EngineStats:
     def throughput_pts_s(self) -> float:
         done = self.points_computed + self.points_resumed
         return done / self.wall_s if self.wall_s > 0 else 0.0
+
+    def fold(self, event: dict) -> None:
+        """Account one event of the run (a ``progress`` event dict)."""
+        kind = event["kind"]
+        if kind == "profile-done":
+            self.profile_jobs_run += 1
+        elif kind == "profile-cached":
+            self.profile_jobs_cached += 1
+        elif kind == "shard-done":
+            self.shard_tasks_run += 1
+        elif kind == "group-skipped":
+            self.groups_skipped += 1
+        elif kind == "points-resumed":
+            self.points_resumed += event["points"]
+        elif kind == "group-priced":
+            self.points_computed += event["computed"]
+            self.rapl_decisions += event["rapl_decisions"]
+            self.rapl_throttle_decisions += event["rapl_throttle_decisions"]
+        elif kind == "point-quarantined":
+            self.points_quarantined += 1
+        elif kind == "retry":
+            self.retries += 1
+        elif kind == "fault-injected":
+            self.faults_injected += 1
+        elif kind == "serial-fallback":
+            self.fell_back_serial = True
+        elif kind == "interrupted":
+            self.interrupted = True
+            self.wall_s = event["wall_s"]
+        elif kind == "summary":
+            self.wall_s = event["wall_s"]
+
+
+#: The registry counter each :class:`EngineStats` count is published to:
+#: (field, metric name, help, labels).  Shard tasks are sub-units of
+#: "executed" jobs (a merged group counts once under executed); the
+#: sharded label exposes the fan-out width a sweep actually achieved.
+_JOBS = ("repro_profile_jobs_total", "profile jobs by source")
+_POINTS = ("repro_points_total", "run points by outcome")
+_COUNTERS = (
+    ("profile_jobs_run", *_JOBS, {"source": "executed"}),
+    ("profile_jobs_cached", *_JOBS, {"source": "ledger-cache"}),
+    ("shard_tasks_run", *_JOBS, {"source": "sharded"}),
+    ("points_computed", *_POINTS, {"outcome": "computed"}),
+    ("points_resumed", *_POINTS, {"outcome": "resumed"}),
+    ("points_quarantined", *_POINTS, {"outcome": "quarantined"}),
+    ("retries", "repro_retries_total", "profile-job retry attempts", {}),
+    ("faults_injected", "repro_faults_injected_total", "faults injected by the active plan", {}),
+    ("rapl_decisions", "repro_rapl_decisions_total", "RAPL operating-point decisions", {}),
+    (
+        "rapl_throttle_decisions",
+        "repro_rapl_throttle_decisions_total",
+        "RAPL decisions that fell back to duty-cycle throttling",
+        {},
+    ),
+)
+
+#: The ``summary`` event's names for the stats fields it has always
+#: carried under another name; every other field keeps its own.
+_SUMMARY_KEYS = {
+    "points_computed": "computed",
+    "points_resumed": "resumed",
+    "points_quarantined": "quarantined",
+    "profile_jobs_run": "jobs_run",
+    "profile_jobs_cached": "jobs_cached",
+}
 
 
 class _PoolFailure(Exception):
@@ -231,11 +293,12 @@ class SweepEngine:
         through its sensor-corruption site — chaos testing against the
         real retry and quarantine machinery.
     progress:
-        Callable receiving event dicts (``kind`` ∈ ``profile-done``,
-        ``group-skipped``, ``retry``, ``fault-injected``,
+        Callable receiving event dicts (``kind`` ∈ ``points-resumed``,
+        ``group-skipped``, ``profile-cached``, ``profile-done``,
+        ``shard-done``, ``group-priced``, ``retry``, ``fault-injected``,
         ``serial-fallback``, ``point-quarantined``, ``interrupted``,
         ``summary``) — the same events, with the same fields, as the
-        trace.
+        trace.  :attr:`stats` is the fold of these events.
     trace:
         :class:`~repro.obs.trace.Tracer` or a path for a JSONL trace of
         the run: a ``sweep`` root span, ``profile-job`` spans per real
@@ -244,14 +307,15 @@ class SweepEngine:
         flight the tracer is installed as the process default, so
         in-process kernel executions contribute their own spans.
     samples:
-        ``True`` persists a ≥10 Hz power/frequency sample stream per
-        completed point to ``<store>.samples.jsonl`` (requires a
-        store); a path writes there instead.  Streams are synthesized
-        by :func:`~repro.machine.simulator.synthesize_stream` from the
-        segment records of the pricing pass itself
-        (:meth:`~repro.core.pricing.PricedPoints.segment_records`), so
-        each stream's time-weighted mean power equals the point's
-        ``power_w`` exactly, at the paper's 100 ms sampler granularity.
+        ``True`` persists each stored point's segment records, from the
+        pricing pass itself
+        (:meth:`~repro.core.pricing.PricedPoints.segment_records`), as
+        one fsync'd line of ``<store>.samples.jsonl`` (requires a
+        store); a path writes there instead.
+        :func:`~repro.obs.samples.read_samples` expands each line into
+        the point's ≥10 Hz power/frequency sample stream, whose
+        time-weighted mean power equals the point's ``power_w``
+        exactly, at the paper's 100 ms sampler granularity.
     metrics:
         :class:`~repro.obs.metrics.MetricsRegistry` to publish run
         counters into (default: the process-wide registry).  With a
@@ -308,9 +372,7 @@ class SweepEngine:
             if self.store is None:
                 raise ValueError("samples=True needs a store to sit alongside")
             samples = samples_path_for(self.store.path)
-        self.sample_writer = (
-            SampleWriter(samples) if samples not in (None, False) else None
-        )
+        self.sample_writer = SampleWriter(samples) if samples not in (None, False) else None
         self.metrics = metrics if metrics is not None else get_registry()
         self.stats = EngineStats()
 
@@ -333,12 +395,22 @@ class SweepEngine:
         return self.tracer.span(name, **attrs) if self.tracer is not None else NULL_SPAN
 
     def _report(self, kind: str, **fields) -> None:
-        """Send one event, by the same name and fields, to the trace and
-        to the progress callback (which may raise to stop the sweep)."""
+        """Record one run fact: the one place the engine records any.
+
+        The event folds into :attr:`stats` first, and the run's last
+        event (``summary`` or ``interrupted``) publishes the fold, so a
+        fact counts even when the progress callback raises to stop the
+        sweep.  Then the same name and fields go to the trace and to the
+        progress callback.
+        """
+        event = {"kind": kind, **fields}
+        self.stats.fold(event)
+        if kind in ("summary", "interrupted"):
+            self._publish_metrics()
         if self.tracer is not None:
             self.tracer.event(kind, **fields)
         if self._progress is not None:
-            self._progress({"kind": kind, **fields})
+            self._progress(event)
 
     def _write_manifest(self, config: StudyConfig, fingerprint: str) -> None:
         manifest = build_manifest(
@@ -359,64 +431,27 @@ class SweepEngine:
         write_manifest(manifest_path_for(self.store.path), manifest)
 
     def _publish_metrics(self) -> None:
-        reg, s = self.metrics, self.stats
-        if reg is None:
-            return
-        reg.counter(
-            "repro_profile_jobs_total", "profile jobs by source", source="executed"
-        ).inc(s.profile_jobs_run)
-        reg.counter(
-            "repro_profile_jobs_total", "profile jobs by source", source="ledger-cache"
-        ).inc(s.profile_jobs_cached)
-        # Shard tasks are sub-units of "executed" jobs (a merged group
-        # counts once under executed); the sharded label exposes the
-        # fan-out width a sweep actually achieved.
-        reg.counter(
-            "repro_profile_jobs_total", "profile jobs by source", source="sharded"
-        ).inc(s.shard_tasks_run)
-        for outcome, n in (
-            ("computed", s.points_computed),
-            ("resumed", s.points_resumed),
-            ("quarantined", s.points_quarantined),
-        ):
-            reg.counter("repro_points_total", "run points by outcome", outcome=outcome).inc(n)
-        reg.counter("repro_retries_total", "profile-job retry attempts").inc(s.retries)
-        reg.counter("repro_faults_injected_total", "faults injected by the active plan").inc(
-            s.faults_injected
+        """Add the run's stats to the registry (through :data:`_COUNTERS`)
+        and, with a store, dump the registry next to it."""
+        for name, metric, doc, labels in _COUNTERS:
+            self.metrics.counter(metric, doc, **labels).inc(getattr(self.stats, name))
+        self.metrics.gauge("repro_sweep_wall_seconds", "wall time of the last sweep run").set(
+            self.stats.wall_s
         )
-        reg.counter("repro_rapl_decisions_total", "RAPL operating-point decisions").inc(
-            s.rapl_decisions
-        )
-        reg.counter(
-            "repro_rapl_throttle_decisions_total",
-            "RAPL decisions that fell back to duty-cycle throttling",
-        ).inc(s.rapl_throttle_decisions)
-        reg.gauge("repro_sweep_wall_seconds", "wall time of the last sweep run").set(s.wall_s)
         if self.store is not None:
             atomic_write_json(
-                self.store.path.with_suffix(".metrics.json"), reg.to_json(), indent=1
+                self.store.path.with_suffix(".metrics.json"), self.metrics.to_json(), indent=1
             )
-
-    # ----------------------------------------------------------- profiles
-    def profile_for(self, algorithm: str, size: int):
-        """Cycle-scaled profile via the ledger cache (executes on a miss)."""
-        ledger = self.profile_cache.get(algorithm, size)
-        if ledger is None:
-            ledger = run_algorithm_ledger(
-                algorithm, size, dataset_kind=self.dataset_kind, seed=self.seed
-            )
-            self.profile_cache.put(algorithm, size, ledger)
-            self.stats.profile_jobs_run += 1
-        return profile_from_ledger(algorithm, size, ledger, n_cycles=self.n_cycles)
 
     # ---------------------------------------------------------------- sweep
     def run(self, config: StudyConfig, *, resume: bool = True) -> StudyResult:
         """Execute a phase grid, skipping points already in the store.
 
-        With ``resume=False`` an existing store is wiped and rebound to
-        this sweep's fingerprint instead of being resumed.  A traced run
-        installs its tracer as the process default for its duration, so
-        in-process kernel executions emit their spans into the same file.
+        With ``resume=False`` an existing store (and its samples file) is
+        wiped and rebound to this sweep's fingerprint instead of being
+        resumed.  A traced run installs its tracer as the process default
+        for its duration, so in-process kernel executions emit their
+        spans into the same file.
         """
         default_ctx = self.tracer.as_default() if self.tracer is not None else nullcontext()
         with default_ctx, self._span("sweep", config=config.name, resume=resume):
@@ -434,6 +469,8 @@ class SweepEngine:
                 done = self.store.points
             else:
                 self.store.reset(fp, meta)
+                if self.sample_writer is not None:
+                    self.sample_writer.reset()
             self._write_manifest(config, fp)
 
         caps = tuple(config.caps_w)
@@ -442,15 +479,14 @@ class SweepEngine:
         results: dict[tuple[str, int, float], object] = {}
         todo: list[tuple[str, int]] = []
         for alg, size in groups:
-            missing = [c for c in caps if (alg, size, c) not in done]
             present = [c for c in caps if (alg, size, c) in done]
             for c in present:
                 results[(alg, size, c)] = done[(alg, size, c)]
-            self.stats.points_resumed += len(present)
-            if missing:
+            if present:
+                self._report("points-resumed", algorithm=alg, size=size, points=len(present))
+            if len(present) < len(caps):
                 todo.append((alg, size))
             else:
-                self.stats.groups_skipped += 1
                 self._report("group-skipped", algorithm=alg, size=size)
 
         def price_group(alg: str, size: int) -> None:
@@ -469,25 +505,21 @@ class SweepEngine:
                 if self.profile_cache.get(alg, size) is None:
                     jobs.append(ProfileJob(alg, size, self.dataset_kind, self.seed))
                 else:
-                    self.stats.profile_jobs_cached += 1
+                    self._report("profile-cached", algorithm=alg, size=size)
                     price_group(alg, size)
             self._execute_jobs(jobs, on_done=price_group)
         except (KeyboardInterrupt, SweepInterrupted):
             # Graceful interrupt: everything priced so far is already on
             # disk (appends fsync per point); force full durability and
             # hand control back so `--resume` picks up exactly here.
-            self.stats.interrupted = True
-            self.stats.wall_s = time.perf_counter() - t0
             if self.store is not None:
                 self.store.sync()
-            if self.sample_writer is not None:
-                self.sample_writer.flush()
             self._report(
                 "interrupted",
                 points_saved=len(self.store) if self.store is not None else len(results),
                 computed=self.stats.points_computed,
+                wall_s=time.perf_counter() - t0,
             )
-            self._publish_metrics()
             raise
 
         # Quarantined cells are absent by design: the result carries the
@@ -499,23 +531,13 @@ class SweepEngine:
             for c in caps
             if (a, s, c) in results
         ]
-        self.stats.wall_s = time.perf_counter() - t0
-        if self.sample_writer is not None:
-            self.sample_writer.flush()
-        self._publish_metrics()
+        final = replace(self.stats, wall_s=time.perf_counter() - t0)
         self._report(
             "summary",
             config=config.name,
             points=len(ordered),
-            computed=self.stats.points_computed,
-            resumed=self.stats.points_resumed,
-            quarantined=self.stats.points_quarantined,
-            jobs_run=self.stats.profile_jobs_run,
-            jobs_cached=self.stats.profile_jobs_cached,
-            retries=self.stats.retries,
-            faults_injected=self.stats.faults_injected,
-            wall_s=self.stats.wall_s,
-            throughput_pts_s=self.stats.throughput_pts_s,
+            **{_SUMMARY_KEYS.get(k, k): v for k, v in asdict(final).items()},
+            throughput_pts_s=final.throughput_pts_s,
         )
         return StudyResult(config_name=config.name, points=ordered)
 
@@ -534,8 +556,6 @@ class SweepEngine:
         priced = self.repricer.reprice(
             alg, size, self.profile_cache.get(alg, size), missing, default_cap_w=default_cap
         )
-        self.stats.rapl_decisions += priced.decisions
-        self.stats.rapl_throttle_decisions += priced.throttle_decisions
         # (i, cap, point): i indexes the pass and cap the grid, not the
         # (possibly fault-corrupted) point, so sample streams always
         # come from the pass's ground-truth cells.
@@ -547,13 +567,13 @@ class SweepEngine:
 
         resumed = [results[(alg, size, c)] for c in caps if (alg, size, c) in results]
         bad = self.validator.check_group(resumed + [p for _, _, p in fresh])
+        computed = 0
         for i, cap, point in fresh:
             reasons = bad.get(point.key)
             if reasons:
                 # A violating point never reaches the main store: it
                 # lands in the sidecar with machine-readable reasons
                 # and the sweep keeps going.
-                self.stats.points_quarantined += 1
                 if self.store is not None:
                     self.store.quarantine(point, reasons)
                 self._report(
@@ -565,16 +585,21 @@ class SweepEngine:
                 )
                 continue
             results[point.key] = point
-            self.stats.points_computed += 1
+            computed += 1
             if self.store is not None:
                 self.store.append(point)
             if self.sample_writer is not None:
-                self.sample_writer.write_stream(
-                    algorithm=alg,
-                    size=size,
-                    cap_w=cap,
-                    samples=synthesize_stream(priced.segment_records(i), SAMPLE_INTERVAL_S),
+                self.sample_writer.append(
+                    algorithm=alg, size=size, cap_w=cap, records=priced.segment_records(i)
                 )
+        self._report(
+            "group-priced",
+            algorithm=alg,
+            size=size,
+            computed=computed,
+            rapl_decisions=priced.decisions,
+            rapl_throttle_decisions=priced.throttle_decisions,
+        )
 
     # ------------------------------------------------------- job execution
     def _shards_for(self, job: ProfileJob) -> int:
@@ -604,7 +629,6 @@ class SweepEngine:
                 self._run_pool(jobs, on_done)
                 return
             except _PoolFailure as exc:
-                self.stats.fell_back_serial = True
                 self._report("serial-fallback", reason=str(exc.__cause__ or exc))
                 remaining = [
                     j for j in jobs if self.profile_cache.get(j.algorithm, j.size) is None
@@ -615,7 +639,6 @@ class SweepEngine:
         self, job: ProfileJob, ledger: dict[str, float], done: int, total: int, dt: float, on_done
     ) -> None:
         self.profile_cache.put(job.algorithm, job.size, ledger)
-        self.stats.profile_jobs_run += 1
         self._report(
             "profile-done",
             algorithm=job.algorithm,
@@ -665,7 +688,6 @@ class SweepEngine:
         next attempt's number.
         """
         if getattr(exc, "injected", False):
-            self.stats.faults_injected += 1
             self._report(
                 "fault-injected", algorithm=job.algorithm, size=job.size, error=repr(exc)
             )
@@ -678,7 +700,6 @@ class SweepEngine:
                 f"profile job {job.algorithm}@{job.size}{shard} failed "
                 f"after {attempt} attempts: {exc}"
             ) from exc
-        self.stats.retries += 1
         self._report(
             "retry",
             algorithm=job.algorithm,
@@ -752,7 +773,6 @@ class SweepEngine:
         for the normal job-completion path.  Shards merge in ascending
         span order, so the group ledger equals the serial one bitwise.
         """
-        self.stats.shard_tasks_run += 1
         if self.tracer is not None:
             self.tracer.record_span(
                 "profile-shard",
@@ -765,6 +785,14 @@ class SweepEngine:
             )
         group = shard_groups[(task.algorithm, task.size)]
         group["parts"][task.shard] = ledger
+        self._report(
+            "shard-done",
+            algorithm=task.algorithm,
+            size=task.size,
+            shard=task.shard,
+            n_shards=task.n_shards,
+            elapsed_s=dt,
+        )
         if len(group["parts"]) < group["n_shards"]:
             return None
         merged = merge_shard_ledgers(

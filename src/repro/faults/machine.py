@@ -26,7 +26,8 @@ import hashlib
 
 import numpy as np
 
-from ..machine.simulator import PowerSample, Processor
+from ..machine.simulator import Processor
+from ..obs.samples import PowerSample
 from .plan import FaultPlan
 
 __all__ = ["MachineFaultInjector", "inject_machine_faults", "clear_machine_faults"]

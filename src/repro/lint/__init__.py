@@ -13,7 +13,7 @@ those conventions over the AST of every source file:
 * :mod:`repro.lint.analysis` — the project-wide engine (symbol table,
   call graph, thread roots, lockset propagation) behind RPR008–RPR011;
 * :mod:`repro.lint.sanitizer` — the *runtime* complement: lock-order
-  and lockset checking under ``REPRO_SANITIZE=1`` / ``repro sanitize``;
+  checking under ``REPRO_SANITIZE=1`` / ``repro sanitize``;
 * :mod:`repro.lint.pragmas` — justified, audited in-source suppressions;
 * :mod:`repro.lint.baseline` — grandfather-then-burn-down semantics for
   adopting new rules (this repo's checked-in baseline is empty and CI

@@ -5,13 +5,10 @@ code; this module is the dynamic complement.  When installed it patches
 the :func:`threading.Lock` / :func:`threading.RLock` factories so every
 lock created afterwards is wrapped in a :class:`SanitizedLock` that
 
-* keeps a per-thread stack of held locks,
+* keeps a per-thread stack of held locks, and
 * records *lock-order edges* between lock **creation sites** (acquiring
   B while holding A adds the edge ``A -> B``) — a cycle in that graph is
-  a potential deadlock even if the run happened not to interleave badly,
-* feeds an Eraser-style runtime lockset check for state registered via
-  :func:`watch`: a :class:`WatchedDict` accessed from two threads whose
-  held-lockset intersection is empty is reported as a race.
+  a potential deadlock even if the run happened not to interleave badly.
 
 Edges between two locks created at the *same* site (e.g. two instances
 of the same class) are ignored: per-instance locks of one class are
@@ -21,10 +18,10 @@ The findings surface three ways: :func:`report` returns a JSON-ready
 document (and publishes ``repro_sanitizer_*`` gauges to the metrics
 registry), :func:`render` formats it for terminals, and ``repro
 sanitize --report out.json <subcommand ...>`` runs any repro subcommand
-under the sanitizer and fails the process when a cycle or race was
-observed.  Importing :mod:`repro` with ``REPRO_SANITIZE=1`` in the
-environment installs the sanitizer automatically, so chaos drills and
-test runs can be sanitized without code changes.
+under the sanitizer and fails the process when a cycle was observed.
+Importing :mod:`repro` with ``REPRO_SANITIZE=1`` in the environment
+installs the sanitizer automatically, so chaos drills and test runs can
+be sanitized without code changes.
 """
 
 from __future__ import annotations
@@ -34,12 +31,10 @@ import threading
 
 __all__ = [
     "SanitizedLock",
-    "WatchedDict",
     "install",
     "installed",
     "uninstall",
     "reset",
-    "watch",
     "report",
     "render",
 ]
@@ -58,7 +53,6 @@ _holders = threading.local()  # .stack: locks held by this thread, in order
 _lock_sites: dict[str, int] = {}  # creation site -> number of locks made there
 _edges: dict[tuple[str, str], dict] = {}  # (from-site, to-site) -> first witness
 _acquires = 0
-_races: list[dict] = []
 
 
 def _site(depth: int) -> str:
@@ -201,122 +195,7 @@ def reset() -> None:
     with _meta:
         _lock_sites.clear()
         _edges.clear()
-        _races.clear()
         _acquires = 0
-
-
-# ----------------------------------------------------------- shared state
-
-
-class _SharedState:
-    """Eraser bookkeeping for one watched object."""
-
-    __slots__ = ("name", "threads", "candidate", "wrote", "reported")
-
-    def __init__(self, name: str):
-        self.name = name
-        self.threads: set[int] = set()
-        self.candidate: frozenset[str] | None = None
-        self.wrote = False
-        self.reported = False
-
-
-def _record_access(state: _SharedState, op: str) -> None:
-    held = frozenset(lock.site for lock in _held_stack())
-    with _meta:
-        state.threads.add(threading.get_ident())
-        state.candidate = held if state.candidate is None else state.candidate & held
-        if op == "write":
-            state.wrote = True
-        if (
-            len(state.threads) >= 2
-            and state.wrote
-            and not state.candidate
-            and not state.reported
-        ):
-            state.reported = True
-            frame = sys._getframe(2)
-            _races.append(
-                {
-                    "name": state.name,
-                    "op": op,
-                    "site": f"{frame.f_code.co_filename}:{frame.f_lineno}",
-                    "thread": threading.current_thread().name,
-                    "threads": len(state.threads),
-                }
-            )
-
-
-class WatchedDict(dict):
-    """A dict that reports lockset-inconsistent cross-thread access.
-
-    Reads and writes each intersect the accessing thread's held-lockset
-    into the candidate set; once two threads have touched the dict, a
-    write with an empty candidate produces one race record.
-    """
-
-    def __init__(self, name: str, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._state = _SharedState(name)
-
-    # reads
-    def __getitem__(self, key):
-        _record_access(self._state, "read")
-        return super().__getitem__(key)
-
-    def get(self, key, default=None):
-        _record_access(self._state, "read")
-        return super().get(key, default)
-
-    def __contains__(self, key):
-        _record_access(self._state, "read")
-        return super().__contains__(key)
-
-    def items(self):
-        _record_access(self._state, "read")
-        return super().items()
-
-    def values(self):
-        _record_access(self._state, "read")
-        return super().values()
-
-    def keys(self):
-        _record_access(self._state, "read")
-        return super().keys()
-
-    # writes
-    def __setitem__(self, key, value):
-        _record_access(self._state, "write")
-        super().__setitem__(key, value)
-
-    def __delitem__(self, key):
-        _record_access(self._state, "write")
-        super().__delitem__(key)
-
-    def pop(self, *args):
-        _record_access(self._state, "write")
-        return super().pop(*args)
-
-    def popitem(self):
-        _record_access(self._state, "write")
-        return super().popitem()
-
-    def setdefault(self, key, default=None):
-        _record_access(self._state, "write")
-        return super().setdefault(key, default)
-
-    def update(self, *args, **kwargs):
-        _record_access(self._state, "write")
-        super().update(*args, **kwargs)
-
-    def clear(self):
-        _record_access(self._state, "write")
-        super().clear()
-
-
-def watch(name: str, mapping=None) -> WatchedDict:
-    """Wrap ``mapping`` (default: empty) in a monitored :class:`WatchedDict`."""
-    return WatchedDict(name, mapping if mapping is not None else {})
 
 
 # ------------------------------------------------------------- reporting
@@ -368,7 +247,6 @@ def report() -> dict:
     """Snapshot the sanitizer state; also publishes ``repro_sanitizer_*``."""
     with _meta:
         edges = [dict(e) for e in _edges.values()]
-        races = [dict(r) for r in _races]
         sites = dict(_lock_sites)
         acquires = _acquires
     doc = {
@@ -380,10 +258,8 @@ def report() -> dict:
         "acquisitions": acquires,
         "edges": sorted(edges, key=lambda e: (e["from"], e["to"])),
         "cycles": _find_cycles(edges),
-        "races": races,
-        "ok": True,
     }
-    doc["ok"] = not doc["cycles"] and not doc["races"]
+    doc["ok"] = not doc["cycles"]
     _publish_metrics(doc)
     return doc
 
@@ -404,9 +280,6 @@ def _publish_metrics(doc: dict) -> None:
     reg.gauge(
         "repro_sanitizer_lock_order_cycles", "lock-order cycles (potential deadlocks)"
     ).set(len(doc["cycles"]))
-    reg.gauge(
-        "repro_sanitizer_races", "lockset-inconsistent shared-state accesses"
-    ).set(len(doc["races"]))
 
 
 def _short(site: str) -> str:
@@ -426,11 +299,6 @@ def render(doc: dict) -> str:
     ]
     for cyc in doc["cycles"]:
         lines.append("  CYCLE " + " <-> ".join(_short(s) for s in cyc))
-    for race in doc["races"]:
-        lines.append(
-            f"  RACE {race['name']} ({race['op']} at {_short(race['site'])} "
-            f"in {race['thread']}; {race['threads']} threads, no common lock)"
-        )
     if doc["ok"]:
-        lines.append("  no lock-order cycles, no races")
+        lines.append("  no lock-order cycles")
     return "\n".join(lines)

@@ -5,7 +5,7 @@ from .exec_model import ExecutionModel, SegmentEval
 from .msr import ENERGY_UNIT_J, ENERGY_WRAP, MsrBank
 from .power import PowerBreakdown, PowerModel
 from .rapl import MIN_DUTY, OperatingPoint, RaplController
-from .simulator import PowerSample, Processor, RunResult, SegmentRecord
+from .simulator import Processor, RunResult, SegmentRecord
 from .presets import ALL_PRESETS, LOWPOWER_MANYCORE, SKYLAKE_LIKE
 from .spec import BROADWELL_E5_2695V4, MachineSpec
 
@@ -25,7 +25,6 @@ __all__ = [
     "Processor",
     "RunResult",
     "SegmentRecord",
-    "PowerSample",
     "MachineSpec",
     "BROADWELL_E5_2695V4",
     "SKYLAKE_LIKE",

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..obs.samples import SAMPLE_INTERVAL_S, PowerSample, synthesize_stream
 from ..workload import WorkProfile
 from .exec_model import ExecutionModel, SegmentEval
 from .msr import MsrBank
@@ -29,7 +30,7 @@ from .power import PowerModel
 from .rapl import OperatingPoint, RaplController
 from .spec import BROADWELL_E5_2695V4, MachineSpec
 
-__all__ = ["SegmentRecord", "PowerSample", "RunResult", "Processor", "synthesize_stream"]
+__all__ = ["SegmentRecord", "RunResult", "Processor"]
 
 
 @dataclass(frozen=True)
@@ -47,19 +48,6 @@ class SegmentRecord:
     llc_misses: float
     stall_fraction: float
     cap_met: bool
-
-
-@dataclass(frozen=True)
-class PowerSample:
-    """One 100 ms sampler reading, derived from MSR deltas."""
-
-    t_s: float
-    dt_s: float
-    power_w: float
-    f_eff_ghz: float
-    instructions: float
-    llc_refs: float
-    llc_misses: float
 
 
 @dataclass
@@ -121,70 +109,10 @@ class RunResult:
         return all(r.cap_met for r in self.records)
 
     # ------------------------------------------------------------- sampling
-    def sample_stream(self, interval_s: float = 0.1) -> list[PowerSample]:
+    def sample_stream(self, interval_s: float = SAMPLE_INTERVAL_S) -> list[PowerSample]:
         """Synthesize the 100 ms sampler's readings from a closed-form run
-        (see :func:`synthesize_stream`)."""
+        (see :func:`repro.obs.samples.synthesize_stream`)."""
         return synthesize_stream(self.records, interval_s)
-
-
-def synthesize_stream(records: list[SegmentRecord], interval_s: float = 0.1) -> list[PowerSample]:
-    """Synthesize the 100 ms sampler's readings from segment records.
-
-    Traced mode produces samples by construction; closed-form runs
-    (and the sweep engine's batch pricing) only keep per-segment
-    aggregates.  Within a segment the operating point is constant, so
-    the sampler's readings are exactly recoverable: walk the segments,
-    split each across ``interval_s`` windows, and emit one reading per
-    window (plus a final partial window).  The stream's time-weighted
-    mean power equals the run's average power identically, and the
-    sample count is ``ceil(time_s / interval_s)`` — at least
-    ``1/interval_s`` Hz over the run, the paper's Figures 4–5
-    granularity.
-    """
-    if interval_s <= 0:
-        raise ValueError("interval_s must be positive")
-    samples: list[PowerSample] = []
-    t = 0.0
-    window_t0 = 0.0
-    acc = [0.0, 0.0, 0.0, 0.0, 0.0]  # energy, f_eff*dt, instr, refs, misses
-
-    def emit() -> None:
-        dt = t - window_t0
-        samples.append(
-            PowerSample(
-                t_s=window_t0,
-                dt_s=dt,
-                power_w=acc[0] / dt if dt > 0 else 0.0,
-                f_eff_ghz=acc[1] / dt if dt > 0 else 0.0,
-                instructions=acc[2],
-                llc_refs=acc[3],
-                llc_misses=acc[4],
-            )
-        )
-        acc[:] = [0.0, 0.0, 0.0, 0.0, 0.0]
-
-    for r in records:
-        if r.time_s <= 0:
-            continue
-        remaining = r.time_s
-        f_eff = r.f_ghz * r.duty  # what APERF/MPERF reports under throttling
-        while remaining > 1e-15:
-            room = window_t0 + interval_s - t
-            dt = min(remaining, room)
-            frac = dt / r.time_s
-            acc[0] += r.power_w * dt
-            acc[1] += f_eff * dt
-            acc[2] += r.instructions * frac
-            acc[3] += r.llc_refs * frac
-            acc[4] += r.llc_misses * frac
-            t += dt
-            remaining -= dt
-            if t >= window_t0 + interval_s - 1e-15:
-                emit()
-                window_t0 = t
-    if t > window_t0:
-        emit()
-    return samples
 
 
 class Processor:
@@ -280,7 +208,7 @@ class Processor:
         cap_watts: float | None = None,
         *,
         window_s: float = 1e-3,
-        sample_interval_s: float = 0.1,
+        sample_interval_s: float = SAMPLE_INTERVAL_S,
         noise_sigma_w: float = 0.0,
         seed: int = 0,
         ki: float = 0.25,

@@ -9,7 +9,8 @@ broken reproduction.  Four cooperating pieces:
 * :mod:`repro.obs.metrics` — counters/gauges/histograms with JSON and
   Prometheus-text exporters;
 * :mod:`repro.obs.samples` — 100 ms power/frequency sample streams per
-  run point, ring-buffered to ``<store>.samples.jsonl``;
+  run point, stored as one segment line per point in
+  ``<store>.samples.jsonl`` and expanded on read;
 * :mod:`repro.obs.manifest` — the atomic per-run provenance record
   (``<store>.manifest.json``).
 

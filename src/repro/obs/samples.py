@@ -1,41 +1,143 @@
-"""Per-point power/frequency sample streams, persisted as JSONL.
+"""Per-point power/frequency sample streams, persisted as segment lines.
 
 The paper's Figures 4–5 are built from 100 ms RAPL/MSR samples, not
-end-of-run aggregates.  The closed-form simulator reports aggregates
-only, so :meth:`RunResult.sample_stream
-<repro.machine.simulator.RunResult.sample_stream>` synthesizes the
-sampler's readings from the per-segment records, and this module
-persists them next to the result store as ``<store>.samples.jsonl``:
+end-of-run aggregates.  The closed-form simulator and the sweep
+engine's batch pricing keep per-segment aggregates only, but within a
+segment the operating point is constant, so the sampler's readings are
+a pure function of a run's segment records: :func:`synthesize_stream`.
+This module owns that function and the file a sampled sweep leaves
+next to its result store, ``<store>.samples.jsonl``::
 
-    {"kind": "header", "format": "repro-samples", ...}
-    {"algorithm": "contour", "size": 32, "cap_w": 60.0, "i": 0,
-     "t_s": 0.0, "dt_s": 0.1, "power_w": 58.9, "f_eff_ghz": 1.7, ...}
+    {"format": "repro-samples", "kind": "header", "version": 2}
+    {"algorithm": "contour", "cap_w": 60.0, "segments": [["classify", 2.1, ...], ...], "size": 32}
 
-:class:`SampleWriter` bounds memory with a fixed-size buffer: records
-accumulate in RAM and spill to disk whenever the buffer fills, and every
-completed stream ends with a flush + fsync so a killed sweep keeps the
-samples of every point it durably stored.  :func:`read_samples`
-tolerates the torn final line such a kill can leave.
+Each line after the header holds one stored point's segment records,
+each record a list in :data:`SEGMENT_FIELDS` order.
+:class:`SampleWriter` appends and fsyncs one line per point, so a
+killed sweep keeps the records of every point it durably stored;
+:func:`read_samples` drops the torn final line such a kill can leave
+and expands every line into its 100 ms sample records.  Version-1
+files, which held the expanded samples themselves, are rejected on read
+and on append.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import threading
+from collections import namedtuple
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 __all__ = [
     "SAMPLES_FORMAT",
     "SAMPLES_VERSION",
+    "SAMPLE_INTERVAL_S",
+    "SEGMENT_FIELDS",
+    "PowerSample",
     "SampleWriter",
+    "synthesize_stream",
     "samples_path_for",
     "read_samples",
     "summarize_samples",
 ]
 
 SAMPLES_FORMAT = "repro-samples"
-SAMPLES_VERSION = 1
+SAMPLES_VERSION = 2
+
+#: The sampler granularity of the expanded streams (the paper's 100 ms).
+SAMPLE_INTERVAL_S = 0.1
+
+#: What a segment line stores of each segment record, in order: the
+#: fields of :class:`repro.machine.simulator.SegmentRecord`.
+SEGMENT_FIELDS = (
+    "name",
+    "f_ghz",
+    "duty",
+    "time_s",
+    "power_w",
+    "energy_j",
+    "instructions",
+    "llc_refs",
+    "llc_misses",
+    "stall_fraction",
+    "cap_met",
+)
+
+_Segment = namedtuple("_Segment", SEGMENT_FIELDS)
+
+
+@dataclass(frozen=True)
+class PowerSample:
+    """One 100 ms sampler reading, derived from MSR deltas."""
+
+    t_s: float
+    dt_s: float
+    power_w: float
+    f_eff_ghz: float
+    instructions: float
+    llc_refs: float
+    llc_misses: float
+
+
+def synthesize_stream(records, interval_s: float = SAMPLE_INTERVAL_S) -> list[PowerSample]:
+    """Synthesize the 100 ms sampler's readings from segment records.
+
+    Traced mode produces samples by construction; closed-form runs
+    (and the sweep engine's batch pricing) only keep per-segment
+    aggregates.  Within a segment the operating point is constant, so
+    the sampler's readings are exactly recoverable: walk the segments,
+    split each across ``interval_s`` windows, and emit one reading per
+    window (plus a final partial window).  The stream's time-weighted
+    mean power equals the run's average power identically, and the
+    sample count is ``ceil(time_s / interval_s)`` — at least
+    ``1/interval_s`` Hz over the run, the paper's Figures 4–5
+    granularity.
+    """
+    if interval_s <= 0:
+        raise ValueError("interval_s must be positive")
+    samples: list[PowerSample] = []
+    t = 0.0
+    window_t0 = 0.0
+    acc = [0.0, 0.0, 0.0, 0.0, 0.0]  # energy, f_eff*dt, instr, refs, misses
+
+    def emit() -> None:
+        dt = t - window_t0
+        samples.append(
+            PowerSample(
+                t_s=window_t0,
+                dt_s=dt,
+                power_w=acc[0] / dt if dt > 0 else 0.0,
+                f_eff_ghz=acc[1] / dt if dt > 0 else 0.0,
+                instructions=acc[2],
+                llc_refs=acc[3],
+                llc_misses=acc[4],
+            )
+        )
+        acc[:] = [0.0, 0.0, 0.0, 0.0, 0.0]
+
+    for r in records:
+        if r.time_s <= 0:
+            continue
+        remaining = r.time_s
+        f_eff = r.f_ghz * r.duty  # what APERF/MPERF reports under throttling
+        while remaining > 1e-15:
+            room = window_t0 + interval_s - t
+            dt = min(remaining, room)
+            frac = dt / r.time_s
+            acc[0] += r.power_w * dt
+            acc[1] += f_eff * dt
+            acc[2] += r.instructions * frac
+            acc[3] += r.llc_refs * frac
+            acc[4] += r.llc_misses * frac
+            t += dt
+            remaining -= dt
+            if t >= window_t0 + interval_s - 1e-15:
+                emit()
+                window_t0 = t
+    if t > window_t0:
+        emit()
+    return samples
 
 
 def samples_path_for(store_path: str | Path) -> Path:
@@ -43,87 +145,78 @@ def samples_path_for(store_path: str | Path) -> Path:
     return Path(store_path).with_suffix(".samples.jsonl")
 
 
-class SampleWriter:
-    """Ring-buffered, crash-tolerant JSONL sink for sample streams."""
+def _check_header(source, line) -> dict:
+    """The header of a samples file whose first line is ``line``."""
+    try:
+        header = json.loads(line)
+    except ValueError:
+        header = None
+    if not isinstance(header, dict) or header.get("format") != SAMPLES_FORMAT:
+        raise ValueError(f"{source} is not a samples file")
+    if header.get("version") != SAMPLES_VERSION:
+        raise ValueError(
+            f"{source} has samples version {header.get('version')}, not "
+            f"{SAMPLES_VERSION}; write a fresh samples file"
+        )
+    return header
 
-    def __init__(self, path: str | Path, *, buffer_records: int = 1024):
-        if buffer_records < 1:
-            raise ValueError("buffer_records must be positive")
+
+class SampleWriter:
+    """Append-only, crash-tolerant sink: one fsync'd segment line per point."""
+
+    def __init__(self, path: str | Path):
         self.path = Path(path)
-        self.buffer_records = int(buffer_records)
-        self._buf: list[str] = []
-        self._lock = threading.Lock()
         self._fh = None
 
-    def _ensure_open(self) -> None:
-        if self._fh is None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            fresh = not self.path.exists() or self.path.stat().st_size == 0
-            self._fh = open(self.path, "a")
-            if fresh:
-                self._fh.write(
-                    json.dumps(
-                        {"kind": "header", "format": SAMPLES_FORMAT, "version": SAMPLES_VERSION},
-                        sort_keys=True,
-                    )
-                    + "\n"
-                )
+    def _open(self):
+        """Open for appending: write a new file's header, or check an
+        existing file's and drop the torn tail a killed writer left."""
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        fh = open(self.path, "a")
+        if fh.tell() > 0:
+            data = self.path.read_bytes()
+            try:
+                _check_header(self.path, data.split(b"\n", 1)[0])
+            except ValueError:
+                fh.close()
+                raise
+            fh.truncate(data.rfind(b"\n") + 1)
+        else:
+            header = {"kind": "header", "format": SAMPLES_FORMAT, "version": SAMPLES_VERSION}
+            fh.write(json.dumps(header, sort_keys=True) + "\n")
+        self._fh = fh
+        return fh
 
-    def write_stream(self, *, algorithm: str, size: int, cap_w: float, samples) -> int:
-        """Persist one run point's sample stream; returns the sample count.
+    def append(self, *, algorithm: str, size: int, cap_w: float, records) -> None:
+        """Durably persist one run point's segment records.
 
-        ``samples`` is an iterable of
-        :class:`~repro.machine.simulator.PowerSample` (or anything with
-        the same attributes).  The buffer spills whenever it fills —
-        memory stays bounded no matter how long a single stream runs —
-        and the stream ends with a durable flush.
+        ``records`` are :class:`~repro.machine.simulator.SegmentRecord`\\ s
+        (or anything with the :data:`SEGMENT_FIELDS` attributes).  The
+        line is flushed and fsynced before this returns.
         """
-        n = 0
-        with self._lock:
-            for i, s in enumerate(samples):
-                record = {
-                    "algorithm": algorithm,
-                    "size": int(size),
-                    "cap_w": float(cap_w),
-                    "i": i,
-                    "t_s": s.t_s,
-                    "dt_s": s.dt_s,
-                    "power_w": s.power_w,
-                    "f_eff_ghz": s.f_eff_ghz,
-                    "instructions": s.instructions,
-                    "llc_refs": s.llc_refs,
-                    "llc_misses": s.llc_misses,
-                }
-                self._buf.append(json.dumps(record, sort_keys=True))
-                n += 1
-                if len(self._buf) >= self.buffer_records:
-                    self._spill()
-            self._spill(fsync=True)
-        return n
+        line = json.dumps(
+            {
+                "algorithm": algorithm,
+                "size": int(size),
+                "cap_w": float(cap_w),
+                "segments": [[getattr(r, f) for f in SEGMENT_FIELDS] for r in records],
+            },
+            sort_keys=True,
+        )
+        fh = self._fh or self._open()
+        fh.write(line + "\n")
+        fh.flush()
+        os.fsync(fh.fileno())
 
-    def _spill(self, *, fsync: bool = False) -> None:
-        if not self._buf and not fsync:
-            return
-        self._ensure_open()
-        if self._buf:
-            self._fh.write("\n".join(self._buf) + "\n")
-            self._buf.clear()
-        self._fh.flush()
-        if fsync:
-            os.fsync(self._fh.fileno())  # repro: lint-ignore[RPR011]: the writer lock must cover the spill so concurrently-recorded sample streams stay contiguous on disk
-
-    def flush(self) -> None:
-        with self._lock:
-            if self._buf or self._fh is not None:
-                self._spill(fsync=True)
+    def reset(self) -> None:
+        """Drop every stored line: the points they describe are gone."""
+        self.close()
+        self.path.unlink(missing_ok=True)
 
     def close(self) -> None:
-        with self._lock:
-            if self._buf:
-                self._spill(fsync=True)
-            if self._fh is not None:
-                self._fh.close()
-                self._fh = None
+        if self._fh is not None:
+            self._fh.close()
+            self._fh = None
 
     def __enter__(self) -> "SampleWriter":
         return self
@@ -134,25 +227,27 @@ class SampleWriter:
 
 
 def read_samples(source: str | Path) -> tuple[dict, list[dict]]:
-    """Parse a samples file into (header, records), dropping a torn tail."""
+    """Parse a samples file into (header, records), dropping a torn tail.
+
+    Every segment line expands into its point's 100 ms sample records,
+    one dict per :class:`PowerSample` with the point's ``algorithm``,
+    ``size`` and ``cap_w`` and the sample's index ``i``.
+    """
     lines = Path(source).read_text().splitlines()
-    header: dict = {}
+    header = _check_header(source, lines[0] if lines else "")
     records: list[dict] = []
-    for i, line in enumerate(lines):
+    for n, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
         try:
-            rec = json.loads(line)
+            point = json.loads(line)
         except ValueError:
-            if i == len(lines) - 1:
+            if n == len(lines):
                 break
-            raise ValueError(f"{source}: corrupt sample record on line {i + 1}") from None
-        if rec.get("kind") == "header":
-            if rec.get("format") != SAMPLES_FORMAT:
-                raise ValueError(f"{source} is not a samples file (format={rec.get('format')!r})")
-            header = rec
-        else:
-            records.append(rec)
+            raise ValueError(f"{source}: corrupt sample record on line {n}") from None
+        key = {"algorithm": point["algorithm"], "size": point["size"], "cap_w": point["cap_w"]}
+        stream = synthesize_stream([_Segment(*row) for row in point["segments"]])
+        records.extend({**key, "i": i, **asdict(s)} for i, s in enumerate(stream))
     return header, records
 
 

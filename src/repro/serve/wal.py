@@ -112,11 +112,40 @@ class WriteAheadLog:
         latter are counted and reported.  A torn tail stays unread until
         a later append terminates it.
         """
+        records, bad = self._read()
+        if bad:
+            total = self.corruption_count()
+            log_event(
+                "serve-wal-corrupt-line",
+                f"skipped {bad} corrupt line(s) in WAL {self.path} "
+                f"({total} total); queue state is rebuilt from "
+                "the surviving records",
+                path=str(self.path),
+                skipped=bad,
+                total=total,
+            )
+        return records
+
+    def replay(self) -> list[dict]:
+        """Re-read the whole log from the top: a silent audit re-read.
+
+        Corrupt lines are counted in :attr:`corrupt_lines` afresh but not
+        reported again: :meth:`poll` reports each one as the daemon
+        first reads it.
+        """
+        with self._lock:
+            self._offset = 0
+            self.corrupt_lines = 0
+        return self._read()[0]
+
+    def _read(self) -> tuple[list[dict], int]:
+        """Whole-line records since the offset, and the number of corrupt
+        lines skipped (added to :attr:`corrupt_lines`)."""
         with self._lock:
             try:
                 size = self.path.stat().st_size
             except FileNotFoundError:
-                return []
+                return [], 0
             if size < self._offset:
                 # The file shrank under us (externally torn/rotated) —
                 # restart from the top; apply() is idempotent.
@@ -128,13 +157,13 @@ class WriteAheadLog:
                 )
                 self._offset = 0
             if size == self._offset:
-                return []
+                return [], 0
             with open(self.path, "rb") as fh:
                 fh.seek(self._offset)
                 buf = fh.read()
             end = buf.rfind(b"\n")
             if end < 0:
-                return []  # nothing but a torn tail so far
+                return [], 0  # nothing but a torn tail so far
             self._offset += end + 1
             lines = buf[: end + 1].splitlines()
         records: list[dict] = []
@@ -153,24 +182,7 @@ class WriteAheadLog:
         if bad:
             with self._lock:
                 self.corrupt_lines += bad
-                total = self.corrupt_lines  # noqa: consistent view for the log line
-            log_event(
-                "serve-wal-corrupt-line",
-                f"skipped {bad} corrupt line(s) in WAL {self.path} "
-                f"({total} total); queue state is rebuilt from "
-                "the surviving records",
-                path=str(self.path),
-                skipped=bad,
-                total=total,
-            )
-        return records
-
-    def replay(self) -> list[dict]:
-        """Re-read the whole log from the top (fresh-daemon startup)."""
-        with self._lock:
-            self._offset = 0
-            self.corrupt_lines = 0
-        return self.poll()
+        return records, bad
 
     def corruption_count(self) -> int:
         """Corrupt lines skipped so far (locked read for metrics/status)."""

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import functools
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro.core.profiles import profile_from_ledger, run_algorithm_ledger
+from repro.core.runner import DEFAULT_VIZ_CYCLES
 from repro.data import Association, DataSet, UniformGrid
 from repro.data.generators import (
     abc_flow,
@@ -89,3 +92,18 @@ def golden_points():
         return [by_key[key] for key in config.configurations()]
 
     return points
+
+
+@pytest.fixture(scope="session")
+def study_profile():
+    """``study_profile(algorithm, size, n_cycles=...)``: the cycle-scaled
+    work profile the sweep engine prices for one study cell, built the
+    engine's way: ``profile_from_ledger`` over the algorithm's op-count
+    ledger (blobs, seed 7).  Each ledger is recorded once per session.
+    """
+    ledger = functools.cache(run_algorithm_ledger)
+
+    def profile(algorithm: str, size: int, *, n_cycles: int = DEFAULT_VIZ_CYCLES):
+        return profile_from_ledger(algorithm, size, ledger(algorithm, size), n_cycles=n_cycles)
+
+    return profile

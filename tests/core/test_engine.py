@@ -212,7 +212,14 @@ class TestProgressAndStats:
         ]
         assert traced == events
         kinds = [e["kind"] for e in events]
-        assert kinds == ["retry", "profile-done", "profile-done", "summary"]
+        assert kinds == [
+            "retry",
+            "profile-done",
+            "group-priced",
+            "profile-done",
+            "group-priced",
+            "summary",
+        ]
 
     def test_ledger_cache_short_circuits_jobs(self, tmp_path):
         cache_path = tmp_path / "c.json"

@@ -4,7 +4,9 @@ import json
 
 import pytest
 
-from repro.core import StudyConfig, SweepEngine
+from repro.core import EngineStats, StudyConfig, SweepEngine
+from repro.core.engine import SweepInterrupted
+from repro.faults import FaultPlan
 from repro.obs.manifest import manifest_path_for, read_manifest
 from repro.obs.metrics import MetricsRegistry, load_metrics
 from repro.obs.samples import read_samples, samples_path_for, summarize_samples
@@ -32,6 +34,88 @@ def traced_sweep(tmp_path_factory):
     engine.tracer.close()
     engine.sample_writer.close()
     return engine, result, store, trace
+
+
+class TestStatsAreTheFoldOfTheEvents:
+    @pytest.fixture(scope="class")
+    def faulted_sweep(self, tmp_path_factory):
+        """A sweep whose plan crashes every first job attempt (so each
+        group retries) and corrupts some points (so some are quarantined)."""
+        events = []
+        engine = SweepEngine(
+            n_cycles=2,
+            workers=0,
+            backoff_s=0.001,
+            store=tmp_path_factory.mktemp("fold") / "sweep.jsonl",
+            faults=FaultPlan(seed=41, worker_crash_p=1.0, point_corrupt_p=0.4),
+            progress=events.append,
+            metrics=MetricsRegistry(),
+        )
+        engine.run(StudyConfig(name="fold", algorithms=("threshold", "clip"), sizes=(12,)))
+        return engine, events
+
+    def test_the_plan_exercises_every_fault_path(self, faulted_sweep):
+        engine, _ = faulted_sweep
+        assert engine.stats.retries >= 1
+        assert engine.stats.faults_injected >= 1
+        assert engine.stats.points_quarantined >= 1
+
+    def test_stats_equal_a_fresh_fold_of_the_progress_events(self, faulted_sweep):
+        engine, events = faulted_sweep
+        folded = EngineStats()
+        for event in events:
+            folded.fold(event)
+        assert folded == engine.stats
+
+    def test_registry_counters_equal_the_stats(self, faulted_sweep):
+        engine, _ = faulted_sweep
+        reg, s = engine.metrics, engine.stats
+        jobs, points = "repro_profile_jobs_total", "repro_points_total"
+        assert reg.counter(jobs, source="executed").value == s.profile_jobs_run
+        assert reg.counter(jobs, source="ledger-cache").value == s.profile_jobs_cached
+        assert reg.counter(jobs, source="sharded").value == s.shard_tasks_run
+        assert reg.counter(points, outcome="computed").value == s.points_computed
+        assert reg.counter(points, outcome="resumed").value == s.points_resumed
+        assert reg.counter(points, outcome="quarantined").value == s.points_quarantined
+        assert reg.counter("repro_retries_total").value == s.retries
+        assert reg.counter("repro_faults_injected_total").value == s.faults_injected
+        assert reg.counter("repro_rapl_decisions_total").value == s.rapl_decisions
+        assert reg.counter("repro_rapl_throttle_decisions_total").value == (
+            s.rapl_throttle_decisions
+        )
+        assert reg.gauge("repro_sweep_wall_seconds").value == s.wall_s
+
+    def test_summary_carries_the_fold(self, faulted_sweep):
+        engine, events = faulted_sweep
+        summary = events[-1]
+        assert summary["kind"] == "summary"
+        assert summary["computed"] == engine.stats.points_computed
+        assert summary["resumed"] == engine.stats.points_resumed
+        assert summary["quarantined"] == engine.stats.points_quarantined
+        assert summary["jobs_run"] == engine.stats.profile_jobs_run
+        assert summary["retries"] == engine.stats.retries
+        assert summary["rapl_decisions"] == engine.stats.rapl_decisions
+        assert summary["wall_s"] == engine.stats.wall_s
+
+    def test_a_fact_counts_when_the_callback_raises(self, tmp_path):
+        def stop_after_first_group(event):
+            if event["kind"] == "group-priced":
+                raise SweepInterrupted("stop")
+
+        store = tmp_path / "sweep.jsonl"
+        engine = SweepEngine(
+            n_cycles=2,
+            workers=0,
+            store=store,
+            progress=stop_after_first_group,
+            metrics=MetricsRegistry(),
+        )
+        with pytest.raises(SweepInterrupted):
+            engine.run(CFG)
+        assert engine.stats.points_computed == 9  # the stopped group's points
+        assert engine.stats.interrupted
+        dumped = load_metrics(store.with_suffix(".metrics.json"))
+        assert dumped.counter("repro_points_total", outcome="computed").value == 9
 
 
 class TestTrace:
@@ -62,6 +146,11 @@ class TestTrace:
 
 
 class TestSamples:
+    def test_one_segment_line_per_stored_point(self, traced_sweep):
+        _, result, store, _ = traced_sweep
+        lines = samples_path_for(store).read_text().splitlines()
+        assert len(lines) == 1 + len(result.points)  # the header, then one per point
+
     def test_stream_exists_per_point_at_10hz(self, traced_sweep):
         _, result, store, _ = traced_sweep
         header, records = read_samples(samples_path_for(store))
@@ -136,6 +225,16 @@ class TestResumeTelemetry:
         assert again.metrics.counter("repro_points_total", outcome="resumed").value == len(
             resumed.points
         )
+
+    def test_fresh_rerun_rewrites_the_samples_file(self, tmp_path):
+        store = tmp_path / "sweep.jsonl"
+        one = StudyConfig(name="one", algorithms=("threshold",), sizes=(12,))
+        for resume in (True, False):
+            engine = SweepEngine(n_cycles=2, workers=0, store=store, samples=True)
+            result = engine.run(one, resume=resume)
+            engine.sample_writer.close()
+        lines = samples_path_for(store).read_text().splitlines()
+        assert len(lines) == 1 + len(result.points)
 
     def test_samples_flag_without_store_rejected(self):
         with pytest.raises(ValueError, match="needs a store"):

@@ -113,19 +113,17 @@ class TestStudyConfig:
 
 
 class TestEnergyDelayProduct:
-    def test_deep_caps_cost_opportunity_class_little_edp(self):
+    def test_deep_caps_cost_opportunity_class_little_edp(self, study_profile):
         """Free-region caps leave a power-opportunity algorithm's EDP
         untouched, while the same relative cap costs a compute-bound
         algorithm far more — the facility-level version of the paper's
         tradeoff."""
-        from repro.core import SweepEngine
         from repro.machine import Processor
 
-        engine = SweepEngine(n_cycles=2, workers=0)
         proc = Processor()
         degradation = {}
         for alg in ("threshold", "volume"):
-            prof = engine.profile_for(alg, 16)
+            prof = study_profile(alg, 16, n_cycles=2)
             base = proc.run(prof, 120.0)
             deep = proc.run(prof, 60.0)
             degradation[alg] = (deep.energy_j * deep.time_s) / (base.energy_j * base.time_s)

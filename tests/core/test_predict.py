@@ -17,14 +17,13 @@ SIZE = 32
 
 
 @pytest.fixture(scope="module")
-def sweep_and_runs():
+def sweep_and_runs(study_profile):
     engine = SweepEngine(workers=0)
     cfg = StudyConfig(name="pred", algorithms=ALGORITHM_NAMES, sizes=(SIZE,))
     result = engine.run(cfg)
     processor = Processor(engine.spec)
     tdp_runs = {
-        alg: processor.run(engine.profile_for(alg, SIZE), 120.0)
-        for alg in ALGORITHM_NAMES
+        alg: processor.run(study_profile(alg, SIZE), 120.0) for alg in ALGORITHM_NAMES
     }
     return result, tdp_runs
 

@@ -16,6 +16,7 @@ from repro.core import (
     render_slowdown_table,
     render_table1,
 )
+from repro.core.profiles import profile_from_ledger
 
 
 @pytest.fixture(scope="module")
@@ -51,25 +52,21 @@ class TestRunner:
             tr = [p.tratio for p in pts]
             assert all(b >= a - 1e-9 for a, b in zip(tr, tr[1:]))
 
-    def test_profiles_cached(self, mini_result):
-        """After a sweep, profiles come from its ledgers: no re-execution."""
+    def test_profiles_cached(self, mini_result, study_profile):
+        """After a sweep, its ledgers give the profiles a fresh execution does."""
         _, engine = mini_result
-        jobs = engine.stats.profile_jobs_run
-        p1 = engine.profile_for("contour", 16)
-        p2 = engine.profile_for("contour", 16)
-        assert engine.stats.profile_jobs_run == jobs
-        assert p1.segments == p2.segments
+        ledger = engine.profile_cache.get("contour", 16)
+        cached = profile_from_ledger("contour", 16, ledger, n_cycles=engine.n_cycles)
+        assert cached.segments == study_profile("contour", 16, n_cycles=engine.n_cycles).segments
 
-    def test_profile_scaled_by_cycles(self):
-        e1 = SweepEngine(n_cycles=1, workers=0)
-        e5 = SweepEngine(n_cycles=5, workers=0)
-        i1 = e1.profile_for("threshold", 16).total_instructions
-        i5 = e5.profile_for("threshold", 16).total_instructions
+    def test_profile_scaled_by_cycles(self, study_profile):
+        i1 = study_profile("threshold", 16, n_cycles=1).total_instructions
+        i5 = study_profile("threshold", 16, n_cycles=5).total_instructions
         assert i5 == pytest.approx(5 * i1, rel=1e-9)
 
-    def test_unknown_algorithm(self):
+    def test_unknown_algorithm(self, study_profile):
         with pytest.raises(KeyError):
-            SweepEngine(workers=0).profile_for("nope", 16)
+            study_profile("nope", 16)
 
 
 class TestClassification:

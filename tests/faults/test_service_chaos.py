@@ -1,5 +1,6 @@
 """Service-layer chaos: injector decisions, WAL tearing, the full drill."""
 
+import logging
 from dataclasses import replace
 
 import pytest
@@ -223,3 +224,15 @@ class TestRunServiceChaos:
         # One daemon generation per phase, both on the drill's tracer.
         assert sum(r["name"] == "serve" for r in spans) == 2
         assert "serve-wal-torn" in {r["name"] for r in records if r["kind"] == "event"}
+
+    def test_a_torn_wal_line_warns_once(self, tmp_path, caplog):
+        # The resumed daemon reports the torn line as it reads it; the
+        # drill's replay check re-reads the log without reporting it again.
+        with caplog.at_level(logging.WARNING, logger="repro.obs"):
+            report = run_service_chaos(
+                CFG, "torn", spool=tmp_path / "spool", n_jobs=1, n_cycles=2
+            )
+        assert report.survived, report.render()
+        assert report.wal_corrupt_lines == 1
+        warned = [r for r in caplog.records if "serve-wal-corrupt-line" in r.getMessage()]
+        assert len(warned) == 1

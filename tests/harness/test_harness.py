@@ -4,7 +4,7 @@ import pytest
 
 from repro import api
 from repro.core import StudyConfig, SweepEngine
-from repro.core.profiles import ProfileCache
+from repro.core.profiles import ProfileCache, profile_from_ledger, run_algorithm_ledger
 from repro.core.study import effective_sizes
 from repro.harness import result_to_csv, series_to_csv
 from repro.core.report import FigureSeries
@@ -43,23 +43,25 @@ class TestEffectiveSizes:
 
 
 class TestHarnessCache:
-    def test_profile_persisted_and_reloaded(self, tmp_path):
+    def test_profile_persisted_and_reloaded(self, tmp_path, study_profile):
         cache = tmp_path / "counts.json"
-        e1 = api.sweep_engine(workers=0, cache=cache, n_cycles=2)
-        p1 = e1.profile_for("threshold", 12)
+        ledger = run_algorithm_ledger("threshold", 12)
+        ProfileCache(cache).put("threshold", 12, ledger)
         assert cache.exists()
 
-        e2 = api.sweep_engine(workers=0, cache=cache, n_cycles=2)
-        p2 = e2.profile_for("threshold", 12)
-        assert e2.stats.profile_jobs_run == 0  # served from the file
+        reloaded = ProfileCache(cache).get("threshold", 12)  # served from the file
+        assert reloaded == ledger
+        p2 = profile_from_ledger("threshold", 12, reloaded, n_cycles=2)
+        p1 = study_profile("threshold", 12, n_cycles=2)
         assert p2.total_instructions == pytest.approx(p1.total_instructions)
 
-    def test_cached_profile_matches_fresh(self, tmp_path):
+    def test_cached_profile_matches_fresh(self, tmp_path, study_profile):
         cache = tmp_path / "counts.json"
-        e = api.sweep_engine(workers=0, cache=cache, n_cycles=3)
-        fresh = e.profile_for("clip", 12)
-        e2 = api.sweep_engine(workers=0, cache=cache, n_cycles=3)
-        cached = e2.profile_for("clip", 12)
+        cfg = StudyConfig(name="s", algorithms=("clip",), sizes=(12,))
+        api.sweep_engine(workers=0, cache=cache, n_cycles=3).run(cfg)
+        fresh = study_profile("clip", 12, n_cycles=3)
+        ledger = api.sweep_engine(workers=0, cache=cache, n_cycles=3).profile_cache.get("clip", 12)
+        cached = profile_from_ledger("clip", 12, ledger, n_cycles=3)
         assert [s.name for s in cached] == [s.name for s in fresh]
         # Ledger reconstruction is the single pricing path: exact, not approx.
         assert cached.total_instructions == fresh.total_instructions
@@ -67,7 +69,9 @@ class TestHarnessCache:
     def test_no_cache_path(self):
         e = api.sweep_engine(workers=0, cache=None, n_cycles=1)
         assert e.profile_cache.path is None
-        assert e.profile_for("threshold", 12).total_instructions > 0
+        e.run(StudyConfig(name="s", algorithms=("threshold",), sizes=(12,)))
+        assert e.stats.profile_jobs_run == 1
+        assert e.profile_cache.get("threshold", 12) is not None
 
     def test_sweep_uses_cache(self, tmp_path):
         cache = tmp_path / "c.json"

@@ -3,15 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.core import SweepEngine
 from repro.insitu import Cluster, demand_aware_caps, uniform_caps
 from repro.workload import WorkProfile
 
 
 @pytest.fixture(scope="module")
-def workloads():
+def workloads(study_profile):
     """Four sockets with imbalanced work (1x .. 2.5x of a volume render)."""
-    base = SweepEngine(n_cycles=2, workers=0).profile_for("volume", 24)
+    base = study_profile("volume", 24, n_cycles=2)
 
     def scaled(f):
         p = WorkProfile(name=f"w{f}", n_elements=base.n_elements)

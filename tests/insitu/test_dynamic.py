@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.cloverleaf import step_profile
-from repro.core import SweepEngine
 from repro.insitu import (
     DynamicPowerRuntime,
     DynamicRunResult,
@@ -14,9 +13,9 @@ from repro.insitu import (
 
 
 @pytest.fixture(scope="module")
-def profiles():
+def profiles(study_profile):
     sim = step_profile(64**3, 400)
-    viz = SweepEngine(n_cycles=4, workers=0).profile_for("contour", 64)
+    viz = study_profile("contour", 64, n_cycles=4)
     return sim, viz
 
 

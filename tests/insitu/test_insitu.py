@@ -67,13 +67,11 @@ class TestCoupledDriver:
 
 class TestBudgetRuntime:
     @pytest.fixture(scope="class")
-    def profiles(self, request):
+    def profiles(self, study_profile):
         # Paper-like composition: the simulation dominates; the
         # visualization is ~10-20% of the job.
         sim_profile = step_profile(128**3, 200)
-        from repro.core import SweepEngine
-
-        viz_profile = SweepEngine(n_cycles=10, workers=0).profile_for("contour", 64)
+        viz_profile = study_profile("contour", 64, n_cycles=10)
         return sim_profile, viz_profile
 
     BUDGET = 140.0  # two sockets sharing a 140 W node budget

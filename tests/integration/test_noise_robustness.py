@@ -8,16 +8,13 @@ closed form.
 
 import pytest
 
-from repro.core import SweepEngine, first_slowdown_cap
+from repro.core import first_slowdown_cap
 from repro.machine import Processor
 
 
 @pytest.fixture(scope="module")
-def profiles():
-    engine = SweepEngine(n_cycles=2, workers=0)
-    return {
-        alg: engine.profile_for(alg, 24) for alg in ("contour", "volume")
-    }
+def profiles(study_profile):
+    return {alg: study_profile(alg, 24, n_cycles=2) for alg in ("contour", "volume")}
 
 
 class TestNoisyTracedSweep:

@@ -65,13 +65,10 @@ class TestDutyCycling:
         assert capped.records[0].duty < free.records[0].duty
         assert capped.time_s > 1.5 * free.time_s
 
-    def test_standard_spec_avoids_duty_for_study_workloads(self, processor):
+    def test_standard_spec_avoids_duty_for_study_workloads(self, processor, study_profile):
         """On the calibrated Broadwell, none of the study algorithms
         needs T-states even at the 40 W floor."""
-        from repro.core import SweepEngine
-
-        engine = SweepEngine(n_cycles=1, workers=0)
         for alg in ("contour", "volume"):
-            prof = engine.profile_for(alg, 16)
+            prof = study_profile(alg, 16, n_cycles=1)
             r = processor.run(prof, 40.0)
             assert all(rec.duty == 1.0 for rec in r.records), alg

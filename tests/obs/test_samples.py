@@ -1,15 +1,20 @@
-"""Sample streams: synthesis fidelity, the writer, and crash tolerance."""
+"""Sample streams: synthesis fidelity, the segment-line writer, and crash tolerance."""
 
+import dataclasses
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from repro.machine.simulator import Processor
+from repro.machine.simulator import Processor, SegmentRecord
 from repro.obs.samples import (
     SAMPLES_FORMAT,
+    SAMPLES_VERSION,
+    SEGMENT_FIELDS,
+    PowerSample,
     SampleWriter,
     read_samples,
     samples_path_for,
@@ -17,6 +22,8 @@ from repro.obs.samples import (
 )
 from repro.viz import ALGORITHMS
 from repro.data.generators import make_dataset
+
+SAMPLE_FIELDS = [f.name for f in dataclasses.fields(PowerSample)]
 
 
 @pytest.fixture(scope="module")
@@ -61,29 +68,43 @@ class TestSampleWriter:
     def test_writes_header_and_round_trips(self, tmp_path, run):
         path = tmp_path / "s.samples.jsonl"
         with SampleWriter(path) as w:
-            n = w.write_stream(
-                algorithm="contour", size=16, cap_w=70.0, samples=run.sample_stream(0.1)
-            )
+            w.append(algorithm="contour", size=16, cap_w=70.0, records=run.records)
+        lines = path.read_text().splitlines()
+        assert len(lines) == 2  # the header and one segment line
         header, records = read_samples(path)
         assert header["format"] == SAMPLES_FORMAT
-        assert len(records) == n
+        assert header["version"] == SAMPLES_VERSION
+        stream = run.sample_stream(0.1)
+        assert len(records) == len(stream)
         assert records[0]["algorithm"] == "contour"
-        assert records[0]["i"] == 0
-        assert [r["i"] for r in records] == list(range(n))
+        assert [r["i"] for r in records] == list(range(len(stream)))
+        assert [{f: r[f] for f in SAMPLE_FIELDS} for r in records] == [
+            dataclasses.asdict(s) for s in stream
+        ]
 
-    def test_small_buffer_spills_and_loses_nothing(self, tmp_path, run):
-        samples = run.sample_stream(0.1)
+    def test_segment_line_holds_the_records_exactly(self, tmp_path, run):
         path = tmp_path / "s.samples.jsonl"
-        with SampleWriter(path, buffer_records=2) as w:
-            w.write_stream(algorithm="contour", size=16, cap_w=70.0, samples=samples)
-        assert len(read_samples(path)[1]) == len(samples)
+        with SampleWriter(path) as w:
+            w.append(algorithm="contour", size=16, cap_w=70.0, records=run.records)
+        line = json.loads(path.read_text().splitlines()[1])
+        assert line["segments"] == [list(dataclasses.astuple(r)) for r in run.records]
+
+    def test_segment_fields_are_the_record_fields(self):
+        assert SEGMENT_FIELDS == tuple(f.name for f in dataclasses.fields(SegmentRecord))
+
+    def test_reopened_file_gets_no_second_header(self, tmp_path, run):
+        path = tmp_path / "s.samples.jsonl"
+        for cap in (70.0, 60.0):
+            with SampleWriter(path) as w:
+                w.append(algorithm="contour", size=16, cap_w=cap, records=run.records)
+        assert len(path.read_text().splitlines()) == 3
+        stats = summarize_samples(read_samples(path)[1])
+        assert set(stats) == {("contour", 16, 70.0), ("contour", 16, 60.0)}
 
     def test_summarize_recovers_run_aggregates(self, tmp_path, run):
         path = tmp_path / "s.samples.jsonl"
         with SampleWriter(path) as w:
-            w.write_stream(
-                algorithm="contour", size=16, cap_w=70.0, samples=run.sample_stream(0.1)
-            )
+            w.append(algorithm="contour", size=16, cap_w=70.0, records=run.records)
         stats = summarize_samples(read_samples(path)[1])
         agg = stats[("contour", 16, 70.0)]
         assert agg["mean_power_w"] == pytest.approx(run.avg_power_w, rel=1e-9)
@@ -93,25 +114,50 @@ class TestSampleWriter:
     def test_torn_tail_is_dropped(self, tmp_path, run):
         path = tmp_path / "s.samples.jsonl"
         with SampleWriter(path) as w:
-            w.write_stream(
-                algorithm="contour", size=16, cap_w=70.0, samples=run.sample_stream(0.1)
-            )
+            w.append(algorithm="contour", size=16, cap_w=70.0, records=run.records)
         complete = len(read_samples(path)[1])
         with open(path, "a") as fh:
             fh.write('{"algorithm": "contour", "size": 16, "cap_')
         assert len(read_samples(path)[1]) == complete
 
-    def test_rejects_nonpositive_buffer(self, tmp_path):
-        with pytest.raises(ValueError, match="positive"):
-            SampleWriter(tmp_path / "s.jsonl", buffer_records=0)
+    def test_append_drops_a_torn_tail_first(self, tmp_path, run):
+        path = tmp_path / "s.samples.jsonl"
+        with SampleWriter(path) as w:
+            w.append(algorithm="contour", size=16, cap_w=70.0, records=run.records)
+        with open(path, "a") as fh:
+            fh.write('{"algorithm": "contour", "size": 16, "cap_')
+        with SampleWriter(path) as w:
+            w.append(algorithm="contour", size=16, cap_w=60.0, records=run.records)
+        stats = summarize_samples(read_samples(path)[1])
+        assert set(stats) == {("contour", 16, 70.0), ("contour", 16, 60.0)}
+
+    def test_version_1_file_is_rejected_on_read_and_append(self, tmp_path, run):
+        path = tmp_path / "old.samples.jsonl"
+        path.write_text(
+            json.dumps({"kind": "header", "format": SAMPLES_FORMAT, "version": 1}) + "\n"
+            + json.dumps({"algorithm": "contour", "size": 16, "cap_w": 70.0, "i": 0}) + "\n"
+        )
+        before = path.read_text()
+        names_the_file = f"{re.escape(str(path))} has samples version 1"
+        with pytest.raises(ValueError, match=names_the_file):
+            read_samples(path)
+        with pytest.raises(ValueError, match=names_the_file):
+            SampleWriter(path).append(algorithm="contour", size=16, cap_w=60.0, records=run.records)
+        assert path.read_text() == before  # never mixed
+
+    def test_foreign_file_is_rejected(self, tmp_path):
+        path = tmp_path / "s.samples.jsonl"
+        path.write_text('{"format": "repro-trace"}\n')
+        with pytest.raises(ValueError, match="not a samples file"):
+            read_samples(path)
 
     def test_samples_path_for(self):
         assert samples_path_for("x/sweep.jsonl") == Path("x/sweep.samples.jsonl")
 
 
-# The child streams samples through the real writer (fsync per stream),
-# starts another record raw, then SIGKILLs itself mid-write — the same
-# harness shape as tests/core/test_store_crash.py.
+# The child persists one point through the real writer (fsync per
+# line), starts another line raw, then SIGKILLs itself mid-write — the
+# same harness shape as tests/core/test_store_crash.py.
 _WRITER = """
 import os, signal, sys
 sys.path.insert(0, {src!r})
@@ -125,8 +171,7 @@ profile = result.profile
 profile.segments = [s.scaled(20) for s in profile.segments]
 run = Processor().run(profile, 70.0)
 w = SampleWriter({path!r})
-w.write_stream(algorithm="threshold", size=12, cap_w=70.0, samples=run.sample_stream(0.1))
-w._ensure_open()
+w.append(algorithm="threshold", size=12, cap_w=70.0, records=run.records)
 w._fh.write('{{"algorithm": "threshold", "size": 12, "cap')
 w._fh.flush()
 os.fsync(w._fh.fileno())
@@ -145,8 +190,8 @@ class TestCrashSafety:
         assert proc.returncode == -9, proc.stderr  # died by SIGKILL, not error
         header, records = read_samples(path)
         assert header["format"] == SAMPLES_FORMAT
-        # Every record of the completed (fsynced) stream survived; the
-        # torn tail of the in-flight record was dropped on read.
+        # Every sample of the completed (fsynced) point survived; the
+        # torn tail of the in-flight line was dropped on read.
         assert len(records) >= 1
         assert all(r["algorithm"] == "threshold" for r in records)
         assert [r["i"] for r in records] == list(range(len(records)))

@@ -53,8 +53,6 @@ KEEP = {
     "lint.registry.get_rule": "the linter's in-memory rule lookup for rule tests",
     "lint.registry.rule_codes": "the linter's in-memory rule listing for rule tests",
     "obs.metrics.set_registry": "test hook: swaps the process-wide metrics registry",
-    "lint.sanitizer.watch": "opt-in lockset API (docs/static_analysis.md); nothing watched yet",
-    "lint.sanitizer.WatchedDict": "the container sanitizer.watch returns",
 }
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
