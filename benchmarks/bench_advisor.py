@@ -33,11 +33,11 @@ import time
 from pathlib import Path
 
 from repro.core.advisor import PowerAdvisor
-from repro.core.atomicio import atomic_write_json
 from repro.core.profiles import DEFAULT_CACHE_PATH, ProfileCache, profile_from_ledger
 from repro.core.runner import DEFAULT_VIZ_CYCLES, make_run_point
 from repro.core.study import ALGORITHM_NAMES, POWER_CAPS_W, effective_sizes
 from repro.machine.simulator import Processor
+from repro.obs.durable import atomic_write_json
 
 BENCH_FORMAT = "repro-bench-advisor"
 BENCH_VERSION = 1

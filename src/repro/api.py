@@ -26,7 +26,6 @@ is kept stable across refactors.  Study phases can be named by string
 
 from __future__ import annotations
 
-import json
 import threading
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -483,19 +482,11 @@ def lint(
 
 
 def load_result(path: str | Path) -> StudyResult:
-    """Load a :class:`StudyResult` from disk.
-
-    Accepts both serialized results (``StudyResult.to_jsonl``) and
-    sweep-store files (``--store`` output) — the header line says which.
-    """
-    p = Path(path)
-    with open(p) as fh:
-        first = fh.readline()
-    header = json.loads(first) if first.strip() else {}
-    fmt = header.get("format")
-    if fmt == ResultStore.FORMAT:
-        return ResultStore(p).load_result()
-    return StudyResult.from_jsonl(p)
+    """Load the points of a sweep store (``--store`` output) as a
+    :class:`StudyResult`."""
+    if not Path(path).exists():
+        raise FileNotFoundError(f"no sweep store at {path}")
+    return ResultStore(path).load_result()
 
 
 def classify_study(

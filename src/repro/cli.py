@@ -82,6 +82,7 @@ from .core.runner import DEFAULT_VIZ_CYCLES
 from .core.study import ALGORITHM_NAMES
 from .machine.presets import ALL_PRESETS
 from .harness import result_to_csv, series_to_csv
+from .obs.durable import atomic_write_json
 
 __all__ = ["main"]
 
@@ -277,7 +278,7 @@ def cmd_chaos(args) -> int:
     with contextlib.ExitStack() as stack:
         if args.trace:
             # Every drill records its phases on the default tracer.
-            stack.enter_context(stack.enter_context(Tracer(args.trace)).as_default())
+            stack.enter_context(Tracer(args.trace).as_default())
         if drill == "governor":
             print(
                 f"governor chaos: plan '{plan.name}' (seed {plan.seed}), "
@@ -549,7 +550,6 @@ def _git_changed_files() -> list[Path] | None:
 
 
 def cmd_lint(args) -> int:
-    from .core.atomicio import atomic_write_json
     from .lint import render_json, render_text
 
     only = None
@@ -577,7 +577,6 @@ def cmd_lint(args) -> int:
 
 
 def cmd_sanitize(args) -> int:
-    from .core.atomicio import atomic_write_json
     from .lint import sanitizer
 
     rest = list(args.rest)

@@ -1,7 +1,6 @@
 """The study itself: sweeps, metrics, classification, recommendations."""
 
 from .advisor import Advice, CapRecommendation, PowerAdvisor, recommend_cap
-from .atomicio import atomic_write_json, atomic_write_text
 from .pricing import BatchRepricer
 from .benchtrack import (
     SPEEDUP_FLOORS,
@@ -84,8 +83,6 @@ __all__ = [
     "trend_rows",
     "format_trend",
     "check_floors",
-    "atomic_write_json",
-    "atomic_write_text",
     "PowerClass",
     "Classification",
     "classify",

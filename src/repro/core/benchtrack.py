@@ -10,7 +10,7 @@ trajectory point the next one can regress against:
 * :func:`time_kernel` — min-of-``repeats`` timing of a callable (min is
   the standard noise-robust estimator for micro-benchmarks).
 * :class:`BenchTracker` — load/record/save the trajectory document,
-  written atomically via :mod:`repro.core.atomicio` so an interrupted
+  written atomically via :mod:`repro.obs.durable` so an interrupted
   benchmark run never corrupts the history.
 
 Entries are keyed ``kernel/size``; recording the same key again
@@ -34,8 +34,8 @@ import time
 from pathlib import Path
 from typing import Any, Callable
 
+from ..obs.durable import atomic_write_json
 from ..obs.metrics import get_registry
-from .atomicio import atomic_write_json
 
 __all__ = [
     "BenchTracker",

@@ -49,11 +49,11 @@ from contextlib import nullcontext
 from dataclasses import asdict, dataclass, replace
 
 from ..machine.spec import BROADWELL_E5_2695V4, MachineSpec
+from ..obs.durable import atomic_write_json
 from ..obs.manifest import build_manifest, manifest_path_for, write_manifest
 from ..obs.metrics import MetricsRegistry, get_registry
 from ..obs.samples import SampleWriter, samples_path_for
 from ..obs.trace import NULL_SPAN, Tracer
-from .atomicio import atomic_write_json
 from .backoff import retry_backoff
 from .pricing import BatchRepricer
 from .profiles import (

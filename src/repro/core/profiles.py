@@ -36,11 +36,11 @@ from pathlib import Path
 from ..data.fields import DataSet
 from ..data.generators import make_dataset
 from ..data.grid import UniformGrid
+from ..obs.durable import atomic_write_json
 from ..obs.trace import log_event
 from ..viz import ALGORITHMS
 from ..viz.base import OpCounts
 from ..workload import WorkProfile
-from .atomicio import atomic_write_json
 
 __all__ = [
     "DEFAULT_CACHE_PATH",
@@ -189,9 +189,9 @@ class ProfileCache:
         try:
             doc = json.loads(p.read_text())
         except json.JSONDecodeError as exc:
-            # A torn write (crash mid-flush on a pre-atomicio cache, or a
-            # tool truncating the file) must not brick a study — the
-            # cache only memoizes re-runnable work.  Warn, move the damage
+            # A torn write (crash mid-flush on a cache saved before saves
+            # were atomic, or a tool truncating the file) must not brick a
+            # study — the cache only memoizes re-runnable work.  Warn, move the damage
             # aside so it is inspectable instead of silently re-discarded
             # every startup, and start empty.
             corrupt = p.with_name(p.name + ".corrupt")

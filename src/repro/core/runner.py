@@ -13,17 +13,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from ..machine.simulator import RunResult
-from .atomicio import atomic_write_text
 from .metrics import Ratios
 
 __all__ = ["RunPoint", "StudyResult", "make_run_point", "DEFAULT_VIZ_CYCLES"]
-
-#: Format tag + version of the StudyResult JSON-lines serialization.
-RESULT_FORMAT = "repro-study-result"
-RESULT_VERSION = 1
 
 #: Visualization cycles per run: the study couples CloverLeaf's ~87-step
 #: benchmark with per-cycle visualization; total times in its tables
@@ -149,73 +143,6 @@ class StudyResult:
     @property
     def caps(self) -> list[float]:
         return sorted({p.cap_w for p in self.points}, reverse=True)
-
-    # ---------------------------------------------------------- serialization
-    def to_dict(self) -> dict:
-        return {
-            "format": RESULT_FORMAT,
-            "version": RESULT_VERSION,
-            "config_name": self.config_name,
-            "points": [p.to_dict() for p in self.points],
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "StudyResult":
-        if d.get("format", RESULT_FORMAT) != RESULT_FORMAT:
-            raise ValueError(f"not a study result: format={d.get('format')!r}")
-        version = int(d.get("version", 1))
-        if version > RESULT_VERSION:
-            raise ValueError(f"study result version {version} is newer than supported {RESULT_VERSION}")
-        return cls(
-            config_name=str(d["config_name"]),
-            points=[RunPoint.from_dict(p) for p in d["points"]],
-        )
-
-    def to_jsonl(self, path: str | Path | None = None) -> str:
-        """JSON-lines form: a header line, then one line per point.
-
-        When ``path`` is given the text is also written there.
-        """
-        header = {
-            "format": RESULT_FORMAT,
-            "version": RESULT_VERSION,
-            "config_name": self.config_name,
-        }
-        lines = [json.dumps(header, sort_keys=True)]
-        lines.extend(p.to_jsonl() for p in self.points)
-        text = "\n".join(lines) + "\n"
-        if path is not None:
-            atomic_write_text(Path(path), text)
-        return text
-
-    @classmethod
-    def from_jsonl(cls, source: str | Path) -> "StudyResult":
-        """Parse :meth:`to_jsonl` output (a path or the text itself).
-
-        A string is treated as inline JSONL text when it starts with
-        ``{`` (every serialized result opens with its JSON header line),
-        otherwise as a filesystem path.  This keeps a header-only result
-        — a single line with no ``\\n`` — parseable as text instead of
-        raising ``FileNotFoundError``.
-        """
-        if isinstance(source, Path):
-            text = source.read_text()
-        elif source.lstrip().startswith("{") or "\n" in source:
-            text = source
-        else:
-            text = Path(source).read_text()
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines:
-            raise ValueError("empty study result")
-        header = json.loads(lines[0])
-        if header.get("format") != RESULT_FORMAT:
-            raise ValueError(f"not a study result: format={header.get('format')!r}")
-        if int(header.get("version", 1)) > RESULT_VERSION:
-            raise ValueError(f"study result version {header['version']} is newer than supported {RESULT_VERSION}")
-        return cls(
-            config_name=str(header["config_name"]),
-            points=[RunPoint.from_jsonl(ln) for ln in lines[1:]],
-        )
 
 
 def make_run_point(

@@ -15,28 +15,35 @@ algorithms, sizes, or caps) appends to the same file; pointing an engine
 with different parameters at it raises :class:`StoreMismatchError`
 rather than silently mixing incomparable measurements.
 
-Appends are flushed per point and a torn final line (a run killed
-mid-write) is detected and truncated on the next open, so an interrupted
+Both files are :class:`~repro.obs.durable.JsonlFile` logs: appends are
+fsynced per point, and a torn final line (a run killed mid-write) is
+dropped on load and truncated before the next append, so an interrupted
 sweep resumes from exactly the points that made it to disk.
 
 Points that fail the invariant guardrails (:mod:`repro.core.validate`)
 never enter the main store: :meth:`ResultStore.quarantine` appends them
-to a ``*.quarantine.jsonl`` sidecar alongside machine-readable reasons,
-keeping the main file clean enough to trust blindly.
+to a ``*.quarantine.jsonl`` sidecar (its own header, then one point
+with machine-readable reasons per line), keeping the main file clean
+enough to trust blindly.  :meth:`ResultStore.reset` empties both.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
 from pathlib import Path
 from typing import Iterator
 
-from .atomicio import atomic_write_text
+from ..obs.durable import JsonlFile
 from .runner import RunPoint, StudyResult
 
 __all__ = ["ResultStore", "StoreMismatchError", "sweep_fingerprint"]
+
+
+#: The quarantine sidecar's header: a ``*.quarantine.jsonl`` file is a
+#: log of ``{"point": ..., "reasons": [...]}`` records.
+QUARANTINE_FORMAT = "repro-quarantine"
+QUARANTINE_VERSION = 1
 
 
 class StoreMismatchError(ValueError):
@@ -60,40 +67,15 @@ class ResultStore:
         self.fingerprint: str | None = None
         self.meta: dict = {}
         self._points: dict[tuple[str, int, float], RunPoint] = {}
+        self._log = JsonlFile(self.path, {"format": self.FORMAT, "version": self.VERSION})
+        self._sidecar = JsonlFile(
+            self.quarantine_path, {"format": QUARANTINE_FORMAT, "version": QUARANTINE_VERSION}
+        )
         if self.path.exists() and self.path.stat().st_size > 0:
-            self._load()
-
-    # -------------------------------------------------------------- loading
-    def _load(self) -> None:
-        text = self.path.read_text()
-        lines = text.splitlines(keepends=True)
-        header = json.loads(lines[0])
-        if header.get("format") != self.FORMAT:
-            raise ValueError(f"{self.path} is not a sweep store (format={header.get('format')!r})")
-        if int(header.get("version", 1)) > self.VERSION:
-            raise ValueError(
-                f"{self.path} has store version {header['version']}, newer than supported {self.VERSION}"
-            )
-        self.fingerprint = header.get("fingerprint")
-        self.meta = dict(header.get("meta", {}))
-        good_bytes = len(lines[0])
-        for i, line in enumerate(lines[1:], start=1):
-            stripped = line.strip()
-            if not stripped:
-                good_bytes += len(line)
-                continue
-            try:
-                point = RunPoint.from_jsonl(stripped)
-            except (ValueError, KeyError):
-                if i == len(lines) - 1:
-                    # Torn tail from a killed run: drop it so later
-                    # appends don't concatenate onto garbage.
-                    with open(self.path, "r+") as fh:
-                        fh.truncate(good_bytes)
-                    break
-                raise ValueError(f"{self.path}: corrupt record on line {i + 1}") from None
-            self._points[point.key] = point
-            good_bytes += len(line)
+            header, points = self._log.read(RunPoint.from_dict)
+            self.fingerprint = header.get("fingerprint")
+            self.meta = dict(header.get("meta", {}))
+            self._points = {p.key: p for p in points}
 
     # -------------------------------------------------------------- identity
     def ensure_compatible(self, fingerprint: str, meta: dict | None = None) -> None:
@@ -110,8 +92,9 @@ class ResultStore:
             )
 
     def reset(self, fingerprint: str, meta: dict | None = None) -> None:
-        """Discard all stored points and rebind to a new context."""
+        """Discard all stored and quarantined points and rebind to a new context."""
         self._points.clear()
+        self._sidecar.remove()
         self.fingerprint = fingerprint
         self.meta = dict(meta or {})
         self._write_header()
@@ -125,18 +108,14 @@ class ResultStore:
         }
         # Atomic replace: a header rewrite (reset/remove) interrupted
         # half-way must not destroy the store it was compacting.
-        body = "".join(p.to_jsonl() + "\n" for p in self._points.values())
-        atomic_write_text(self.path, json.dumps(header, sort_keys=True) + "\n" + body)
+        self._log.write((p.to_dict() for p in self._points.values()), header=header)
 
     # -------------------------------------------------------------- contents
     def append(self, point: RunPoint) -> None:
         if self.fingerprint is None:
             raise RuntimeError("store has no fingerprint; call ensure_compatible() first")
         self._points[point.key] = point
-        with open(self.path, "a") as fh:
-            fh.write(point.to_jsonl() + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
+        self._log.append(point.to_dict())
 
     def sync(self) -> None:
         """Force file (and directory) durability — e.g. on interrupt.
@@ -145,17 +124,7 @@ class ResultStore:
         directory entry so a freshly-created store survives a crash of
         the whole machine, not just the process.
         """
-        for target in (self.path, self.path.parent):
-            try:
-                fd = os.open(target, os.O_RDONLY)
-            except OSError:
-                continue
-            try:
-                os.fsync(fd)
-            except OSError:
-                pass  # some filesystems refuse directory fsync
-            finally:
-                os.close(fd)
+        self._log.sync()
 
     def remove(self, keys) -> int:
         """Drop points from the store (rewrites the file); returns count."""
@@ -181,30 +150,23 @@ class ResultStore:
         dicts.  The sidecar is append-only and fsynced like the main
         store, so quarantined evidence survives a crash too.
         """
-        record = {
-            "point": point.to_dict(),
-            "reasons": [
-                r if isinstance(r, dict) else {"code": r.code, "message": r.message}
-                for r in reasons
-            ],
-        }
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        with open(self.quarantine_path, "a") as fh:
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
+        self._sidecar.append(
+            {
+                "point": point.to_dict(),
+                "reasons": [
+                    r if isinstance(r, dict) else {"code": r.code, "message": r.message}
+                    for r in reasons
+                ],
+            }
+        )
 
     def quarantined(self) -> list[tuple[RunPoint, list[dict]]]:
         """All sidecar records as (point, reasons) pairs."""
         if not self.quarantine_path.exists():
             return []
-        out = []
-        for line in self.quarantine_path.read_text().splitlines():
-            if not line.strip():
-                continue
-            rec = json.loads(line)
-            out.append((RunPoint.from_dict(rec["point"]), list(rec["reasons"])))
-        return out
+        return self._sidecar.read(
+            lambda rec: (RunPoint.from_dict(rec["point"]), list(rec["reasons"]))
+        )[1]
 
     def __contains__(self, key: tuple[str, int, float]) -> bool:
         return key in self._points

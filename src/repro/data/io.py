@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ..obs.durable import atomic_write_text
 from .fields import Association, DataSet
 from .grid import UniformGrid
 from .mesh import TriangleMesh
@@ -28,8 +29,6 @@ def save_obj(mesh: TriangleMesh, path: str | Path) -> Path:
     Written atomically so a killed export never leaves a half-mesh that
     a viewer would silently open.
     """
-    from ..core.atomicio import atomic_write_text  # deferred: data sits below core
-
     path = Path(path)
     lines: list[str] = ["# written by repro (IPDPS'19 reproduction)"]
     for p in mesh.points:

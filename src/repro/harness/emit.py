@@ -6,7 +6,7 @@ emitted at full precision (``repr``, the shortest digits that parse back
 bitwise-equal) and :func:`result_from_csv` reads rows back into a
 :class:`~repro.core.runner.StudyResult`.  Human-readable tables are
 :mod:`repro.core.report`'s job.  All file output goes through
-:mod:`repro.core.atomicio`, so a crash mid-emit can't leave a truncated
+:mod:`repro.obs.durable`, so a crash mid-emit can't leave a truncated
 CSV sitting next to an intact store.
 """
 
@@ -16,10 +16,10 @@ import csv
 import io
 from pathlib import Path
 
-from ..core.atomicio import atomic_write_text
 from ..core.metrics import Ratios
 from ..core.report import FigureSeries
 from ..core.runner import RunPoint, StudyResult
+from ..obs.durable import atomic_write_text
 
 __all__ = ["result_to_csv", "result_from_csv", "series_to_csv"]
 
@@ -75,7 +75,7 @@ def result_from_csv(source: str | Path, *, config_name: str | None = None) -> St
     """Parse :func:`result_to_csv` output back into a :class:`StudyResult`.
 
     ``source`` is a path, or the CSV text itself when it starts with the
-    header row (mirroring ``StudyResult.from_jsonl``'s convention).
+    header row.
     ``cap_w`` round-trips bitwise; measurement columns carry the emitted
     precision.
     """

@@ -34,7 +34,6 @@ discontinuities, and trace truncation against them.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -44,6 +43,7 @@ import numpy as np
 from ..machine.rapl import MIN_DUTY
 from ..machine.simulator import Processor, RunResult
 from ..machine.spec import MachineSpec
+from ..obs.durable import JsonlFile
 from ..obs.metrics import get_registry
 from ..obs.trace import span
 from ..workload import WorkProfile
@@ -73,6 +73,7 @@ __all__ = [
 
 SIGNAL_TRACE_FORMAT = "repro-signal-trace"
 SIGNAL_TRACE_VERSION = 1
+_SIGNAL_TRACE_HEADER = {"format": SIGNAL_TRACE_FORMAT, "version": SIGNAL_TRACE_VERSION}
 
 
 # ---------------------------------------------------------------- signal trace
@@ -190,54 +191,18 @@ class SignalTrace:
     # ----------------------------------------------------------------- jsonl
     def to_jsonl(self, path: str | Path) -> Path:
         """Persist the trace (atomically) as header + one sample per line."""
-        # Deferred upward import: atomic persistence lives in the core
-        # layer; the sanctioned crossing is at call time (cf. obs.manifest).
-        from ..core.atomicio import atomic_write_text
-
-        lines = [
-            json.dumps(
-                {
-                    "format": SIGNAL_TRACE_FORMAT,
-                    "version": SIGNAL_TRACE_VERSION,
-                    "name": self.name,
-                    "n_samples": len(self.samples),
-                },
-                sort_keys=True,
-            )
-        ]
-        lines.extend(
-            json.dumps({"t_s": s.t_s, "value": s.value}, sort_keys=True)
-            for s in self.samples
-        )
         target = Path(path)
-        atomic_write_text(target, "\n".join(lines) + "\n")
+        header = {**_SIGNAL_TRACE_HEADER, "name": self.name, "n_samples": len(self.samples)}
+        JsonlFile(target, header).write({"t_s": s.t_s, "value": s.value} for s in self.samples)
         return target
 
     @classmethod
     def from_jsonl(cls, path: str | Path) -> "SignalTrace":
-        """Load a trace written by :meth:`to_jsonl` (torn tail tolerated)."""
-        p = Path(path)
-        samples: list[SignalSample] = []
-        name = p.stem
-        with open(p) as fh:
-            first = fh.readline().strip()
-            if first:
-                header = json.loads(first)
-                if header.get("format") != SIGNAL_TRACE_FORMAT:
-                    raise ValueError(
-                        f"{p} is not a signal trace (format={header.get('format')!r})"
-                    )
-                name = str(header.get("name", name))
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    doc = json.loads(line)
-                except ValueError:
-                    break  # torn tail: keep every intact sample before it
-                samples.append(SignalSample(float(doc["t_s"]), float(doc["value"])))
-        return cls(tuple(samples), name=name)
+        """Load a trace written by :meth:`to_jsonl` (torn tail dropped)."""
+        header, samples = JsonlFile(path, _SIGNAL_TRACE_HEADER).read(
+            lambda doc: SignalSample(float(doc["t_s"]), float(doc["value"]))
+        )
+        return cls(tuple(samples), name=str(header.get("name", Path(path).stem)))
 
 
 # ------------------------------------------------------------------ governors

@@ -24,7 +24,7 @@ import json
 from pathlib import Path
 from typing import Callable
 
-from ..core.atomicio import atomic_write_json
+from ..obs.durable import atomic_write_json
 from .findings import Finding
 
 __all__ = ["Baseline", "finding_fingerprint", "DEFAULT_BASELINE_PATH"]

@@ -3,7 +3,7 @@
 ======== ============================== ==========================================
 code     name                           contract
 ======== ============================== ==========================================
-RPR001   non-atomic-write               artifact writes go through ``atomicio``
+RPR001   non-atomic-write               writes/appends go through ``obs.durable``
 RPR002   float-cap-equality             ``math.isclose`` on caps/frequencies
 RPR003   pickle-ban                     no pickle (de)serialization
 RPR004   layering                       imports point down the module-guide layers

@@ -14,7 +14,7 @@ instances), where the intersection of locks held across all accesses is
 empty.  That cell has no lock that consistently protects it.
 
 **RPR010 durability-ordering** — in the durability-critical modules
-(``serve/wal.py``, ``core/atomicio.py``): an ``os.replace`` that
+(``serve/wal.py``, ``obs/durable.py``): an ``os.replace`` that
 publishes a file without a preceding ``os.fsync``, or an append-mode
 write not followed by ``flush()`` + ``os.fsync`` in the same function,
 makes a record visible before it is durable — exactly the torn-write
@@ -145,8 +145,9 @@ class LocksetRace(ProjectRule):
             )
 
 
-#: Modules whose file-handling must be durably ordered.
-_DURABILITY_MODULES = {"wal", "atomicio"}
+#: Modules whose file-handling must be durably ordered; the only ones
+#: RPR001 lets open a file for appending.
+_DURABILITY_MODULES = {"wal", "durable"}
 
 _APPEND_MODES = {"a", "ab", "a+", "a+b", "ba", "ab+"}
 
@@ -282,10 +283,10 @@ class BlockingUnderLock(ProjectRule):
                         "every thread contending for the lock stalls behind it",
                     )
                     continue
-                # Inside atomicio the fsync IS the contract; a caller
+                # Inside durable the fsync IS the contract; a caller
                 # holding a lock across it is reported at the boundary
                 # call site, not re-reported per internal line.
-                if fn.module.rsplit(".", 1)[-1] == "atomicio":
+                if fn.module.rsplit(".", 1)[-1] == "durable":
                     continue
                 entry = entries.get(fn.qualname)
                 if entry is not None:

@@ -1,14 +1,16 @@
 """Serialization contracts: atomic artifact writes and the pickle ban.
 
 **RPR001 non-atomic-write** — every whole-file artifact write must go
-through :mod:`repro.core.atomicio` (temp file + fsync + ``os.replace``),
+through :mod:`repro.obs.durable` (temp file + fsync + ``os.replace``),
 because a crashed or concurrent sweep worker must never leave a torn
 document for a later reader.  Bare ``open(path, "w"/"wb"/"x")``,
 ``Path.write_text``, and ``Path.write_bytes`` are flagged everywhere
-except inside ``atomicio`` itself.  Append mode (``"a"``) is allowed:
-the JSONL stores get durability from append + per-record fsync, and a
-torn *tail* is recoverable where a torn *document* is not.  ``"r+"``
-(in-place truncation during tail recovery) is likewise allowed.
+except inside ``durable`` itself.  Append mode (``"a"``) is allowed
+only in the durability modules RPR010 checks (``durable`` and the
+service's ``wal``): every other log appends through
+:class:`repro.obs.durable.JsonlFile`, so no hand-rolled log can skip
+its header check or torn-tail rule.  ``"r+"`` (in-place truncation,
+as the store-damage instrument does) is allowed.
 
 **RPR003 pickle-ban** — pickle is neither stable across versions nor
 safe to load; every persisted artifact is versioned JSON.
@@ -20,12 +22,13 @@ from __future__ import annotations
 import ast
 
 from ..registry import FileContext, Rule, register
+from .dataflow import _APPEND_MODES, _DURABILITY_MODULES
 
 __all__ = ["NonAtomicWrite", "PickleBan"]
 
 #: The sanctioned implementation of atomic replacement — the one place
 #: a truncating open is the mechanism rather than the hazard.
-ATOMICIO_IMPL = frozenset({"repro/core/atomicio.py"})
+ATOMICIO_IMPL = frozenset({"repro/obs/durable.py"})
 
 _PICKLE_BANNED = frozenset({"load", "loads", "dump", "dumps", "Pickler", "Unpickler"})
 
@@ -50,11 +53,12 @@ def _literal_mode(call: ast.Call) -> str | None:
 class NonAtomicWrite(Rule):
     code = "RPR001"
     name = "non-atomic-write"
-    summary = "whole-file writes must go through repro.core.atomicio"
+    summary = "whole-file writes must go through repro.obs.durable"
 
     def check(self, ctx: FileContext):
         if ctx.relpath in ATOMICIO_IMPL:
             return
+        may_append = ctx.module.rsplit(".", 1)[-1] in _DURABILITY_MODULES
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call):
                 continue
@@ -66,15 +70,21 @@ class NonAtomicWrite(Rule):
                         ctx,
                         node,
                         f"bare open(..., {mode!r}) can leave a torn file on crash; "
-                        "use repro.core.atomicio.atomic_write_text/bytes/json "
-                        "(append with fsync is exempt)",
+                        "use repro.obs.durable.atomic_write_text/bytes/json",
+                    )
+                elif mode in _APPEND_MODES and not may_append:
+                    yield self.finding(
+                        ctx,
+                        node,
+                        f"open(..., {mode!r}) hand-rolls a log; append through "
+                        "repro.obs.durable.JsonlFile (header check, torn-tail rule, fsync)",
                     )
             elif isinstance(func, ast.Attribute) and func.attr in ("write_text", "write_bytes"):
                 yield self.finding(
                     ctx,
                     node,
                     f"Path.{func.attr}() rewrites the file non-atomically; "
-                    "use repro.core.atomicio.atomic_write_text/bytes/json",
+                    "use repro.obs.durable.atomic_write_text/bytes/json",
                 )
 
 

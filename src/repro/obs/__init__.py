@@ -2,7 +2,7 @@
 
 The telemetry layer the sweep stack reports through — built because the
 source paper is a *measurement* study and an unexplainable point is a
-broken reproduction.  Four cooperating pieces:
+broken reproduction.  Five cooperating pieces:
 
 * :mod:`repro.obs.trace` — span/event tracing to JSONL
   (``span("phase", **attrs)`` context managers, thread-safe, monotonic);
@@ -12,11 +12,15 @@ broken reproduction.  Four cooperating pieces:
   run point, stored as one segment line per point in
   ``<store>.samples.jsonl`` and expanded on read;
 * :mod:`repro.obs.manifest` — the atomic per-run provenance record
-  (``<store>.manifest.json``).
+  (``<store>.manifest.json``);
+* :mod:`repro.obs.durable` — the atomic whole-file writers and
+  ``JsonlFile``, the one framing and crash rule of every JSONL artifact
+  but the service's write-ahead log.
 
 This package imports nothing from the rest of ``repro`` at module scope
-(manifest defers its two upward imports), so any layer — the machine
-model, the kernels, the engine — may instrument itself freely.
+(manifest defers its one upward import), so any layer — the machine
+model, the kernels, the engine — may instrument itself and persist
+files through it.
 See ``docs/observability.md``.
 """
 

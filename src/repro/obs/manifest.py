@@ -4,7 +4,7 @@ A sweep's points are only interpretable against the context that
 produced them — machine spec, dataset seed, cycle count, fault plan,
 package version.  The store header carries a *fingerprint* of that
 context; the manifest carries the context itself, human-readable,
-written atomically (via :mod:`repro.core.atomicio`) as
+written atomically (via :mod:`repro.obs.durable`) as
 ``<store>.manifest.json`` so a crash can never leave a half-written
 provenance record beside an intact store.
 """
@@ -14,6 +14,8 @@ from __future__ import annotations
 import json
 import time
 from pathlib import Path
+
+from .durable import atomic_write_json
 
 __all__ = [
     "MANIFEST_FORMAT",
@@ -67,8 +69,6 @@ def build_manifest(
 
 def write_manifest(path: str | Path, manifest: dict) -> Path:
     """Atomically persist a manifest; returns the path written."""
-    from ..core.atomicio import atomic_write_json  # deferred to avoid a layer cycle
-
     target = Path(path)
     atomic_write_json(target, manifest, indent=1)
     return target

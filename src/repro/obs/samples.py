@@ -13,6 +13,7 @@ next to its result store, ``<store>.samples.jsonl``::
 
 Each line after the header holds one stored point's segment records,
 each record a list in :data:`SEGMENT_FIELDS` order.
+The file is a :class:`~repro.obs.durable.JsonlFile` log:
 :class:`SampleWriter` appends and fsyncs one line per point, so a
 killed sweep keeps the records of every point it durably stored;
 :func:`read_samples` drops the torn final line such a kill can leave
@@ -23,11 +24,11 @@ and on append.
 
 from __future__ import annotations
 
-import json
-import os
 from collections import namedtuple
 from dataclasses import asdict, dataclass
 from pathlib import Path
+
+from .durable import JsonlFile
 
 __all__ = [
     "SAMPLES_FORMAT",
@@ -145,20 +146,8 @@ def samples_path_for(store_path: str | Path) -> Path:
     return Path(store_path).with_suffix(".samples.jsonl")
 
 
-def _check_header(source, line) -> dict:
-    """The header of a samples file whose first line is ``line``."""
-    try:
-        header = json.loads(line)
-    except ValueError:
-        header = None
-    if not isinstance(header, dict) or header.get("format") != SAMPLES_FORMAT:
-        raise ValueError(f"{source} is not a samples file")
-    if header.get("version") != SAMPLES_VERSION:
-        raise ValueError(
-            f"{source} has samples version {header.get('version')}, not "
-            f"{SAMPLES_VERSION}; write a fresh samples file"
-        )
-    return header
+#: The header every samples file starts with.
+_HEADER = {"kind": "header", "format": SAMPLES_FORMAT, "version": SAMPLES_VERSION}
 
 
 class SampleWriter:
@@ -166,26 +155,7 @@ class SampleWriter:
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
-        self._fh = None
-
-    def _open(self):
-        """Open for appending: write a new file's header, or check an
-        existing file's and drop the torn tail a killed writer left."""
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        fh = open(self.path, "a")
-        if fh.tell() > 0:
-            data = self.path.read_bytes()
-            try:
-                _check_header(self.path, data.split(b"\n", 1)[0])
-            except ValueError:
-                fh.close()
-                raise
-            fh.truncate(data.rfind(b"\n") + 1)
-        else:
-            header = {"kind": "header", "format": SAMPLES_FORMAT, "version": SAMPLES_VERSION}
-            fh.write(json.dumps(header, sort_keys=True) + "\n")
-        self._fh = fh
-        return fh
+        self._log = JsonlFile(self.path, _HEADER)
 
     def append(self, *, algorithm: str, size: int, cap_w: float, records) -> None:
         """Durably persist one run point's segment records.
@@ -194,36 +164,25 @@ class SampleWriter:
         (or anything with the :data:`SEGMENT_FIELDS` attributes).  The
         line is flushed and fsynced before this returns.
         """
-        line = json.dumps(
+        self._log.append(
             {
                 "algorithm": algorithm,
                 "size": int(size),
                 "cap_w": float(cap_w),
                 "segments": [[getattr(r, f) for f in SEGMENT_FIELDS] for r in records],
-            },
-            sort_keys=True,
+            }
         )
-        fh = self._fh or self._open()
-        fh.write(line + "\n")
-        fh.flush()
-        os.fsync(fh.fileno())
 
     def reset(self) -> None:
         """Drop every stored line: the points they describe are gone."""
-        self.close()
-        self.path.unlink(missing_ok=True)
+        self._log.remove()
 
-    def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
 
-    def __enter__(self) -> "SampleWriter":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        self.close()
-        return False
+def _expand(point: dict) -> list[dict]:
+    """One segment line's 100 ms sample records."""
+    key = {"algorithm": point["algorithm"], "size": point["size"], "cap_w": point["cap_w"]}
+    stream = synthesize_stream([_Segment(*row) for row in point["segments"]])
+    return [{**key, "i": i, **asdict(s)} for i, s in enumerate(stream)]
 
 
 def read_samples(source: str | Path) -> tuple[dict, list[dict]]:
@@ -233,22 +192,8 @@ def read_samples(source: str | Path) -> tuple[dict, list[dict]]:
     one dict per :class:`PowerSample` with the point's ``algorithm``,
     ``size`` and ``cap_w`` and the sample's index ``i``.
     """
-    lines = Path(source).read_text().splitlines()
-    header = _check_header(source, lines[0] if lines else "")
-    records: list[dict] = []
-    for n, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        try:
-            point = json.loads(line)
-        except ValueError:
-            if n == len(lines):
-                break
-            raise ValueError(f"{source}: corrupt sample record on line {n}") from None
-        key = {"algorithm": point["algorithm"], "size": point["size"], "cap_w": point["cap_w"]}
-        stream = synthesize_stream([_Segment(*row) for row in point["segments"]])
-        records.extend({**key, "i": i, **asdict(s)} for i, s in enumerate(stream))
-    return header, records
+    header, points = JsonlFile(source, _HEADER).read(_expand)
+    return header, [r for stream in points for r in stream]
 
 
 def summarize_samples(records: list[dict]) -> dict[tuple[str, int, float], dict]:

@@ -13,7 +13,7 @@ every layer of the sweep stack a shared tracing vocabulary:
   instrumented hot paths (kernel executions, engine dispatch) pay
   nothing in untraced runs.
 * :func:`read_trace` / :func:`summarize_trace` — the analysis half:
-  parse a trace file (tolerating a torn final line from a killed run)
+  parse a trace file (dropping a torn final line from a killed run)
   and aggregate per-phase time, backing ``repro trace``.
 
 Span records nest through per-thread stacks (``parent_id``), so a
@@ -25,11 +25,12 @@ nothing; the engine records their job spans from the parent side.
 from __future__ import annotations
 
 import itertools
-import json
 import logging
 import threading
 import time
 from pathlib import Path
+
+from .durable import JsonlFile
 
 __all__ = [
     "TRACE_FORMAT",
@@ -113,14 +114,20 @@ class _NullSpan:
 NULL_SPAN = _NullSpan()
 
 
+#: The header every trace file starts with.
+_HEADER = {"kind": "header", "format": TRACE_FORMAT, "version": TRACE_VERSION}
+
+
 class Tracer:
     """One trace: a thread-safe sink of span and event records.
 
     ``path=None`` keeps records in memory (:meth:`records`); a path
-    appends JSONL, one record per line, flushed per write so a killed
-    run loses at most the line being written (which :func:`read_trace`
-    tolerates).  Opening an empty file writes a header line identifying
-    the format, mirroring the result store's convention.
+    makes the trace a :class:`~repro.obs.durable.JsonlFile` log, one
+    record per line, each appended and flushed as it is emitted (not
+    fsynced), so a killed run loses at most the line being written.
+    The constructor writes a fresh file's header, or checks an existing
+    file's header and cuts the torn tail a killed run left, so a resumed
+    run appends whole lines after the old ones.
     """
 
     def __init__(self, path: str | Path | None = None):
@@ -131,13 +138,10 @@ class Tracer:
         self._clock = time.monotonic
         self._t0 = self._clock()
         self._records: list[dict] = []
-        self._fh = None
-        if self.path is not None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            fresh = not self.path.exists() or self.path.stat().st_size == 0
-            self._fh = open(self.path, "a")
-            if fresh:
-                self.emit({"kind": "header", "format": TRACE_FORMAT, "version": TRACE_VERSION})
+        self._log = JsonlFile(self.path, _HEADER, fsync=False) if self.path is not None else None
+        if self._log is not None:
+            with self._lock:  # every access to the log holds the lock
+                self._log.append()
 
     # ------------------------------------------------------------- plumbing
     def _new_id(self) -> int:
@@ -152,24 +156,10 @@ class Tracer:
     def emit(self, record: dict) -> None:
         """Append one record (thread-safe; flushed immediately on disk)."""
         with self._lock:
-            if self._fh is not None:
-                self._fh.write(json.dumps(record, sort_keys=True) + "\n")
-                self._fh.flush()
+            if self._log is not None:
+                self._log.append(record)
             else:
                 self._records.append(record)
-
-    def close(self) -> None:
-        with self._lock:
-            if self._fh is not None:
-                self._fh.close()
-                self._fh = None
-
-    def __enter__(self) -> "Tracer":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        self.close()
-        return False
 
     # ------------------------------------------------------------ recording
     def span(self, name: str, **attrs) -> _Span:
@@ -210,9 +200,6 @@ class Tracer:
     def records(self) -> list[dict]:
         """All records so far (reads the file when backed by one)."""
         if self.path is not None:
-            with self._lock:
-                if self._fh is not None:
-                    self._fh.flush()
             return read_trace(self.path)[1]
         with self._lock:
             return list(self._records)
@@ -284,28 +271,10 @@ def log_event(name: str, message: str, *, level: int = logging.WARNING, **attrs)
 def read_trace(source: str | Path) -> tuple[dict, list[dict]]:
     """Parse a trace file into (header, records).
 
-    A torn final line (run killed mid-write) is dropped, matching the
-    result store's recovery convention; corruption anywhere else raises.
+    A torn final line (run killed mid-write) is dropped; corruption
+    anywhere else raises (:class:`~repro.obs.durable.JsonlFile`).
     """
-    lines = Path(source).read_text().splitlines()
-    header: dict = {}
-    records: list[dict] = []
-    for i, line in enumerate(lines):
-        if not line.strip():
-            continue
-        try:
-            rec = json.loads(line)
-        except ValueError:
-            if i == len(lines) - 1:
-                break
-            raise ValueError(f"{source}: corrupt trace record on line {i + 1}") from None
-        if rec.get("kind") == "header":
-            if rec.get("format") != TRACE_FORMAT:
-                raise ValueError(f"{source} is not a trace (format={rec.get('format')!r})")
-            header = rec
-        else:
-            records.append(rec)
-    return header, records
+    return JsonlFile(source, _HEADER, fsync=False).read()
 
 
 def summarize_trace(records: list[dict], *, name: str | None = None) -> dict[str, dict]:

@@ -42,6 +42,7 @@ from ..core.engine import SweepEngine
 from ..core.profiles import ProfileCache
 from ..core.runner import DEFAULT_VIZ_CYCLES
 from ..core.study import StudyConfig
+from ..obs.durable import atomic_write_json
 from ..obs.metrics import MetricsRegistry, get_registry
 from ..obs.trace import Tracer
 from .supervisor import Supervisor
@@ -140,10 +141,7 @@ class SweepService:
         self.backoff_base_s = float(backoff_base_s)
         self.backoff_cap_s = float(backoff_cap_s)
         self.metrics = metrics if metrics is not None else get_registry()
-        # Close only a tracer opened here from a path; a handed-in one
-        # belongs to the caller (a chaos drill traces two generations).
-        self._owns_tracer = trace is not None and not isinstance(trace, Tracer)
-        self.tracer = Tracer(trace) if self._owns_tracer else trace
+        self.tracer = trace if trace is None or isinstance(trace, Tracer) else Tracer(trace)
         self.injector = injector
         # One ledger cache per dataset recipe for the service's lifetime,
         # shared by concurrent jobs: a store per job would rewrite the
@@ -276,13 +274,9 @@ class SweepService:
             sup.run(drain=drain)
         finally:
             self._dump_metrics()
-            if self._owns_tracer:
-                self.tracer.close()
         return self.report()
 
     def _dump_metrics(self) -> None:
-        from ..core.atomicio import atomic_write_json
-
         atomic_write_json(
             self.spool / "service.metrics.json", self.metrics.to_json(), indent=1
         )

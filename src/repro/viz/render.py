@@ -14,6 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
+from ..obs.durable import atomic_write_bytes
+
 __all__ = ["Camera", "orbit_cameras", "ColorMap", "Image"]
 
 
@@ -140,8 +142,6 @@ class Image:
         leave a torn image that a viewer (or a diff against a golden
         render) would half-read.
         """
-        from ..core.atomicio import atomic_write_bytes  # deferred: viz sits below core
-
         path = Path(path)
         data = (np.clip(self.rgb, 0.0, 1.0) * 255.0 + 0.5).astype(np.uint8)
         header = f"P6\n{self.width} {self.height}\n255\n".encode()

@@ -1,4 +1,4 @@
-"""Tests for crash-safe persistence (atomicio) and the bench tracker."""
+"""Tests for atomic whole-file writes (repro.obs.durable) and the bench tracker."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import os
 
 import pytest
 
-from repro.core.atomicio import atomic_write_json, atomic_write_text
+from repro.obs.durable import atomic_write_json, atomic_write_text
 from repro.core.benchtrack import BenchTracker, time_kernel
 from repro.core.profiles import ProfileCache
 

@@ -233,7 +233,6 @@ class TestStreams:
         store = tmp_path / "sweep.jsonl"
         engine = make_engine(spec, ledgers, store, samples=True)
         result = engine.run(config)
-        engine.sample_writer.close()
         runs = oracle_runs(spec, ledgers, [p.key for p in result.points])
         assert stored_streams(store) == oracle_streams(runs)
         if spec is FLOOR_SPEC:
@@ -251,8 +250,6 @@ class TestNoScalarPricing:
         config = StudyConfig("guard", ALGORITHM_NAMES, (SIZE,))
         engine = make_engine(BROADWELL_E5_2695V4, ledgers, tmp_path / "sweep.jsonl", samples=samples)
         result = engine.run(config)
-        if engine.sample_writer is not None:
-            engine.sample_writer.close()
         assert len(result.points) == config.n_configurations
 
 
@@ -273,7 +270,6 @@ class TestFaults:
         store = tmp_path / "sweep.jsonl"
         engine = make_engine(BROADWELL_E5_2695V4, ledgers, store, samples=True, faults=plan)
         result = engine.run(config)
-        engine.sample_writer.close()
 
         truth, none = oracle_sweep(BROADWELL_E5_2695V4, ledgers, config)
         assert not none  # Broadwell holds every paper cap: the gate passes all

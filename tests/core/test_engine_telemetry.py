@@ -1,16 +1,19 @@
 """End-to-end telemetry: one traced, sampled, metered sweep."""
 
+import gc
 import json
+import warnings
 
 import pytest
 
-from repro.core import EngineStats, StudyConfig, SweepEngine
+from repro.core import EngineStats, ResultStore, StudyConfig, SweepEngine
 from repro.core.engine import SweepInterrupted
 from repro.faults import FaultPlan
 from repro.obs.manifest import manifest_path_for, read_manifest
 from repro.obs.metrics import MetricsRegistry, load_metrics
 from repro.obs.samples import read_samples, samples_path_for, summarize_samples
 from repro.obs.trace import get_tracer, read_trace, summarize_trace
+from repro.serve import SweepService
 
 CFG = StudyConfig(name="tele", algorithms=("threshold", "contour"), sizes=(32,))
 
@@ -31,8 +34,6 @@ def traced_sweep(tmp_path_factory):
         metrics=registry,
     )
     result = engine.run(CFG)
-    engine.tracer.close()
-    engine.sample_writer.close()
     return engine, result, store, trace
 
 
@@ -217,7 +218,6 @@ class TestResumeTelemetry:
             metrics=MetricsRegistry(),
         )
         resumed = again.run(CFG)
-        again.tracer.close()
         assert again.stats.points_resumed == len(result.points)
         _, records = read_trace(trace)
         sweeps = [r for r in records if r.get("name") == "sweep"]
@@ -232,10 +232,57 @@ class TestResumeTelemetry:
         for resume in (True, False):
             engine = SweepEngine(n_cycles=2, workers=0, store=store, samples=True)
             result = engine.run(one, resume=resume)
-            engine.sample_writer.close()
         lines = samples_path_for(store).read_text().splitlines()
         assert len(lines) == 1 + len(result.points)
+
+    def test_fresh_rerun_resets_the_quarantine_sidecar(self, tmp_path):
+        """Quarantined points of an earlier sweep do not survive a fresh
+        run that quarantines nothing."""
+        store = tmp_path / "sweep.jsonl"
+        cfg = StudyConfig(name="q", algorithms=("threshold", "clip"), sizes=(12,))
+        faulted = SweepEngine(
+            n_cycles=2,
+            workers=0,
+            store=store,
+            faults=FaultPlan(seed=41, point_corrupt_p=0.4),
+            metrics=MetricsRegistry(),
+        )
+        faulted.run(cfg)
+        assert ResultStore(store).quarantined()
+        fresh = SweepEngine(n_cycles=2, workers=0, seed=8, store=store, metrics=MetricsRegistry())
+        fresh.run(cfg, resume=False)
+        assert fresh.stats.points_quarantined == 0
+        assert ResultStore(store).quarantined() == []
 
     def test_samples_flag_without_store_rejected(self):
         with pytest.raises(ValueError, match="needs a store"):
             SweepEngine(samples=True)
+
+
+def test_no_file_handle_outlives_a_traced_sweep_or_daemon(tmp_path):
+    """A traced, sampled sweep and one traced daemon generation leave no
+    file open: collecting them emits no ``ResourceWarning``."""
+    one = StudyConfig(name="one", algorithms=("threshold",), sizes=(12,))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        engine = SweepEngine(
+            n_cycles=2,
+            workers=0,
+            store=tmp_path / "sweep.jsonl",
+            trace=str(tmp_path / "sweep.trace.jsonl"),
+            samples=True,
+            metrics=MetricsRegistry(),
+        )
+        engine.run(one)
+        service = SweepService(
+            tmp_path / "spool",
+            workers=1,
+            poll_interval_s=0.01,
+            metrics=MetricsRegistry(),
+            trace=tmp_path / "serve.trace.jsonl",
+        )
+        service.submit(one, n_cycles=2)
+        service.run_daemon(drain=True)
+        del engine, service
+        gc.collect()
+    assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []

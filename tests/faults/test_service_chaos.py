@@ -204,7 +204,7 @@ class TestRunServiceChaos:
 
     def test_trace_covers_every_phase(self, tmp_path):
         path = tmp_path / "service.trace.jsonl"
-        with Tracer(path) as tracer, tracer.as_default():
+        with Tracer(path).as_default():
             report = run_service_chaos(
                 CFG, "torn", spool=tmp_path / "spool", n_jobs=1, n_cycles=2
             )

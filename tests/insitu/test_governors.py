@@ -73,15 +73,6 @@ class TestSignalTrace:
         with pytest.raises(ValueError, match="not a signal trace"):
             SignalTrace.from_jsonl(p)
 
-    def test_jsonl_tolerates_torn_tail(self, tmp_path):
-        tr = SignalTrace.synthetic("sine", seed=1, n=8)
-        path = tr.to_jsonl(tmp_path / "t.jsonl")
-        raw = path.read_text()
-        path.write_text(raw[: len(raw) - 9])  # mid-record kill
-        back = SignalTrace.from_jsonl(path)
-        assert 1 <= len(back) < len(tr)
-        assert back.samples == tr.samples[: len(back)]
-
     def test_truncated_and_without(self):
         tr = SignalTrace.synthetic("square", seed=0, n=10)
         assert len(tr.truncated(0.5)) == 5

@@ -90,7 +90,7 @@ class TestTracedChaos:
         from repro.obs.trace import Tracer, read_trace
 
         trace = tmp_path / "chaos.trace.jsonl"
-        with Tracer(trace) as tracer, tracer.as_default():
+        with Tracer(trace).as_default():
             rep = run_chaos(
                 CFG, get_plan("default"), store=tmp_path / "s.jsonl", workers=0, n_cycles=2
             )

@@ -1,18 +1,9 @@
-"""RPR001 fixture: sanctioned I/O — reads, fsynced appends, tail repair."""
-
-import os
+"""RPR001 fixture: sanctioned I/O — reads and in-place tail truncation."""
 
 
 def read(path):
     with open(path) as fh:
         return fh.read()
-
-
-def append_record(path, line):
-    with open(path, "a") as fh:
-        fh.write(line + "\n")
-        fh.flush()
-        os.fsync(fh.fileno())
 
 
 def truncate_tail(path, keep):

@@ -58,6 +58,16 @@ def test_bad_fixture_flags_every_site(code, expected):
     assert len(_lint_fixture(code, "bad")) == expected
 
 
+@pytest.mark.parametrize(
+    "module, flagged",
+    [("repro.obs.durable", False), ("repro.serve.wal", False), ("repro.core.store", True)],
+)
+def test_rpr001_allows_append_only_in_the_durability_modules(module, flagged):
+    source = (FIXTURES / "rpr001_append.py").read_text()
+    findings = check_source(source, relpath="fixtures/rpr001_append.py", module=module)
+    assert [f.code for f in findings] == (["RPR001"] if flagged else [])
+
+
 def test_findings_carry_location_and_render():
     f = _lint_fixture("RPR001", "bad")[0]
     assert f.line > 0

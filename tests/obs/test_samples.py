@@ -67,8 +67,7 @@ class TestSampleStream:
 class TestSampleWriter:
     def test_writes_header_and_round_trips(self, tmp_path, run):
         path = tmp_path / "s.samples.jsonl"
-        with SampleWriter(path) as w:
-            w.append(algorithm="contour", size=16, cap_w=70.0, records=run.records)
+        SampleWriter(path).append(algorithm="contour", size=16, cap_w=70.0, records=run.records)
         lines = path.read_text().splitlines()
         assert len(lines) == 2  # the header and one segment line
         header, records = read_samples(path)
@@ -84,8 +83,7 @@ class TestSampleWriter:
 
     def test_segment_line_holds_the_records_exactly(self, tmp_path, run):
         path = tmp_path / "s.samples.jsonl"
-        with SampleWriter(path) as w:
-            w.append(algorithm="contour", size=16, cap_w=70.0, records=run.records)
+        SampleWriter(path).append(algorithm="contour", size=16, cap_w=70.0, records=run.records)
         line = json.loads(path.read_text().splitlines()[1])
         assert line["segments"] == [list(dataclasses.astuple(r)) for r in run.records]
 
@@ -95,41 +93,19 @@ class TestSampleWriter:
     def test_reopened_file_gets_no_second_header(self, tmp_path, run):
         path = tmp_path / "s.samples.jsonl"
         for cap in (70.0, 60.0):
-            with SampleWriter(path) as w:
-                w.append(algorithm="contour", size=16, cap_w=cap, records=run.records)
+            SampleWriter(path).append(algorithm="contour", size=16, cap_w=cap, records=run.records)
         assert len(path.read_text().splitlines()) == 3
         stats = summarize_samples(read_samples(path)[1])
         assert set(stats) == {("contour", 16, 70.0), ("contour", 16, 60.0)}
 
     def test_summarize_recovers_run_aggregates(self, tmp_path, run):
         path = tmp_path / "s.samples.jsonl"
-        with SampleWriter(path) as w:
-            w.append(algorithm="contour", size=16, cap_w=70.0, records=run.records)
+        SampleWriter(path).append(algorithm="contour", size=16, cap_w=70.0, records=run.records)
         stats = summarize_samples(read_samples(path)[1])
         agg = stats[("contour", 16, 70.0)]
         assert agg["mean_power_w"] == pytest.approx(run.avg_power_w, rel=1e-9)
         assert agg["duration_s"] == pytest.approx(run.time_s, rel=1e-9)
         assert agg["rate_hz"] >= 10.0 - 1e-9
-
-    def test_torn_tail_is_dropped(self, tmp_path, run):
-        path = tmp_path / "s.samples.jsonl"
-        with SampleWriter(path) as w:
-            w.append(algorithm="contour", size=16, cap_w=70.0, records=run.records)
-        complete = len(read_samples(path)[1])
-        with open(path, "a") as fh:
-            fh.write('{"algorithm": "contour", "size": 16, "cap_')
-        assert len(read_samples(path)[1]) == complete
-
-    def test_append_drops_a_torn_tail_first(self, tmp_path, run):
-        path = tmp_path / "s.samples.jsonl"
-        with SampleWriter(path) as w:
-            w.append(algorithm="contour", size=16, cap_w=70.0, records=run.records)
-        with open(path, "a") as fh:
-            fh.write('{"algorithm": "contour", "size": 16, "cap_')
-        with SampleWriter(path) as w:
-            w.append(algorithm="contour", size=16, cap_w=60.0, records=run.records)
-        stats = summarize_samples(read_samples(path)[1])
-        assert set(stats) == {("contour", 16, 70.0), ("contour", 16, 60.0)}
 
     def test_version_1_file_is_rejected_on_read_and_append(self, tmp_path, run):
         path = tmp_path / "old.samples.jsonl"
@@ -170,11 +146,11 @@ result = ALGORITHMS["threshold"]().execute(make_dataset(12, seed=7))
 profile = result.profile
 profile.segments = [s.scaled(20) for s in profile.segments]
 run = Processor().run(profile, 70.0)
-w = SampleWriter({path!r})
-w.append(algorithm="threshold", size=12, cap_w=70.0, records=run.records)
-w._fh.write('{{"algorithm": "threshold", "size": 12, "cap')
-w._fh.flush()
-os.fsync(w._fh.fileno())
+SampleWriter({path!r}).append(algorithm="threshold", size=12, cap_w=70.0, records=run.records)
+with open({path!r}, "a") as fh:
+    fh.write('{{"algorithm": "threshold", "size": 12, "cap')
+    fh.flush()
+    os.fsync(fh.fileno())
 os.kill(os.getpid(), signal.SIGKILL)
 """
 

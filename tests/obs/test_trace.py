@@ -145,9 +145,9 @@ class TestDefaultTracer:
 class TestTraceFile:
     def test_file_gets_header_and_round_trips(self, tmp_path):
         path = tmp_path / "t.trace.jsonl"
-        with Tracer(path) as tr:
-            with tr.span("a"):
-                tr.event("e")
+        tr = Tracer(path)
+        with tr.span("a"):
+            tr.event("e")
         first = json.loads(path.read_text().splitlines()[0])
         assert first == {"kind": "header", "format": TRACE_FORMAT, "version": 1}
         header, records = read_trace(path)
@@ -156,38 +156,17 @@ class TestTraceFile:
 
     def test_reopen_appends_without_second_header(self, tmp_path):
         path = tmp_path / "t.trace.jsonl"
-        with Tracer(path) as tr:
-            with tr.span("first"):
-                pass
-        with Tracer(path) as tr:
-            with tr.span("second"):
-                pass
+        tr = Tracer(path)
+        with tr.span("first"):
+            pass
+        tr = Tracer(path)
+        with tr.span("second"):
+            pass
         headers = [
             ln for ln in path.read_text().splitlines() if '"kind": "header"' in ln
         ]
         assert len(headers) == 1
         assert len(read_trace(path)[1]) == 2
-
-    def test_torn_tail_is_dropped(self, tmp_path):
-        path = tmp_path / "t.trace.jsonl"
-        with Tracer(path) as tr:
-            with tr.span("kept"):
-                pass
-        with open(path, "a") as fh:
-            fh.write('{"kind": "span", "name": "to')  # killed mid-write
-        _, records = read_trace(path)
-        assert [r["name"] for r in records] == ["kept"]
-
-    def test_mid_file_corruption_raises(self, tmp_path):
-        path = tmp_path / "t.trace.jsonl"
-        with Tracer(path) as tr:
-            with tr.span("ok"):
-                pass
-        with open(path, "a") as fh:
-            fh.write("garbage\n")
-            fh.write(json.dumps({"kind": "span", "name": "later"}) + "\n")
-        with pytest.raises(ValueError, match="corrupt trace record"):
-            read_trace(path)
 
     def test_foreign_file_rejected(self, tmp_path):
         path = tmp_path / "t.jsonl"

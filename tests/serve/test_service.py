@@ -129,15 +129,15 @@ class TestDaemon:
         assert fresh.store_path(receipt.job_id).read_bytes() == before
 
     def test_handed_in_tracer_stays_open_across_generations(self, tmp_path):
-        """A tracer the caller hands in is the caller's to close: two
-        daemon generations trace into one file, one ``serve`` root each."""
+        """Two daemon generations handed one tracer trace into one file,
+        one ``serve`` root each, and the tracer still records after them."""
         path = tmp_path / "serve.trace.jsonl"
-        with Tracer(path) as tracer:
-            for _ in range(2):
-                svc = make_service(tmp_path, trace=tracer)
-                svc.submit(CFG, n_cycles=2)
-                svc.run_daemon(drain=True)
-            tracer.event("after-both-generations")
+        tracer = Tracer(path)
+        for _ in range(2):
+            svc = make_service(tmp_path, trace=tracer)
+            svc.submit(CFG, n_cycles=2)
+            svc.run_daemon(drain=True)
+        tracer.event("after-both-generations")
         _, records = read_trace(path)
         spans = [r for r in records if r["kind"] == "span"]
         roots = [r for r in spans if r["name"] == "serve" and r["parent_id"] is None]

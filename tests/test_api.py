@@ -58,11 +58,11 @@ class TestRunStudy:
 
 class TestRoundTrip:
     def test_jsonl_roundtrip_preserves_classification(self, tmp_path):
-        result = api.run_study(StudyRequest(SMALL, n_cycles=2))
         path = tmp_path / "small.jsonl"
-        result.to_jsonl(path)
+        result = api.run_study(StudyRequest(SMALL, n_cycles=2, store=path))
 
         loaded = api.load_result(path)
+        assert loaded.config_name == "small"
         assert loaded.points == result.points
 
         before = api.classify_study(result)
