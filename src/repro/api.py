@@ -81,13 +81,13 @@ def sweep_engine(
     max_retries: int = 2,
     progress=None,
     trace=None,
-    samples=None,
+    samples: bool = False,
 ) -> SweepEngine:
     """A configured :class:`SweepEngine` (the facade's construction point).
 
     ``trace`` (a :class:`~repro.obs.trace.Tracer` or a path) records
-    spans/events; ``samples`` (``True`` or a path) streams 100 ms power
-    samples per run point (see :mod:`repro.obs`).
+    spans/events; ``samples=True`` stores each point's segment records
+    with it, read back as 100 ms power samples (see :mod:`repro.obs`).
     """
     return SweepEngine(
         spec,
@@ -124,7 +124,7 @@ class StudyRequest:
     seed: int = 7
     progress: object = None
     trace: object = None
-    samples: object = None
+    samples: bool = False
 
 
 def run_study(config: StudyRequest | StudyConfig | str = "phase2") -> StudyResult:
@@ -143,8 +143,8 @@ def run_study(config: StudyRequest | StudyConfig | str = "phase2") -> StudyResul
     :mod:`repro.core.engine`).  The default is serial and in-memory —
     identical output, no side effects.  ``trace``/``samples`` switch on
     the telemetry layer (:mod:`repro.obs`): spans + events to a trace
-    file, and a per-point power/frequency sample stream next to the
-    store.
+    file, and each point's segment records in its store line, read back
+    as its power/frequency sample stream.
     """
     request = config if isinstance(config, StudyRequest) else StudyRequest(config=config)
     engine = sweep_engine(
@@ -448,8 +448,8 @@ def doctor(
 ) -> ValidationReport:
     """Validate an existing store file against the physical invariants.
 
-    With ``quarantine=True`` violating points are moved to the store's
-    ``*.quarantine.jsonl`` sidecar so the main file validates clean.
+    With ``quarantine=True`` violating points become quarantine records
+    of the store, so its points validate clean.
     """
     return validate_store(path, spec, quarantine=quarantine)
 

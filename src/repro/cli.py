@@ -237,7 +237,7 @@ def cmd_sweep(args) -> None:
         n_cycles=args.cycles,
         progress=_sweep_progress,
         trace=args.trace,
-        samples=args.samples or None,
+        samples=args.samples,
     )
     n_jobs = len(config.algorithms) * len(config.sizes)
     mode = "serial" if (engine.workers or 0) <= 1 else f"{engine.workers} workers"
@@ -258,8 +258,6 @@ def cmd_sweep(args) -> None:
     )
     if args.trace:
         print(f"trace: {args.trace} (inspect with `repro trace {args.trace}`)")
-    if args.samples:
-        print(f"samples: {engine.sample_writer.path}")
 
 
 def cmd_chaos(args) -> int:
@@ -774,8 +772,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--trace", default=None, metavar="PATH",
                        help="write a span/event trace (JSONL; read with `repro trace`)")
     sweep.add_argument("--samples", action="store_true",
-                       help="record each stored point's segment records in "
-                       "<store>.samples.jsonl (read back as 100 ms power samples)")
+                       help="store each point with its segment records "
+                       "(read back as 100 ms power samples)")
     sweep.add_argument("--governor", default=None, metavar="SPEC",
                        help="replace the cap grid with a governed cap series "
                        "(e.g. 'const:0.8', 'step:100=0.7:200=0.5', "
@@ -931,7 +929,7 @@ def _build_parser() -> argparse.ArgumentParser:
     doctor.add_argument("store", nargs="?", default=None,
                         help="store file to audit (sweep --store output)")
     doctor.add_argument("--quarantine", action="store_true",
-                        help="move violating points to the *.quarantine.jsonl sidecar")
+                        help="turn violating points into quarantine records of the store")
     doctor.add_argument("--lint", action="store_true",
                         help="also run the static-analysis gate over the repro package")
 

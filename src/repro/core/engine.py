@@ -30,7 +30,7 @@ Two robustness layers guard the pipeline:
 
 * every completed point passes the invariant gate
   (:mod:`repro.core.validate`) before it reaches the store — violating
-  points are quarantined to the store's sidecar with reasons, counted
+  points become quarantine records of the store, with reasons, counted
   in :class:`EngineStats`, and excluded from the result instead of
   aborting the sweep;
 * a ``faults`` plan (:mod:`repro.faults`) injects deterministic worker
@@ -52,7 +52,6 @@ from ..machine.spec import BROADWELL_E5_2695V4, MachineSpec
 from ..obs.durable import atomic_write_json
 from ..obs.manifest import build_manifest, manifest_path_for, write_manifest
 from ..obs.metrics import MetricsRegistry, get_registry
-from ..obs.samples import SampleWriter, samples_path_for
 from ..obs.trace import NULL_SPAN, Tracer
 from .backoff import retry_backoff
 from .pricing import BatchRepricer
@@ -307,12 +306,11 @@ class SweepEngine:
         flight the tracer is installed as the process default, so
         in-process kernel executions contribute their own spans.
     samples:
-        ``True`` persists each stored point's segment records, from the
+        ``True`` stores each point with its segment records, from the
         pricing pass itself
-        (:meth:`~repro.core.pricing.PricedPoints.segment_records`), as
-        one fsync'd line of ``<store>.samples.jsonl`` (requires a
-        store); a path writes there instead.
-        :func:`~repro.obs.samples.read_samples` expands each line into
+        (:meth:`~repro.core.pricing.PricedPoints.segment_records`), in
+        the point's own store line (requires a store).
+        :meth:`~repro.core.store.ResultStore.samples` expands them into
         the point's ≥10 Hz power/frequency sample stream, whose
         time-weighted mean power equals the point's ``power_w``
         exactly, at the paper's 100 ms sampler granularity.
@@ -341,7 +339,7 @@ class SweepEngine:
         faults=None,
         progress=None,
         trace: Tracer | str | os.PathLike | None = None,
-        samples: bool | str | os.PathLike | None = None,
+        samples: bool = False,
         metrics: MetricsRegistry | None = None,
     ):
         if n_cycles < 1:
@@ -368,11 +366,11 @@ class SweepEngine:
         self.validator = PointValidator(self.spec)
         self._progress = progress
         self.tracer = trace if isinstance(trace, Tracer) or trace is None else Tracer(trace)
-        if samples is True:
-            if self.store is None:
-                raise ValueError("samples=True needs a store to sit alongside")
-            samples = samples_path_for(self.store.path)
-        self.sample_writer = SampleWriter(samples) if samples not in (None, False) else None
+        if not isinstance(samples, bool):
+            raise TypeError(f"samples takes a bool, not {type(samples).__name__}")
+        if samples and self.store is None:
+            raise ValueError("samples=True needs a store to hold the segment records")
+        self.samples = samples
         self.metrics = metrics if metrics is not None else get_registry()
         self.stats = EngineStats()
 
@@ -447,11 +445,10 @@ class SweepEngine:
     def run(self, config: StudyConfig, *, resume: bool = True) -> StudyResult:
         """Execute a phase grid, skipping points already in the store.
 
-        With ``resume=False`` an existing store (and its samples file) is
-        wiped and rebound to this sweep's fingerprint instead of being
-        resumed.  A traced run installs its tracer as the process default
-        for its duration, so in-process kernel executions emit their
-        spans into the same file.
+        With ``resume=False`` an existing store is wiped and rebound to
+        this sweep's fingerprint instead of being resumed.  A traced run
+        installs its tracer as the process default for its duration, so
+        in-process kernel executions emit their spans into the same file.
         """
         default_ctx = self.tracer.as_default() if self.tracer is not None else nullcontext()
         with default_ctx, self._span("sweep", config=config.name, resume=resume):
@@ -469,8 +466,6 @@ class SweepEngine:
                 done = self.store.points
             else:
                 self.store.reset(fp, meta)
-                if self.sample_writer is not None:
-                    self.sample_writer.reset()
             self._write_manifest(config, fp)
 
         caps = tuple(config.caps_w)
@@ -492,7 +487,7 @@ class SweepEngine:
         def price_group(alg: str, size: int) -> None:
             """Reprice every missing cap of a group, gate each point
             through the invariant checks, and stream survivors to the
-            store (violators go to the quarantine sidecar)."""
+            store (violators become its quarantine records)."""
             with self._span("price-group", algorithm=alg, size=size):
                 self._price_group(alg, size, caps, default_cap, results)
 
@@ -556,24 +551,24 @@ class SweepEngine:
         priced = self.repricer.reprice(
             alg, size, self.profile_cache.get(alg, size), missing, default_cap_w=default_cap
         )
-        # (i, cap, point): i indexes the pass and cap the grid, not the
-        # (possibly fault-corrupted) point, so sample streams always
-        # come from the pass's ground-truth cells.
+        # (i, point): i indexes the pass, not the (possibly
+        # fault-corrupted) point, so segment records always come from
+        # the pass's ground-truth cells.
         fresh: list = []
-        for i, (cap, point) in enumerate(zip(missing, priced)):
+        for i, point in enumerate(priced):
             if self.faults is not None:
                 point = self.faults.corrupt_point(point)
-            fresh.append((i, cap, point))
+            fresh.append((i, point))
 
         resumed = [results[(alg, size, c)] for c in caps if (alg, size, c) in results]
-        bad = self.validator.check_group(resumed + [p for _, _, p in fresh])
+        bad = self.validator.check_group(resumed + [p for _, p in fresh])
         computed = 0
-        for i, cap, point in fresh:
+        for i, point in fresh:
             reasons = bad.get(point.key)
             if reasons:
-                # A violating point never reaches the main store: it
-                # lands in the sidecar with machine-readable reasons
-                # and the sweep keeps going.
+                # A violating point is never stored: it becomes a
+                # quarantine record with machine-readable reasons and
+                # the sweep keeps going.
                 if self.store is not None:
                     self.store.quarantine(point, reasons)
                 self._report(
@@ -586,12 +581,12 @@ class SweepEngine:
                 continue
             results[point.key] = point
             computed += 1
-            if self.store is not None:
+            # An unsampled append stays a one-argument call: perfbench's
+            # span wrapper takes ResultStore.append(self, point).
+            if self.samples:
+                self.store.append(point, segments=priced.segment_records(i))
+            elif self.store is not None:
                 self.store.append(point)
-            if self.sample_writer is not None:
-                self.sample_writer.append(
-                    algorithm=alg, size=size, cap_w=cap, records=priced.segment_records(i)
-                )
         self._report(
             "group-priced",
             algorithm=alg,

@@ -1,49 +1,58 @@
-"""Resumable result store: completed sweep points as JSON lines.
+"""Resumable result store: a sweep's points and their evidence as JSON lines.
 
-A store file is a header line followed by one :class:`RunPoint` per
-line, appended as the sweep engine completes them::
+A store file is a header line followed by one record per line, appended
+as the sweep engine completes points::
 
-    {"format": "repro-sweep-store", "version": 1, "fingerprint": "...", "meta": {...}}
+    {"format": "repro-sweep-store", "version": 2, "fingerprint": "...", "meta": {...}}
     {"algorithm": "contour", "size": 128, "cap_w": 120.0, ...}
-    {"algorithm": "contour", "size": 128, "cap_w": 110.0, ...}
+    {"algorithm": "contour", "size": 128, "cap_w": 110.0, ..., "segments": [["classify", ...], ...]}
+    {"point": {"algorithm": "contour", "size": 128, ...}, "reasons": [{"code": ..., ...}]}
+
+Records are of two kinds:
+
+* a **point record** is a :class:`RunPoint`'s ``to_dict()``; a sampled
+  sweep's point records also carry ``"segments"``, the point's segment
+  records as lists in :class:`~repro.machine.simulator.SegmentRecord`
+  field order, which :meth:`ResultStore.samples` expands into the
+  point's 100 ms sample stream;
+* a **quarantine record** holds a point that failed the invariant
+  guardrails (:mod:`repro.core.validate`) with machine-readable reasons.
+  It never counts as stored, which keeps the store's points clean
+  enough to trust blindly.
 
 The header's *fingerprint* hashes everything that determines a point's
 value besides the (algorithm, size, cap) coordinates — machine spec,
-dataset kind, seed, cycle count — so a store can only ever accumulate
-points from one sweep context.  Resuming or *extending* a sweep (more
-algorithms, sizes, or caps) appends to the same file; pointing an engine
-with different parameters at it raises :class:`StoreMismatchError`
-rather than silently mixing incomparable measurements.
+dataset kind, seed, cycle count, store version — so a store can only
+ever accumulate points from one sweep context.  Resuming or *extending*
+a sweep (more algorithms, sizes, or caps) appends to the same file;
+pointing an engine with different parameters at it raises
+:class:`StoreMismatchError` rather than silently mixing incomparable
+measurements.
 
-Both files are :class:`~repro.obs.durable.JsonlFile` logs: appends are
-fsynced per point, and a torn final line (a run killed mid-write) is
-dropped on load and truncated before the next append, so an interrupted
-sweep resumes from exactly the points that made it to disk.
-
-Points that fail the invariant guardrails (:mod:`repro.core.validate`)
-never enter the main store: :meth:`ResultStore.quarantine` appends them
-to a ``*.quarantine.jsonl`` sidecar (its own header, then one point
-with machine-readable reasons per line), keeping the main file clean
-enough to trust blindly.  :meth:`ResultStore.reset` empties both.
+The file is a :class:`~repro.obs.durable.JsonlFile` log: every record is
+one fsync'd append, so a point and its evidence become durable together,
+and a torn final line (a run killed mid-write) is dropped on load and
+truncated before the next append, so an interrupted sweep resumes from
+exactly the records that made it to disk.  :meth:`ResultStore.reset`
+and :meth:`ResultStore.remove` replace the file atomically.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import asdict, fields
 from pathlib import Path
 from typing import Iterator
 
+from ..machine.simulator import SegmentRecord
 from ..obs.durable import JsonlFile
+from ..obs.samples import synthesize_stream
 from .runner import RunPoint, StudyResult
 
 __all__ = ["ResultStore", "StoreMismatchError", "sweep_fingerprint"]
 
-
-#: The quarantine sidecar's header: a ``*.quarantine.jsonl`` file is a
-#: log of ``{"point": ..., "reasons": [...]}`` records.
-QUARANTINE_FORMAT = "repro-quarantine"
-QUARANTINE_VERSION = 1
+_SEGMENT_FIELDS = tuple(f.name for f in fields(SegmentRecord))
 
 
 class StoreMismatchError(ValueError):
@@ -56,11 +65,43 @@ def sweep_fingerprint(payload: dict) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
+def _parse(record: dict):
+    """A point record as its :class:`RunPoint`, a quarantine record as a
+    ``(point, reasons)`` pair."""
+    if "point" in record:
+        return RunPoint.from_dict(record["point"]), list(record["reasons"])
+    return RunPoint.from_dict(record)
+
+
+def _quarantine_record(point: RunPoint, reasons) -> dict:
+    return {
+        "point": point.to_dict(),
+        "reasons": [
+            r if isinstance(r, dict) else {"code": r.code, "message": r.message} for r in reasons
+        ],
+    }
+
+
+def _expand(record: dict) -> list[dict]:
+    """The 100 ms sample records of a point record's segments (none for
+    a record without segments)."""
+    if "segments" not in record:
+        return []
+    key = {
+        "algorithm": record["algorithm"],
+        "size": int(record["size"]),
+        "cap_w": float(record["cap_w"]),
+    }
+    stream = synthesize_stream([SegmentRecord(*row) for row in record["segments"]])
+    return [{**key, "i": i, **asdict(s)} for i, s in enumerate(stream)]
+
+
 class ResultStore:
-    """Append-only JSONL store of completed :class:`RunPoint`\\ s."""
+    """Append-only JSONL store of completed :class:`RunPoint`\\ s, their
+    segment records, and quarantined points."""
 
     FORMAT = "repro-sweep-store"
-    VERSION = 1
+    VERSION = 2
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
@@ -68,14 +109,11 @@ class ResultStore:
         self.meta: dict = {}
         self._points: dict[tuple[str, int, float], RunPoint] = {}
         self._log = JsonlFile(self.path, {"format": self.FORMAT, "version": self.VERSION})
-        self._sidecar = JsonlFile(
-            self.quarantine_path, {"format": QUARANTINE_FORMAT, "version": QUARANTINE_VERSION}
-        )
         if self.path.exists() and self.path.stat().st_size > 0:
-            header, points = self._log.read(RunPoint.from_dict)
+            header, records = self._log.read(_parse)
             self.fingerprint = header.get("fingerprint")
             self.meta = dict(header.get("meta", {}))
-            self._points = {p.key: p for p in points}
+            self._points = {p.key: p for p in records if isinstance(p, RunPoint)}
 
     # -------------------------------------------------------------- identity
     def ensure_compatible(self, fingerprint: str, meta: dict | None = None) -> None:
@@ -83,7 +121,7 @@ class ResultStore:
         if self.fingerprint is None:
             self.fingerprint = fingerprint
             self.meta = dict(meta or {})
-            self._write_header()
+            self._write(())
         elif self.fingerprint != fingerprint:
             raise StoreMismatchError(
                 f"{self.path} was produced under fingerprint {self.fingerprint} "
@@ -92,30 +130,42 @@ class ResultStore:
             )
 
     def reset(self, fingerprint: str, meta: dict | None = None) -> None:
-        """Discard all stored and quarantined points and rebind to a new context."""
+        """Discard every record and rebind to a new context."""
         self._points.clear()
-        self._sidecar.remove()
         self.fingerprint = fingerprint
         self.meta = dict(meta or {})
-        self._write_header()
+        self._write(())
 
-    def _write_header(self) -> None:
+    def _write(self, records) -> None:
+        """Atomically replace the file with the header and ``records``:
+        an interrupted rewrite leaves the old file whole."""
         header = {
             "format": self.FORMAT,
             "version": self.VERSION,
             "fingerprint": self.fingerprint,
             "meta": self.meta,
         }
-        # Atomic replace: a header rewrite (reset/remove) interrupted
-        # half-way must not destroy the store it was compacting.
-        self._log.write((p.to_dict() for p in self._points.values()), header=header)
+        self._log.write(records, header=header)
 
-    # -------------------------------------------------------------- contents
-    def append(self, point: RunPoint) -> None:
+    def _append(self, record: dict) -> None:
         if self.fingerprint is None:
             raise RuntimeError("store has no fingerprint; call ensure_compatible() first")
+        self._log.append(record)
+
+    def _read(self, parse) -> list:
+        """Every record through ``parse``, in file order."""
+        return self._log.read(parse)[1] if self.fingerprint is not None else []
+
+    # -------------------------------------------------------------- contents
+    def append(self, point: RunPoint, segments=None) -> None:
+        """Durably append ``point``; given its ``segments``
+        (:class:`~repro.machine.simulator.SegmentRecord`\\ s), the same
+        line carries them."""
+        record = point.to_dict()
+        if segments is not None:
+            record["segments"] = [[getattr(r, f) for f in _SEGMENT_FIELDS] for r in segments]
+        self._append(record)
         self._points[point.key] = point
-        self._log.append(point.to_dict())
 
     def sync(self) -> None:
         """Force file (and directory) durability — e.g. on interrupt.
@@ -126,47 +176,50 @@ class ResultStore:
         """
         self._log.sync()
 
-    def remove(self, keys) -> int:
-        """Drop points from the store (rewrites the file); returns count."""
-        dropped = 0
-        for key in list(keys):
-            if self._points.pop(key, None) is not None:
-                dropped += 1
-        if dropped:
-            self._write_header()
-        return dropped
+    def remove(self, keys, reasons=None) -> int:
+        """Drop stored points in one atomic rewrite; returns the count.
 
-    # ----------------------------------------------------------- quarantine
-    @property
-    def quarantine_path(self) -> Path:
-        """Sidecar file holding points that failed validation."""
-        return self.path.with_suffix(".quarantine.jsonl")
+        Surviving points keep their segments, and quarantine records
+        stay.  With ``reasons`` (point key → reasons), each dropped point
+        becomes a quarantine record in that same rewrite, so a failed
+        rewrite leaves it stored and not quarantined, never both.
+        """
+        drop = dict.fromkeys(key for key in keys if key in self._points)
+        if not drop:
+            return 0
+        kept = [
+            r for r in self._read(None) if "point" in r or RunPoint.from_dict(r).key not in drop
+        ]
+        moved = [_quarantine_record(self._points[k], reasons[k]) for k in drop] if reasons else []
+        self._write(kept + moved)
+        for key in drop:
+            del self._points[key]
+        return len(drop)
 
+    # ----------------------------------------------------------- evidence
     def quarantine(self, point: RunPoint, reasons) -> None:
-        """Append a rejected point (with reasons) to the sidecar.
+        """Durably append a rejected point, with reasons, as a quarantine record.
 
         ``reasons`` is an iterable of objects with ``code``/``message``
         attributes (:class:`repro.core.validate.Violation`) or plain
-        dicts.  The sidecar is append-only and fsynced like the main
-        store, so quarantined evidence survives a crash too.
+        dicts.
         """
-        self._sidecar.append(
-            {
-                "point": point.to_dict(),
-                "reasons": [
-                    r if isinstance(r, dict) else {"code": r.code, "message": r.message}
-                    for r in reasons
-                ],
-            }
-        )
+        self._append(_quarantine_record(point, reasons))
 
     def quarantined(self) -> list[tuple[RunPoint, list[dict]]]:
-        """All sidecar records as (point, reasons) pairs."""
-        if not self.quarantine_path.exists():
-            return []
-        return self._sidecar.read(
-            lambda rec: (RunPoint.from_dict(rec["point"]), list(rec["reasons"]))
-        )[1]
+        """Every quarantine record as a (point, reasons) pair, in file order."""
+        return [r for r in self._read(_parse) if isinstance(r, tuple)]
+
+    def samples(self) -> list[dict]:
+        """The 100 ms sample records of every point stored with segments.
+
+        One dict per :class:`~repro.obs.samples.PowerSample` of the
+        point's synthesized stream, with the point's ``algorithm``,
+        ``size`` and ``cap_w`` and the sample's index ``i``, in file
+        order.  A stream's time-weighted mean power equals its point's
+        ``power_w``.
+        """
+        return [r for stream in self._read(_expand) for r in stream]
 
     def __contains__(self, key: tuple[str, int, float]) -> bool:
         return key in self._points

@@ -12,9 +12,9 @@ a healthy measurement stack can never violate:
 * a point's stored ratios agree with its stored measurements.
 
 :class:`PointValidator` checks every :class:`~repro.core.runner.RunPoint`
-against them.  Violations never abort a sweep: the engine quarantines
-the offending point to a ``*.quarantine.jsonl`` sidecar with a
-machine-readable reason and keeps going, and ``repro doctor`` applies
+against them.  Violations never abort a sweep: the engine stores the
+offending point as a quarantine record of the result store, with a
+machine-readable reason, and keeps going, and ``repro doctor`` applies
 the same checks to a store at rest.
 """
 
@@ -85,7 +85,7 @@ class ValidationReport:
             counts = ", ".join(f"{c}={n}" for c, n in self.counts_by_code().items())
             lines.append(f"  by code: {counts}")
         if self.quarantined:
-            lines.append(f"  quarantined {self.quarantined} point(s) to the sidecar")
+            lines.append(f"  quarantined {self.quarantined} point(s) in the store")
         return "\n".join(lines)
 
 
@@ -362,16 +362,13 @@ def validate_store(
 ) -> ValidationReport:
     """Validate a sweep store on disk (the engine behind ``repro doctor``).
 
-    With ``quarantine=True``, violating points are moved out of the main
-    store into its ``*.quarantine.jsonl`` sidecar (with reasons) so the
-    store validates clean afterwards; the default is a read-only report.
+    With ``quarantine=True``, violating points become quarantine records
+    (with reasons) in one atomic rewrite of the store, so it validates
+    clean afterwards; the default is a read-only report.
     """
     store = ResultStore(path)
     report = PointValidator(spec).check_result(store.load_result())
     report.source = str(path)
     if quarantine and report.violations:
-        points = store.points
-        for key, reasons in report.violations.items():
-            store.quarantine(points[key], reasons)
-        report.quarantined = store.remove(report.violations)
+        report.quarantined = store.remove(report.violations, reasons=report.violations)
     return report

@@ -22,8 +22,8 @@ The sweep drill answers the robustness question end to end:
 
 The :class:`ChaosReport` then states the contract the paper's tables
 depend on: every surviving point is bitwise identical to the fault-free
-run, and every lost point is in the quarantine sidecar with a reason —
-never silently wrong in the main store.
+run, and every lost point is a quarantine record of the store with a
+reason — never a silently wrong stored point.
 """
 
 from __future__ import annotations
@@ -119,7 +119,7 @@ class ChaosReport(DrillReport):
     completed: int = 0
     quarantined: int = 0
     lost: int = 0
-    #: Lost points with no sidecar record giving a reason.
+    #: Lost points with no quarantine record giving a reason.
     lost_unquarantined: int = 0
     retries: int = 0
     faults_injected: int = 0
@@ -215,8 +215,8 @@ def run_chaos(
     plan name or a :class:`FaultPlan` (``get_plan(name, seed=N)``
     re-seeds one).  The contract checked: every point surviving into the
     store is bitwise identical to a fault-free run, every lost point is
-    in the quarantine sidecar with a reason, and a torn store tail is
-    recovered on resume.
+    a quarantine record of the store with a reason, and a torn store
+    tail is recovered on resume.
 
     ``store`` must be a path (the resume pass re-opens it from disk to
     exercise recovery).  The reference sweep is serial and in-memory.
@@ -283,13 +283,13 @@ def run_chaos(
         points = store_points(final)
         report.completed = len(points)
         report.bitwise_identical = points.items() <= reference.items()
-        sidecar = final.quarantined()
-        report.quarantined = len({p.key for p, _ in sidecar})
+        quarantined = final.quarantined()
+        report.quarantined = len({p.key for p, _ in quarantined})
         lost = reference.keys() - points.keys()
         report.lost = len(lost)
-        report.lost_unquarantined = len(lost - {p.key for p, reasons in sidecar if reasons})
+        report.lost_unquarantined = len(lost - {p.key for p, reasons in quarantined if reasons})
         report.quarantine_reasons = dict(
-            Counter(r.get("code", "?") for _, reasons in sidecar for r in reasons)
+            Counter(r.get("code", "?") for _, reasons in quarantined for r in reasons)
         )
 
         # 6. Sensor-level probe (traced), if the plan has machine faults.

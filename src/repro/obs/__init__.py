@@ -9,8 +9,8 @@ broken reproduction.  Five cooperating pieces:
 * :mod:`repro.obs.metrics` — counters/gauges/histograms with JSON and
   Prometheus-text exporters;
 * :mod:`repro.obs.samples` — 100 ms power/frequency sample streams per
-  run point, stored as one segment line per point in
-  ``<store>.samples.jsonl`` and expanded on read;
+  run point, synthesized from the segment records a sampled sweep
+  keeps in each point's result-store line;
 * :mod:`repro.obs.manifest` — the atomic per-run provenance record
   (``<store>.manifest.json``);
 * :mod:`repro.obs.durable` — the atomic whole-file writers and
@@ -41,13 +41,7 @@ from .metrics import (
     load_metrics,
     set_registry,
 )
-from .samples import (
-    SAMPLES_FORMAT,
-    SampleWriter,
-    read_samples,
-    samples_path_for,
-    summarize_samples,
-)
+from .samples import summarize_samples
 from .trace import (
     TRACE_FORMAT,
     Tracer,
@@ -78,10 +72,6 @@ __all__ = [
     "get_registry",
     "set_registry",
     "load_metrics",
-    "SAMPLES_FORMAT",
-    "SampleWriter",
-    "samples_path_for",
-    "read_samples",
     "summarize_samples",
     "MANIFEST_FORMAT",
     "build_manifest",

@@ -8,10 +8,11 @@ The artifacts written through this module are of two kinds.
   :func:`atomic_write_json`: write a sibling temp file, fsync it, then
   ``os.replace`` it over the target, so a reader only ever sees the old
   complete document or the new one.
-* **JSON-lines logs** (the result store, its quarantine sidecar, the
-  samples file, the trace, the signal trace) are framed by
-  :class:`JsonlFile`: a header line naming the format and version, then
-  one JSON record per line.  The rules are the same for every log:
+* **JSON-lines logs** (the result store, whose records are points,
+  points with their segment records, and quarantined points; the
+  trace; the signal trace) are framed by :class:`JsonlFile`: a header
+  line naming the format and version, then one JSON record per line.
+  The rules are the same for every log and every record:
 
   - *Header.*  The first line's ``format`` and ``version`` must equal
     the expected header's, on read and on append; a foreign or

@@ -18,7 +18,7 @@ Failure handling is budgeted on two axes:
   exhausted, then failed terminally with the error recorded;
 * **lease expirations** — a job whose lease keeps expiring (stalled
   heartbeats, repeatedly killed daemons) is requeued at most
-  ``max_retries + 3`` times before being failed terminally, so a
+  ``breaker_threshold + 3`` times before being failed terminally, so a
   poisoned job cannot ping-pong forever.
 
 The circuit breaker watches the *consecutive-failure streak* derived

@@ -11,7 +11,7 @@ Caps below a spec's RAPL floor are clamped, so the delivered power can
 exceed the requested cap and the invariant gate quarantines the point
 (the Skylake-like and many-core presets at 40 W, every spec at 20 W).
 The oracle runs the same gate over its own points, so quarantined
-points are compared too, in the store's sidecar.
+points are compared too, as the store's quarantine records.
 """
 
 import dataclasses
@@ -29,7 +29,6 @@ from repro.machine.presets import ALL_PRESETS
 from repro.machine.simulator import PowerSample, Processor
 from repro.machine.spec import BROADWELL_E5_2695V4
 from repro.obs.metrics import MetricsRegistry, load_metrics
-from repro.obs.samples import read_samples, samples_path_for
 
 SIZE = 12
 N_CYCLES = 2
@@ -125,9 +124,9 @@ def oracle_runs(spec, ledgers, keys) -> dict:
 
 
 def stored_streams(store) -> dict:
-    """The engine's sample streams as ``read_samples`` returns them."""
+    """The engine's sample streams as ``ResultStore.samples`` returns them."""
     streams: dict = {}
-    for rec in read_samples(samples_path_for(store))[1]:
+    for rec in ResultStore(store).samples():
         stream = streams.setdefault((rec["algorithm"], rec["size"], rec["cap_w"]), [])
         assert rec["i"] == len(stream)
         stream.append(bits({k: rec[k] for k in SAMPLE_FIELDS}))

@@ -8,10 +8,10 @@ import pytest
 
 from repro.core import EngineStats, ResultStore, StudyConfig, SweepEngine
 from repro.core.engine import SweepInterrupted
-from repro.faults import FaultPlan
+from repro.faults import FaultPlan, tear_tail
 from repro.obs.manifest import manifest_path_for, read_manifest
 from repro.obs.metrics import MetricsRegistry, load_metrics
-from repro.obs.samples import read_samples, samples_path_for, summarize_samples
+from repro.obs.samples import summarize_samples
 from repro.obs.trace import get_tracer, read_trace, summarize_trace
 from repro.serve import SweepService
 
@@ -146,23 +146,30 @@ class TestTrace:
         assert get_tracer() is None
 
 
+def segment_lines(store) -> list[dict]:
+    """The store's records that carry segments."""
+    records = [json.loads(line) for line in store.read_text().splitlines()[1:]]
+    return [r for r in records if "segments" in r]
+
+
 class TestSamples:
     def test_one_segment_line_per_stored_point(self, traced_sweep):
         _, result, store, _ = traced_sweep
-        lines = samples_path_for(store).read_text().splitlines()
-        assert len(lines) == 1 + len(result.points)  # the header, then one per point
+        # The header, then one line per point, each carrying its segments:
+        # the sampled store is the only file a point's evidence lives in.
+        assert len(store.read_text().splitlines()) == 1 + len(result.points)
+        assert len(segment_lines(store)) == len(result.points)
 
     def test_stream_exists_per_point_at_10hz(self, traced_sweep):
         _, result, store, _ = traced_sweep
-        header, records = read_samples(samples_path_for(store))
-        stats = summarize_samples(records)
+        stats = summarize_samples(ResultStore(store).samples())
         assert set(stats) == {p.key for p in result.points}
         for agg in stats.values():
             assert agg["rate_hz"] >= 10.0 - 1e-9
 
     def test_stream_mean_power_matches_reported(self, traced_sweep):
         _, result, store, _ = traced_sweep
-        stats = summarize_samples(read_samples(samples_path_for(store))[1])
+        stats = summarize_samples(ResultStore(store).samples())
         for p in result.points:
             agg = stats[p.key]
             # Acceptance bar: within 1%.  Synthesis is exact, so equal.
@@ -232,10 +239,25 @@ class TestResumeTelemetry:
         for resume in (True, False):
             engine = SweepEngine(n_cycles=2, workers=0, store=store, samples=True)
             result = engine.run(one, resume=resume)
-        lines = samples_path_for(store).read_text().splitlines()
-        assert len(lines) == 1 + len(result.points)
+        assert len(segment_lines(store)) == len(result.points)
 
-    def test_fresh_rerun_resets_the_quarantine_sidecar(self, tmp_path):
+    def test_torn_sampled_store_resumes_one_stream_per_point(self, tmp_path):
+        """A kill mid-append tears a point and its segments together, so
+        the resumed sweep stores each point's stream exactly once."""
+        store = tmp_path / "sweep.jsonl"
+        one = StudyConfig(name="one", algorithms=("threshold", "contour"), sizes=(12,))
+        SweepEngine(n_cycles=2, workers=0, store=store, samples=True).run(one)
+        assert tear_tail(store) > 0
+        engine = SweepEngine(n_cycles=2, workers=0, store=store, samples=True)
+        result = engine.run(one)
+        assert engine.stats.points_computed == 1  # only the torn point
+        stats = summarize_samples(ResultStore(store).samples())
+        assert set(stats) == {p.key for p in result.points}
+        for p in result.points:
+            assert stats[p.key]["duration_s"] == pytest.approx(p.time_s, rel=1e-9)
+        assert len(segment_lines(store)) == len(result.points)
+
+    def test_fresh_rerun_resets_the_quarantine_records(self, tmp_path):
         """Quarantined points of an earlier sweep do not survive a fresh
         run that quarantines nothing."""
         store = tmp_path / "sweep.jsonl"
@@ -257,6 +279,11 @@ class TestResumeTelemetry:
     def test_samples_flag_without_store_rejected(self):
         with pytest.raises(ValueError, match="needs a store"):
             SweepEngine(samples=True)
+
+    def test_samples_takes_a_bool_only(self, tmp_path):
+        store = tmp_path / "sweep.jsonl"
+        with pytest.raises(TypeError, match="bool"):
+            SweepEngine(store=store, samples=str(tmp_path / "sweep.samples.jsonl"))
 
 
 def test_no_file_handle_outlives_a_traced_sweep_or_daemon(tmp_path):

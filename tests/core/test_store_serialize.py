@@ -1,9 +1,13 @@
 """Result store format and RunPoint serialization."""
 
+import json
+import re
+
 import pytest
 
 from repro.core import ResultStore, StudyConfig, StudyResult, SweepEngine
 from repro.core.runner import RunPoint
+from repro.machine.simulator import SegmentRecord
 
 
 @pytest.fixture(scope="module")
@@ -58,3 +62,36 @@ class TestResultStore:
         store.append(result.points[0])
         store.append(result.points[0])
         assert len(store) == 1
+
+    def test_version_1_store_is_rejected_on_read_and_append(self, result, tmp_path):
+        path = tmp_path / "old.jsonl"
+        header = {"format": ResultStore.FORMAT, "version": 1, "fingerprint": "fp", "meta": {}}
+        path.write_text(
+            json.dumps(header) + "\n" + json.dumps(result.points[0].to_dict()) + "\n"
+        )
+        before = path.read_text()
+        names_the_file = f"{re.escape(str(path))} has sweep store version 1"
+        with pytest.raises(ValueError, match=names_the_file):
+            ResultStore(path)
+        with pytest.raises(ValueError, match=names_the_file):
+            SweepEngine(n_cycles=2, workers=0, store=path).run(
+                StudyConfig(name="t", algorithms=("threshold",), sizes=(12,))
+            )
+        assert path.read_text() == before  # never mixed
+
+    def test_remove_keeps_segments_and_quarantine_records(self, result, tmp_path):
+        path = tmp_path / "s.jsonl"
+        store = ResultStore(path)
+        store.ensure_compatible("fp")
+        segments = [SegmentRecord("classify", 2.1, 1.0, 0.25, 80.0, 20.0, 1e9, 1e7, 1e5, 0.1, True)]
+        a, b, c = result.points[:3]
+        store.append(a, segments=segments)
+        store.quarantine(b, [{"code": "power-over-cap", "message": "over"}])
+        store.append(c, segments=segments)
+        lines = path.read_text().splitlines()
+        assert store.remove([c.key, ("absent", 1, 1.0)]) == 1
+        assert path.read_text().splitlines() == lines[:3]  # survivors byte for byte
+        again = ResultStore(path)
+        assert list(again.points) == [a.key]
+        assert [p.key for p, _ in again.quarantined()] == [b.key]
+        assert {r["cap_w"] for r in again.samples()} == {a.cap_w}

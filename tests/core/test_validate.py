@@ -123,7 +123,7 @@ class TestValidateStore:
         assert "power-over-cap" in report.counts_by_code()
         assert len(ResultStore(path)) == len(CFG.caps_w)  # untouched
 
-    def test_quarantine_moves_violators_to_sidecar(self, tmp_path):
+    def test_quarantine_moves_violators_to_quarantine_records(self, tmp_path):
         path, victim = self._damaged_store(tmp_path)
         report = validate_store(path, quarantine=True)
         assert report.quarantined == 1
@@ -132,4 +132,28 @@ class TestValidateStore:
         [(qpoint, reasons)] = store.quarantined()
         assert qpoint.key == victim.key
         assert reasons[0]["code"] == "power-over-cap"
-        assert validate_store(path).ok  # the main store is clean again
+        assert validate_store(path).ok  # the stored points are clean again
+
+    def test_failed_quarantine_rewrite_leaves_the_store_unchanged(self, tmp_path, monkeypatch):
+        """Quarantining is one atomic rewrite: when it fails, the violator
+        is still stored and not quarantined, never both."""
+        import repro.obs.durable as durable
+
+        path, victim = self._damaged_store(tmp_path)
+        before = path.read_bytes()
+
+        def refuse(path, text):
+            raise OSError("disk full")
+
+        with monkeypatch.context() as m:
+            m.setattr(durable, "atomic_write_text", refuse)
+            with pytest.raises(OSError, match="disk full"):
+                validate_store(path, quarantine=True)
+        assert path.read_bytes() == before
+        store = ResultStore(path)
+        assert victim.key in store and store.quarantined() == []
+
+        assert validate_store(path, quarantine=True).quarantined == 1
+        store = ResultStore(path)
+        assert victim.key not in store
+        assert [p.key for p, _ in store.quarantined()] == [victim.key]

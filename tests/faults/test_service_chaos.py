@@ -126,7 +126,7 @@ class TestChaosReport:
                 (
                     dict(completed=3),
                     dict(lost=2),
-                    # A lost key absent from the quarantine sidecar.
+                    # A lost key with no quarantine record.
                     dict(lost_unquarantined=1),
                     dict(bitwise_identical=False),
                 ),

@@ -2,16 +2,18 @@
 
 The issue's contract: worker crashes + sample dropout + one torn store
 tail — the sweep completes, resumes cleanly, every surviving point is
-bitwise identical to a fault-free run, and unrecoverable points land in
-the quarantine sidecar with reasons, never in the main store.
+bitwise identical to a fault-free run, and unrecoverable points become
+quarantine records of the store with reasons, never stored points.
 """
+
+import json
 
 import pytest
 
 from repro import api
 from repro.cli import main
 from repro.core import ResultStore, StudyConfig, validate_store
-from repro.faults import get_plan, run_chaos
+from repro.faults import chaos, get_plan, run_chaos
 
 CFG = StudyConfig(name="t", algorithms=("threshold", "clip"), sizes=(12,))
 
@@ -62,16 +64,42 @@ class TestHostilePlan:
         assert rep.quarantined > 0
         assert rep.lost == rep.quarantined  # quarantined cells are the lost ones
         assert rep.bitwise_identical and rep.survived
-        assert rep.quarantine_reasons  # machine-readable codes in the sidecar
-        assert validate_store(store).ok  # the main store is never polluted
+        assert rep.quarantine_reasons  # machine-readable codes in the quarantine records
+        assert validate_store(store).ok  # the stored points are never polluted
 
     def test_lost_point_missing_from_the_sidecar_fails(self, tmp_path, monkeypatch):
-        # docs/robustness.md: everything lost is in the sidecar with reasons.
+        # docs/robustness.md: everything lost is quarantined with reasons.
         monkeypatch.setattr(ResultStore, "quarantined", lambda self: [])
         rep = run_chaos(CFG, get_plan("hostile"), store=tmp_path / "s.jsonl", n_cycles=2)
         assert rep.lost > 0 and rep.lost_unquarantined == rep.lost
         assert rep.bitwise_identical and not rep.survived
         assert "every lost point quarantined with a reason: NO" in rep.render()
+
+    def test_torn_quarantine_record_is_quarantined_again(self, tmp_path, monkeypatch):
+        """When the store's last record is a quarantine record, the tear
+        loses it, and the resume quarantines the point again: the plan's
+        corruption is a pure function of the point's key."""
+        torn = []
+
+        def tear(path, event_name):
+            torn.append(json.loads(path.read_text().splitlines()[-1]))
+            return real_tear(path, event_name)
+
+        real_tear = chaos.tear
+        monkeypatch.setattr(chaos, "tear", tear)
+        store = tmp_path / "s.jsonl"
+        cfg = StudyConfig(name="q", algorithms=("contour",), sizes=(12,))
+        rep = run_chaos(cfg, get_plan("hostile"), store=store, workers=0, n_cycles=2)
+        [last] = torn
+        assert set(last) == {"point", "reasons"}  # the tear hit a quarantine record
+        assert rep.torn_bytes > 0
+        assert rep.resumed_points == rep.completed  # every stored point survived
+        keys = [p.key for p, _ in ResultStore(store).quarantined()]
+        point = last["point"]
+        # The torn record is gone; only the resume's record of the point is left.
+        assert keys.count((point["algorithm"], point["size"], point["cap_w"])) == 1
+        assert rep.survived
+        assert "every lost point quarantined with a reason: yes" in rep.render()
 
     def test_chaos_is_deterministic(self, tmp_path):
         runs = []

@@ -1,7 +1,8 @@
 """Crash recovery of every framed JSONL artifact, under one set of rules.
 
 Each artifact is written, torn and read back through its own public
-writer and reader:
+writer and reader; the result store is exercised once per record kind
+(points, points with segments, quarantine records):
 
 (a) a torn final line is dropped on read;
 (b) the next append truncates it, and every whole record reads back;
@@ -22,7 +23,6 @@ from repro.core.store import ResultStore
 from repro.faults.storefx import tear_tail
 from repro.insitu.governors import SignalSample, SignalTrace
 from repro.machine.simulator import SegmentRecord
-from repro.obs.samples import SampleWriter, read_samples
 from repro.obs.trace import Tracer, read_trace
 
 
@@ -52,39 +52,38 @@ class Store:
     def __init__(self, tmp_path):
         self.path = tmp_path / "sweep.jsonl"
 
-    def append(self, i):
+    def _open(self) -> ResultStore:
         store = ResultStore(self.path)
         if store.fingerprint is None:
             store.ensure_compatible("fp", {"config_name": "t"})
-        store.append(_point(i))
+        return store
+
+    def append(self, i):
+        self._open().append(_point(i))
 
     def read(self):
         return [p.to_dict() for p in ResultStore(self.path)]
 
 
-class Sidecar:
-    def __init__(self, tmp_path):
-        self.store = tmp_path / "sweep.jsonl"
-        self.path = ResultStore(self.store).quarantine_path
+class SampledStore(Store):
+    """Every record a point with its segment records."""
 
     def append(self, i):
-        ResultStore(self.store).quarantine(_point(i), _REASONS)
+        self._open().append(_point(i), segments=_SEGMENTS)
 
     def read(self):
-        return [(p.to_dict(), reasons) for p, reasons in ResultStore(self.store).quarantined()]
+        store = ResultStore(self.path)
+        return [p.to_dict() for p in store], store.samples()
 
 
-class Samples:
-    def __init__(self, tmp_path):
-        self.path = tmp_path / "sweep.samples.jsonl"
+class QuarantineStore(Store):
+    """Every record a quarantined point with its reasons."""
 
     def append(self, i):
-        SampleWriter(self.path).append(
-            algorithm="contour", size=12, cap_w=120.0 - 10 * i, records=_SEGMENTS
-        )
+        self._open().quarantine(_point(i), _REASONS)
 
     def read(self):
-        return read_samples(self.path)[1]
+        return [(p.to_dict(), reasons) for p, reasons in ResultStore(self.path).quarantined()]
 
 
 class Trace:
@@ -115,8 +114,8 @@ class Signal:
 
 ARTIFACTS = {
     "store": Store,
-    "sidecar": Sidecar,
-    "samples": Samples,
+    "samples": SampledStore,
+    "quarantine": QuarantineStore,
     "trace": Trace,
     "signal-trace": Signal,
 }

@@ -5,7 +5,7 @@ import pytest
 import repro
 from repro import api
 from repro.api import StudyRequest
-from repro.core import StudyConfig
+from repro.core import ResultStore, StudyConfig
 
 SMALL = StudyConfig(name="small", algorithms=("threshold", "contour"), sizes=(12,))
 
@@ -40,7 +40,6 @@ class TestRunStudy:
         assert [p.to_dict() for p in a.points] == [p.to_dict() for p in b.points]
 
     def test_trace_and_samples_passthrough(self, tmp_path):
-        from repro.obs.samples import read_samples, samples_path_for
         from repro.obs.trace import read_trace
 
         store = tmp_path / "store.jsonl"
@@ -50,7 +49,7 @@ class TestRunStudy:
         )
         _, records = read_trace(trace)
         assert {"sweep", "kernel"} <= {r["name"] for r in records if r["kind"] == "span"}
-        _, samples = read_samples(samples_path_for(store))
+        samples = ResultStore(store).samples()
         assert {(r["algorithm"], r["size"], r["cap_w"]) for r in samples} == {
             p.key for p in result.points
         }
