@@ -64,7 +64,6 @@ __all__ = [
     "lint",
     "PLANS",
     "get_plan",
-    "sweep_service",
     "submit_study",
 ]
 
@@ -381,35 +380,6 @@ def advise(
 
 
 # ----------------------------------------------------------------- service
-def sweep_service(
-    spool: str | Path = DEFAULT_SPOOL,
-    *,
-    workers: int = 2,
-    lease_s: float = 30.0,
-    queue_limit: int = 16,
-    breaker_threshold: int = 3,
-    trace=None,
-    **kwargs,
-) -> SweepService:
-    """A configured :class:`~repro.serve.service.SweepService` over a spool.
-
-    The facade's construction point for the supervised sweep service:
-    the spool directory holds the WAL (the durable job queue), one
-    fingerprinted result store per job, and the shared ledger caches.
-    Clients and the daemon both work through this object — the WAL is
-    the IPC.  See ``docs/robustness.md`` ("service-layer failure modes").
-    """
-    return SweepService(
-        spool,
-        workers=workers,
-        lease_s=lease_s,
-        queue_limit=queue_limit,
-        breaker_threshold=breaker_threshold,
-        trace=trace,
-        **kwargs,
-    )
-
-
 def submit_study(
     config: StudyConfig | str = "phase1",
     *,
@@ -430,7 +400,7 @@ def submit_study(
     accepted receipt is durable: the submit record is fsynced before
     this returns, so the job survives any daemon crash.
     """
-    svc = service if service is not None else sweep_service(spool)
+    svc = service if service is not None else SweepService(spool)
     return svc.submit(
         resolve_config(config),
         dataset_kind=dataset_kind,

@@ -83,6 +83,7 @@ from .core.study import ALGORITHM_NAMES
 from .machine.presets import ALL_PRESETS
 from .harness import result_to_csv, series_to_csv
 from .obs.durable import atomic_write_json
+from .serve import SweepService
 
 __all__ = ["main"]
 
@@ -315,7 +316,7 @@ def cmd_chaos(args) -> int:
 def cmd_serve(args) -> int:
     import signal
 
-    svc = api.sweep_service(
+    svc = SweepService(
         args.spool,
         workers=args.workers,
         lease_s=args.lease,
@@ -329,8 +330,8 @@ def cmd_serve(args) -> int:
 
     previous = signal.signal(signal.SIGTERM, _terminate)
     print(
-        f"serve: spool={svc.spool} workers={svc.workers} "
-        f"lease={svc.lease_s:.0f}s" + (" (drain)" if args.drain else "")
+        f"serve: spool={svc.spool} workers={sup.workers} "
+        f"lease={sup.lease_s:.0f}s" + (" (drain)" if args.drain else "")
     )
     try:
         report = svc.run_daemon(drain=args.drain, supervisor=sup)
@@ -352,50 +353,8 @@ def cmd_serve(args) -> int:
 def cmd_jobs(args) -> int:
     import json as _json
 
-    svc = api.sweep_service(args.spool)
+    svc = SweepService(args.spool)
 
-    def out(doc: dict) -> None:
-        print(_json.dumps(doc, sort_keys=True), flush=True)
-
-    rc = 0
-    acted = False
-    for phase in args.submit or ():
-        acted = True
-        try:
-            receipt = api.submit_study(
-                phase,
-                service=svc,
-                n_cycles=args.cycles,
-                max_retries=args.max_retries,
-            )
-            out({"ok": receipt.accepted, "op": "submit", **receipt.to_dict()})
-            if not receipt.accepted:
-                rc = 1
-        except Exception as exc:
-            out({"ok": False, "op": "submit", "error": str(exc)})
-            rc = 1
-    for job_id in args.status or ():
-        acted = True
-        try:
-            out({"ok": True, "op": "status", **svc.status(job_id)})
-        except KeyError as exc:
-            out({"ok": False, "op": "status", "error": str(exc)})
-            rc = 1
-    for job_id in args.cancel or ():
-        acted = True
-        try:
-            out({"ok": True, "op": "cancel", **svc.cancel(job_id)})
-        except KeyError as exc:
-            out({"ok": False, "op": "cancel", "error": str(exc)})
-            rc = 1
-    if args.report:
-        acted = True
-        out({"ok": True, "op": "report", **svc.report()})
-    if acted:
-        return rc
-
-    # No one-shot action: speak the JSONL request/response protocol on
-    # stdin, the same loop as `repro advise --serve`.
     def handle(doc: dict) -> dict:
         op = doc.pop("op", None)
         if op == "submit":
@@ -416,7 +375,27 @@ def cmd_jobs(args) -> int:
             return {"ok": True, "op": op, **svc.report()}
         raise ValueError(f"unknown op {op!r}; expected submit/status/cancel/report")
 
-    return _serve_jsonl("jobs", handle)
+    # The one-shot flags are requests to the same handler: submits,
+    # then statuses, cancels and the report.  With none, speak the JSONL
+    # request/response protocol on stdin, the same loop as
+    # `repro advise --serve`.
+    requests = [{"op": "submit", "study": phase} for phase in args.submit or ()]
+    requests += [{"op": "status", "job_id": job_id} for job_id in args.status or ()]
+    requests += [{"op": "cancel", "job_id": job_id} for job_id in args.cancel or ()]
+    requests += [{"op": "report"}] if args.report else []
+    if not requests:
+        return _serve_jsonl("jobs", handle)
+    rc = 0
+    for request in requests:
+        op = request["op"]
+        try:
+            answer = handle(request)
+        except Exception as exc:  # one-shot boundary: answer, go on to the next flag
+            answer = {"ok": False, "op": op, "error": str(exc)}
+        if not answer["ok"]:
+            rc = 1
+        print(_json.dumps(answer, sort_keys=True), flush=True)
+    return rc
 
 
 class _InternalError(RuntimeError):

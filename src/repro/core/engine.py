@@ -413,12 +413,7 @@ class SweepEngine:
     def _write_manifest(self, config: StudyConfig, fingerprint: str) -> None:
         manifest = build_manifest(
             spec=asdict(self.spec),
-            config={
-                "name": config.name,
-                "algorithms": list(config.algorithms),
-                "sizes": list(config.sizes),
-                "caps_w": list(config.caps_w),
-            },
+            config=config.to_dict(),
             seed=self.seed,
             n_cycles=self.n_cycles,
             dataset_kind=self.dataset_kind,
@@ -443,7 +438,8 @@ class SweepEngine:
 
     # ---------------------------------------------------------------- sweep
     def run(self, config: StudyConfig, *, resume: bool = True) -> StudyResult:
-        """Execute a phase grid, skipping points already in the store.
+        """Execute a phase grid, skipping points already in the store and
+        cells it holds a quarantine record for.
 
         With ``resume=False`` an existing store is wiped and rebound to
         this sweep's fingerprint instead of being resumed.  A traced run
@@ -458,12 +454,16 @@ class SweepEngine:
         t0 = time.perf_counter()
         self.stats = EngineStats()
         done: dict[tuple[str, int, float], object] = {}
+        # Cells with a quarantine record are finished too: never priced
+        # again, never in the result.
+        quarantined: set[tuple[str, int, float]] = set()
         if self.store is not None:
             fp = self.fingerprint()
             meta = {"config_name": config.name, "spec": self.spec.name, "n_cycles": self.n_cycles}
             if resume:
                 self.store.ensure_compatible(fp, meta)
                 done = self.store.points
+                quarantined = self.store.quarantined_keys()
             else:
                 self.store.reset(fp, meta)
             self._write_manifest(config, fp)
@@ -473,13 +473,14 @@ class SweepEngine:
         groups = [(a, s) for a in config.algorithms for s in config.sizes]
         results: dict[tuple[str, int, float], object] = {}
         todo: list[tuple[str, int]] = []
+        finished = done.keys() | quarantined
         for alg, size in groups:
             present = [c for c in caps if (alg, size, c) in done]
             for c in present:
                 results[(alg, size, c)] = done[(alg, size, c)]
             if present:
                 self._report("points-resumed", algorithm=alg, size=size, points=len(present))
-            if len(present) < len(caps):
+            if any((alg, size, c) not in finished for c in caps):
                 todo.append((alg, size))
             else:
                 self._report("group-skipped", algorithm=alg, size=size)
@@ -489,7 +490,7 @@ class SweepEngine:
             through the invariant checks, and stream survivors to the
             store (violators become its quarantine records)."""
             with self._span("price-group", algorithm=alg, size=size):
-                self._price_group(alg, size, caps, default_cap, results)
+                self._price_group(alg, size, caps, default_cap, results, quarantined)
 
         # Ledger-cached groups are priced immediately; the rest become
         # profile jobs, each group priced the moment its job completes —
@@ -544,8 +545,11 @@ class SweepEngine:
         caps: tuple[float, ...],
         default_cap: float,
         results: dict,
+        quarantined: set,
     ) -> None:
-        missing = [c for c in caps if (alg, size, c) not in results]
+        missing = [
+            c for c in caps if (alg, size, c) not in results and (alg, size, c) not in quarantined
+        ]
         if not missing:
             return  # a group listed twice in the config is priced once
         priced = self.repricer.reprice(

@@ -18,7 +18,8 @@ Records are of two kinds:
 * a **quarantine record** holds a point that failed the invariant
   guardrails (:mod:`repro.core.validate`) with machine-readable reasons.
   It never counts as stored, which keeps the store's points clean
-  enough to trust blindly.
+  enough to trust blindly, but its cell counts as finished: a resumed
+  sweep does not price it again (:meth:`ResultStore.quarantined_keys`).
 
 The header's *fingerprint* hashes everything that determines a point's
 value besides the (algorithm, size, cap) coordinates — machine spec,
@@ -108,12 +109,14 @@ class ResultStore:
         self.fingerprint: str | None = None
         self.meta: dict = {}
         self._points: dict[tuple[str, int, float], RunPoint] = {}
+        self._quarantined: set[tuple[str, int, float]] = set()
         self._log = JsonlFile(self.path, {"format": self.FORMAT, "version": self.VERSION})
         if self.path.exists() and self.path.stat().st_size > 0:
             header, records = self._log.read(_parse)
             self.fingerprint = header.get("fingerprint")
             self.meta = dict(header.get("meta", {}))
             self._points = {p.key: p for p in records if isinstance(p, RunPoint)}
+            self._quarantined = {r[0].key for r in records if isinstance(r, tuple)}
 
     # -------------------------------------------------------------- identity
     def ensure_compatible(self, fingerprint: str, meta: dict | None = None) -> None:
@@ -132,6 +135,7 @@ class ResultStore:
     def reset(self, fingerprint: str, meta: dict | None = None) -> None:
         """Discard every record and rebind to a new context."""
         self._points.clear()
+        self._quarantined.clear()
         self.fingerprint = fingerprint
         self.meta = dict(meta or {})
         self._write(())
@@ -194,6 +198,8 @@ class ResultStore:
         self._write(kept + moved)
         for key in drop:
             del self._points[key]
+        if reasons:
+            self._quarantined.update(drop)
         return len(drop)
 
     # ----------------------------------------------------------- evidence
@@ -205,6 +211,7 @@ class ResultStore:
         dicts.
         """
         self._append(_quarantine_record(point, reasons))
+        self._quarantined.add(point.key)
 
     def quarantined(self) -> list[tuple[RunPoint, list[dict]]]:
         """Every quarantine record as a (point, reasons) pair, in file order."""
@@ -237,6 +244,10 @@ class ResultStore:
 
     def completed_keys(self) -> set[tuple[str, int, float]]:
         return set(self._points)
+
+    def quarantined_keys(self) -> set[tuple[str, int, float]]:
+        """The cells that have a quarantine record."""
+        return set(self._quarantined)
 
     def load_result(self, config_name: str | None = None) -> StudyResult:
         """All stored points as a :class:`StudyResult` (insertion order)."""

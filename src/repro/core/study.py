@@ -77,6 +77,26 @@ class StudyConfig:
         """The baseline (highest) cap — TDP in the paper."""
         return max(self.caps_w)
 
+    def to_dict(self) -> dict:
+        """The explicit grid as a JSON-ready dict: the form a service
+        job's WAL ``submit`` spec and a sweep manifest record."""
+        return {
+            "name": self.name,
+            "algorithms": list(self.algorithms),
+            "sizes": [int(s) for s in self.sizes],
+            "caps_w": [float(c) for c in self.caps_w],
+        }
+
+    @classmethod
+    def from_dict(cls, doc: dict) -> "StudyConfig":
+        """The grid :meth:`to_dict` wrote."""
+        return cls(
+            name=str(doc["name"]),
+            algorithms=tuple(str(a) for a in doc["algorithms"]),
+            sizes=tuple(int(s) for s in doc["sizes"]),
+            caps_w=tuple(float(c) for c in doc["caps_w"]),
+        )
+
 
 def phase1_config() -> StudyConfig:
     """Phase 1: contour at 128³ across all caps (9 tests)."""

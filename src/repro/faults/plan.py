@@ -172,6 +172,12 @@ class ServiceFaultInjector:
     counters are ``init=False`` fields, so ``dataclasses.replace`` (and
     :func:`get_plan`) hands back a fresh injector; each service drill
     fires such a copy and leaves the caller's object untouched.
+
+    A draw keys on the job's index in the order :meth:`order_jobs` was
+    given (a drill's submission order), plus the delivery's attempt for
+    crashes and stalls, so a seeded plan makes the same decisions
+    whatever random ids the jobs got.  A job outside that order keys on
+    its id.
     """
 
     name: str = "custom"
@@ -189,12 +195,20 @@ class ServiceFaultInjector:
     stalls_injected: int = field(default=0, init=False)
     duplicates_injected: int = field(default=0, init=False)
     _dup_fired: set = field(default_factory=set, init=False, repr=False)
+    _index: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         for f in ("job_crash_p", "heartbeat_stall_p", "duplicate_delivery_p"):
             p = getattr(self, f)
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"{f} must be a probability, got {p}")
+
+    def order_jobs(self, job_ids) -> None:
+        """Key later draws on each job's index in ``job_ids``."""
+        self._index = {job_id: i for i, job_id in enumerate(job_ids)}
+
+    def _job_key(self, job_id: str) -> str:
+        return str(self._index.get(job_id, job_id))
 
     def _decide(self, site: str, key: str, p: float) -> bool:
         return p > 0.0 and _unit(self.seed, site, key) < p
@@ -203,7 +217,7 @@ class ServiceFaultInjector:
     def wrap_progress(self, job_id: str, attempt: int, progress):
         """Crash this delivery after N profile completions (maybe)."""
         if self.crashes_injected >= self.max_crashes or not self._decide(
-            "job-crash", f"{job_id}|{attempt}", self.job_crash_p
+            "job-crash", f"{self._job_key(job_id)}|{attempt}", self.job_crash_p
         ):
             return progress
         seen = {"n": 0}
@@ -222,10 +236,10 @@ class ServiceFaultInjector:
 
         return crashing
 
-    def stall_heartbeat(self, job_id: str, worker: str) -> bool:
+    def stall_heartbeat(self, job_id: str, attempt: int) -> bool:
         """Silence this delivery's lease extensions (maybe)."""
         if self.stalls_injected >= self.max_stalls or not self._decide(
-            "heartbeat-stall", f"{job_id}|{worker}", self.heartbeat_stall_p
+            "heartbeat-stall", f"{self._job_key(job_id)}|{attempt}", self.heartbeat_stall_p
         ):
             return False
         self.stalls_injected += 1
@@ -234,7 +248,7 @@ class ServiceFaultInjector:
     def duplicate_claim(self, job_id: str) -> bool:
         """Redeliver a running job to a second worker (once per job)."""
         if job_id in self._dup_fired or not self._decide(
-            "duplicate-delivery", job_id, self.duplicate_delivery_p
+            "duplicate-delivery", self._job_key(job_id), self.duplicate_delivery_p
         ):
             return False
         self._dup_fired.add(job_id)

@@ -20,7 +20,9 @@ supervisor through its duck-typed hooks:
   ``kill -9`` mid-append leaves behind.
 
 Every decision is the usual pure SHA-256 draw on
-``(seed, site, key)``, and every fault class is *budgeted*
+``(seed, site, key)``, keyed on the job's index among the drill's
+submissions (and the delivery's attempt), never on its random id, and
+every fault class is *budgeted*
 (``max_crashes``/``max_stalls``, one duplicate per job) so a plan can
 guarantee eventual completion — which is exactly what
 :func:`run_service_chaos` asserts: **no accepted job lost, none
@@ -167,6 +169,7 @@ def run_service_chaos(
                 if not receipt.accepted:
                     raise RuntimeError(f"chaos submission shed: {receipt.status}")
                 job_ids.append(receipt.job_id)
+            injector.order_jobs(job_ids)
             svc.run_daemon(drain=True)
 
         # 3. The byte state a kill -9 mid-append leaves behind.

@@ -11,10 +11,12 @@ crash-safe service.  Three pieces, bottom-up:
   counted).
 
 * :mod:`repro.serve.supervisor` — the worker supervisor.  A bounded
-  thread pool runs studies under heartbeat leases; expired leases are
-  reclaimed and requeued, failures retry on the capped+jittered
-  backoff shared with the engine, and a circuit breaker degrades the
-  pool (serial fallback, then load-shedding) instead of collapsing.
+  thread pool runs studies under leases that the control loop extends
+  with heartbeats; expired leases are reclaimed and requeued, failures
+  retry on the capped+jittered backoff shared with the engine, and a
+  circuit breaker degrades the pool (serial fallback, then
+  load-shedding) instead of collapsing.  Each decision is one WAL
+  record, counted and traced (``serve-<kind>``) by the same call.
 
 * :mod:`repro.serve.service` — the client/daemon surface.
   :class:`~repro.serve.service.SweepService` owns a *spool* directory
@@ -27,7 +29,7 @@ See ``docs/robustness.md`` ("service-layer failure modes") for the
 failure matrix and the degradation ladder.
 """
 
-from .service import DEFAULT_SPOOL, SubmitReceipt, SweepService, study_from_dict, study_to_dict
+from .service import DEFAULT_SPOOL, SubmitReceipt, SweepService
 from .supervisor import Supervisor
 from .wal import TERMINAL_STATUSES, WAL_FORMAT, WAL_VERSION, JobState, QueueState, WriteAheadLog
 
@@ -42,6 +44,4 @@ __all__ = [
     "WAL_FORMAT",
     "WAL_VERSION",
     "WriteAheadLog",
-    "study_from_dict",
-    "study_to_dict",
 ]

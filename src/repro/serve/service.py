@@ -23,6 +23,12 @@ Load shedding happens at the submission edge, in a ladder (see
    younger than ``breaker_cooldown_s``): the service is failing
    repeatedly, stop feeding it.
 
+The daemon is a :class:`~repro.serve.supervisor.Supervisor` over the
+spool's WAL, built by :meth:`SweepService.supervisor` from the daemon
+options the service was given, under the same names; the service
+itself reads only ``queue_limit``, ``breaker_cooldown_s``, ``metrics``
+and ``trace``.
+
 Studies execute through the normal :class:`~repro.core.engine.SweepEngine`
 with ``resume=True`` against the job's own store, which is what makes
 crash recovery *bitwise*: a resumed study recomputes only missing
@@ -48,39 +54,9 @@ from ..obs.trace import Tracer
 from .supervisor import Supervisor
 from .wal import QueueState, WriteAheadLog
 
-__all__ = [
-    "DEFAULT_SPOOL",
-    "SubmitReceipt",
-    "SweepService",
-    "study_from_dict",
-    "study_to_dict",
-]
+__all__ = ["DEFAULT_SPOOL", "SubmitReceipt", "SweepService"]
 
 DEFAULT_SPOOL = ".cache/serve"
-
-
-def study_to_dict(config: StudyConfig) -> dict:
-    """Serialize an *explicit* study grid into a WAL-storable dict.
-
-    Phase names are resolved before submission (``api.submit_study``
-    does it), so the WAL always records the exact grid a job will run —
-    auditable, and immune to a later ``REPRO_MAX_SIZE`` change.
-    """
-    return {
-        "name": config.name,
-        "algorithms": list(config.algorithms),
-        "sizes": [int(s) for s in config.sizes],
-        "caps_w": [float(c) for c in config.caps_w],
-    }
-
-
-def study_from_dict(doc: dict) -> StudyConfig:
-    return StudyConfig(
-        name=str(doc["name"]),
-        algorithms=tuple(str(a) for a in doc["algorithms"]),
-        sizes=tuple(int(s) for s in doc["sizes"]),
-        caps_w=tuple(float(c) for c in doc["caps_w"]),
-    )
 
 
 @dataclass(frozen=True)
@@ -113,7 +89,6 @@ class SweepService:
         *,
         workers: int = 2,
         lease_s: float = 30.0,
-        heartbeat_s: float | None = None,
         poll_interval_s: float = 0.05,
         queue_limit: int = 16,
         breaker_threshold: int = 3,
@@ -131,18 +106,19 @@ class SweepService:
         (self.spool / "stores").mkdir(exist_ok=True)
         self.wal = WriteAheadLog(self.spool / "wal.jsonl")
         self.state = QueueState()
-        self.workers = int(workers)
-        self.lease_s = float(lease_s)
-        self.heartbeat_s = heartbeat_s
-        self.poll_interval_s = float(poll_interval_s)
         self.queue_limit = int(queue_limit)
-        self.breaker_threshold = int(breaker_threshold)
         self.breaker_cooldown_s = float(breaker_cooldown_s)
-        self.backoff_base_s = float(backoff_base_s)
-        self.backoff_cap_s = float(backoff_cap_s)
         self.metrics = metrics if metrics is not None else get_registry()
         self.tracer = trace if trace is None or isinstance(trace, Tracer) else Tracer(trace)
-        self.injector = injector
+        self._daemon = dict(
+            workers=workers,
+            lease_s=lease_s,
+            poll_interval_s=poll_interval_s,
+            breaker_threshold=breaker_threshold,
+            backoff_base_s=backoff_base_s,
+            backoff_cap_s=backoff_cap_s,
+            injector=injector,
+        )
         # One ledger cache per dataset recipe for the service's lifetime,
         # shared by concurrent jobs: a store per job would rewrite the
         # file from its own entries and drop the other jobs' ledgers.
@@ -190,7 +166,7 @@ class SweepService:
                 "kind": "submit",
                 "job_id": job_id,
                 "spec": {
-                    "study": study_to_dict(config),
+                    "study": config.to_dict(),
                     "dataset_kind": str(dataset_kind),
                     "seed": int(seed),
                     "n_cycles": int(n_cycles),
@@ -245,20 +221,14 @@ class SweepService:
 
     # ---------------------------------------------------------------- daemon
     def supervisor(self) -> Supervisor:
+        """A daemon over this spool, built with the service's daemon options."""
         return Supervisor(
             self.wal,
             self.state,
             self._run_job,
-            workers=self.workers,
-            lease_s=self.lease_s,
-            heartbeat_s=self.heartbeat_s,
-            poll_interval_s=self.poll_interval_s,
-            backoff_base_s=self.backoff_base_s,
-            backoff_cap_s=self.backoff_cap_s,
-            breaker_threshold=self.breaker_threshold,
             metrics=self.metrics,
             tracer=self.tracer,
-            injector=self.injector,
+            **self._daemon,
         )
 
     def run_daemon(self, *, drain: bool = False, supervisor: Supervisor | None = None) -> dict:
@@ -297,7 +267,7 @@ class SweepService:
 
     def _run_job(self, job, progress=None) -> dict:
         spec = job.spec
-        config = study_from_dict(spec["study"])
+        config = StudyConfig.from_dict(spec["study"])
         dataset_kind = spec.get("dataset_kind", "blobs")
         seed = int(spec.get("seed", 7))
         store = self.store_path(job.job_id)

@@ -6,16 +6,22 @@ come back through the same ``poll()``), reclaims expired leases,
 updates the circuit breaker, and dispatches eligible jobs to a bounded
 pool of worker threads.  Worker threads run one study delivery each and
 append the outcome (``complete``, ``requeue`` with backoff, or terminal
-``fail``); a heartbeat thread extends the leases of in-flight
-deliveries so a *healthy* long study is never reclaimed out from under
-its worker.
+``fail``); every ``lease_s / 3`` the control loop also appends a
+heartbeat for each in-flight delivery, so a *healthy* long study is
+never reclaimed out from under its worker.
+
+Each queue decision is one WAL record, written by
+:meth:`Supervisor._record`: it stamps the record's time, appends it,
+adds to the counter :data:`_COUNTERS` maps it to, and emits it as a
+``serve-<kind>`` trace event.
 
 Failure handling is budgeted on two axes:
 
 * **retries** — a delivery that raises is requeued with the same
   capped+jittered backoff the engine uses
   (:func:`repro.core.backoff.retry_backoff`) until ``max_retries`` is
-  exhausted, then failed terminally with the error recorded;
+  exhausted, then failed terminally with the error recorded.  An error
+  from the job's own inputs (:data:`_INPUT_ERRORS`) fails it at once;
 * **lease expirations** — a job whose lease keeps expiring (stalled
   heartbeats, repeatedly killed daemons) is requeued at most
   ``breaker_threshold + 3`` times before being failed terminally, so a
@@ -52,6 +58,27 @@ __all__ = ["Supervisor"]
 #: Breaker escalation order (gauge value == index).
 _BREAKER_LEVELS = ("closed", "degraded", "open")
 
+#: The counter each queue decision adds one to, keyed by the record's
+#: ``(kind, reason)``: ``(metric, help, labels)``.  Claims, breaker
+#: transitions and shutdown requeues count nowhere.
+_JOBS = ("repro_serve_jobs_total", "job deliveries by terminal outcome")
+_COUNTERS = {
+    ("heartbeat", None): ("repro_serve_heartbeats_total", "lease extensions appended", {}),
+    ("requeue", "lease-expired"): (
+        "repro_serve_lease_expirations_total",
+        "leases reclaimed from stalled or dead workers",
+        {},
+    ),
+    ("requeue", "retry"): ("repro_serve_retries_total", "job deliveries requeued for retry", {}),
+    ("complete", None): (*_JOBS, {"outcome": "completed"}),
+    ("fail", None): (*_JOBS, {"outcome": "failed"}),
+}
+
+#: Delivery errors that come from the job's own inputs (a foreign or
+#: other-version store, a bad grid): every retry would raise them again,
+#: so they fail the job on the delivery that raised them.
+_INPUT_ERRORS = (ValueError, TypeError, KeyError)
+
 
 class Supervisor:
     """Run queued jobs on a bounded, lease-supervised worker pool.
@@ -71,12 +98,10 @@ class Supervisor:
         *,
         workers: int = 2,
         lease_s: float = 30.0,
-        heartbeat_s: float | None = None,
         poll_interval_s: float = 0.05,
         backoff_base_s: float = 0.05,
         backoff_cap_s: float = 5.0,
         breaker_threshold: int = 3,
-        seed: int = 0,
         metrics: MetricsRegistry | None = None,
         tracer: Tracer | None = None,
         injector=None,
@@ -92,12 +117,10 @@ class Supervisor:
         self.runner = runner
         self.workers = int(workers)
         self.lease_s = float(lease_s)
-        self.heartbeat_s = float(heartbeat_s) if heartbeat_s else self.lease_s / 3.0
         self.poll_interval_s = float(poll_interval_s)
         self.backoff_base_s = float(backoff_base_s)
         self.backoff_cap_s = float(backoff_cap_s)
         self.breaker_threshold = int(breaker_threshold)
-        self.seed = int(seed)
         self.metrics = metrics if metrics is not None else get_registry()
         self.tracer = tracer
         self.injector = injector
@@ -109,7 +132,7 @@ class Supervisor:
         #: job this daemon is already running (a *requeued* job stays
         #: here until its original delivery returns).
         self._inflight: set[str] = set()
-        #: active deliveries whose leases the heartbeat thread extends.
+        #: active deliveries whose leases the control loop extends.
         self._active: dict[str, int] = {}
         self._stalled: set[str] = set()
 
@@ -124,6 +147,24 @@ class Supervisor:
     def max_lease_expirations(self) -> int:
         return self.breaker_threshold + 3
 
+    # --------------------------------------------------------------- record
+    def _record(self, kind: str, **fields) -> None:
+        """Record one queue decision; the supervisor records none elsewhere.
+
+        The record is stamped with its time ``t`` and appended to the WAL
+        (the queue state folds it in on the next poll); then it adds one
+        to the counter :data:`_COUNTERS` maps it to, and goes to the
+        trace as a ``serve-<kind>`` event with the record's fields.
+        """
+        fields["t"] = time.time()
+        self.wal.append({"kind": kind, **fields})
+        counter = _COUNTERS.get((kind, fields.get("reason")))
+        if counter is not None:
+            name, doc, labels = counter
+            self.metrics.counter(name, doc, **labels).inc()
+        if self.tracer is not None:
+            self.tracer.event(f"serve-{kind}", **fields)
+
     # ------------------------------------------------------------------ run
     def run(self, *, drain: bool = False) -> None:
         """Supervise until :meth:`stop` (or, with ``drain=True``, until
@@ -137,13 +178,16 @@ class Supervisor:
             threading.Thread(target=self._worker_loop, name=f"serve-w{i}", daemon=True)
             for i in range(self.workers)
         ]
-        beat = threading.Thread(target=self._heartbeat_loop, name="serve-heartbeat", daemon=True)
+        beat_s = self.lease_s / 3.0
+        next_beat_t = time.time() + beat_s
         with span:
             for t in threads:
                 t.start()
-            beat.start()
             try:
                 while not self._stop.is_set():
+                    if time.time() >= next_beat_t:
+                        self._heartbeat()
+                        next_beat_t = time.time() + beat_s
                     self.state.apply_all(self.wal.poll())
                     self._reclaim_leases()
                     self._update_breaker()
@@ -158,7 +202,6 @@ class Supervisor:
                     self._queue.put(None)
                 for t in threads:
                     t.join(timeout=30.0)
-                beat.join(timeout=self.heartbeat_s + 1.0)
                 self.state.apply_all(self.wal.poll())
                 self._publish_metrics()
 
@@ -201,6 +244,14 @@ class Supervisor:
                     self._active[job.job_id] = self._active.get(job.job_id, 0)
 
     # ------------------------------------------------------------ lease care
+    def _heartbeat(self) -> None:
+        """Extend the lease of every active delivery whose heartbeats
+        are not stalled."""
+        with self._lock:
+            beating = [j for j in self._active if j not in self._stalled]
+        for job_id in beating:
+            self._record("heartbeat", job_id=job_id, deadline_t=time.time() + self.lease_s)
+
     def _reclaim_leases(self) -> None:
         now_t = time.time()
         for job in self.state.running():
@@ -208,56 +259,23 @@ class Supervisor:
                 continue
             expirations = job.expirations + 1
             if expirations > self.max_lease_expirations:
-                self.wal.append(
-                    {
-                        "kind": "fail",
-                        "job_id": job.job_id,
-                        "error": f"lease expired {expirations} times "
-                        f"(budget {self.max_lease_expirations})",
-                        "failures": job.failures,
-                        "t": now_t,
-                    }
+                self._record(
+                    "fail",
+                    job_id=job.job_id,
+                    error=f"lease expired {expirations} times "
+                    f"(budget {self.max_lease_expirations})",
+                    failures=job.failures,
                 )
-                self._count_job("failed")
             else:
-                self.wal.append(
-                    {
-                        "kind": "requeue",
-                        "job_id": job.job_id,
-                        "reason": "lease-expired",
-                        "failures": job.failures,
-                        "expirations": expirations,
-                        "not_before_t": now_t,
-                        "t": now_t,
-                    }
-                )
-                self.metrics.counter(
-                    "repro_serve_lease_expirations_total",
-                    "leases reclaimed from stalled or dead workers",
-                ).inc()
-            if self.tracer is not None:
-                self.tracer.event(
-                    "lease-expired", job_id=job.job_id, expirations=expirations
+                self._record(
+                    "requeue",
+                    job_id=job.job_id,
+                    reason="lease-expired",
+                    failures=job.failures,
+                    expirations=expirations,
+                    not_before_t=now_t,
                 )
         self.state.apply_all(self.wal.poll())
-
-    def _heartbeat_loop(self) -> None:
-        while not self._stop.wait(self.heartbeat_s):
-            with self._lock:
-                beating = [j for j in self._active if j not in self._stalled]
-            now_t = time.time()
-            for job_id in beating:
-                self.wal.append(
-                    {
-                        "kind": "heartbeat",
-                        "job_id": job_id,
-                        "deadline_t": now_t + self.lease_s,
-                        "t": now_t,
-                    }
-                )
-                self.metrics.counter(
-                    "repro_serve_heartbeats_total", "lease extensions appended"
-                ).inc()
 
     # -------------------------------------------------------------- breaker
     def _update_breaker(self) -> None:
@@ -269,11 +287,8 @@ class Supervisor:
         else:
             level = "closed"
         if level != current:
-            now_t = time.time()
-            self.wal.append({"kind": "breaker", "state": level, "streak": streak, "t": now_t})
+            self._record("breaker", state=level, streak=streak)
             self.state.apply_all(self.wal.poll())
-            if self.tracer is not None:
-                self.tracer.event("breaker", state=level, streak=streak)
 
     # -------------------------------------------------------------- workers
     def _worker_loop(self) -> None:
@@ -294,22 +309,19 @@ class Supervisor:
                     else:
                         self._active[job_id] = count
 
-    def _claim(self, worker: str, job_id: str) -> None:
-        now_t = time.time()
-        self.wal.append(
-            {
-                "kind": "claim",
-                "job_id": job_id,
-                "worker": worker,
-                "lease_s": self.lease_s,
-                "deadline_t": now_t + self.lease_s,
-                "t": now_t,
-            }
+    def _claim(self, worker: str, job) -> None:
+        job_id = job.job_id
+        self._record(
+            "claim",
+            job_id=job_id,
+            worker=worker,
+            lease_s=self.lease_s,
+            deadline_t=time.time() + self.lease_s,
         )
         with self._lock:
             self._active[job_id] = self._active.get(job_id, 0) + 1
         stall = getattr(self.injector, "stall_heartbeat", None)
-        if stall is not None and stall(job_id, worker):
+        if stall is not None and stall(job_id, job.failures):
             with self._lock:
                 self._stalled.add(job_id)
 
@@ -317,7 +329,7 @@ class Supervisor:
         job = self.state.get(job_id)
         if job is None or job.terminal or job.status == "cancelled":
             return
-        self._claim(worker, job_id)
+        self._claim(worker, job)
 
         def progress(event: dict) -> None:
             if self._stop.is_set():
@@ -336,30 +348,23 @@ class Supervisor:
             with span:
                 out = self.runner(job, progress=progress)
         except SweepInterrupted:
-            self.wal.append(
-                {
-                    "kind": "requeue",
-                    "job_id": job_id,
-                    "reason": "shutdown",
-                    "failures": job.failures,
-                    "not_before_t": 0.0,
-                    "t": time.time(),
-                }
+            self._record(
+                "requeue",
+                job_id=job_id,
+                reason="shutdown",
+                failures=job.failures,
+                not_before_t=0.0,
             )
         except Exception as exc:
             self._handle_failure(job, exc)
         else:
-            self.wal.append(
-                {
-                    "kind": "complete",
-                    "job_id": job_id,
-                    "points": int(out.get("points", 0)),
-                    "store": out.get("store"),
-                    "elapsed_s": time.time() - now_t,
-                    "t": time.time(),
-                }
+            self._record(
+                "complete",
+                job_id=job_id,
+                points=int(out.get("points", 0)),
+                store=out.get("store"),
+                elapsed_s=time.time() - now_t,
             )
-            self._count_job("completed")
 
     def _handle_failure(self, job, exc: Exception) -> None:
         failures = job.failures + 1
@@ -368,51 +373,27 @@ class Supervisor:
             self.metrics.counter(
                 "repro_serve_faults_injected_total", "injected service faults observed"
             ).inc()
-        if self.tracer is not None:
-            self.tracer.event("job-failed", job_id=job.job_id, attempt=failures, error=repr(exc))
-        now_t = time.time()
-        if failures > max_retries:
-            self.wal.append(
-                {
-                    "kind": "fail",
-                    "job_id": job.job_id,
-                    "error": "".join(
-                        traceback.format_exception_only(type(exc), exc)
-                    ).strip(),
-                    "failures": failures,
-                    "t": now_t,
-                }
-            )
-            self._count_job("failed")
+        error = "".join(traceback.format_exception_only(type(exc), exc)).strip()
+        if failures > max_retries or isinstance(exc, _INPUT_ERRORS):
+            self._record("fail", job_id=job.job_id, error=error, failures=failures)
         else:
             delay_s = retry_backoff(
                 failures,
                 base_s=self.backoff_base_s,
                 cap_s=self.backoff_cap_s,
-                seed=self.seed,
                 key=job.job_id,
             )
-            self.wal.append(
-                {
-                    "kind": "requeue",
-                    "job_id": job.job_id,
-                    "reason": "retry",
-                    "failures": failures,
-                    "not_before_t": now_t + delay_s,
-                    "backoff_s": delay_s,
-                    "t": now_t,
-                }
+            self._record(
+                "requeue",
+                job_id=job.job_id,
+                reason="retry",
+                failures=failures,
+                not_before_t=time.time() + delay_s,
+                backoff_s=delay_s,
+                error=error,
             )
-            self.metrics.counter(
-                "repro_serve_retries_total", "job deliveries requeued for retry"
-            ).inc()
 
     # -------------------------------------------------------------- metrics
-    def _count_job(self, outcome: str) -> None:
-        self.metrics.counter(
-            "repro_serve_jobs_total", "job deliveries by terminal outcome", outcome=outcome
-        ).inc()
-
     def _publish_metrics(self) -> None:
         counts = self.state.counts()
         self.metrics.gauge("repro_serve_queue_depth", "jobs waiting to run").set(

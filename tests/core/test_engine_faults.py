@@ -122,6 +122,27 @@ class TestQuarantineGate:
         kinds = [e["kind"] for e in events]
         assert kinds.count("point-quarantined") == engine.stats.points_quarantined
 
+    def test_resume_treats_quarantined_cells_as_finished(self, tmp_path):
+        path = tmp_path / "s.jsonl"
+        plan = FaultPlan(seed=41, point_corrupt_p=0.4)
+        SweepEngine(n_cycles=2, workers=0, store=path, faults=plan).run(ONE)
+        first = [p.key for p, _ in ResultStore(path).quarantined()]
+        assert first
+        for _ in range(2):
+            resume = SweepEngine(n_cycles=2, workers=0, store=path, faults=plan)
+            resume.run(ONE)
+            assert resume.stats.points_computed == 0
+            assert resume.stats.groups_skipped == 1
+        # One record per quarantined cell, however often the sweep resumes.
+        assert [p.key for p, _ in ResultStore(path).quarantined()] == first
+        # Without the plan those cells would price clean; they stay out.
+        clean = SweepEngine(n_cycles=2, workers=0, store=path)
+        result = clean.run(ONE)
+        assert clean.stats.points_computed == 0
+        store = ResultStore(path)
+        assert not store.quarantined_keys() & store.completed_keys()
+        assert not set(first) & {p.key for p in result.points}
+
 
 class TestKeyboardInterrupt:
     def test_pool_interrupt_syncs_store_and_resumes_exactly(self, tmp_path, golden_points):

@@ -208,9 +208,10 @@ class TestRaplCounters:
         store = tmp_path / "sweep.jsonl"
         make_engine(FLOOR_SPEC, ledgers, store).run(self.CONFIG)
         # Every group misses 23.5 W; half of them miss their baseline.
-        # (20 W points are quarantined, so every group misses them too.)
+        # (20 W points are quarantined: finished, so no group prices them,
+        # and each group stores the other three caps.)
         missing = {
-            alg: (20.0, 23.5, 120.0) if i % 2 else (20.0, 23.5)
+            alg: (23.5, 120.0) if i % 2 else (23.5,)
             for i, alg in enumerate(ALGORITHM_NAMES)
         }
         ResultStore(store).remove(
@@ -218,7 +219,7 @@ class TestRaplCounters:
         )
         engine = make_engine(FLOOR_SPEC, ledgers, store)
         engine.run(self.CONFIG)
-        assert engine.stats.points_resumed == sum(4 - len(c) for c in missing.values())
+        assert engine.stats.points_resumed == sum(3 - len(c) for c in missing.values())
         assert self.published(engine, store) == self.oracle(ledgers, missing)
 
 

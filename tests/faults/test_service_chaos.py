@@ -89,6 +89,26 @@ class TestServiceFaultInjector:
         jobs = [f"job-{i}" for i in range(32)]
         assert [a.duplicate_claim(j) for j in jobs] == [b.duplicate_claim(j) for j in jobs]
 
+    def test_decisions_key_on_submission_order_not_job_ids(self):
+        """Two copies of the default plan, handed different job ids in
+        the same order, decide the same for each index."""
+
+        def decisions(job_ids):
+            inj = get_plan("default", "service")
+            inj.order_jobs(job_ids)
+            return [
+                (
+                    inj.duplicate_claim(j),
+                    inj.stall_heartbeat(j, 0),
+                    inj.wrap_progress(j, 0, print) is not print,
+                )
+                for j in job_ids
+            ]
+
+        first = decisions([f"job-a{i}" for i in range(16)])
+        assert first == decisions([f"job-b{i}" for i in range(16)])
+        assert {duplicate for duplicate, _, _ in first} == {True, False}
+
 
 class TestTearWalTail:
     def test_tears_only_the_last_record(self, tmp_path):

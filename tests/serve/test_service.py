@@ -11,7 +11,7 @@ from repro.core.profiles import ProfileCache
 from repro.core.study import ALGORITHM_NAMES
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer, read_trace
-from repro.serve import SweepService, study_from_dict, study_to_dict
+from repro.serve import SweepService
 
 pytestmark = pytest.mark.timeout(300)
 
@@ -28,10 +28,10 @@ def make_service(tmp_path, **kwargs):
 
 class TestStudySerialization:
     def test_round_trip(self):
-        assert study_from_dict(study_to_dict(CFG)) == CFG
+        assert StudyConfig.from_dict(CFG.to_dict()) == CFG
 
     def test_grid_is_explicit_in_the_dict(self):
-        doc = study_to_dict(CFG)
+        doc = CFG.to_dict()
         assert doc["algorithms"] == ["threshold"]
         assert doc["sizes"] == [12]
         assert doc["caps_w"] == list(CFG.caps_w)
@@ -109,6 +109,21 @@ class TestDaemon:
             assert snap["status"] == "completed"
             store = ResultStore(svc.store_path(receipt.job_id))
             assert len(store) == snap["points"] > 0
+
+    def test_a_job_on_an_unreadable_store_fails_on_its_first_delivery(self, tmp_path):
+        """An error from the job's own inputs (here a version-1 store)
+        would recur on every retry: the job fails on the delivery that
+        raised it, and one failure leaves the breaker closed."""
+        svc = make_service(tmp_path)
+        receipt = svc.submit(CFG, n_cycles=2)
+        header = {"format": ResultStore.FORMAT, "version": 1, "fingerprint": "f", "meta": {}}
+        svc.store_path(receipt.job_id).write_text(json.dumps(header) + "\n")
+        report = svc.run_daemon(drain=True)
+        snap = svc.status(receipt.job_id)
+        assert snap["status"] == "failed" and snap["failures"] == 1
+        assert "version 1" in snap["error"]
+        assert [r["kind"] for r in svc.wal.replay()] == ["submit", "claim", "fail"]
+        assert report["breaker"] == "closed"
 
     def test_metrics_dumped_on_exit(self, tmp_path):
         svc = make_service(tmp_path)
