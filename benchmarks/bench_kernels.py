@@ -11,9 +11,11 @@ Standalone (updates ``BENCH_kernels.json`` at the repo root)::
 
     python benchmarks/bench_kernels.py --sizes 32 128 256 --repeats 3
 
-Every requested kernel is timed at every requested size, 256³ included:
-there one call takes 2–3 s for advection, 1–1.5 s for ray tracing or
-volume rendering, and under a second for each extraction kernel.
+Every requested kernel is timed at every requested size, 256³ included.
+There, on a 2-core container, one call takes 2.2–2.8 s for advection
+(the registry's counting path), 0.7–0.8 s for ``generate``, about 1 s
+or less for ray tracing or volume rendering, and under a second for
+each extraction kernel.
 
 Under pytest the same measurements run once per kernel at a small size
 (capped by ``REPRO_MAX_SIZE``) as a smoke test; thresholds are only

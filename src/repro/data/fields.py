@@ -14,6 +14,7 @@ from enum import Enum
 import numpy as np
 
 from .grid import UniformGrid
+from .tiling import k_slabs, pick_tile_planes
 
 __all__ = [
     "Association",
@@ -156,39 +157,40 @@ def recenter_to_points(grid: UniformGrid, cell_values: np.ndarray) -> np.ndarray
 
 
 def recenter_to_cells(grid: UniformGrid, point_values: np.ndarray) -> np.ndarray:
-    """Average point-centered values to the cells (mean of the 8 corners)."""
+    """Average point-centered values to the cells (mean of the 8 corners).
+
+    Runs :func:`recenter_slab_to_cells` over cache-sized k-slabs into one
+    output, for scalar and vector fields alike.
+    """
     point_values = np.asarray(point_values, dtype=np.float64)
     lat = _as_lattice(grid, point_values, points=True)
-    acc = (
-        lat[:-1, :-1, :-1]
-        + lat[:-1, :-1, 1:]
-        + lat[:-1, 1:, :-1]
-        + lat[:-1, 1:, 1:]
-        + lat[1:, :-1, :-1]
-        + lat[1:, :-1, 1:]
-        + lat[1:, 1:, :-1]
-        + lat[1:, 1:, 1:]
-    ) / 8.0
-    vec = point_values.ndim == 2
-    return acc.reshape(grid.n_cells, 3) if vec else acc.reshape(grid.n_cells)
+    nx, ny, nz = grid.cell_dims
+    out = np.empty((grid.n_cells,) + point_values.shape[1:])
+    # Live per cell while a slab is averaged: its corner values and mean.
+    planes = pick_tile_planes(nx * ny, 2 * out[0].nbytes, n_planes=nz)
+    for k0, k1 in k_slabs(0, nz, planes):
+        out[k0 * nx * ny : k1 * nx * ny] = recenter_slab_to_cells(lat[k0 : k1 + 1])
+    return out
 
 
 def recenter_slab_to_cells(lat_slab: np.ndarray) -> np.ndarray:
-    """Corner mean over a scalar point-lattice slab view.
+    """Corner mean over a point-lattice slab view.
 
-    ``lat_slab`` has shape ``(kz + 1, ny + 1, nx + 1)``; returns the flat
-    ``(kz * ny * nx,)`` cell means in linear cell order.  The corners are
-    summed in exactly the order :func:`recenter_to_cells` uses, so the
-    result is bitwise identical to the matching rows of a full-lattice
-    recenter — the k-slab-tiled kernels use this to carry cell-centered
-    scalars per tile without materializing (or re-reading) the full
-    recentered field.
+    ``lat_slab`` has shape ``(kz + 1, ny + 1, nx + 1)`` for a scalar
+    field, or ``(kz + 1, ny + 1, nx + 1, 3)`` for a vector field; returns
+    the ``(kz * ny * nx,)`` (or ``(kz * ny * nx, 3)``) cell means in
+    linear cell order.  Each mean is ``(c0 + c1 + ... + c7) / 8`` over
+    the corners in a fixed order, so a slab's result is bitwise identical
+    to the matching rows of any other tiling — :func:`recenter_to_cells`
+    tiles the whole lattice with it, and the k-slab-tiled kernels carry
+    cell-centered scalars per tile without materializing (or re-reading)
+    the full recentered field.
     """
-    kz, ny, nx = (int(d) - 1 for d in lat_slab.shape)
+    kz, ny, nx = (int(d) - 1 for d in lat_slab.shape[:3])
     acc = lat_slab[:kz, :ny, :nx].astype(np.float64)
     for dk, dj, di in (
         (0, 0, 1), (0, 1, 0), (0, 1, 1), (1, 0, 0), (1, 0, 1), (1, 1, 0), (1, 1, 1),
     ):
         acc += lat_slab[dk : dk + kz, dj : dj + ny, di : di + nx]
     acc /= 8.0
-    return acc.reshape(-1)
+    return acc.reshape((kz * ny * nx,) + lat_slab.shape[3:])

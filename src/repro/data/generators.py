@@ -4,6 +4,14 @@ The real experiments visualize the CloverLeaf proxy's energy field; these
 generators provide cheap, well-understood stand-ins with known geometry
 (spheres, planes, vortices) so every algorithm can be validated against
 closed-form answers.
+
+The study's fields (``gaussian_blobs`` energy, the blended velocity of
+:func:`make_dataset`) are built in cache-sized k-slabs of whole point
+planes (:mod:`repro.data.tiling`): each slab's temporaries stay cache
+resident and no field-sized temporary exists, while every element sees
+the same operations in the same order, so the fields are bitwise
+identical for any tile size.  ``rotation_vector_field`` and ``abc_flow``
+take a ``planes=(k0, k1)`` point-plane range for this.
 """
 
 from __future__ import annotations
@@ -12,6 +20,7 @@ import numpy as np
 
 from .fields import Association, DataSet
 from .grid import UniformGrid
+from .tiling import k_slabs, pick_tile_planes
 
 __all__ = [
     "sphere_distance",
@@ -57,18 +66,28 @@ def gaussian_blobs(
     sigma = width * grid.diagonal
     x, y, z = grid.axis_coords()
     px, py, pz = grid.point_dims
-    out = np.zeros((pz, py, px))
-    d2 = np.empty_like(out)
+    # Squared distance as (dx² + dy²) + dz² from 1-D axis offsets: the
+    # add order of the dense row sum over (x, y, z), so bitwise identical
+    # without the (n, 3) coordinate array.  The 2-D and 1-D terms are
+    # built once per blob; each slab then sums its blobs in order while
+    # its d² buffer is cache resident.
+    terms = []
     for c in centers:
-        # Squared distance as (dx² + dy²) + dz² from 1-D axis offsets:
-        # the add order of the dense row sum over (x, y, z), so bitwise
-        # identical without the (n, 3) coordinate array.
         dx, dy, dz = x - c[0], y - c[1], z - c[2]
-        np.add((dx * dx)[None, :] + (dy * dy)[:, None], (dz * dz)[:, None, None], out=d2)
-        np.negative(d2, out=d2)
-        d2 /= 2.0 * sigma**2
-        np.exp(d2, out=d2)
-        out += d2
+        terms.append(((dx * dx)[None, :] + (dy * dy)[:, None], (dz * dz)[:, None, None]))
+    out = np.empty((pz, py, px))
+    # Live per point while a slab is built: its output and d² values.
+    planes = pick_tile_planes(px * py, 2 * out.itemsize, n_planes=pz)
+    buf = np.empty((planes, py, px))
+    for k0, k1 in k_slabs(0, pz, planes):
+        o, d2 = out[k0:k1], buf[: k1 - k0]
+        o.fill(0.0)
+        for dxy, dz2 in terms:
+            np.add(dxy, dz2[k0:k1], out=d2)
+            np.negative(d2, out=d2)
+            d2 /= 2.0 * sigma**2
+            np.exp(d2, out=d2)
+            o += d2
     return out.reshape(-1)
 
 
@@ -84,17 +103,33 @@ def tangle_field(grid: UniformGrid) -> np.ndarray:
     ) * 0.2 + 0.5
 
 
-def rotation_vector_field(grid: UniformGrid, *, axis: int = 2) -> np.ndarray:
+def _plane_range(grid: UniformGrid, planes: tuple[int, int] | None) -> tuple[int, int]:
+    """Validated ``(k0, k1)`` point-plane range; None is the whole lattice."""
+    pz = grid.point_dims[2]
+    if planes is None:
+        return 0, pz
+    k0, k1 = (int(k) for k in planes)
+    if not 0 <= k0 <= k1 <= pz:
+        raise ValueError(f"planes must satisfy 0 <= k0 <= k1 <= {pz}, got {planes}")
+    return k0, k1
+
+
+def rotation_vector_field(
+    grid: UniformGrid, *, axis: int = 2, planes: tuple[int, int] | None = None
+) -> np.ndarray:
     """Point vector field: rigid rotation about the grid-center axis.
 
     Streamlines are exact circles, which the advection tests exploit.
+    ``planes=(k0, k1)`` builds only point planes ``[k0, k1)``: the rows
+    ``k0 * px * py`` to ``k1 * px * py`` of the whole field.
     """
-    px, py, pz = grid.point_dims
+    px, py, _ = grid.point_dims
+    k0, k1 = _plane_range(grid, planes)
     x, y, z = grid.axis_coords()
     cx, cy, cz = grid.center
     # Offsets from the center, each broadcast along its lattice axis.
-    d = ((x - cx)[None, None, :], (y - cy)[None, :, None], (z - cz)[:, None, None])
-    v = np.zeros((pz, py, px, 3))
+    d = ((x - cx)[None, None, :], (y - cy)[None, :, None], (z[k0:k1] - cz)[:, None, None])
+    v = np.zeros((k1 - k0, py, px, 3))
     a, bax = {0: (1, 2), 1: (2, 0), 2: (0, 1)}[axis]
     np.negative(d[bax], out=v[..., a])
     v[..., bax] = d[a]
@@ -107,19 +142,25 @@ def abc_flow(
     a: float = 1.0,
     b: float = np.sqrt(2.0 / 3.0),
     c: float = np.sqrt(1.0 / 3.0),
+    planes: tuple[int, int] | None = None,
 ) -> np.ndarray:
     """Point vector field: Arnold–Beltrami–Childress flow (chaotic
-    streamlines — a standard particle-advection stress test)."""
+    streamlines — a standard particle-advection stress test).
+
+    ``planes=(k0, k1)`` builds only point planes ``[k0, k1)``, as in
+    :func:`rotation_vector_field`.
+    """
     bounds = grid.bounds
-    px, py, pz = grid.point_dims
+    px, py, _ = grid.point_dims
+    k0, k1 = _plane_range(grid, planes)
     # Every term depends on one axis: sin/cos run on the 1-D axis phases
     # and each component is a broadcast sum of two of them.
     x, y, z = (
         (ax - lo) / (hi - lo) * (2.0 * np.pi)
         for ax, (lo, hi) in zip(grid.axis_coords(), bounds)
     )
-    x, y, z = x[None, None, :], y[None, :, None], z[:, None, None]
-    v = np.empty((pz, py, px, 3))
+    x, y, z = x[None, None, :], y[None, :, None], z[k0:k1, None, None]
+    v = np.empty((k1 - k0, py, px, 3))
     np.add(a * np.sin(z), c * np.cos(y), out=v[..., 0])
     np.add(b * np.sin(x), a * np.cos(z), out=v[..., 1])
     np.add(c * np.sin(y), b * np.cos(x), out=v[..., 2])
@@ -154,14 +195,33 @@ def make_dataset(
         raise ValueError(f"unknown dataset kind {kind!r}")
     ds.add_field("energy", scalar, Association.POINT)
     if with_velocity:
-        # Blend a rotational core with ABC turbulence: mostly bounded
-        # trajectories (long streamlines) with chaotic structure, like
-        # the recirculating hydro flows the study advects through.
-        # In place: rot / scale + 0.35 * abc, same per-element order.
-        rot = rotation_vector_field(grid)
-        rot /= max(rot.max(), -rot.min()) or 1.0
-        abc = abc_flow(grid)
-        abc *= 0.35
-        rot += abc
-        ds.add_field("velocity", rot, Association.POINT)
+        ds.add_field("velocity", _blended_velocity(grid), Association.POINT)
     return ds
+
+
+def _blended_velocity(grid: UniformGrid) -> np.ndarray:
+    """``rotation / scale + 0.35 * abc``, built slab by slab into one array.
+
+    Blends a rotational core with ABC turbulence: mostly bounded
+    trajectories (long streamlines) with chaotic structure, like the
+    recirculating hydro flows the study advects through.  ``scale`` is
+    the rotation's largest magnitude component, ``max(rot.max(),
+    -rot.min())``; about the z axis that is the largest ``|x - cx|`` or
+    ``|y - cy|``, read here from the 1-D axis offsets, so the whole
+    rotation field never exists.
+    """
+    px, py, pz = grid.point_dims
+    x, y, _ = grid.axis_coords()
+    cx, cy, _ = grid.center
+    scale = max(np.abs(x - cx).max(), np.abs(y - cy).max(), 0.0) or 1.0
+    vel = np.empty((pz * py * px, 3))
+    # Live per point while a slab is built: three 3-vectors (the two
+    # component slabs and the output rows they are added into).
+    planes = pick_tile_planes(px * py, 9 * vel.itemsize, n_planes=pz)
+    for k0, k1 in k_slabs(0, pz, planes):
+        rot = rotation_vector_field(grid, planes=(k0, k1))
+        rot /= scale
+        abc = abc_flow(grid, planes=(k0, k1))
+        abc *= 0.35
+        np.add(rot, abc, out=vel[k0 * px * py : k1 * px * py])
+    return vel

@@ -3,7 +3,9 @@
 :data:`ALGORITHMS` maps study names to factories configured with the
 paper's defaults (10 isovalues for contour, 3 planes for slice, a
 50-image orbit database for the renderers, fixed seeds/steps for
-advection) — the registry every sweep iterates over.
+advection) — the registry every sweep iterates over.  The geometry
+filters and advection run their counting configuration
+(``keep_output=False``): the study reads only their ledgers.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ ALGORITHMS: dict[str, Callable[[], Filter]] = {
     "clip": lambda: SphericalClip(keep_output=False),
     "isovolume": lambda: Isovolume(keep_output=False),
     "slice": lambda: Slice(keep_output=False),
-    "advection": lambda: ParticleAdvection(),
+    "advection": lambda: ParticleAdvection(keep_output=False),
     "raytrace": lambda: RayTracer(),
     "volume": lambda: VolumeRenderer(),
 }

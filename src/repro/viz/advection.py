@@ -17,6 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..data.fields import DataSet
+from ..data.grid import UniformGrid
 from ..data.mesh import PolyLines
 from ..workload import WorkSegment
 from .base import Filter, OpCounts, segment_from_cost
@@ -42,6 +43,11 @@ class ParticleAdvection(Filter):
     Defaults follow the study's constant-across-sizes policy: the step
     length and step count are fixed in *world* units (sized for the
     128³ reference grid), not per-cell units.
+
+    ``keep_output=False`` is the counting path the study registry uses:
+    it advances only the live particles, keeps no trajectory history and
+    returns empty polylines, recording the same ledger as the trajectory
+    path (``keep_output=True``).
     """
 
     name = "advection"
@@ -54,6 +60,7 @@ class ParticleAdvection(Filter):
         n_seeds: int = 4096,
         n_steps: int = 1500,
         step_length: float | None = None,
+        keep_output: bool = True,
     ):
         if n_seeds < 1 or n_steps < 1:
             raise ValueError("n_seeds and n_steps must be positive")
@@ -61,6 +68,7 @@ class ParticleAdvection(Filter):
         self.n_seeds = int(n_seeds)
         self.n_steps = int(n_steps)
         self.step_length = step_length
+        self.keep_output = keep_output
 
     def describe(self) -> dict:
         return {
@@ -80,28 +88,26 @@ class ParticleAdvection(Filter):
         h = self.step_length if self.step_length is not None else grid.diagonal / 256.0
 
         pos = seed_grid(grid.bounds, self.n_seeds)
+        if not self.keep_output:
+            # Row for row, ``p`` is the trajectory path's ``pos[alive]``.
+            p = pos
+            for _ in range(self.n_steps):
+                if not p.shape[0]:
+                    break
+                new_p, still = _rk4_step(grid, vel, p, h, counts)
+                p = new_p[still]
+            return PolyLines(np.empty((0, 3)), np.zeros(1, dtype=np.int64))
+
         n = pos.shape[0]
         alive = np.ones(n, dtype=bool)
         # Each step rebinds ``pos`` and ``alive`` to fresh arrays before
         # writing them, so the history can hold the arrays themselves.
         history = [pos]
         alive_history = [alive]
-
-        # Normalize velocity so the step length controls displacement
-        # (streamline geometry, not particle speed, is the output).
         for _ in range(self.n_steps):
             if not alive.any():
                 break
-            p = pos[alive]
-            k1, in1 = trilinear(grid, vel, p)
-            k2, in2 = trilinear(grid, vel, p + 0.5 * h * _unit(k1))
-            k3, in3 = trilinear(grid, vel, p + 0.5 * h * _unit(k2))
-            k4, in4 = trilinear(grid, vel, p + h * _unit(k3))
-            counts.add("interp_evals", 4 * p.shape[0])
-            counts.add("steps", p.shape[0])
-            step = (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
-            new_p = p + h * _unit(step)
-            still = in1 & grid.contains(new_p)
+            new_p, still = _rk4_step(grid, vel, pos[alive], h, counts)
             pos = pos.copy()
             pos[alive] = new_p
             idx = np.nonzero(alive)[0]
@@ -133,6 +139,24 @@ class ParticleAdvection(Filter):
                 working_set_bytes=touched,
             )
         ]
+
+
+def _rk4_step(
+    grid: UniformGrid, vel: np.ndarray, p: np.ndarray, h: float, counts: OpCounts
+) -> tuple[np.ndarray, np.ndarray]:
+    """One RK4 step of the live particles ``p``: their new positions and
+    which of them are still inside the grid.  Normalizing the velocity
+    lets the step length control displacement (streamline geometry, not
+    particle speed, is the output)."""
+    k1, in1 = trilinear(grid, vel, p)
+    k2, _ = trilinear(grid, vel, p + 0.5 * h * _unit(k1))
+    k3, _ = trilinear(grid, vel, p + 0.5 * h * _unit(k2))
+    k4, _ = trilinear(grid, vel, p + h * _unit(k3))
+    counts.add("interp_evals", 4 * p.shape[0])
+    counts.add("steps", p.shape[0])
+    step = (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+    new_p = p + h * _unit(step)
+    return new_p, in1 & grid.contains(new_p)
 
 
 def _unit(v: np.ndarray) -> np.ndarray:

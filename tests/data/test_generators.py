@@ -1,10 +1,13 @@
 """Analytic field generators."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.data import Association, UniformGrid
 from repro.data.generators import (
+    _blended_velocity,
     abc_flow,
     gaussian_blobs,
     linear_ramp,
@@ -13,6 +16,7 @@ from repro.data.generators import (
     sphere_distance,
     tangle_field,
 )
+from repro.data.tiling import DEFAULT_TILE_BYTES, ENV_TILE_CELLS
 
 
 class TestScalars:
@@ -197,3 +201,77 @@ def test_make_dataset_fields_match_dense_reference(n):
     grid = ds.grid
     assert np.array_equal(_bits(ds.field("energy").values), _bits(_ref_gaussian_blobs(grid)))
     assert np.array_equal(_bits(ds.field("velocity").values), _bits(_ref_velocity(grid)))
+
+
+# ------------------------------------------------------------ slab tiling
+# The study's fields are built in k-slabs of whole point planes.  The
+# dense oracles above run at the default tile size; these run them with
+# one-plane tiles and with tiles that leave a ragged last slab.
+
+
+def _tile_cells(grid, tiling):
+    """A ``REPRO_TILE_CELLS`` value giving ``tiling``'s point-plane slabs."""
+    px, py, pz = grid.point_dims
+    if tiling == "one-plane":
+        return 1
+    planes = next(k for k in range(2, pz) if pz % k)
+    return planes * px * py
+
+
+@pytest.mark.parametrize("tiling", ["one-plane", "ragged"])
+@pytest.mark.parametrize("grid", ORACLE_GRIDS, ids=lambda g: "x".join(map(str, g.cell_dims)))
+class TestTiledBitwiseOracle:
+    @pytest.fixture(autouse=True)
+    def _tiles(self, grid, tiling, monkeypatch):
+        monkeypatch.setenv(ENV_TILE_CELLS, str(_tile_cells(grid, tiling)))
+
+    @pytest.mark.parametrize("seed", [3, 7])
+    def test_gaussian_blobs(self, grid, seed):
+        got = gaussian_blobs(grid, seed=seed)
+        assert np.array_equal(_bits(got), _bits(_ref_gaussian_blobs(grid, seed=seed)))
+
+    def test_blended_velocity(self, grid):
+        assert np.array_equal(_bits(_blended_velocity(grid)), _bits(_ref_velocity(grid)))
+
+
+@pytest.mark.parametrize("tiling", ["one-plane", "ragged"])
+@pytest.mark.parametrize("n", [8, 17, 32])
+def test_tiled_make_dataset_fields_match_dense_reference(n, tiling, monkeypatch):
+    grid = UniformGrid.cube(n)
+    monkeypatch.setenv(ENV_TILE_CELLS, str(_tile_cells(grid, tiling)))
+    ds = make_dataset(n)
+    assert np.array_equal(_bits(ds.field("energy").values), _bits(_ref_gaussian_blobs(grid)))
+    assert np.array_equal(_bits(ds.field("velocity").values), _bits(_ref_velocity(grid)))
+
+
+@pytest.mark.parametrize("grid", ORACLE_GRIDS, ids=lambda g: "x".join(map(str, g.cell_dims)))
+@pytest.mark.parametrize("field", [rotation_vector_field, abc_flow], ids=lambda f: f.__name__)
+def test_plane_range_is_rows_of_whole_field(grid, field):
+    px, py, pz = grid.point_dims
+    whole = field(grid)
+    for k0, k1 in [(0, pz), (0, 1), (pz - 1, pz), (2, 5), (3, 3)]:
+        got = field(grid, planes=(k0, k1))
+        assert got.shape == ((k1 - k0) * px * py, 3)
+        assert np.array_equal(_bits(got), _bits(whole[k0 * px * py : k1 * px * py]))
+
+
+@pytest.mark.parametrize("planes", [(-1, 2), (3, 2), (0, 10)])
+def test_plane_range_rejects_out_of_lattice(planes, grid8):
+    with pytest.raises(ValueError, match="planes"):
+        rotation_vector_field(grid8, planes=planes)
+    with pytest.raises(ValueError, match="planes"):
+        abc_flow(grid8, planes=planes)
+
+
+def test_make_dataset_holds_no_field_sized_temporary(monkeypatch):
+    """Building the fields slab by slab keeps the peak within two tiles
+    of the fields themselves (a whole-lattice blend would hold a second
+    velocity-sized array next to the first)."""
+    monkeypatch.delenv(ENV_TILE_CELLS, raising=False)
+    tracemalloc.start()
+    try:
+        ds = make_dataset(128, with_velocity=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= ds.nbytes + 2 * DEFAULT_TILE_BYTES, (peak, ds.nbytes)

@@ -90,10 +90,53 @@ class TestSlabReductions:
         np.testing.assert_array_equal(np.concatenate(parts), full)
 
     def test_recenter_slab_matches_full(self, lattice):
-        grid = UniformGrid(cell_dims=(5, 6, 8))
-        full = recenter_to_cells(grid, lattice.reshape(-1))
+        full = _ref_recenter_to_cells(lattice)
         parts = [
             recenter_slab_to_cells(lattice[k0 : k1 + 1])
             for k0, k1 in k_slabs(0, 8, 3)
         ]
         np.testing.assert_array_equal(np.concatenate(parts), full)
+
+
+def _ref_recenter_to_cells(lat):
+    """The full-lattice 8-corner mean: the oracle for the tiled recenter."""
+    acc = (
+        lat[:-1, :-1, :-1]
+        + lat[:-1, :-1, 1:]
+        + lat[:-1, 1:, :-1]
+        + lat[:-1, 1:, 1:]
+        + lat[1:, :-1, :-1]
+        + lat[1:, :-1, 1:]
+        + lat[1:, 1:, :-1]
+        + lat[1:, 1:, 1:]
+    ) / 8.0
+    return acc.reshape((-1,) + lat.shape[3:])
+
+
+#: Cubes and a non-cube grid, so an x/y/z swap cannot pass.
+RECENTER_GRIDS = [
+    UniformGrid.cube(1),
+    UniformGrid.cube(8),
+    UniformGrid.cube(17),
+    UniformGrid(cell_dims=(5, 7, 9), origin=(-0.3, 1.25, 2.0), spacing=(0.1, 0.37, 0.05)),
+]
+
+
+@pytest.mark.parametrize("tile_cells", [None, "1", "100"])
+@pytest.mark.parametrize("components", [None, 3], ids=["scalar", "vector"])
+@pytest.mark.parametrize("grid", RECENTER_GRIDS, ids=lambda g: "x".join(map(str, g.cell_dims)))
+def test_recenter_to_cells_matches_full_lattice_formula(grid, components, tile_cells, monkeypatch, rng):
+    """One tile, one-plane tiles and ragged tiles all give the full
+    formula's bytes (signed zeros included)."""
+    if tile_cells is None:
+        monkeypatch.delenv(ENV_TILE_CELLS, raising=False)
+    else:
+        monkeypatch.setenv(ENV_TILE_CELLS, tile_cells)
+    px, py, pz = grid.point_dims
+    shape = (pz, py, px) + (() if components is None else (components,))
+    lat = rng.standard_normal(shape)
+    lat.reshape(-1)[::5] = -0.0
+    got = recenter_to_cells(grid, lat.reshape((grid.n_points,) + shape[3:]))
+    ref = _ref_recenter_to_cells(lat)
+    assert got.shape == ((grid.n_cells,) + shape[3:])
+    assert got.tobytes() == ref.tobytes()

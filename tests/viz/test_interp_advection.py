@@ -13,7 +13,7 @@ from repro.data.generators import (
     make_dataset,
     rotation_vector_field,
 )
-from repro.viz import ParticleAdvection, VolumeRenderer, advection, trilinear, volume
+from repro.viz import ALGORITHMS, ParticleAdvection, VolumeRenderer, advection, trilinear, volume
 from repro.viz.advection import _unit, seed_grid
 
 
@@ -142,6 +142,35 @@ class TestAdvection:
     def test_scalar_velocity_rejected(self, ramp_ds):
         with pytest.raises(ValueError, match="vector"):
             ParticleAdvection(field="energy").execute(ramp_ds)
+
+
+class TestCountingPath:
+    """``keep_output=False`` (the study registry's configuration) keeps no
+    trajectories but records the trajectory path's ledger exactly."""
+
+    def test_registry_counts_without_trajectories(self, blobs_ds):
+        adv = ALGORITHMS["advection"]()
+        assert adv.keep_output is False
+        assert adv.describe() == ParticleAdvection().describe()
+        lines = ParticleAdvection(n_seeds=27, n_steps=20, keep_output=False).execute(blobs_ds).output
+        assert lines.n_lines == 0 and lines.points.shape == (0, 3)
+
+    @pytest.mark.parametrize("n", [12, 32, 64])
+    def test_ledger_matches_trajectory_path(self, n):
+        ds = make_dataset(n, kind="blobs", seed=7)
+        kept = ParticleAdvection(keep_output=True).execute(ds)
+        counted = ParticleAdvection(keep_output=False).execute(ds)
+        assert counted.counts.as_dict() == kept.counts.as_dict()
+
+    def test_ledger_matches_when_particles_exit(self, abc_ds):
+        """Short runs, long steps: particles leave the box at different
+        steps, and both paths stop counting each one at the same step."""
+        for n_steps in (1, 7, 500):
+            kept = ParticleAdvection(n_seeds=64, n_steps=n_steps, step_length=0.02).execute(abc_ds)
+            counted = ParticleAdvection(
+                n_seeds=64, n_steps=n_steps, step_length=0.02, keep_output=False
+            ).execute(abc_ds)
+            assert counted.counts.as_dict() == kept.counts.as_dict()
 
 
 # ------------------------------------------------------------ bitwise oracle
