@@ -410,18 +410,15 @@ def submit_study(
     )
 
 
-def doctor(
-    path: str | Path,
-    *,
-    spec=None,
-    quarantine: bool = False,
-) -> ValidationReport:
-    """Validate an existing store file against the physical invariants.
+def doctor(path: str | Path, *, quarantine: bool = False) -> ValidationReport:
+    """Validate an existing store file against the physical invariants
+    of the machine spec its header names (a header written before it
+    carried the sweep context: the default spec).
 
     With ``quarantine=True`` violating points become quarantine records
     of the store, so its points validate clean.
     """
-    return validate_store(path, spec, quarantine=quarantine)
+    return validate_store(path, quarantine=quarantine)
 
 
 def lint(

@@ -50,7 +50,6 @@ from dataclasses import asdict, dataclass, replace
 
 from ..machine.spec import BROADWELL_E5_2695V4, MachineSpec
 from ..obs.durable import atomic_write_json
-from ..obs.manifest import build_manifest, manifest_path_for, write_manifest
 from ..obs.metrics import MetricsRegistry, get_registry
 from ..obs.trace import NULL_SPAN, Tracer
 from .backoff import retry_backoff
@@ -282,15 +281,14 @@ class SweepEngine:
         in-memory only).  It is bound to this engine's
         ``(dataset_kind, seed)``; a cache filled under another recipe
         raises ``ValueError``.
-    profile_fn:
-        Override for the profile-job body — used to inject faults in
-        tests; must be picklable to run in pool mode.
     faults:
         Optional :class:`repro.faults.FaultPlan` (duck-typed: anything
-        with ``wrap_job``/``corrupt_point``).  Wraps every job attempt
-        with the plan's engine-layer faults and passes completed points
-        through its sensor-corruption site — chaos testing against the
-        real retry and quarantine machinery.
+        with ``wrap_job``/``corrupt_point``).  Wraps every job and shard
+        attempt with the plan's engine-layer faults and passes completed
+        points through its sensor-corruption site — chaos testing
+        against the real retry and quarantine machinery.  It is the
+        engine's one job-injection hook; a wrapped body must be
+        picklable to run in pool mode.
     progress:
         Callable receiving event dicts (``kind`` ∈ ``points-resumed``,
         ``group-skipped``, ``profile-cached``, ``profile-done``,
@@ -317,7 +315,7 @@ class SweepEngine:
     metrics:
         :class:`~repro.obs.metrics.MetricsRegistry` to publish run
         counters into (default: the process-wide registry).  With a
-        store attached, the registry is also dumped to
+        store attached, the run's own counters are also dumped to
         ``<store>.metrics.json`` after every run.
     """
 
@@ -335,7 +333,6 @@ class SweepEngine:
         shard_min_size: int = 256,
         store: ResultStore | str | os.PathLike | None = None,
         profile_cache: ProfileCache | None = None,
-        profile_fn=None,
         faults=None,
         progress=None,
         trace: Tracer | str | os.PathLike | None = None,
@@ -361,7 +358,6 @@ class SweepEngine:
         self.store = ResultStore(store) if store is not None and not isinstance(store, ResultStore) else store
         self.profile_cache = profile_cache if profile_cache is not None else ProfileCache(None)
         self.profile_cache.bind(dataset_kind, seed)
-        self._profile_fn = profile_fn or execute_profile_job
         self.faults = faults
         self.validator = PointValidator(self.spec)
         self._progress = progress
@@ -375,18 +371,20 @@ class SweepEngine:
         self.stats = EngineStats()
 
     # ----------------------------------------------------------- identity
+    def context(self) -> dict:
+        """Everything that determines a point's value besides its
+        (algorithm, size, cap) coordinates, keyed as the store header's
+        ``meta`` holds it (:data:`~repro.core.store.CONTEXT_KEYS`)."""
+        return {
+            "spec": asdict(self.spec),
+            "dataset_kind": self.dataset_kind,
+            "seed": self.seed,
+            "n_cycles": self.n_cycles,
+        }
+
     def fingerprint(self) -> str:
-        """Digest of everything that determines a point's value besides
-        its (algorithm, size, cap) coordinates."""
-        return sweep_fingerprint(
-            {
-                "store_version": ResultStore.VERSION,
-                "spec": asdict(self.spec),
-                "dataset_kind": self.dataset_kind,
-                "seed": self.seed,
-                "n_cycles": self.n_cycles,
-            }
-        )
+        """Digest of :meth:`context` and the store version."""
+        return sweep_fingerprint(self.context())
 
     # ----------------------------------------------------------- telemetry
     def _span(self, name: str, **attrs):
@@ -410,30 +408,20 @@ class SweepEngine:
         if self._progress is not None:
             self._progress(event)
 
-    def _write_manifest(self, config: StudyConfig, fingerprint: str) -> None:
-        manifest = build_manifest(
-            spec=asdict(self.spec),
-            config=config.to_dict(),
-            seed=self.seed,
-            n_cycles=self.n_cycles,
-            dataset_kind=self.dataset_kind,
-            fingerprint=fingerprint,
-            fault_plan=getattr(self.faults, "name", None),
-            extra={"workers": self.workers, "store": str(self.store.path)},
-        )
-        write_manifest(manifest_path_for(self.store.path), manifest)
-
     def _publish_metrics(self) -> None:
         """Add the run's stats to the registry (through :data:`_COUNTERS`)
-        and, with a store, dump the registry next to it."""
-        for name, metric, doc, labels in _COUNTERS:
-            self.metrics.counter(metric, doc, **labels).inc(getattr(self.stats, name))
-        self.metrics.gauge("repro_sweep_wall_seconds", "wall time of the last sweep run").set(
-            self.stats.wall_s
-        )
+        and, with a store, dump this run's own counts next to it: the
+        registry also holds every earlier run it was given."""
+        run = MetricsRegistry()
+        for registry in (self.metrics, run):
+            for name, metric, doc, labels in _COUNTERS:
+                registry.counter(metric, doc, **labels).inc(getattr(self.stats, name))
+            registry.gauge("repro_sweep_wall_seconds", "wall time of the last sweep run").set(
+                self.stats.wall_s
+            )
         if self.store is not None:
             atomic_write_json(
-                self.store.path.with_suffix(".metrics.json"), self.metrics.to_json(), indent=1
+                self.store.path.with_suffix(".metrics.json"), run.to_json(), indent=1
             )
 
     # ---------------------------------------------------------------- sweep
@@ -458,15 +446,15 @@ class SweepEngine:
         # again, never in the result.
         quarantined: set[tuple[str, int, float]] = set()
         if self.store is not None:
-            fp = self.fingerprint()
-            meta = {"config_name": config.name, "spec": self.spec.name, "n_cycles": self.n_cycles}
+            context = self.context()
+            fp = sweep_fingerprint(context)
+            meta = {"config_name": config.name, **context}
             if resume:
                 self.store.ensure_compatible(fp, meta)
                 done = self.store.points
                 quarantined = self.store.quarantined_keys()
             else:
                 self.store.reset(fp, meta)
-            self._write_manifest(config, fp)
 
         caps = tuple(config.caps_w)
         default_cap = config.default_cap_w
@@ -604,13 +592,10 @@ class SweepEngine:
     def _shards_for(self, job: ProfileJob) -> int:
         """Pool-mode shard fan-out for one profile job (1 = don't split).
 
-        Only the default job body shards: an injected ``profile_fn`` —
-        the fault-testing hook — must see whole jobs.  Eligible jobs are
-        shard-capable algorithms at ``shard_min_size`` or larger, split
-        one span per pool worker, never wider than the grid has k-planes.
+        Eligible jobs are shard-capable algorithms at ``shard_min_size``
+        or larger, split one span per pool worker, never wider than the
+        grid has k-planes.
         """
-        if self._profile_fn is not execute_profile_job:
-            return 1
         if job.size < self.shard_min_size or not supports_sharding(job.algorithm):
             return 1
         return max(1, min(self.workers, int(job.size)))
@@ -651,9 +636,9 @@ class SweepEngine:
 
     def _job_body(self, job, attempt: int):
         """The callable actually executed for one job attempt —
-        the profile fn (or the shard body for a :class:`ShardTask`),
+        the profile body (or the shard body for a :class:`ShardTask`),
         wrapped with the fault plan when one is set."""
-        fn = execute_shard_task if isinstance(job, ShardTask) else self._profile_fn
+        fn = execute_shard_task if isinstance(job, ShardTask) else execute_profile_job
         if self.faults is None:
             return fn
         return self.faults.wrap_job(fn, attempt)

@@ -21,14 +21,19 @@ Records are of two kinds:
   enough to trust blindly, but its cell counts as finished: a resumed
   sweep does not price it again (:meth:`ResultStore.quarantined_keys`).
 
-The header's *fingerprint* hashes everything that determines a point's
-value besides the (algorithm, size, cap) coordinates — machine spec,
-dataset kind, seed, cycle count, store version — so a store can only
-ever accumulate points from one sweep context.  Resuming or *extending*
-a sweep (more algorithms, sizes, or caps) appends to the same file;
+The header is the one record of the sweep *context*: everything that
+determines a point's value besides its (algorithm, size, cap)
+coordinates — every :class:`~repro.machine.spec.MachineSpec` field,
+dataset kind, seed and cycle count (:data:`CONTEXT_KEYS`) — held in its
+``meta`` next to the config name, and the *fingerprint*, a digest of
+that context and the store version.  So a store can only ever
+accumulate points from one sweep context, and it names the socket that
+priced them (:attr:`ResultStore.spec`).  Resuming or *extending* a
+sweep (more algorithms, sizes, or caps) appends to the same file;
 pointing an engine with different parameters at it raises
-:class:`StoreMismatchError` rather than silently mixing incomparable
-measurements.
+:class:`StoreMismatchError`, naming what differs, rather than silently
+mixing incomparable measurements.  A header written before it carried
+the context still loads and resumes; its fingerprint is the same digest.
 
 The file is a :class:`~repro.obs.durable.JsonlFile` log: every record is
 one fsync'd append, so a point and its evidence become durable together,
@@ -47,23 +52,43 @@ from pathlib import Path
 from typing import Iterator
 
 from ..machine.simulator import SegmentRecord
+from ..machine.spec import MachineSpec
 from ..obs.durable import JsonlFile
 from ..obs.samples import synthesize_stream
 from .runner import RunPoint, StudyResult
 
-__all__ = ["ResultStore", "StoreMismatchError", "sweep_fingerprint"]
+__all__ = ["CONTEXT_KEYS", "ResultStore", "StoreMismatchError", "sweep_fingerprint"]
 
 _SEGMENT_FIELDS = tuple(f.name for f in fields(SegmentRecord))
+
+#: The header ``meta`` keys of the sweep context: the spec as its field
+#: dict, then the dataset kind, seed and cycle count.
+CONTEXT_KEYS = ("spec", "dataset_kind", "seed", "n_cycles")
 
 
 class StoreMismatchError(ValueError):
     """The store on disk was produced under a different sweep context."""
 
 
-def sweep_fingerprint(payload: dict) -> str:
-    """Stable digest of the sweep context (spec, dataset, seed, cycles)."""
+def sweep_fingerprint(context: dict) -> str:
+    """Stable digest of a sweep context (:data:`CONTEXT_KEYS`) and the
+    store version."""
+    payload = {"store_version": ResultStore.VERSION, **context}
     text = json.dumps(payload, sort_keys=True, default=repr)
     return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def _context_diff(old: dict, new: dict) -> list[str]:
+    """``key: old != new`` for each context key that differs, spec
+    fields one by one; empty unless both sides carry the context."""
+    flat = []
+    for meta in (old, new):
+        if not isinstance(meta.get("spec"), dict) or not meta.keys() >= set(CONTEXT_KEYS):
+            return []
+        spec = {f"spec.{f}": v for f, v in meta["spec"].items()}
+        flat.append(spec | {k: meta[k] for k in CONTEXT_KEYS if k != "spec"})
+    a, b = flat
+    return [f"{k}: {a.get(k)!r} != {b.get(k)!r}" for k in a | b if a.get(k) != b.get(k)]
 
 
 def _parse(record: dict):
@@ -126,10 +151,12 @@ class ResultStore:
             self.meta = dict(meta or {})
             self._write(())
         elif self.fingerprint != fingerprint:
+            diff = _context_diff(self.meta, meta or {})
+            why = "; ".join(diff) or "different machine spec, dataset, seed, or cycle count"
             raise StoreMismatchError(
                 f"{self.path} was produced under fingerprint {self.fingerprint} "
-                f"but this sweep has {fingerprint} (different machine spec, dataset, "
-                f"seed, or cycle count); refusing to mix results — use a fresh --store path"
+                f"but this sweep has {fingerprint} ({why}); "
+                f"refusing to mix results — use a fresh --store path"
             )
 
     def reset(self, fingerprint: str, meta: dict | None = None) -> None:
@@ -159,6 +186,13 @@ class ResultStore:
     def _read(self, parse) -> list:
         """Every record through ``parse``, in file order."""
         return self._log.read(parse)[1] if self.fingerprint is not None else []
+
+    @property
+    def spec(self) -> MachineSpec | None:
+        """The machine spec the header names, or None for a header
+        written before it carried the sweep context."""
+        spec = self.meta.get("spec")
+        return MachineSpec(**spec) if isinstance(spec, dict) else None
 
     # -------------------------------------------------------------- contents
     def append(self, point: RunPoint, segments=None) -> None:

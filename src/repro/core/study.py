@@ -79,7 +79,7 @@ class StudyConfig:
 
     def to_dict(self) -> dict:
         """The explicit grid as a JSON-ready dict: the form a service
-        job's WAL ``submit`` spec and a sweep manifest record."""
+        job's WAL ``submit`` spec records."""
         return {
             "name": self.name,
             "algorithms": list(self.algorithms),

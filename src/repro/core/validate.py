@@ -29,12 +29,44 @@ from ..machine.spec import BROADWELL_E5_2695V4, MachineSpec
 from .runner import RunPoint, StudyResult
 from .store import ResultStore
 
-__all__ = ["Violation", "PointValidator", "ValidationReport", "validate_store"]
+__all__ = [
+    "POWER_ABS_TOL_W",
+    "POWER_REL_TOL",
+    "RATIO_REL_TOL",
+    "TIME_REL_TOL",
+    "Violation",
+    "PointValidator",
+    "ValidationReport",
+    "validate_store",
+]
 
-#: RunPoint fields that must be finite for the point to mean anything.
+#: RunPoint fields that must be finite for the point to mean anything;
+#: a governed epoch has the first four.
 _FINITE_FIELDS = ("time_s", "energy_j", "power_w", "freq_ghz", "ipc", "llc_miss_rate")
 
+#: Power may exceed its cap by this relative share plus this many watts.
+POWER_REL_TOL = 0.01
+POWER_ABS_TOL_W = 0.5
+#: A run may beat the time of one with more capacity by this share.
+TIME_REL_TOL = 1e-9
+#: Stored ratios and repeated epochs may disagree by this share.
+RATIO_REL_TOL = 1e-6
+
 PointKey = tuple[str, int, float]
+
+
+def _faster_than_capacity_allows(chain):
+    """Walk ``chain``, ordered from the most to the least capacity, and
+    yield ``(run, last_good)`` for each run that claims to be faster
+    under *less* capacity than the last trustworthy run above it."""
+    if not chain:
+        return
+    last_good = chain[0]
+    for r in chain[1:]:
+        if r.time_s < last_good.time_s * (1.0 - TIME_REL_TOL):
+            yield r, last_good
+        else:
+            last_good = r
 
 
 @dataclass(frozen=True)
@@ -92,26 +124,16 @@ class ValidationReport:
 class PointValidator:
     """Checks sweep points against the machine spec's physics.
 
-    Tolerances default to comfortably outside anything the clean
-    simulator produces (its worst legitimate point sits 0.06 W *under*
-    its cap and its runtimes are strictly monotone), so a violation is
-    always a real defect or an injected fault, never noise.
+    The tolerances (:data:`POWER_ABS_TOL_W`, :data:`POWER_REL_TOL`,
+    :data:`TIME_REL_TOL`, :data:`RATIO_REL_TOL`) sit comfortably outside
+    anything the clean simulator produces (its worst legitimate point
+    sits 0.06 W *under* its cap and its runtimes are strictly monotone),
+    so a violation is always a real defect or an injected fault, never
+    noise.
     """
 
-    def __init__(
-        self,
-        spec: MachineSpec | None = None,
-        *,
-        power_abs_tol_w: float = 0.5,
-        power_rel_tol: float = 0.01,
-        time_rel_tol: float = 1e-9,
-        ratio_rel_tol: float = 1e-6,
-    ):
+    def __init__(self, spec: MachineSpec | None = None):
         self.spec = spec if spec is not None else BROADWELL_E5_2695V4
-        self.power_abs_tol_w = power_abs_tol_w
-        self.power_rel_tol = power_rel_tol
-        self.time_rel_tol = time_rel_tol
-        self.ratio_rel_tol = ratio_rel_tol
         # Reference-cycle IPC tops out at the best-case issue rate scaled
         # by turbo/base (APERF can run that much faster than REF_TSC).
         self._ipc_max = (1.0 / float(min(self.spec.cpi_vector()))) * (
@@ -121,44 +143,51 @@ class PointValidator:
         self._freq_max = self.spec.f_turbo * 1.001
 
     # ------------------------------------------------------------ per point
-    def check_point(self, p: RunPoint) -> list[Violation]:
-        """All single-point invariants (no cross-cap context needed)."""
+    def _check_run(self, r, finite: dict[str, float], where: str = "") -> list[Violation]:
+        """The invariants a static point and a governed epoch share: the
+        ``finite`` fields are finite, then time/energy/power positive,
+        power at or under ``r.cap_w`` and frequency within the spec.
+        ``where`` prefixes each message."""
+        bad = [name for name, v in finite.items() if not math.isfinite(v)]
+        if bad:
+            # Range checks against NaN are meaningless.
+            return [Violation("non-finite", f"{where}non-finite field(s): {', '.join(bad)}")]
         out: list[Violation] = []
-        bad_finite = [
-            f for f in _FINITE_FIELDS if not math.isfinite(getattr(p, f))
-        ] + [
-            f"ratios.{r}" for r in ("pratio", "tratio", "fratio")
-            if not math.isfinite(getattr(p.ratios, r))
-        ]
-        if bad_finite:
-            out.append(Violation("non-finite", f"non-finite field(s): {', '.join(bad_finite)}"))
-            return out  # range checks against NaN are meaningless
-
-        if p.time_s <= 0 or p.energy_j <= 0 or p.power_w <= 0:
+        if r.time_s <= 0 or r.energy_j <= 0 or r.power_w <= 0:
             out.append(
                 Violation(
                     "non-positive",
-                    f"time/energy/power must be positive "
-                    f"(got {p.time_s:g}s, {p.energy_j:g}J, {p.power_w:g}W)",
+                    f"{where}time/energy/power must be positive "
+                    f"(got {r.time_s:g}s, {r.energy_j:g}J, {r.power_w:g}W)",
                 )
             )
-        limit = p.cap_w * (1.0 + self.power_rel_tol) + self.power_abs_tol_w
-        if p.power_w > limit:
+        limit = r.cap_w * (1.0 + POWER_REL_TOL) + POWER_ABS_TOL_W
+        if r.power_w > limit:
             out.append(
                 Violation(
                     "power-over-cap",
-                    f"modeled power {p.power_w:.2f}W exceeds cap {p.cap_w:g}W "
-                    f"(tolerance {limit - p.cap_w:.2f}W)",
+                    f"{where}modeled power {r.power_w:.2f}W exceeds cap {r.cap_w:g}W "
+                    f"(tolerance {limit - r.cap_w:.2f}W)",
                 )
             )
-        if not (self._freq_min <= p.freq_ghz <= self._freq_max):
+        if not (self._freq_min <= r.freq_ghz <= self._freq_max):
             out.append(
                 Violation(
                     "freq-out-of-range",
-                    f"effective frequency {p.freq_ghz:.3f}GHz outside "
+                    f"{where}effective frequency {r.freq_ghz:.3f}GHz outside "
                     f"[{self._freq_min:.3f}, {self._freq_max:.3f}]GHz",
                 )
             )
+        return out
+
+    def check_point(self, p: RunPoint) -> list[Violation]:
+        """All single-point invariants (no cross-cap context needed)."""
+        finite = {f: getattr(p, f) for f in _FINITE_FIELDS}
+        for r in ("pratio", "tratio", "fratio"):
+            finite[f"ratios.{r}"] = getattr(p.ratios, r)
+        out = self._check_run(p, finite)
+        if out and out[0].code == "non-finite":
+            return out
         if not (0.0 < p.ipc <= self._ipc_max):
             out.append(
                 Violation(
@@ -182,23 +211,16 @@ class PointValidator:
         out: dict[PointKey, list[Violation]] = {p.key: self.check_point(p) for p in points}
         clean = [p for p in points if not out[p.key]]
 
-        # Runtime monotone as the cap drops: walk caps high→low, flagging
-        # any point that claims to run *faster* under *less* power than
-        # the last trustworthy point above it.
+        # Runtime monotone as the cap drops.
         chain = sorted(clean, key=lambda p: -p.cap_w)
-        if chain:
-            last_good = chain[0]
-            for p in chain[1:]:
-                if p.time_s < last_good.time_s * (1.0 - self.time_rel_tol):
-                    out[p.key].append(
-                        Violation(
-                            "runtime-not-monotone",
-                            f"time {p.time_s:.6g}s at {p.cap_w:g}W is below "
-                            f"{last_good.time_s:.6g}s at {last_good.cap_w:g}W",
-                        )
-                    )
-                else:
-                    last_good = p
+        for p, good in _faster_than_capacity_allows(chain):
+            out[p.key].append(
+                Violation(
+                    "runtime-not-monotone",
+                    f"time {p.time_s:.6g}s at {p.cap_w:g}W is below "
+                    f"{good.time_s:.6g}s at {good.cap_w:g}W",
+                )
+            )
 
         # Stored ratios must agree with stored measurements: tratio was
         # computed from the same times, so time_s ≈ tratio × baseline
@@ -209,7 +231,7 @@ class PointValidator:
             mismatched = [
                 p for p in rest
                 if abs(p.time_s - p.tratio * base.time_s)
-                > self.ratio_rel_tol * max(p.time_s, base.time_s)
+                > RATIO_REL_TOL * max(p.time_s, base.time_s)
             ]
             if len(mismatched) > len(rest) / 2:
                 out[base.key].append(
@@ -251,43 +273,18 @@ class PointValidator:
         Keys are ``(control, epoch_index, cap_w)``; only violating keys
         are returned.
         """
+
+        def key(e) -> PointKey:
+            return (e.control, int(e.epoch), float(e.cap_w))
+
         out: dict[PointKey, list[Violation]] = {}
         clean = []
         for e in epochs:
-            key: PointKey = (e.control, int(e.epoch), float(e.cap_w))
-            vs: list[Violation] = []
-            if not all(
-                math.isfinite(v) for v in (e.time_s, e.energy_j, e.power_w, e.freq_ghz)
-            ):
-                vs.append(Violation("non-finite", f"non-finite field(s) in epoch {e.epoch}"))
-            else:
-                if e.time_s <= 0 or e.energy_j <= 0 or e.power_w <= 0:
-                    vs.append(
-                        Violation(
-                            "non-positive",
-                            f"epoch {e.epoch} time/energy/power must be positive "
-                            f"(got {e.time_s:g}s, {e.energy_j:g}J, {e.power_w:g}W)",
-                        )
-                    )
-                limit = e.cap_w * (1.0 + self.power_rel_tol) + self.power_abs_tol_w
-                if e.power_w > limit:
-                    vs.append(
-                        Violation(
-                            "power-over-cap",
-                            f"epoch {e.epoch} power {e.power_w:.2f}W exceeds its "
-                            f"cap {e.cap_w:g}W (tolerance {limit - e.cap_w:.2f}W)",
-                        )
-                    )
-                if not (self._freq_min <= e.freq_ghz <= self._freq_max):
-                    vs.append(
-                        Violation(
-                            "freq-out-of-range",
-                            f"epoch {e.epoch} frequency {e.freq_ghz:.3f}GHz outside "
-                            f"[{self._freq_min:.3f}, {self._freq_max:.3f}]GHz",
-                        )
-                    )
+            vs = self._check_run(
+                e, {f: getattr(e, f) for f in _FINITE_FIELDS[:4]}, where=f"epoch {e.epoch}: "
+            )
             if vs:
-                out[key] = vs
+                out[key(e)] = vs
             else:
                 clean.append(e)
 
@@ -307,8 +304,8 @@ class PointValidator:
         for members in groups.values():
             base = members[0]
             for e in members[1:]:
-                if abs(e.time_s - base.time_s) > self.ratio_rel_tol * base.time_s:
-                    out.setdefault((e.control, int(e.epoch), float(e.cap_w)), []).append(
+                if abs(e.time_s - base.time_s) > RATIO_REL_TOL * base.time_s:
+                    out.setdefault(key(e), []).append(
                         Violation(
                             "epoch-inconsistent",
                             f"epoch {e.epoch} time {e.time_s:.6g}s disagrees with "
@@ -325,21 +322,15 @@ class PointValidator:
             by_control.setdefault(members[0].control, []).append(members[0])
         for reps in by_control.values():
             chain = sorted(reps, key=lambda e: -e.fraction)
-            if not chain:
-                continue
-            last_good = chain[0]
-            for e in chain[1:]:
-                if e.time_s < last_good.time_s * (1.0 - self.time_rel_tol):
-                    out.setdefault((e.control, int(e.epoch), float(e.cap_w)), []).append(
-                        Violation(
-                            "runtime-not-monotone",
-                            f"epoch {e.epoch} time {e.time_s:.6g}s at capacity "
-                            f"fraction {e.fraction:g} is below {last_good.time_s:.6g}s "
-                            f"at fraction {last_good.fraction:g}",
-                        )
+            for e, good in _faster_than_capacity_allows(chain):
+                out.setdefault(key(e), []).append(
+                    Violation(
+                        "runtime-not-monotone",
+                        f"epoch {e.epoch} time {e.time_s:.6g}s at capacity "
+                        f"fraction {e.fraction:g} is below {good.time_s:.6g}s "
+                        f"at fraction {good.fraction:g}",
                     )
-                else:
-                    last_good = e
+                )
         return out
 
     # ----------------------------------------------------------- aggregates
@@ -354,20 +345,18 @@ class PointValidator:
         return report
 
 
-def validate_store(
-    path: str | Path,
-    spec: MachineSpec | None = None,
-    *,
-    quarantine: bool = False,
-) -> ValidationReport:
-    """Validate a sweep store on disk (the engine behind ``repro doctor``).
+def validate_store(path: str | Path, *, quarantine: bool = False) -> ValidationReport:
+    """Validate a sweep store on disk (the engine behind ``repro doctor``)
+    against the machine spec its header names
+    (:attr:`~repro.core.store.ResultStore.spec`); a header written before
+    it carried the sweep context is checked against the default spec.
 
     With ``quarantine=True``, violating points become quarantine records
     (with reasons) in one atomic rewrite of the store, so it validates
     clean afterwards; the default is a read-only report.
     """
     store = ResultStore(path)
-    report = PointValidator(spec).check_result(store.load_result())
+    report = PointValidator(store.spec).check_result(store.load_result())
     report.source = str(path)
     if quarantine and report.violations:
         report.quarantined = store.remove(report.violations, reasons=report.violations)

@@ -17,8 +17,8 @@ layer  modules
 ====== =====================================================
 
 Additional contracts checked at *module scope* (function-local deferred
-imports are the sanctioned way to cross a layer at call time, as
-``repro.obs.manifest`` does):
+imports are exempt: they are the sanctioned way to cross a layer at call
+time):
 
 * ``repro.obs`` imports **nothing** from ``repro`` — it sits at the
   bottom so every layer may instrument itself;

@@ -1,8 +1,8 @@
-"""Observability: tracing, metrics, sample streams, and run manifests.
+"""Observability: tracing, metrics, sample streams, and durable files.
 
 The telemetry layer the sweep stack reports through — built because the
 source paper is a *measurement* study and an unexplainable point is a
-broken reproduction.  Five cooperating pieces:
+broken reproduction.  Four cooperating pieces:
 
 * :mod:`repro.obs.trace` — span/event tracing to JSONL
   (``span("phase", **attrs)`` context managers, thread-safe, monotonic);
@@ -11,26 +11,16 @@ broken reproduction.  Five cooperating pieces:
 * :mod:`repro.obs.samples` — 100 ms power/frequency sample streams per
   run point, synthesized from the segment records a sampled sweep
   keeps in each point's result-store line;
-* :mod:`repro.obs.manifest` — the atomic per-run provenance record
-  (``<store>.manifest.json``);
 * :mod:`repro.obs.durable` — the atomic whole-file writers and
   ``JsonlFile``, the one framing and crash rule of every JSONL artifact
   but the service's write-ahead log.
 
-This package imports nothing from the rest of ``repro`` at module scope
-(manifest defers its one upward import), so any layer — the machine
-model, the kernels, the engine — may instrument itself and persist
-files through it.
+This package imports nothing from the rest of ``repro``, so any layer —
+the machine model, the kernels, the engine — may instrument itself and
+persist files through it.
 See ``docs/observability.md``.
 """
 
-from .manifest import (
-    MANIFEST_FORMAT,
-    build_manifest,
-    manifest_path_for,
-    read_manifest,
-    write_manifest,
-)
 from .metrics import (
     METRICS_FORMAT,
     Counter,
@@ -73,9 +63,4 @@ __all__ = [
     "set_registry",
     "load_metrics",
     "summarize_samples",
-    "MANIFEST_FORMAT",
-    "build_manifest",
-    "manifest_path_for",
-    "read_manifest",
-    "write_manifest",
 ]

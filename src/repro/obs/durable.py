@@ -2,8 +2,8 @@
 
 The artifacts written through this module are of two kinds.
 
-* **Whole documents** (the profile cache, manifests, metrics dumps,
-  bench trajectories, images) are replaced with
+* **Whole documents** (the profile cache, metrics dumps, bench
+  trajectories, images) are replaced with
   :func:`atomic_write_text` / :func:`atomic_write_bytes` /
   :func:`atomic_write_json`: write a sibling temp file, fsync it, then
   ``os.replace`` it over the target, so a reader only ever sees the old

@@ -33,8 +33,19 @@ def _assert_golden(expected: list[dict], result):
     assert [p.to_dict() for p in result.points] == expected
 
 
-class _CountingJob:
-    """Picklable-free counting wrapper (serial mode only)."""
+class _JobHook:
+    """A ``faults=`` stand-in: every job attempt runs ``self`` (a
+    subclass's ``__call__``) and no point is corrupted."""
+
+    def wrap_job(self, base, attempt):
+        return self
+
+    def corrupt_point(self, point):
+        return point
+
+
+class _CountingJob(_JobHook):
+    """Counting job body (serial mode only: the calls stay in-process)."""
 
     def __init__(self):
         self.calls = []
@@ -44,7 +55,7 @@ class _CountingJob:
         return execute_profile_job(job)
 
 
-class _FlakyJob:
+class _FlakyJob(_JobHook):
     def __init__(self, failures: int):
         self.failures = failures
         self.calls = 0
@@ -98,12 +109,12 @@ class TestResume:
         store_path = tmp_path / "s.jsonl"
         one = StudyConfig(name="t", algorithms=("threshold",), sizes=(12,))
         counter1 = _CountingJob()
-        SweepEngine(n_cycles=2, workers=0, store=store_path, profile_fn=counter1).run(one)
+        SweepEngine(n_cycles=2, workers=0, store=store_path, faults=counter1).run(one)
         assert counter1.calls == [("threshold", 12)]
 
         # Extend the sweep: same store, an extra algorithm.
         counter2 = _CountingJob()
-        engine = SweepEngine(n_cycles=2, workers=0, store=store_path, profile_fn=counter2)
+        engine = SweepEngine(n_cycles=2, workers=0, store=store_path, faults=counter2)
         extended = engine.run(CFG)
         assert counter2.calls == [("clip", 12)]  # threshold group not re-run
         assert engine.stats.groups_skipped == 1
@@ -120,13 +131,11 @@ class TestResume:
                 return super().__call__(job)
 
         with pytest.raises(KeyboardInterrupt):
-            SweepEngine(
-                n_cycles=2, workers=0, store=store_path, profile_fn=_DiesOnSecond()
-            ).run(CFG)
+            SweepEngine(n_cycles=2, workers=0, store=store_path, faults=_DiesOnSecond()).run(CFG)
         assert 0 < len(ResultStore(store_path)) < CFG.n_configurations
 
         counter = _CountingJob()
-        engine = SweepEngine(n_cycles=2, workers=0, store=store_path, profile_fn=counter)
+        engine = SweepEngine(n_cycles=2, workers=0, store=store_path, faults=counter)
         resumed = engine.run(CFG)
         assert counter.calls == [("clip", 12)]  # only the missing group
         _assert_golden(golden_points(CFG), resumed)
@@ -142,9 +151,9 @@ class TestResume:
     def test_fingerprint_mismatch_refuses_to_mix(self, tmp_path):
         store_path = tmp_path / "s.jsonl"
         SweepEngine(n_cycles=2, workers=0, store=store_path).run(CFG)
-        with pytest.raises(StoreMismatchError, match="refusing to mix"):
+        with pytest.raises(StoreMismatchError, match="n_cycles: 2 != 3.*refusing to mix"):
             SweepEngine(n_cycles=3, workers=0, store=store_path).run(CFG)
-        with pytest.raises(StoreMismatchError):
+        with pytest.raises(StoreMismatchError, match="seed: 7 != 8"):
             SweepEngine(n_cycles=2, seed=8, workers=0, store=store_path).run(CFG)
 
 
@@ -152,7 +161,7 @@ class TestFailureHandling:
     def test_retry_then_succeed(self, golden_points):
         flaky = _FlakyJob(failures=2)
         engine = SweepEngine(
-            n_cycles=2, workers=0, max_retries=2, backoff_s=0.001, profile_fn=flaky
+            n_cycles=2, workers=0, max_retries=2, backoff_s=0.001, faults=flaky
         )
         one = StudyConfig(name="t", algorithms=("threshold",), sizes=(12,))
         result = engine.run(one)
@@ -163,16 +172,19 @@ class TestFailureHandling:
     def test_retry_budget_exhausted_raises(self):
         flaky = _FlakyJob(failures=10)
         engine = SweepEngine(
-            n_cycles=2, workers=0, max_retries=1, backoff_s=0.001, profile_fn=flaky
+            n_cycles=2, workers=0, max_retries=1, backoff_s=0.001, faults=flaky
         )
         with pytest.raises(SweepError, match="after 2 attempts"):
             engine.run(StudyConfig(name="t", algorithms=("threshold",), sizes=(12,)))
 
     def test_pool_failure_falls_back_to_serial(self, golden_points):
         """An unpicklable job body breaks the pool; the sweep still finishes."""
-        engine = SweepEngine(
-            n_cycles=2, workers=2, profile_fn=lambda job: execute_profile_job(job)
-        )
+
+        class _Unpicklable(_JobHook):
+            def wrap_job(self, base, attempt):
+                return lambda job: base(job)
+
+        engine = SweepEngine(n_cycles=2, workers=2, faults=_Unpicklable())
         result = engine.run(CFG)
         assert engine.stats.fell_back_serial
         _assert_golden(golden_points(CFG), result)
@@ -200,7 +212,7 @@ class TestProgressAndStats:
             n_cycles=1,
             workers=0,
             backoff_s=0.001,
-            profile_fn=_FlakyJob(failures=1),
+            faults=_FlakyJob(failures=1),
             progress=events.append,
             trace=tracer,
         )

@@ -19,12 +19,33 @@ def _assert_golden(expected: list[dict], result):
 
 
 class _InterruptsOnClip:
-    """Picklable job body: raises KeyboardInterrupt inside the clip worker."""
+    """A ``faults=`` stand-in whose picklable job body raises
+    KeyboardInterrupt inside the clip worker."""
+
+    def wrap_job(self, base, attempt):
+        return self
+
+    def corrupt_point(self, point):
+        return point
 
     def __call__(self, job):
         if job.algorithm == "clip":
             raise KeyboardInterrupt("user hit ^C")
         return execute_profile_job(job)
+
+
+class _Unpicklable:
+    """A plan's faults behind a job body no pool can pickle."""
+
+    def __init__(self, plan):
+        self.plan = plan
+
+    def wrap_job(self, base, attempt):
+        body = self.plan.wrap_job(base, attempt)
+        return lambda job: body(job)
+
+    def corrupt_point(self, point):
+        return self.plan.corrupt_point(point)
 
 
 class TestInjectedCrashes:
@@ -88,8 +109,7 @@ class TestSerialFallback:
             workers=2,
             max_retries=2,
             backoff_s=0.001,
-            faults=plan,
-            profile_fn=lambda job: execute_profile_job(job),
+            faults=_Unpicklable(plan),
         )
         result = engine.run(CFG)
         assert engine.stats.fell_back_serial
@@ -154,7 +174,7 @@ class TestKeyboardInterrupt:
             n_cycles=2,
             workers=2,
             store=path,
-            profile_fn=_InterruptsOnClip(),
+            faults=_InterruptsOnClip(),
             progress=events.append,
         )
         with pytest.raises(KeyboardInterrupt):
@@ -175,9 +195,7 @@ class TestKeyboardInterrupt:
 
     def test_serial_interrupt_marks_stats_and_syncs(self, tmp_path):
         path = tmp_path / "s.jsonl"
-        engine = SweepEngine(
-            n_cycles=2, workers=0, store=path, profile_fn=_InterruptsOnClip()
-        )
+        engine = SweepEngine(n_cycles=2, workers=0, store=path, faults=_InterruptsOnClip())
         with pytest.raises(KeyboardInterrupt):
             engine.run(CFG)
         assert engine.stats.interrupted

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import ALGORITHM_NAMES, ProfileJob, StudyConfig, SweepEngine
-from repro.core.engine import ShardTask, execute_profile_job, execute_shard_task
+from repro.core import ALGORITHM_NAMES, StudyConfig, SweepEngine
+from repro.core.engine import ShardTask, execute_shard_task
 from repro.core.profiles import (
     merge_shard_ledgers,
     run_algorithm_ledger,
@@ -91,21 +91,3 @@ class TestEngineFanOut:
         engine.run(CFG)
         assert engine.stats.shard_tasks_run == 0
         assert engine.stats.profile_jobs_run == 2
-
-    def test_profile_fn_override_disables_sharding(self):
-        """The fault-injection hook must see whole jobs."""
-        engine = SweepEngine(
-            n_cycles=2,
-            workers=2,
-            shard_min_size=12,
-            profile_fn=execute_profile_job,
-        )
-        job = ProfileJob(algorithm="contour", size=12, dataset_kind="blobs", seed=7)
-        # Same callable object as the default keeps sharding on...
-        assert engine._shards_for(job) > 1
-
-        def wrapped(j):
-            return execute_profile_job(j)
-
-        engine._profile_fn = wrapped
-        assert engine._shards_for(job) == 1

@@ -9,7 +9,6 @@ import pytest
 from repro.core import EngineStats, ResultStore, StudyConfig, SweepEngine
 from repro.core.engine import SweepInterrupted
 from repro.faults import FaultPlan, tear_tail
-from repro.obs.manifest import manifest_path_for, read_manifest
 from repro.obs.metrics import MetricsRegistry, load_metrics
 from repro.obs.samples import summarize_samples
 from repro.obs.trace import get_tracer, read_trace, summarize_trace
@@ -20,7 +19,7 @@ CFG = StudyConfig(name="tele", algorithms=("threshold", "contour"), sizes=(32,))
 
 @pytest.fixture(scope="module")
 def traced_sweep(tmp_path_factory):
-    """One serial traced sweep with samples, metrics, store, manifest."""
+    """One serial traced sweep with samples, metrics and a store."""
     tmp = tmp_path_factory.mktemp("telemetry")
     store = tmp / "sweep.jsonl"
     trace = tmp / "sweep.trace.jsonl"
@@ -177,16 +176,18 @@ class TestSamples:
             assert agg["duration_s"] == pytest.approx(p.time_s, rel=1e-9)
 
 
-class TestManifest:
-    def test_manifest_written_next_to_store(self, traced_sweep):
+class TestStoreHeader:
+    def test_header_carries_the_sweep_context(self, traced_sweep):
+        """The header is the one record of the context; no sidecar
+        manifest is written."""
         engine, _, store, _ = traced_sweep
-        doc = read_manifest(manifest_path_for(store))
-        assert doc["config"]["name"] == "tele"
-        assert doc["config"]["algorithms"] == ["threshold", "contour"]
-        assert doc["seed"] == engine.seed
-        assert doc["fingerprint"] == engine.fingerprint()
-        assert doc["fault_plan"] is None
-        assert doc["spec"]["tdp_watts"] == engine.spec.tdp_watts
+        header = json.loads(store.read_text().splitlines()[0])
+        assert header["fingerprint"] == engine.fingerprint()
+        assert header["meta"] == {"config_name": "tele", **engine.context()}
+        assert header["meta"]["seed"] == engine.seed
+        assert header["meta"]["spec"]["tdp_watts"] == engine.spec.tdp_watts
+        assert ResultStore(store).spec == engine.spec
+        assert not list(store.parent.glob("*.manifest.json"))
 
 
 class TestMetrics:
@@ -204,6 +205,18 @@ class TestMetrics:
         engine, _, store, _ = traced_sweep
         dumped = load_metrics(store.with_suffix(".metrics.json"))
         assert dumped.to_json() == engine.metrics.to_json()
+
+    def test_dump_holds_only_the_run_that_wrote_it(self, tmp_path):
+        """Two runs publishing into one registry: each store's dump
+        counts its own run, the registry counts both."""
+        registry = MetricsRegistry()
+        one = StudyConfig(name="one", algorithms=("threshold",), sizes=(12,))
+        for name in ("a", "b"):
+            store = tmp_path / f"{name}.jsonl"
+            SweepEngine(n_cycles=2, workers=0, store=store, metrics=registry).run(one)
+            dumped = load_metrics(store.with_suffix(".metrics.json"))
+            assert dumped.counter("repro_points_total", outcome="computed").value == 9
+        assert registry.counter("repro_points_total", outcome="computed").value == 18
 
     def test_prometheus_exposition(self, traced_sweep):
         engine, _, _, _ = traced_sweep

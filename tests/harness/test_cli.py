@@ -223,7 +223,7 @@ class TestTelemetryCommands:
         assert "trace:" in out
         assert ResultStore(store).samples()  # the segment records live in the store
         assert sorted(p.name for p in small.glob("sweep.*")) == [
-            "sweep.jsonl", "sweep.manifest.json", "sweep.metrics.json", "sweep.trace.jsonl",
+            "sweep.jsonl", "sweep.metrics.json", "sweep.trace.jsonl",
         ]
 
     def test_trace_command_prints_phase_breakdown(self, capsys, small):
