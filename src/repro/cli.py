@@ -837,7 +837,8 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--lease", type=float, default=30.0, metavar="S",
                        help="heartbeat lease duration (default: 30)")
     serve.add_argument("--poll", type=float, default=0.05, metavar="S",
-                       help="control-loop poll interval (default: 0.05)")
+                       help="longest wait between control-loop passes; a WAL "
+                            "append wakes the daemon sooner (default: 0.05)")
     serve.add_argument("--drain", action="store_true",
                        help="exit once every queued job is terminal")
     serve.add_argument("--trace", default=None, metavar="PATH",

@@ -4,7 +4,8 @@ The paper's Tables I–III rest on a handful of physical invariants that
 a healthy measurement stack can never violate:
 
 * modeled power stays at or under the programmed cap (within an
-  enforcement tolerance);
+  enforcement tolerance), or, for a cap below the socket's RAPL floor,
+  under the floor the controller enforces instead;
 * runtime is non-decreasing as the cap drops for a fixed
   (algorithm, size) — capping can only slow work down;
 * IPC, LLC miss rate, and effective frequency are finite and inside
@@ -53,6 +54,11 @@ TIME_REL_TOL = 1e-9
 RATIO_REL_TOL = 1e-6
 
 PointKey = tuple[str, int, float]
+
+
+def _power_limit(cap_w: float) -> float:
+    """The most power a run under ``cap_w`` may draw."""
+    return cap_w * (1.0 + POWER_REL_TOL) + POWER_ABS_TOL_W
 
 
 def _faster_than_capacity_allows(chain):
@@ -129,7 +135,9 @@ class PointValidator:
     anything the clean simulator produces (its worst legitimate point
     sits 0.06 W *under* its cap and its runtimes are strictly monotone),
     so a violation is always a real defect or an injected fault, never
-    noise.
+    noise.  The one exception is ``cap-below-floor``: a cap below the
+    spec's RAPL floor, which the controller clamps up to the floor, so
+    the point honours the floor but not the cap it was asked for.
     """
 
     def __init__(self, spec: MachineSpec | None = None):
@@ -146,7 +154,9 @@ class PointValidator:
     def _check_run(self, r, finite: dict[str, float], where: str = "") -> list[Violation]:
         """The invariants a static point and a governed epoch share: the
         ``finite`` fields are finite, then time/energy/power positive,
-        power at or under ``r.cap_w`` and frequency within the spec.
+        power at or under ``r.cap_w`` (``cap-below-floor`` when the cap
+        is below the RAPL floor and the power is within the floor's own
+        tolerance) and frequency within the spec.
         ``where`` prefixes each message."""
         bad = [name for name, v in finite.items() if not math.isfinite(v)]
         if bad:
@@ -161,15 +171,22 @@ class PointValidator:
                     f"(got {r.time_s:g}s, {r.energy_j:g}J, {r.power_w:g}W)",
                 )
             )
-        limit = r.cap_w * (1.0 + POWER_REL_TOL) + POWER_ABS_TOL_W
+        limit = _power_limit(r.cap_w)
         if r.power_w > limit:
-            out.append(
-                Violation(
-                    "power-over-cap",
-                    f"{where}modeled power {r.power_w:.2f}W exceeds cap {r.cap_w:g}W "
-                    f"(tolerance {limit - r.cap_w:.2f}W)",
+            floor = self.spec.rapl_floor_watts
+            if r.cap_w < floor and r.power_w <= _power_limit(floor):
+                code = "cap-below-floor"
+                message = (
+                    f"cap {r.cap_w:g}W is below the RAPL floor {floor:g}W, which the "
+                    f"controller enforces instead (modeled power {r.power_w:.2f}W)"
                 )
-            )
+            else:
+                code = "power-over-cap"
+                message = (
+                    f"modeled power {r.power_w:.2f}W exceeds cap {r.cap_w:g}W "
+                    f"(tolerance {limit - r.cap_w:.2f}W)"
+                )
+            out.append(Violation(code, f"{where}{message}"))
         if not (self._freq_min <= r.freq_ghz <= self._freq_max):
             out.append(
                 Violation(

@@ -23,7 +23,8 @@ crash-safe service.  Three pieces, bottom-up:
   (WAL + per-job result stores + shared profile caches) and exposes
   ``submit``/``status``/``cancel``/``report`` plus ``run_daemon``.
   Because the WAL is the IPC, clients and the daemon are just
-  different processes polling the same file.
+  different processes reading the same file; each append also rings
+  the WAL's doorbell FIFO, which wakes a daemon waiting between passes.
 
 See ``docs/robustness.md`` ("service-layer failure modes") for the
 failure matrix and the degradation ladder.

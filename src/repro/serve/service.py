@@ -4,6 +4,7 @@ A :class:`SweepService` owns one *spool* directory::
 
     spool/
       wal.jsonl                     # the durable job queue (the IPC)
+      wal.jsonl.wake                # the doorbell FIFO the daemon waits on
       stores/<job_id>.jsonl         # one fingerprinted ResultStore per job
       profiles-<dataset>-<seed>.json  # one ledger cache per dataset recipe
       service.metrics.json          # daemon metrics dump
@@ -12,7 +13,9 @@ Clients and the daemon are symmetric: both derive queue state by
 replaying/polling the WAL, and a client *submission* is just an fsync'd
 ``submit`` record — once :meth:`SweepService.submit` returns an
 accepted receipt, the job survives any crash.  The daemon tails the
-same file, so submissions land in a live daemon without any socket.
+same file, and the append rings the WAL's doorbell FIFO, which the
+daemon waits on between passes: a submission reaches a live daemon at
+once, with no second channel that carries the job.
 
 Load shedding happens at the submission edge, in a ladder (see
 ``docs/robustness.md``):

@@ -1,14 +1,18 @@
 """Worker supervision: leases, retries, reclamation, circuit breaking.
 
 The :class:`Supervisor` owns the daemon side of the queue.  One control
-loop polls the WAL (its own appends *and* external client submissions
+loop reads the WAL (its own appends *and* external client submissions
 come back through the same ``poll()``), reclaims expired leases,
 updates the circuit breaker, and dispatches eligible jobs to a bounded
-pool of worker threads.  Worker threads run one study delivery each and
-append the outcome (``complete``, ``requeue`` with backoff, or terminal
-``fail``); every ``lease_s / 3`` the control loop also appends a
-heartbeat for each in-flight delivery, so a *healthy* long study is
-never reclaimed out from under its worker.
+pool of worker threads.  Between passes it waits on the WAL's doorbell
+FIFO (:meth:`~repro.serve.wal.WriteAheadLog.ring`), which every append
+rings, for at most ``poll_interval_s``: a submission, a cancel or a
+worker's outcome starts the next pass at once, and the timeout only
+paces heartbeats, lease expiry and backoff gates.  Worker threads run
+one study delivery each and append the outcome (``complete``,
+``requeue`` with backoff, or terminal ``fail``); every ``lease_s / 3``
+the control loop also appends a heartbeat for each in-flight delivery,
+so a *healthy* long study is never reclaimed out from under its worker.
 
 Each queue decision is one WAL record, written by
 :meth:`Supervisor._record`: it stamps the record's time, appends it,
@@ -42,7 +46,10 @@ loop; the supervisor never imports the faults layer.
 
 from __future__ import annotations
 
+import os
 import queue
+import select
+import stat
 import threading
 import time
 import traceback
@@ -88,6 +95,9 @@ class Supervisor:
     ``store``); raising requeues or fails the job.  The supervisor is
     deliberately study-agnostic — :mod:`repro.serve.service` supplies
     the runner that builds a :class:`~repro.core.engine.SweepEngine`.
+
+    ``poll_interval_s`` is the longest wait between control-loop
+    passes: every WAL append rings the doorbell that ends the wait.
     """
 
     def __init__(
@@ -110,6 +120,9 @@ class Supervisor:
             raise ValueError("workers must be >= 1")
         if lease_s <= 0:
             raise ValueError("lease_s must be positive")
+        if poll_interval_s < 0:
+            # A negative poll timeout would wait for a ring forever.
+            raise ValueError("poll_interval_s must be >= 0")
         if breaker_threshold < 1:
             raise ValueError("breaker_threshold must be >= 1")
         self.wal = wal
@@ -140,8 +153,11 @@ class Supervisor:
     def stop(self) -> None:
         """Graceful shutdown: running studies are interrupted at the next
         progress event and requeued (``reason="shutdown"``), so nothing
-        is lost and the next daemon resumes them."""
+        is lost and the next daemon resumes them.  It rings the doorbell,
+        so the control loop ends within one pass; a signal handler may
+        call it."""
         self._stop.set()
+        self.wal.ring()
 
     @property
     def max_lease_expirations(self) -> int:
@@ -169,6 +185,9 @@ class Supervisor:
     def run(self, *, drain: bool = False) -> None:
         """Supervise until :meth:`stop` (or, with ``drain=True``, until
         every known job is terminal)."""
+        bell, bell_w = self._open_doorbell()
+        doorbell = select.poll()
+        doorbell.register(bell, select.POLLIN)
         span = (
             self.tracer.span("serve", workers=self.workers, lease_s=self.lease_s)
             if self.tracer is not None
@@ -195,7 +214,7 @@ class Supervisor:
                     self._publish_metrics()
                     if drain and self._drained():
                         break
-                    time.sleep(self.poll_interval_s)
+                    self._wait(doorbell, bell)
             finally:
                 self._stop.set()
                 for _ in threads:
@@ -204,6 +223,38 @@ class Supervisor:
                     t.join(timeout=30.0)
                 self.state.apply_all(self.wal.poll())
                 self._publish_metrics()
+                os.close(bell)
+                os.close(bell_w)
+
+    def _open_doorbell(self) -> tuple[int, int]:
+        """Make the WAL's doorbell FIFO, or reuse one a dead daemon left,
+        and open its read end and a write end of our own.
+
+        Holding the write end keeps the read end from reporting EOF once
+        a client closes its end, which would make every wait return at
+        once.  Anything but a FIFO at the path raises, naming it.
+        """
+        path = self.wal.wake_path
+        try:
+            os.mkfifo(path)
+        except FileExistsError:
+            if not stat.S_ISFIFO(os.stat(path).st_mode):
+                raise FileExistsError(
+                    f"{path} exists and is not a FIFO: the daemon's doorbell "
+                    "needs that path; move the file away"
+                ) from None
+        bell = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+        return bell, os.open(path, os.O_WRONLY | os.O_NONBLOCK)
+
+    def _wait(self, doorbell, bell: int) -> None:
+        """Wait until an append rings the doorbell or ``poll_interval_s``
+        passes, then drain every poke (the next pass reads all the
+        records they announce)."""
+        if doorbell.poll(self.poll_interval_s * 1e3):
+            try:
+                os.read(bell, 65536)
+            except BlockingIOError:
+                pass
 
     def _drained(self) -> bool:
         with self._lock:
@@ -254,9 +305,8 @@ class Supervisor:
 
     def _reclaim_leases(self) -> None:
         now_t = time.time()
-        for job in self.state.running():
-            if job.lease_deadline_t > now_t:
-                continue
+        expired = [job for job in self.state.running() if job.lease_deadline_t <= now_t]
+        for job in expired:
             expirations = job.expirations + 1
             if expirations > self.max_lease_expirations:
                 self._record(
@@ -275,7 +325,9 @@ class Supervisor:
                     expirations=expirations,
                     not_before_t=now_t,
                 )
-        self.state.apply_all(self.wal.poll())
+        if expired:
+            # The breaker and the dispatcher read these records next.
+            self.state.apply_all(self.wal.poll())
 
     # -------------------------------------------------------------- breaker
     def _update_breaker(self) -> None:
@@ -308,6 +360,9 @@ class Supervisor:
                         self._stalled.discard(job_id)
                     else:
                         self._active[job_id] = count
+                # The outcome's append rang before this slot was free,
+                # so the pass it woke may have found no capacity.
+                self.wal.ring()
 
     def _claim(self, worker: str, job) -> None:
         job_id = job.job_id

@@ -22,6 +22,15 @@ Durability and damage tolerance mirror the result store's contract:
   :func:`repro.obs.trace.log_event` — one bad record must not take the
   queue down.
 
+Every append is also a wake-up.  After its fsync, :meth:`WriteAheadLog.append`
+rings a doorbell: it writes one byte to the FIFO ``<wal>.wake`` that a
+running daemon holds open and waits on, so a submission, a cancel or a
+worker's ``complete`` starts the next control-loop pass at once instead
+of after the poll interval.  The doorbell carries no data; the record
+is already in the log.  A poke that cannot be delivered (no FIFO yet,
+no daemon reading it, a full pipe that already holds a wake) is
+dropped, which costs the daemon at most one poll interval.
+
 Replay is idempotent: records for unknown jobs, second ``submit``s and
 second ``complete``s for the same job are ignored (and counted), which
 is what makes at-least-once delivery safe — a duplicated execution can
@@ -32,6 +41,7 @@ from __future__ import annotations
 
 import json
 import os
+import stat
 import threading
 from dataclasses import dataclass
 from pathlib import Path
@@ -66,6 +76,8 @@ class WriteAheadLog:
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
+        #: The doorbell FIFO a running daemon waits on (see :meth:`ring`).
+        self.wake_path = self.path.with_name(self.path.name + ".wake")
         self.corrupt_lines = 0
         self._offset = 0
         self._lock = threading.Lock()
@@ -75,7 +87,8 @@ class WriteAheadLog:
 
     # ---------------------------------------------------------------- append
     def append(self, record: dict) -> None:
-        """Durably append one record (flush + fsync before returning)."""
+        """Durably append one record (flush + fsync before returning),
+        then ring the doorbell."""
         data = json.dumps(record, sort_keys=True).encode() + b"\n"
         with self._lock:
             with open(self.path, "a+b") as fh:
@@ -103,6 +116,27 @@ class WriteAheadLog:
                 fh.flush()
                 # repro: lint-ignore[RPR011]: append ordering IS the durability contract — the lock must cover write+flush+fsync so acknowledged records reach disk in queue order
                 os.fsync(fh.fileno())
+        self.ring()
+
+    def ring(self) -> None:
+        """Poke the doorbell FIFO: wake a daemon waiting on this log.
+
+        Best effort and never blocking: every ``OSError`` is ignored (no
+        FIFO yet, no reader after a ``kill -9``, a full pipe that
+        already holds a wake), and a path that is not a FIFO gets no
+        byte.  A lost poke costs the daemon at most one poll interval.
+        """
+        try:
+            fd = os.open(self.wake_path, os.O_WRONLY | os.O_NONBLOCK)
+        except OSError:
+            return
+        try:
+            if stat.S_ISFIFO(os.fstat(fd).st_mode):
+                os.write(fd, b"\0")
+        except OSError:
+            pass
+        finally:
+            os.close(fd)
 
     # ----------------------------------------------------------------- read
     def poll(self) -> list[dict]:

@@ -10,9 +10,25 @@ from repro.core import (
     SweepEngine,
     validate_store,
 )
+from repro.core.profiles import ProfileCache, run_algorithm_ledger
 from repro.core.runner import RunPoint
+from repro.core.study import ALGORITHM_NAMES
+from repro.machine.presets import ALL_PRESETS
 
 CFG = StudyConfig(name="t", algorithms=("threshold",), sizes=(12,))
+
+#: The cells each preset quarantines over the paper's 40-120 W grid at
+#: 12^3: caps below the preset's RAPL floor (50 W, 120 W) whose clamped
+#: runs draw more than the cap.
+BELOW_FLOOR = {
+    "skylake": {alg: (40.0,) for alg in ALGORITHM_NAMES},
+    "manycore": {
+        **{alg: (60.0, 50.0, 40.0) for alg in ("contour", "threshold", "clip", "isovolume", "slice")},
+        "advection": (90.0, 80.0, 70.0, 60.0, 50.0, 40.0),
+        "raytrace": (80.0, 70.0, 60.0, 50.0, 40.0),
+        "volume": (90.0, 80.0, 70.0, 60.0, 50.0, 40.0),
+    },
+}
 
 
 @pytest.fixture(scope="module")
@@ -74,6 +90,44 @@ class TestPointInvariants:
     def test_llc_rate_out_of_range(self, clean):
         bad, key = swap(clean, 4, llc_miss_rate=1.5)
         assert "llc-rate-out-of-range" in codes_at(PointValidator().check_result(bad), key)
+
+
+class TestCapBelowFloor:
+    """A cap below the RAPL floor is clamped up to the floor: its point
+    is quarantined with its own reason, not as a power defect."""
+
+    @pytest.fixture(scope="class")
+    def ledgers(self):
+        cache = ProfileCache(None)
+        for alg in ALGORITHM_NAMES:
+            cache.put(alg, 12, run_algorithm_ledger(alg, 12))
+        return cache
+
+    @pytest.mark.parametrize("preset", sorted(BELOW_FLOOR))
+    def test_presets_quarantine_below_floor_cells_as_such(self, preset, ledgers, tmp_path):
+        spec = ALL_PRESETS[preset]
+        store = tmp_path / "s.jsonl"
+        config = StudyConfig(name="floor", algorithms=ALGORITHM_NAMES, sizes=(12,))
+        SweepEngine(spec, n_cycles=2, workers=0, store=store, profile_cache=ledgers).run(config)
+        quarantined = ResultStore(store).quarantined()
+        expected = {(alg, 12, cap) for alg, caps in BELOW_FLOOR[preset].items() for cap in caps}
+        assert {p.key for p, _ in quarantined} == expected
+        assert len(quarantined) == len(expected)
+        for point, reasons in quarantined:
+            assert [r["code"] for r in reasons] == ["cap-below-floor"]
+            message = reasons[0]["message"]
+            assert f"cap {point.cap_w:g}W" in message
+            assert f"RAPL floor {spec.rapl_floor_watts:g}W" in message
+
+    def test_power_past_the_floor_is_still_over_cap(self, clean):
+        # Broadwell's floor is 40 W: a 30 W cap may draw up to the
+        # floor's tolerance, and no further.
+        validator = PointValidator()
+        point = clean.points[4]
+        at_floor = mutate(point, cap_w=30.0, power_w=40.5)
+        past_floor = mutate(point, cap_w=30.0, power_w=45.0)
+        assert [v.code for v in validator.check_point(at_floor)] == ["cap-below-floor"]
+        assert [v.code for v in validator.check_point(past_floor)] == ["power-over-cap"]
 
 
 class TestGroupInvariants:

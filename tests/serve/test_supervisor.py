@@ -316,4 +316,6 @@ class TestMetrics:
         with pytest.raises(ValueError):
             Supervisor(wal, state, runner, lease_s=0.0)
         with pytest.raises(ValueError):
+            Supervisor(wal, state, runner, poll_interval_s=-1.0)
+        with pytest.raises(ValueError):
             Supervisor(wal, state, runner, breaker_threshold=0)
