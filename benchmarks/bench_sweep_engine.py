@@ -16,7 +16,6 @@ import itertools
 
 import pytest
 
-from repro import api
 from repro.core import StudyConfig, SweepEngine
 from repro.core.profiles import ProfileCache, profile_from_ledger
 from repro.core.runner import make_run_point
@@ -32,11 +31,11 @@ def _config() -> StudyConfig:
 def bench_sweep_engine_warm_resume(benchmark, tmp_path_factory):
     cfg = _config()
     store = tmp_path_factory.mktemp("store") / "bench.jsonl"
-    engine = api.sweep_engine(store=store, n_cycles=8)
+    engine = SweepEngine(store=store, n_cycles=8)
     cold = engine.run(cfg)
 
     def warm():
-        e = api.sweep_engine(store=store, n_cycles=8)
+        e = SweepEngine(store=store, n_cycles=8)
         return e.run(cfg)
 
     result = benchmark(warm)

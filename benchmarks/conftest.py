@@ -18,7 +18,7 @@ from repro.core.profiles import DEFAULT_CACHE_PATH
 
 @pytest.fixture(scope="session")
 def engine() -> SweepEngine:
-    return api.sweep_engine(workers=0, cache=DEFAULT_CACHE_PATH)
+    return SweepEngine(workers=0, profile_cache=DEFAULT_CACHE_PATH)
 
 
 @pytest.fixture(scope="session")

@@ -56,7 +56,6 @@ __all__ = [
     "classify_study",
     "regenerate_tables",
     "resolve_config",
-    "sweep_engine",
     "run_chaos",
     "run_service_chaos",
     "run_governor_chaos",
@@ -67,49 +66,14 @@ __all__ = [
     "submit_study",
 ]
 
-def sweep_engine(
-    *,
-    workers: int | None = None,
-    store: ResultStore | str | Path | None = None,
-    cache: str | Path | None = None,
-    spec=None,
-    dataset_kind: str = "blobs",
-    n_cycles: int = DEFAULT_VIZ_CYCLES,
-    seed: int = 7,
-    timeout_s: float | None = None,
-    max_retries: int = 2,
-    progress=None,
-    trace=None,
-    samples: bool = False,
-) -> SweepEngine:
-    """A configured :class:`SweepEngine` (the facade's construction point).
-
-    ``trace`` (a :class:`~repro.obs.trace.Tracer` or a path) records
-    spans/events; ``samples=True`` stores each point's segment records
-    with it, read back as 100 ms power samples (see :mod:`repro.obs`).
-    """
-    return SweepEngine(
-        spec,
-        dataset_kind=dataset_kind,
-        n_cycles=n_cycles,
-        seed=seed,
-        workers=workers,
-        timeout_s=timeout_s,
-        max_retries=max_retries,
-        store=store,
-        profile_cache=ProfileCache(cache),
-        progress=progress,
-        trace=trace,
-        samples=samples,
-    )
-
 
 @dataclass(frozen=True)
 class StudyRequest:
     """Everything :func:`run_study` needs, as one typed value, so call
     sites can build, store, and pass sweep configurations as data.
-    Fields other than ``config`` and ``resume`` are
-    :func:`sweep_engine`'s keywords.
+    Fields other than ``config``, ``resume`` and ``cache`` are
+    :class:`~repro.core.engine.SweepEngine`'s keywords; ``cache`` is its
+    ``profile_cache``.
     """
 
     config: StudyConfig | str = "phase2"
@@ -146,14 +110,14 @@ def run_study(config: StudyRequest | StudyConfig | str = "phase2") -> StudyResul
     as its power/frequency sample stream.
     """
     request = config if isinstance(config, StudyRequest) else StudyRequest(config=config)
-    engine = sweep_engine(
-        workers=request.workers,
-        store=request.store,
-        cache=request.cache,
-        spec=request.spec,
+    engine = SweepEngine(
+        request.spec,
         dataset_kind=request.dataset_kind,
         n_cycles=request.n_cycles,
         seed=request.seed,
+        workers=request.workers,
+        store=request.store,
+        profile_cache=request.cache,
         progress=request.progress,
         trace=request.trace,
         samples=request.samples,
@@ -279,7 +243,9 @@ def advisor(
     :class:`~repro.core.profiles.ProfileCache`; None keeps it in
     memory).  A sweep's cache file serves it as it is, and advisors for
     different machines can share one store: no machine enters a
-    ledger.  Pass one instance to every advisor on a file.
+    ledger.  Any number of handles may write one file; advisors that
+    share one instance also share its ledgers in memory, so one query's
+    ledger is a hit for the next query on any machine.
     """
     if machine not in ALL_PRESETS:
         raise ValueError(
@@ -488,7 +454,7 @@ def regenerate_tables(
     unknown = set(tables) - set(PHASE_NAMES)
     if unknown:
         raise ValueError(f"unknown table(s) {sorted(unknown)}; expected {PHASE_NAMES}")
-    engine = sweep_engine(workers=workers, cache=cache, n_cycles=n_cycles)
+    engine = SweepEngine(workers=workers, profile_cache=cache, n_cycles=n_cycles)
     out: dict[str, StudyResult] = {}
     for name in tables:
         out[name] = engine.run(resolve_config(name))

@@ -231,10 +231,10 @@ def cmd_sweep(args) -> None:
     if args.governor:
         config = _governed_config(config, args)
     store = args.store or str(Path(".cache") / f"sweep-{config.name}.jsonl")
-    engine = api.sweep_engine(
+    engine = SweepEngine(
         workers=args.workers,
         store=store,
-        cache=args.cache or None,
+        profile_cache=args.cache or None,
         n_cycles=args.cycles,
         progress=_sweep_progress,
         trace=args.trace,
@@ -599,8 +599,8 @@ def _render_advise(resp) -> str:
 def cmd_advise(args) -> int:
     import json as _json
 
-    # One store for every machine's advisor: each store instance
-    # rewrites the whole file from its own entries.
+    # One store for every machine's advisor, so a ledger one query
+    # records is a hit for the next query on any machine.
     store = ProfileCache(args.cache or None)
     advisors: dict[str, object] = {}
 
@@ -1032,7 +1032,7 @@ def main(argv: list[str] | None = None) -> int:
         cmd_sweep(args)
         return 0
 
-    engine = api.sweep_engine(workers=0, cache=args.cache or None, n_cycles=args.cycles)
+    engine = SweepEngine(workers=0, profile_cache=args.cache or None, n_cycles=args.cycles)
     commands = list(_COMMANDS) if args.command == "all" else [args.command]
     for i, name in enumerate(commands):
         if i:

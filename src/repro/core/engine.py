@@ -277,10 +277,11 @@ class SweepEngine:
         :class:`ResultStore` or path for streamed, resumable results
         (None = in-memory only).
     profile_cache:
-        Shared :class:`ProfileCache` of op ledgers (None = private,
-        in-memory only).  It is bound to this engine's
-        ``(dataset_kind, seed)``; a cache filled under another recipe
-        raises ``ValueError``.
+        :class:`ProfileCache` of op ledgers, or a path to open one on
+        (None = private, in-memory only).  Any number of engines and
+        processes may share its file: each recorded ledger merges into
+        it.  It is bound to this engine's ``(dataset_kind, seed)``; a
+        cache filled under another recipe raises ``ValueError``.
     faults:
         Optional :class:`repro.faults.FaultPlan` (duck-typed: anything
         with ``wrap_job``/``corrupt_point``).  Wraps every job and shard
@@ -332,7 +333,7 @@ class SweepEngine:
         backoff_s: float = 0.05,
         shard_min_size: int = 256,
         store: ResultStore | str | os.PathLike | None = None,
-        profile_cache: ProfileCache | None = None,
+        profile_cache: ProfileCache | str | os.PathLike | None = None,
         faults=None,
         progress=None,
         trace: Tracer | str | os.PathLike | None = None,
@@ -356,7 +357,7 @@ class SweepEngine:
             raise ValueError("shard_min_size must be positive")
         self.shard_min_size = int(shard_min_size)
         self.store = ResultStore(store) if store is not None and not isinstance(store, ResultStore) else store
-        self.profile_cache = profile_cache if profile_cache is not None else ProfileCache(None)
+        self.profile_cache = profile_cache if isinstance(profile_cache, ProfileCache) else ProfileCache(profile_cache)
         self.profile_cache.bind(dataset_kind, seed)
         self.faults = faults
         self.validator = PointValidator(self.spec)

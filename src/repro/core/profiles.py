@@ -20,10 +20,10 @@ This module owns that bridge for the whole repo:
 * :func:`profile_from_ledger` — ledger → cycle-scaled
   :class:`~repro.workload.WorkProfile`, the single pricing path used by
   the engine and the facade.
-* :class:`ProfileCache` — the one ledger store: a versioned JSON cache
-  shared by every engine and advisor over the same file
-  (``DEFAULT_CACHE_PATH`` for the CLI), bound to the one dataset recipe
-  its ledgers were recorded under.  No machine enters its key: a ledger
+* :class:`ProfileCache` — the one ledger store: a versioned JSON file
+  (``DEFAULT_CACHE_PATH`` for the CLI) that holds the union of every
+  handle's puts, in any process, bound to the one dataset recipe its
+  ledgers were recorded under.  No machine enters its key: a ledger
   counts operations, and any socket prices them.
 """
 
@@ -36,7 +36,7 @@ from pathlib import Path
 from ..data.fields import DataSet
 from ..data.generators import make_dataset
 from ..data.grid import UniformGrid
-from ..obs.durable import atomic_write_json
+from ..obs.durable import atomic_write_json, file_lock
 from ..obs.trace import log_event
 from ..viz import ALGORITHMS
 from ..viz.base import OpCounts
@@ -156,38 +156,47 @@ class ProfileCache:
     ``path=None`` keeps the cache in memory only.  Entries are keyed by
     (algorithm, size) alone, so the cache also records the dataset
     recipe — ``(dataset_kind, seed)`` — its ledgers were recorded under
-    and refuses to serve another one (:meth:`bind`).  Keep one instance
-    per file in a process: each instance rewrites the whole file from
-    its own entries.
+    and refuses to serve another one (:meth:`bind`).
+
+    Any number of handles, in any number of threads and processes, may
+    share one file.  Opening a handle reads the file; each :meth:`put`
+    reads it again, merges this handle's entries into it and replaces
+    it, all under the file's writer lock
+    (:func:`~repro.obs.durable.file_lock`).  So the file holds the union
+    of every handle's puts, and the handle keeps the union it wrote.
+    :meth:`get` and :meth:`entries` read the handle's memory only and
+    never wait on the file.
     """
 
     FORMAT = "repro-profile-cache"
     VERSION = 1
 
     def __init__(self, path: str | Path | None = None):
-        # Shared between engines, advisors, service workers and
-        # chaos-drill threads, so every _entries/_recipe access goes
-        # through this lock.
+        # Guards _entries and _recipe only: never held across file I/O
+        # or the file lock, so readers never wait on a write.
         self._lock = threading.Lock()
         self._entries: dict[str, dict[str, float]] = {}
         self._recipe: tuple[str, int] | None = None
-        # Write-behind persist state (see _persist): guarded by _lock.
-        self._persist_active = False
-        self._persist_pending = False
-        self.path: Path | None = None
-        if path is None:
-            return
-        self.path = Path(path)
-        if self.path.exists():
-            self._load_json(self.path)
+        self.path = Path(path) if path is not None else None
+        if self.path is not None and self.path.exists():
+            with file_lock(self.path):
+                self._entries, self._recipe = self._read()
 
     @staticmethod
     def _key(algorithm: str, size: int) -> str:
         return f"{algorithm}/{int(size)}"
 
-    def _load_json(self, p: Path) -> None:
+    def _read(self) -> tuple[dict[str, dict[str, float]], tuple[str, int] | None]:
+        """The file's (entries, recipe); empty when there is no file or it is torn.
+
+        The caller holds the file lock.  A file that is valid JSON but
+        not a cache raises ``ValueError`` naming it, and is left as it is.
+        """
+        p = self.path
         try:
             doc = json.loads(p.read_text())
+        except FileNotFoundError:
+            return {}, None
         except json.JSONDecodeError as exc:
             # A torn write (crash mid-flush on a cache saved before saves
             # were atomic, or a tool truncating the file) must not brick a
@@ -206,61 +215,53 @@ class ProfileCache:
                 p.replace(corrupt)
             except OSError:
                 pass  # read-only cache dir: the warning above still fired
-            return
-        if doc.get("format") != self.FORMAT:
-            raise ValueError(f"{p} is not a profile cache (format={doc.get('format')!r})")
+            return {}, None
+        fields = doc if isinstance(doc, dict) else {}
+        if fields.get("format") != self.FORMAT:
+            raise ValueError(f"{p} is not a profile cache (format={fields.get('format')!r})")
         if int(doc.get("version", 1)) > self.VERSION:
             raise ValueError(
                 f"{p} has cache version {doc['version']}, newer than supported {self.VERSION}"
             )
+        entries = doc.get("entries")
+        if not isinstance(entries, dict) or not all(isinstance(v, dict) for v in entries.values()):
+            raise ValueError(f"{p} is not a profile cache: 'entries' must map keys to ledger objects")
         recipe = doc.get("recipe")
-        with self._lock:
-            self._entries = {k: dict(v) for k, v in doc["entries"].items()}
-            if recipe is not None:
-                self._recipe = (str(recipe["dataset_kind"]), int(recipe["seed"]))
+        if recipe is not None:
+            recipe = (str(recipe["dataset_kind"]), int(recipe["seed"]))
+        return {k: dict(v) for k, v in entries.items()}, recipe
 
-    def _persist(self) -> None:
-        """Write-behind persist: snapshot under the lock, write outside it.
+    def _save(self) -> None:
+        """One read-merge-replace of the file, under its writer lock.
 
-        Holding ``_lock`` across the atomic write (flush + fsync) would
-        stall every reader behind disk latency — the blocking-under-lock
-        hazard RPR011 flags.  Instead one writer at a time drains: it
-        snapshots the entries under the lock, writes with no lock held,
-        and loops if a put landed mid-write, so the file always
-        converges to the latest state and an older snapshot can never
-        replace a newer one.
+        A file stamped with another recipe raises the :meth:`bind`
+        error and is left as it is.
         """
         if self.path is None:
             return
-        with self._lock:
-            if self._persist_active:
-                self._persist_pending = True
-                return
-            self._persist_active = True
-        try:
-            while True:
-                with self._lock:
-                    self._persist_pending = False
-                    entries = {k: dict(v) for k, v in self._entries.items()}
-                    recipe = self._recipe
-                doc = {"format": self.FORMAT, "version": self.VERSION, "entries": entries}
-                if recipe is not None:
-                    doc["recipe"] = {"dataset_kind": recipe[0], "seed": recipe[1]}
-                # Temp-file + os.replace (+ fsync): a crashed writer can
-                # never leave a truncated cache — readers see the old
-                # complete document or the new one, nothing in between
-                # (the same crash-safety contract the ResultStore makes).
-                atomic_write_json(self.path, doc)
-                with self._lock:
-                    if not self._persist_pending:
-                        self._persist_active = False
-                        return
-        except BaseException:
-            # A failed write must not leave the drain claimed: the next
-            # put writes everything, this one's entry included.
+        with file_lock(self.path):
+            entries, recipe = self._read()
             with self._lock:
-                self._persist_active = False
-            raise
+                if recipe is not None and self._recipe not in (None, recipe):
+                    raise self._recipe_error(recipe, self._recipe)
+                self._recipe = self._recipe or recipe
+                self._entries = {**entries, **self._entries}
+                doc = {"format": self.FORMAT, "version": self.VERSION, "entries": dict(self._entries)}
+                if self._recipe is not None:
+                    doc["recipe"] = {"dataset_kind": self._recipe[0], "seed": self._recipe[1]}
+            # Temp-file + os.replace (+ fsync): a crashed writer can
+            # never leave a truncated cache — readers see the old
+            # complete document or the new one, nothing in between.
+            # repro: lint-ignore[RPR011]: a cross-process file lock, not an in-process one; it serializes this file's writers and only another writer waits on it, never get or entries
+            atomic_write_json(self.path, doc)
+
+    def _recipe_error(self, held: tuple[str, int], wanted: tuple[str, int]) -> ValueError:
+        where = self.path if self.path is not None else "(in memory)"
+        return ValueError(
+            f"profile cache {where} holds ledgers of dataset_kind={held[0]!r} "
+            f"seed={held[1]}, not dataset_kind={wanted[0]!r} seed={wanted[1]}; "
+            "use one cache per dataset recipe"
+        )
 
     def bind(self, dataset_kind: str, seed: int) -> None:
         """Tie the cache to the dataset recipe of the engine or advisor using it.
@@ -277,12 +278,7 @@ class ProfileCache:
             if bound is None:
                 self._recipe = recipe
         if bound is not None and bound != recipe:
-            where = self.path if self.path is not None else "(in memory)"
-            raise ValueError(
-                f"profile cache {where} holds ledgers of dataset_kind={bound[0]!r} "
-                f"seed={bound[1]}, not dataset_kind={recipe[0]!r} seed={recipe[1]}; "
-                "use one cache per dataset recipe"
-            )
+            raise self._recipe_error(bound, recipe)
 
     # ------------------------------------------------------------------ access
     def get(self, algorithm: str, size: int) -> dict[str, float] | None:
@@ -293,7 +289,7 @@ class ProfileCache:
     def put(self, algorithm: str, size: int, ledger: dict[str, float]) -> None:
         with self._lock:
             self._entries[self._key(algorithm, size)] = dict(ledger)
-        self._persist()
+        self._save()
 
     def entries(self):
         """Iterate ``(algorithm, size, ledger)`` over every cached entry."""
@@ -321,7 +317,7 @@ class ProfileCache:
             added = {k: v for k, v in incoming.items() if k not in self._entries}
             self._entries.update(added)
         if added:
-            self._persist()
+            self._save()
         return len(added)
 
     def __contains__(self, key: tuple[str, int]) -> bool:

@@ -7,7 +7,9 @@ The artifacts written through this module are of two kinds.
   :func:`atomic_write_text` / :func:`atomic_write_bytes` /
   :func:`atomic_write_json`: write a sibling temp file, fsync it, then
   ``os.replace`` it over the target, so a reader only ever sees the old
-  complete document or the new one.
+  complete document or the new one.  A document that several writers
+  read, merge and replace (the profile cache) is written under
+  :func:`file_lock`.
 * **JSON-lines logs** (the result store, whose records are points,
   points with their segment records, and quarantined points; the
   trace; the signal trace) are framed by :class:`JsonlFile`: a header
@@ -34,17 +36,21 @@ repairs a torn tail with a newline instead of truncating it.
 
 from __future__ import annotations
 
+import fcntl
 import json
 import os
+import re
 import tempfile
+from contextlib import contextmanager
 from pathlib import Path
 
-__all__ = ["JsonlFile", "atomic_write_text", "atomic_write_bytes", "atomic_write_json"]
+__all__ = ["JsonlFile", "atomic_write_text", "atomic_write_bytes", "atomic_write_json", "file_lock"]
 
 
 def _atomic_write(path: str | Path, payload, mode: str) -> None:
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
+    # file_lock's stale-temp pattern matches exactly this name shape.
     fd, tmp_name = tempfile.mkstemp(
         dir=target.parent, prefix=target.name + ".", suffix=".tmp"
     )
@@ -81,6 +87,37 @@ def atomic_write_bytes(path: str | Path, data: bytes) -> None:
 def atomic_write_json(path: str | Path, doc: dict, *, indent: int | None = None) -> None:
     """Serialize ``doc`` (sorted keys) and atomically write it to ``path``."""
     atomic_write_text(path, json.dumps(doc, sort_keys=True, indent=indent))
+
+
+@contextmanager
+def file_lock(path: str | Path):
+    """Hold the exclusive writer lock of the document at ``path``.
+
+    The lock is an ``fcntl.flock`` on the document's directory: the
+    document is replaced on every write, so its own inode cannot carry
+    a lock, and the directory needs no lock file.  Each call opens its
+    own descriptor, so the lock excludes other threads as well as other
+    processes; it is released when the block exits or its holder dies.
+    Every writer of ``path`` must hold it.  A reader need not: a
+    replace is atomic.
+
+    On taking the lock, this removes the temp files that a writer killed
+    inside :func:`atomic_write_text` left beside ``path`` (only names of
+    the exact ``mkstemp`` shape ``<name>.XXXXXXXX.tmp``): while the lock
+    is held, no live writer owns one.
+    """
+    target = Path(path)
+    target.parent.mkdir(parents=True, exist_ok=True)
+    fd = os.open(target.parent, os.O_RDONLY | os.O_DIRECTORY)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX)
+        stale = re.compile(re.escape(target.name) + r"\.[a-z0-9_]{8}\.tmp")
+        for name in os.listdir(target.parent):
+            if stale.fullmatch(name):
+                os.unlink(target.parent / name)
+        yield
+    finally:
+        os.close(fd)
 
 
 def _line(record: dict) -> str:

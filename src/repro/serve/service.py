@@ -41,14 +41,12 @@ ledgers, so surviving points are identical to an uninterrupted run.
 
 from __future__ import annotations
 
-import threading
 import time
 import uuid
 from dataclasses import dataclass
 from pathlib import Path
 
 from ..core.engine import SweepEngine
-from ..core.profiles import ProfileCache
 from ..core.runner import DEFAULT_VIZ_CYCLES
 from ..core.study import StudyConfig
 from ..obs.durable import atomic_write_json
@@ -122,11 +120,6 @@ class SweepService:
             backoff_cap_s=backoff_cap_s,
             injector=injector,
         )
-        # One ledger cache per dataset recipe for the service's lifetime,
-        # shared by concurrent jobs: a store per job would rewrite the
-        # file from its own entries and drop the other jobs' ledgers.
-        self._caches: dict[tuple[str, int], ProfileCache] = {}
-        self._caches_lock = threading.Lock()
 
     # ---------------------------------------------------------------- state
     def refresh(self) -> None:
@@ -258,16 +251,6 @@ class SweepService:
     def store_path(self, job_id: str) -> Path:
         return self.spool / "stores" / f"{job_id}.jsonl"
 
-    def _profile_cache(self, dataset_kind: str, seed: int) -> ProfileCache:
-        # A ProfileCache holds one dataset recipe's ledgers (binding
-        # another raises), so each recipe gets its own file.
-        with self._caches_lock:
-            cache = self._caches.get((dataset_kind, seed))
-            if cache is None:
-                cache = ProfileCache(self.spool / f"profiles-{dataset_kind}-{seed}.json")
-                self._caches[(dataset_kind, seed)] = cache
-            return cache
-
     def _run_job(self, job, progress=None) -> dict:
         spec = job.spec
         config = StudyConfig.from_dict(spec["study"])
@@ -280,7 +263,9 @@ class SweepService:
             seed=seed,
             workers=0,
             store=store,
-            profile_cache=self._profile_cache(dataset_kind, seed),
+            # A ledger file holds one dataset recipe's ledgers (binding
+            # another raises), so each recipe gets its own file.
+            profile_cache=self.spool / f"profiles-{dataset_kind}-{seed}.json",
             progress=progress,
             trace=self.tracer,
             metrics=self.metrics,

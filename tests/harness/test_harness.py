@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro import api
 from repro.core import StudyConfig, SweepEngine
 from repro.core.profiles import ProfileCache, profile_from_ledger, run_algorithm_ledger
 from repro.core.study import effective_sizes
@@ -58,16 +57,16 @@ class TestHarnessCache:
     def test_cached_profile_matches_fresh(self, tmp_path, study_profile):
         cache = tmp_path / "counts.json"
         cfg = StudyConfig(name="s", algorithms=("clip",), sizes=(12,))
-        api.sweep_engine(workers=0, cache=cache, n_cycles=3).run(cfg)
+        SweepEngine(workers=0, profile_cache=cache, n_cycles=3).run(cfg)
         fresh = study_profile("clip", 12, n_cycles=3)
-        ledger = api.sweep_engine(workers=0, cache=cache, n_cycles=3).profile_cache.get("clip", 12)
+        ledger = SweepEngine(workers=0, profile_cache=cache, n_cycles=3).profile_cache.get("clip", 12)
         cached = profile_from_ledger("clip", 12, ledger, n_cycles=3)
         assert [s.name for s in cached] == [s.name for s in fresh]
         # Ledger reconstruction is the single pricing path: exact, not approx.
         assert cached.total_instructions == fresh.total_instructions
 
     def test_no_cache_path(self):
-        e = api.sweep_engine(workers=0, cache=None, n_cycles=1)
+        e = SweepEngine(workers=0, profile_cache=None, n_cycles=1)
         assert e.profile_cache.path is None
         e.run(StudyConfig(name="s", algorithms=("threshold",), sizes=(12,)))
         assert e.stats.profile_jobs_run == 1
@@ -76,9 +75,9 @@ class TestHarnessCache:
     def test_sweep_uses_cache(self, tmp_path):
         cache = tmp_path / "c.json"
         cfg = StudyConfig(name="s", algorithms=("threshold",), sizes=(12,))
-        res = api.sweep_engine(workers=0, cache=cache, n_cycles=1).run(cfg)
+        res = SweepEngine(workers=0, profile_cache=cache, n_cycles=1).run(cfg)
         assert len(res.points) == 9
-        again = api.sweep_engine(workers=0, cache=cache, n_cycles=1)
+        again = SweepEngine(workers=0, profile_cache=cache, n_cycles=1)
         again.run(cfg)
         assert again.stats.profile_jobs_cached == 1
 

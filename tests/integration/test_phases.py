@@ -5,13 +5,14 @@ path the CLI table commands use — including the ledger cache round trip."""
 import pytest
 
 from repro import api
+from repro.core import SweepEngine
 from repro.harness import result_to_csv
 
 
 @pytest.fixture(scope="module")
 def engine(tmp_path_factory):
     cache = tmp_path_factory.mktemp("cache") / "counts.json"
-    return api.sweep_engine(workers=0, cache=cache, n_cycles=3)
+    return SweepEngine(workers=0, profile_cache=cache, n_cycles=3)
 
 
 @pytest.fixture(autouse=True)
@@ -46,7 +47,7 @@ class TestPhases:
     def test_results_are_cache_stable(self, engine):
         """A second engine over the same cache reproduces the sweep."""
         a = run(engine, "table1")
-        fresh = api.sweep_engine(workers=0, cache=engine.profile_cache.path, n_cycles=3)
+        fresh = SweepEngine(workers=0, profile_cache=engine.profile_cache.path, n_cycles=3)
         b = run(fresh, "table1")
         assert fresh.stats.profile_jobs_run == 0
         for pa, pb in zip(a.points, b.points):

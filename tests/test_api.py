@@ -5,7 +5,7 @@ import pytest
 import repro
 from repro import api
 from repro.api import StudyRequest
-from repro.core import ResultStore, StudyConfig
+from repro.core import ResultStore, StudyConfig, SweepEngine
 
 SMALL = StudyConfig(name="small", algorithms=("threshold", "contour"), sizes=(12,))
 
@@ -79,7 +79,7 @@ class TestRoundTrip:
     def test_resume_through_facade(self, tmp_path):
         store = tmp_path / "store.jsonl"
         api.run_study(StudyRequest(SMALL, n_cycles=2, store=store))
-        engine = api.sweep_engine(n_cycles=2, store=store)
+        engine = SweepEngine(n_cycles=2, store=store)
         engine.run(api.resolve_config(SMALL))
         assert engine.stats.profile_jobs_run == 0
         assert engine.stats.points_resumed == SMALL.n_configurations
