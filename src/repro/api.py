@@ -387,31 +387,18 @@ def doctor(path: str | Path, *, quarantine: bool = False) -> ValidationReport:
     return validate_store(path, quarantine=quarantine)
 
 
-def lint(
-    paths=None,
-    *,
-    baseline: str | Path | None = None,
-    update_baseline: bool = False,
-    rules=None,
-    only=None,
-) -> LintReport:
+def lint(paths=None, *, rules=None, only=None) -> LintReport:
     """Run the contract-aware static-analysis gate (``repro lint``).
 
     Lints the given files/directories (default: the installed ``repro``
     package) against the RPR rule set and returns a
     :class:`~repro.lint.runner.LintReport`; ``report.ok`` is the gate.
-    ``baseline`` grandfather-lists known findings;
-    ``update_baseline=True`` rewrites it from the current findings.
-    ``only`` narrows *reporting* to the given files while the whole
-    target set is still analysed (``repro lint --changed``).
+    A path that does not exist, or paths holding no ``*.py`` file,
+    raise ``FileNotFoundError``.  ``only`` narrows *reporting* to the
+    given files while the whole target set is still analysed
+    (``repro lint --changed``).
     """
-    return _lint_paths(
-        paths,
-        baseline_path=baseline,
-        update_baseline=update_baseline,
-        rules=rules,
-        only=only,
-    )
+    return _lint_paths(paths, rules=rules, only=only)
 
 
 def load_result(path: str | Path) -> StudyResult:

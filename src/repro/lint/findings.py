@@ -2,8 +2,8 @@
 
 A finding pins a rule code to a source location with a human-actionable
 message.  Findings are value objects — hashable, ordered by location,
-JSON round-trippable — so the runner can dedupe them, the baseline can
-fingerprint them, and the CI job can diff reports across runs.
+JSON round-trippable — so the runner can sort them, a justified pragma
+can suppress them, and the CI job can diff reports across runs.
 """
 
 from __future__ import annotations
@@ -20,7 +20,11 @@ PRAGMA_CODE = "RPR000"
 
 @dataclass(frozen=True)
 class Finding:
-    """One rule violation at one source location."""
+    """One rule violation at one source location.
+
+    It fails the gate unless a justified ``# repro: lint-ignore[...]``
+    pragma on its line suppresses it; nothing else exempts a finding.
+    """
 
     code: str  # "RPR002"
     path: str  # posix path relative to the package parent, e.g. "repro/core/report.py"

@@ -23,7 +23,7 @@ subclasses instead implement ``check_project(project)`` and receive a
 :class:`~repro.lint.analysis.project.ProjectContext` built over *every*
 file in the run — symbol table, call graph, thread roots — so they can
 reason across call and module boundaries (RPR008–RPR011).  Both kinds
-share the registry, pragma suppression and baseline machinery.
+share the registry and pragma suppression.
 """
 
 from __future__ import annotations
@@ -40,8 +40,6 @@ __all__ = [
     "Rule",
     "register",
     "all_rules",
-    "get_rule",
-    "rule_codes",
 ]
 
 
@@ -152,11 +150,3 @@ def all_rules(codes: Iterable[str] | None = None) -> tuple[Rule, ...]:
             raise KeyError(f"unknown lint rule {code!r}; known: {sorted(_RULES)}")
         out.append(_RULES[code])
     return tuple(sorted(out, key=lambda r: r.code))
-
-
-def get_rule(code: str) -> Rule:
-    return _RULES[code]
-
-
-def rule_codes() -> tuple[str, ...]:
-    return tuple(sorted(_RULES))

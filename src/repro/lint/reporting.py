@@ -17,18 +17,10 @@ __all__ = ["render_text", "render_stats", "render_json"]
 
 def render_text(report: LintReport, *, stats: bool = False) -> str:
     lines = [f.render() for f in report.findings]
-    if report.baselined:
-        lines.append(f"  ({len(report.baselined)} finding(s) grandfathered by the baseline)")
-    if report.expired:
-        lines.append(
-            f"  ({len(report.expired)} baseline entr(y/ies) expired — the debt was "
-            "paid; run `repro lint --update-baseline` to drop them)"
-        )
     verdict = "clean" if report.ok else f"{len(report.findings)} finding(s)"
     lines.append(
         f"lint: {verdict} — {report.files_scanned} files, "
-        f"{len(report.rules_run)} rules, {len(report.suppressed)} pragma-suppressed, "
-        f"{len(report.baselined)} baselined"
+        f"{len(report.rules_run)} rules, {len(report.suppressed)} pragma-suppressed"
     )
     if stats:
         lines.append("")

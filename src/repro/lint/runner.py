@@ -1,26 +1,27 @@
-"""The lint driver: walk sources, run rules, apply pragmas and baseline.
+"""The lint driver: walk sources, run rules, apply pragmas.
 
 :func:`lint_paths` is the whole pipeline behind ``repro lint``:
 
 1. collect ``*.py`` files under the given paths (default: the installed
-   ``repro`` package — i.e. ``src/repro`` in a checkout);
-2. parse every file up front (a file that does not parse yields a
-   single ``RPR000`` finding);
-3. run the per-file rules over each parsed file, then build one
+   ``repro`` package — i.e. ``src/repro`` in a checkout); a path that
+   does not exist, or paths that hold no ``*.py`` file, raise
+   ``FileNotFoundError``, so a mistyped path fails the gate instead of
+   passing it with nothing scanned;
+2. lint them in one pass (:func:`_lint_sources`): parse every file (a
+   file that does not parse yields a single ``RPR000`` finding), run the
+   per-file rules over each parsed file, then build one
    :class:`~repro.lint.analysis.project.ProjectContext` over *all*
-   parsed files and run the project-wide rules (RPR008–RPR011) on it;
-4. apply ``# repro: lint-ignore[...]`` pragmas per file (justified
+   parsed files and run the project-wide rules (RPR008–RPR011) on it,
+   and apply ``# repro: lint-ignore[...]`` pragmas per file (justified
    suppressions drop findings; defective pragmas *add* findings);
-5. optionally scope the surviving findings to a changed-file set
+3. optionally scope the surviving findings to a changed-file set
    (``repro lint --changed``) — the whole project is still analysed so
-   cross-file rules see every thread root, only the *reporting* narrows;
-6. partition survivors against the baseline (new vs. grandfathered) and
-   note expired baseline entries;
-7. record the outcome in the :mod:`repro.obs.metrics` registry so a
-   sweep's metrics dump carries the static-analysis health of the code
-   that produced it.
+   cross-file rules see every thread root, only the *reporting* narrows.
 
-:func:`check_source` is the single-file slice of the same pipeline for
+A justified pragma is the only way to accept a finding: every other
+finding fails the run.
+
+:func:`check_source` runs the same pass over one in-memory source for
 tests and tooling; project rules run over a one-file project there.
 """
 
@@ -30,12 +31,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
-from ..obs.metrics import MetricsRegistry, get_registry
 from .analysis.project import ProjectContext
-from .baseline import DEFAULT_BASELINE_PATH, Baseline
 from .findings import PRAGMA_CODE, Finding
 from .pragmas import apply_pragmas, scan_pragmas
-from .registry import FileContext, ProjectRule, all_rules
+from .registry import FileContext, ProjectRule, Rule, all_rules
 
 __all__ = ["LintReport", "lint_paths", "check_source", "module_name_for"]
 
@@ -47,13 +46,10 @@ DEFAULT_TARGET = Path(__file__).resolve().parents[1]
 class LintReport:
     """Outcome of one lint run (``repro lint``'s return value)."""
 
-    findings: list[Finding] = field(default_factory=list)  # new, gate-breaking
-    baselined: list[Finding] = field(default_factory=list)
+    findings: list[Finding] = field(default_factory=list)  # gate-breaking
     suppressed: list[Finding] = field(default_factory=list)  # justified pragmas
-    expired: set[str] = field(default_factory=set)  # paid-off baseline entries
     files_scanned: int = 0
     rules_run: tuple[str, ...] = ()
-    baseline_path: str | None = None
 
     @property
     def ok(self) -> bool:
@@ -74,15 +70,12 @@ class LintReport:
     def to_json(self) -> dict:
         return {
             "format": "repro-lint-report",
-            "version": 1,
+            "version": 2,
             "ok": self.ok,
             "files_scanned": self.files_scanned,
             "rules_run": list(self.rules_run),
-            "baseline_path": self.baseline_path,
             "findings": [f.to_dict() for f in self.findings],
-            "baselined": [f.to_dict() for f in self.baselined],
             "suppressed": [f.to_dict() for f in self.suppressed],
-            "expired_baseline_entries": sorted(self.expired),
             "stats": {"by_rule": self.counts_by_rule(), "by_file": self.counts_by_file()},
         }
 
@@ -109,30 +102,80 @@ def module_name_for(path: Path) -> tuple[str, bool, Path]:
 def _iter_py_files(target: Path) -> list[Path]:
     if target.is_file():
         return [target] if target.suffix == ".py" else []
-    return sorted(p for p in target.rglob("*.py") if "__pycache__" not in p.parts)
+    return [p for p in target.rglob("*.py") if "__pycache__" not in p.parts]
 
 
-def _split_rules(selected) -> tuple[list, list]:
+def _collect_files(targets: list[Path]) -> list[Path]:
+    """The distinct ``*.py`` files under ``targets``, resolved and sorted.
+
+    Raises ``FileNotFoundError`` naming every target that does not
+    exist, or when the targets hold no ``*.py`` file at all.
+    """
+    missing = [str(t) for t in targets if not t.exists()]
+    if missing:
+        raise FileNotFoundError(f"no such path: {', '.join(missing)}")
+    files = {f.resolve() for t in targets for f in _iter_py_files(t)}
+    if not files:
+        raise FileNotFoundError(f"no python files in {', '.join(str(t) for t in targets)}")
+    return sorted(files)
+
+
+def _lint_sources(
+    sources: list[tuple[str, str, str, bool]], selected: tuple[Rule, ...]
+) -> tuple[list[Finding], list[Finding]]:
+    """Lint ``(source, relpath, module, is_package)`` entries as one project.
+
+    Returns (kept, suppressed), each sorted by location.  A source that
+    does not parse yields one ``RPR000`` finding and is left out of the
+    analysis.
+    """
+    kept: list[Finding] = []
+    contexts: list[FileContext] = []
+    for source, relpath, module, is_package in sources:
+        try:
+            contexts.append(
+                FileContext.from_source(
+                    source, relpath=relpath, module=module, is_package=is_package
+                )
+            )
+        except SyntaxError as exc:
+            kept.append(
+                Finding(
+                    code=PRAGMA_CODE,
+                    path=relpath,
+                    line=exc.lineno or 1,
+                    col=exc.offset or 0,
+                    message=f"parse-error: {exc.msg}",
+                )
+            )
+
     file_rules = [r for r in selected if not isinstance(r, ProjectRule)]
     project_rules = [r for r in selected if isinstance(r, ProjectRule)]
-    return file_rules, project_rules
-
-
-def _run_rules(
-    contexts: list[FileContext], file_rules, project_rules
-) -> dict[str, list[Finding]]:
-    """Raw findings per relpath: per-file rules, then project rules."""
-    by_file: dict[str, list[Finding]] = {}
+    raw_by_file: dict[str, list[Finding]] = {}
     for ctx in contexts:
-        out = by_file.setdefault(ctx.relpath, [])
+        out = raw_by_file.setdefault(ctx.relpath, [])
         for rule in file_rules:
             out.extend(rule.check(ctx))
     if project_rules:
         project = ProjectContext(contexts)
         for rule in project_rules:
             for finding in rule.check_project(project):
-                by_file.setdefault(finding.path, []).append(finding)
-    return by_file
+                raw_by_file.setdefault(finding.path, []).append(finding)
+
+    known_codes = frozenset(r.code for r in selected)
+    suppressed: list[Finding] = []
+    for ctx in contexts:
+        k, s = apply_pragmas(
+            raw_by_file.get(ctx.relpath, []),
+            scan_pragmas(ctx.source),
+            relpath=ctx.relpath,
+            known_codes=known_codes,
+        )
+        kept.extend(k)
+        suppressed.extend(s)
+    kept.sort(key=lambda f: f.sort_key)
+    suppressed.sort(key=lambda f: f.sort_key)
+    return kept, suppressed
 
 
 def check_source(
@@ -145,43 +188,20 @@ def check_source(
 ) -> list[Finding]:
     """Lint one source string; returns the findings that survive pragmas.
 
-    Project rules run over a single-file project, so thread roots and
-    call edges inside the snippet are still discovered.
+    The same pass as :func:`lint_paths`, over a one-file project, so
+    thread roots and call edges inside the snippet are still discovered.
     """
-    selected = all_rules(rules)
-    try:
-        ctx = FileContext.from_source(
-            source, relpath=relpath, module=module, is_package=is_package
-        )
-    except SyntaxError as exc:
-        return [
-            Finding(
-                code=PRAGMA_CODE,
-                path=relpath,
-                line=exc.lineno or 1,
-                col=exc.offset or 0,
-                message=f"parse-error: {exc.msg}",
-            )
-        ]
-    file_rules, project_rules = _split_rules(selected)
-    raw = _run_rules([ctx], file_rules, project_rules).get(relpath, [])
-    kept, _suppressed = apply_pragmas(
-        raw,
-        scan_pragmas(source),
-        relpath=relpath,
-        known_codes=frozenset(r.code for r in selected),
+    kept, _suppressed = _lint_sources(
+        [(source, relpath, module, is_package)], all_rules(rules)
     )
-    return sorted(kept, key=lambda f: f.sort_key)
+    return kept
 
 
 def lint_paths(
     paths=None,
     *,
-    baseline_path: str | Path | None = None,
-    update_baseline: bool = False,
     rules=None,
     only: Iterable[str | Path] | None = None,
-    metrics: MetricsRegistry | None = None,
 ) -> LintReport:
     """Lint files/directories (default: the ``repro`` package). See module doc.
 
@@ -189,113 +209,25 @@ def lint_paths(
     ``repro lint --changed``); the full path set is still parsed and
     analysed so project-wide rules keep their whole-program view.
     """
-    targets = [Path(p) for p in paths] if paths else [DEFAULT_TARGET]
-    files: list[Path] = []
-    seen: set[Path] = set()
-    for t in targets:
-        for f in _iter_py_files(t):
-            r = f.resolve()
-            if r not in seen:
-                seen.add(r)
-                files.append(r)
-
+    files = _collect_files([Path(p) for p in paths] if paths else [DEFAULT_TARGET])
     selected = all_rules(rules)
-    file_rules, project_rules = _split_rules(selected)
-
-    contexts: list[FileContext] = []
-    sources: dict[str, str] = {}
+    sources: list[tuple[str, str, str, bool]] = []
     relpath_of: dict[str, Path] = {}
-    parse_failures: list[Finding] = []
-    for f in sorted(files):
+    for f in files:
         module, is_package, root = module_name_for(f)
         relpath = f.relative_to(root).as_posix()
         relpath_of[relpath] = f
-        source = f.read_text()
-        sources[relpath] = source
-        try:
-            contexts.append(
-                FileContext.from_source(
-                    source, relpath=relpath, module=module, is_package=is_package
-                )
-            )
-        except SyntaxError as exc:
-            parse_failures.append(
-                Finding(
-                    code=PRAGMA_CODE,
-                    path=relpath,
-                    line=exc.lineno or 1,
-                    col=exc.offset or 0,
-                    message=f"parse-error: {exc.msg}",
-                )
-            )
-
-    raw_by_file = _run_rules(contexts, file_rules, project_rules)
-
-    known_codes = frozenset(r.code for r in selected)
-    kept: list[Finding] = list(parse_failures)
-    suppressed: list[Finding] = []
-    context_by_path: dict[str, FileContext] = {c.relpath: c for c in contexts}
-    for ctx in contexts:
-        k, s = apply_pragmas(
-            raw_by_file.get(ctx.relpath, []),
-            scan_pragmas(sources[ctx.relpath]),
-            relpath=ctx.relpath,
-            known_codes=known_codes,
-        )
-        kept.extend(k)
-        suppressed.extend(s)
+        sources.append((f.read_text(), relpath, module, is_package))
+    kept, suppressed = _lint_sources(sources, selected)
 
     if only is not None:
         wanted = {Path(p).resolve() for p in only}
         kept = [f for f in kept if relpath_of.get(f.path) in wanted]
         suppressed = [f for f in suppressed if relpath_of.get(f.path) in wanted]
 
-    kept.sort(key=lambda f: f.sort_key)
-    suppressed.sort(key=lambda f: f.sort_key)
-
-    def line_lookup(finding: Finding) -> str:
-        ctx = context_by_path.get(finding.path)
-        return ctx.line(finding.line) if ctx is not None else ""
-
-    resolved_baseline: Path | None
-    if baseline_path is not None:
-        resolved_baseline = Path(baseline_path)
-    else:
-        resolved_baseline = DEFAULT_BASELINE_PATH if DEFAULT_BASELINE_PATH.exists() else None
-
-    if resolved_baseline is not None:
-        baseline = Baseline.load(resolved_baseline)
-        if update_baseline:
-            baseline = Baseline.from_findings(kept, line_lookup, path=resolved_baseline)
-            baseline.save()
-        new, baselined, expired = baseline.partition(kept, line_lookup)
-    else:
-        new, baselined, expired = kept, [], set()
-
-    report = LintReport(
-        findings=new,
-        baselined=baselined,
+    return LintReport(
+        findings=kept,
         suppressed=suppressed,
-        expired=expired,
         files_scanned=len(files),
         rules_run=tuple(r.code for r in selected),
-        baseline_path=str(resolved_baseline) if resolved_baseline is not None else None,
     )
-    _record_metrics(report, metrics if metrics is not None else get_registry())
-    return report
-
-
-def _record_metrics(report: LintReport, registry: MetricsRegistry) -> None:
-    """Expose the lint outcome through the observability layer."""
-    registry.counter("repro_lint_runs_total", "lint invocations in this process").inc()
-    registry.gauge(
-        "repro_lint_files_scanned", "files scanned by the most recent lint run"
-    ).set(report.files_scanned)
-    by_rule = report.counts_by_rule()
-    for code in (*report.rules_run, PRAGMA_CODE):
-        registry.gauge(
-            "repro_lint_findings", "open static-analysis findings by rule", rule=code
-        ).set(by_rule.get(code, 0))
-    registry.gauge(
-        "repro_lint_baselined", "findings grandfathered by the baseline"
-    ).set(len(report.baselined))

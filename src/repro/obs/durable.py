@@ -40,7 +40,6 @@ import fcntl
 import json
 import os
 import re
-import tempfile
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -50,10 +49,16 @@ __all__ = ["JsonlFile", "atomic_write_text", "atomic_write_bytes", "atomic_write
 def _atomic_write(path: str | Path, payload, mode: str) -> None:
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
-    # file_lock's stale-temp pattern matches exactly this name shape.
-    fd, tmp_name = tempfile.mkstemp(
-        dir=target.parent, prefix=target.name + ".", suffix=".tmp"
-    )
+    # Created with 0o666 so the umask sets the file's mode, as a plain
+    # open() does (mkstemp would force 0600).  file_lock's stale-temp
+    # pattern matches exactly this name shape.
+    while True:
+        tmp_name = target.parent / f"{target.name}.{os.urandom(4).hex()}.tmp"
+        try:
+            fd = os.open(tmp_name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:
+            continue
     try:
         with os.fdopen(fd, mode) as fh:
             fh.write(payload)
@@ -74,7 +79,8 @@ def atomic_write_text(path: str | Path, text: str) -> None:
     The temp file lives in the target's directory so ``os.replace`` is a
     same-filesystem rename (atomic on POSIX).  The data is fsynced
     before the rename, so a crash leaves either the previous file or the
-    new one — never a truncated hybrid.
+    new one — never a truncated hybrid.  The new file's mode follows the
+    umask, as for a plain ``open()``.
     """
     _atomic_write(path, text, "w")
 
@@ -103,8 +109,8 @@ def file_lock(path: str | Path):
 
     On taking the lock, this removes the temp files that a writer killed
     inside :func:`atomic_write_text` left beside ``path`` (only names of
-    the exact ``mkstemp`` shape ``<name>.XXXXXXXX.tmp``): while the lock
-    is held, no live writer owns one.
+    the exact shape ``<name>.XXXXXXXX.tmp``): while the lock is held, no
+    live writer owns one.
     """
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)

@@ -1,12 +1,14 @@
-"""``repro lint`` / ``repro doctor --lint`` exit codes and artifacts."""
+"""``repro lint`` exit codes and artifacts."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
 
 from repro.cli import main
+from repro.lint import lint_paths
 
 BAD = "def f(path, text):\n    path.write_text(text)\n"
 
@@ -40,40 +42,81 @@ def test_lint_stats_tables(capsys):
         assert code in out
 
 
-def test_lint_update_baseline_roundtrip(tmp_path, capsys):
-    (tmp_path / "mod.py").write_text(BAD)
-    baseline = tmp_path / "baseline.json"
-    assert main(["lint", str(tmp_path), "--baseline", str(baseline), "--update-baseline"]) == 0
-    capsys.readouterr()
-    assert main(["lint", str(tmp_path), "--baseline", str(baseline)]) == 0
-    assert "grandfathered" in capsys.readouterr().out
-
-
-def test_doctor_lint_runs_the_gate(capsys):
-    assert main(["doctor", "--lint"]) == 0
-    assert "lint: clean" in capsys.readouterr().out
-
-
 def test_doctor_with_nothing_to_check_is_a_usage_error(capsys):
-    assert main(["doctor"]) == 2
-    assert "nothing to check" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["doctor"])
+    assert exc.value.code == 2
+    assert "the following arguments are required: store" in capsys.readouterr().err
 
 
-def test_doctor_lint_failure_propagates(tmp_path, capsys, monkeypatch):
-    from repro import cli
-    from repro.lint import lint_paths
-    from repro.obs.metrics import MetricsRegistry
+@pytest.mark.parametrize(
+    "argv",
+    [["lint", "--baseline", "X"], ["lint", "--update-baseline"], ["doctor", "S", "--lint"]],
+    ids=["baseline", "update-baseline", "doctor-lint"],
+)
+def test_removed_gate_options_are_usage_errors(argv, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
-    (tmp_path / "mod.py").write_text(BAD)
-    dirty = lint_paths([tmp_path], metrics=MetricsRegistry())
-    monkeypatch.setattr(cli.api, "lint", lambda *a, **k: dirty)
-    assert main(["doctor", "--lint"]) == 1
+
+def test_a_baseline_file_in_the_cwd_hides_nothing(tmp_path, capsys, monkeypatch):
+    """A justified pragma is the only exemption: a ``lint_baseline.json``
+    fingerprinting the finding, as earlier versions read by default,
+    leaves it failing the gate."""
+    pkg = tmp_path / "pkg"
+    pkg.mkdir()
+    (pkg / "mod.py").write_text(BAD)
+    key = "RPR001|mod.py|path.write_text(text)|0"
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    (cwd / "lint_baseline.json").write_text(json.dumps({
+        "format": "repro-lint-baseline",
+        "version": 1,
+        "entries": [hashlib.sha256(key.encode()).hexdigest()[:16]],
+    }))
+    monkeypatch.chdir(cwd)
+    assert main(["lint", str(pkg)]) == 1
     assert "RPR001" in capsys.readouterr().out
 
 
-def test_unknown_rule_selection_is_an_error():
-    from repro.lint import lint_paths
+def test_lint_paths_names_every_missing_path(tmp_path):
+    (tmp_path / "mod.py").write_text(BAD)
+    missing = [tmp_path / "no" / "such", tmp_path / "gone.py"]
+    with pytest.raises(FileNotFoundError) as exc:
+        lint_paths([tmp_path, *missing])
+    assert all(str(p) in str(exc.value) for p in missing)
 
+
+def test_lint_paths_without_a_python_file_raises(tmp_path):
+    readme = tmp_path / "README.md"
+    readme.write_text("# not python\n")
+    (tmp_path / "empty").mkdir()
+    for target in (readme, tmp_path / "empty"):
+        with pytest.raises(FileNotFoundError, match="no python files"):
+            lint_paths([target])
+
+
+def test_lint_of_a_missing_path_is_a_usage_error(tmp_path, capsys):
+    missing = tmp_path / "no" / "such" / "dir"
+    assert main(["lint", str(missing)]) == 2
+    captured = capsys.readouterr()
+    assert f"no such path: {missing}" in captured.err
+    assert "clean" not in captured.out
+
+
+def test_lint_of_a_path_without_python_files_is_a_usage_error(tmp_path, capsys):
+    readme = tmp_path / "README.md"
+    readme.write_text("# not python\n")
+    assert main(["lint", str(readme)]) == 2
+    captured = capsys.readouterr()
+    assert "no python files" in captured.err
+    assert "clean" not in captured.out
+
+
+def test_unknown_rule_selection_is_an_error():
     with pytest.raises(KeyError):
         lint_paths(rules=("RPR999",))
 

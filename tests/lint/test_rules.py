@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.lint import check_source
+from repro.lint import check_source, lint_paths
+from repro.lint.runner import module_name_for
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -86,3 +87,17 @@ def test_rule_selection_limits_the_run():
     source = (FIXTURES / "rpr001_bad.py").read_text()
     findings = check_source(source, rules=("RPR003",))
     assert findings == []
+
+
+@pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.py")), ids=lambda p: p.name)
+def test_check_source_and_lint_paths_agree(path):
+    """One pipeline: a fixture linted from memory and from disk gives the
+    same findings."""
+    module, is_package, root = module_name_for(path)
+    in_memory = check_source(
+        path.read_text(),
+        relpath=path.relative_to(root).as_posix(),
+        module=module,
+        is_package=is_package,
+    )
+    assert in_memory == lint_paths([path]).findings

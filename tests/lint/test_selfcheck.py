@@ -2,20 +2,17 @@
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
-from repro.lint import lint_paths, render_text, rule_codes, scan_pragmas
-from repro.obs.metrics import MetricsRegistry
+from repro.lint import all_rules, lint_paths, render_text, scan_pragmas
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 PACKAGE = REPO_ROOT / "src" / "repro"
 
 
 def test_repro_package_is_lint_clean():
-    report = lint_paths(metrics=MetricsRegistry())
+    report = lint_paths()
     assert report.ok, "\n" + render_text(report)
-    assert not report.expired
     assert report.files_scanned >= 80
     assert report.rules_run == (
         "RPR001", "RPR002", "RPR003", "RPR004", "RPR005", "RPR006",
@@ -24,7 +21,7 @@ def test_repro_package_is_lint_clean():
 
 
 def test_all_eleven_rules_are_registered():
-    assert rule_codes() == (
+    assert tuple(r.code for r in all_rules()) == (
         "RPR001", "RPR002", "RPR003", "RPR004", "RPR005", "RPR006",
         "RPR007", "RPR008", "RPR009", "RPR010", "RPR011",
     )
@@ -35,18 +32,3 @@ def test_every_in_tree_pragma_is_justified():
         for pragma in scan_pragmas(path.read_text()):
             assert pragma.justification, f"unjustified pragma at {path}:{pragma.comment_line}"
 
-
-def test_checked_in_baseline_is_empty():
-    doc = json.loads((REPO_ROOT / "lint_baseline.json").read_text())
-    assert doc["format"] == "repro-lint-baseline"
-    assert doc["entries"] == []
-
-
-def test_lint_outcome_lands_in_metrics_registry():
-    registry = MetricsRegistry()
-    lint_paths(metrics=registry)
-    dump = registry.to_json()
-    names = {m["name"] for m in dump["metrics"]}
-    assert "repro_lint_runs_total" in names
-    assert "repro_lint_files_scanned" in names
-    assert "repro_lint_findings" in names

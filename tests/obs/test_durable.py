@@ -10,10 +10,15 @@ writer and reader; the result store is exercised once per record kind
     the line;
 (d) a foreign, other-version or missing header is rejected on read and
     on append, and the file is left as it was.
+
+A whole document written by an ``atomic_write_*`` helper takes the mode
+the umask gives any new file.
 """
 
 import json
+import os
 import re
+import stat
 
 import pytest
 
@@ -23,6 +28,7 @@ from repro.core.store import ResultStore
 from repro.faults.storefx import tear_tail
 from repro.insitu.governors import SignalSample, SignalTrace
 from repro.machine.simulator import SegmentRecord
+from repro.obs.durable import atomic_write_bytes, atomic_write_json, atomic_write_text
 from repro.obs.trace import Tracer, read_trace
 
 
@@ -178,3 +184,25 @@ def test_bad_header_is_rejected_and_the_file_kept(kind, damage, tmp_path):
     with pytest.raises(ValueError, match=names_the_file):
         art.append(1)
     assert art.path.read_bytes() == before
+
+
+def test_atomic_writes_follow_the_umask(tmp_path):
+    """A replaced document gets the mode a plain ``open()`` gives a new
+    file, also when it replaces an owner-only one."""
+    existing = tmp_path / "existing.json"
+    existing.write_text("{}")
+    existing.chmod(0o600)
+    old = os.umask(0o022)
+    try:
+        atomic_write_text(tmp_path / "doc.txt", "text")
+        atomic_write_bytes(tmp_path / "doc.bin", b"bytes")
+        atomic_write_json(tmp_path / "doc.json", {"k": 1})
+        atomic_write_json(existing, {"k": 2})
+        with open(tmp_path / "plain.txt", "w") as fh:
+            fh.write("plain")
+    finally:
+        os.umask(old)
+    modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in tmp_path.iterdir()}
+    assert modes == dict.fromkeys(
+        ["doc.txt", "doc.bin", "doc.json", "existing.json", "plain.txt"], 0o644
+    )

@@ -50,8 +50,6 @@ KEEP = {
     "faults.storefx.flip_fingerprint": "fault instrument for store-mismatch tests",
     "faults.machine.clear_machine_faults": "fault instrument: resets process-wide machine faults",
     "lint.runner.check_source": "the linter's in-memory entry point for rule tests",
-    "lint.registry.get_rule": "the linter's in-memory rule lookup for rule tests",
-    "lint.registry.rule_codes": "the linter's in-memory rule listing for rule tests",
     "obs.metrics.set_registry": "test hook: swaps the process-wide metrics registry",
 }
 
