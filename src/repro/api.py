@@ -22,6 +22,8 @@ is kept stable across refactors.  Study phases can be named by string
 ``"table3"``) or passed as explicit
 :class:`~repro.core.study.StudyConfig` grids.  Named phases respect the
 ``REPRO_MAX_SIZE`` environment cap; explicit configs are taken verbatim.
+Every study, query and served job runs on the study's one dataset,
+:data:`~repro.core.profiles.DATASET_RECIPE`; no call here selects another.
 """
 
 from __future__ import annotations
@@ -82,9 +84,7 @@ class StudyRequest:
     resume: bool = True
     cache: str | Path | None = None
     spec: object = None
-    dataset_kind: str = "blobs"
     n_cycles: int = DEFAULT_VIZ_CYCLES
-    seed: int = 7
     progress: object = None
     trace: object = None
     samples: bool = False
@@ -112,9 +112,7 @@ def run_study(config: StudyRequest | StudyConfig | str = "phase2") -> StudyResul
     request = config if isinstance(config, StudyRequest) else StudyRequest(config=config)
     engine = SweepEngine(
         request.spec,
-        dataset_kind=request.dataset_kind,
         n_cycles=request.n_cycles,
-        seed=request.seed,
         workers=request.workers,
         store=request.store,
         profile_cache=request.cache,
@@ -231,8 +229,6 @@ def advisor(
     *,
     machine: str = "broadwell",
     cache: ProfileCache | str | Path | None = None,
-    dataset_kind: str = "blobs",
-    seed: int = 7,
     n_cycles: int = DEFAULT_VIZ_CYCLES,
     tolerance: float = SLOWDOWN_THRESHOLD,
 ) -> PowerAdvisor:
@@ -254,8 +250,6 @@ def advisor(
     return PowerAdvisor(
         ALL_PRESETS[machine],
         cache=cache,
-        dataset_kind=dataset_kind,
-        seed=seed,
         n_cycles=n_cycles,
         tolerance=tolerance,
     )
@@ -350,8 +344,6 @@ def submit_study(
     config: StudyConfig | str = "phase1",
     *,
     spool: str | Path = DEFAULT_SPOOL,
-    dataset_kind: str = "blobs",
-    seed: int = 7,
     n_cycles: int = DEFAULT_VIZ_CYCLES,
     max_retries: int = 2,
     service: SweepService | None = None,
@@ -367,13 +359,7 @@ def submit_study(
     this returns, so the job survives any daemon crash.
     """
     svc = service if service is not None else SweepService(spool)
-    return svc.submit(
-        resolve_config(config),
-        dataset_kind=dataset_kind,
-        seed=seed,
-        n_cycles=n_cycles,
-        max_retries=max_retries,
-    )
+    return svc.submit(resolve_config(config), n_cycles=n_cycles, max_retries=max_retries)
 
 
 def doctor(path: str | Path, *, quarantine: bool = False) -> ValidationReport:
@@ -382,7 +368,8 @@ def doctor(path: str | Path, *, quarantine: bool = False) -> ValidationReport:
     carried the sweep context: the default spec).
 
     With ``quarantine=True`` violating points become quarantine records
-    of the store, so its points validate clean.
+    of the store, so its points validate clean.  A missing file raises
+    ``FileNotFoundError``.
     """
     return validate_store(path, quarantine=quarantine)
 
@@ -403,10 +390,8 @@ def lint(paths=None, *, rules=None, only=None) -> LintReport:
 
 def load_result(path: str | Path) -> StudyResult:
     """Load the points of a sweep store (``--store`` output) as a
-    :class:`StudyResult`."""
-    if not Path(path).exists():
-        raise FileNotFoundError(f"no sweep store at {path}")
-    return ResultStore(path).load_result()
+    :class:`StudyResult`; a missing file raises ``FileNotFoundError``."""
+    return ResultStore.existing(path).load_result()
 
 
 def classify_study(

@@ -473,7 +473,11 @@ def _serve_jsonl(name: str, handle) -> int:
 
 
 def cmd_doctor(args) -> int:
-    report = api.doctor(args.store, quarantine=args.quarantine)
+    try:
+        report = api.doctor(args.store, quarantine=args.quarantine)
+    except FileNotFoundError as exc:
+        print(f"doctor: {exc}", file=sys.stderr)
+        return 2
     print(report.render())
     return 0 if report.ok else 1
 
@@ -888,7 +892,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="validate an existing store against the physical invariants",
         description="Audit a sweep store: power <= cap + tolerance, runtime "
         "monotone as caps drop, rates finite and within machine bins. "
-        "Exits non-zero if any point violates an invariant.",
+        "Exits 1 if any point violates an invariant, 2 if the store does not exist.",
     )
     doctor.add_argument("store", help="store file to audit (sweep --store output)")
     doctor.add_argument("--quarantine", action="store_true",

@@ -12,8 +12,8 @@ The paper's two use cases (§VII):
 :class:`PowerAdvisor` packages the first use case as a hot-path query
 service: op-count ledgers come from the one ledger store,
 :class:`~repro.core.profiles.ProfileCache` (recorded once per
-(algorithm, size) and dataset recipe by executing the real algorithm,
-by a sweep or by an earlier query on any machine), caps are priced
+(algorithm, size) by executing the real algorithm on the study's
+dataset, by a sweep or by an earlier query on any machine), caps are priced
 through the vectorized :class:`~repro.core.pricing.BatchRepricer`, and
 every query is instrumented with :mod:`repro.obs` spans and metrics —
 the backing for ``repro advise`` and :func:`repro.api.advise`.
@@ -31,7 +31,7 @@ from ..obs.metrics import MetricsRegistry, get_registry
 from ..obs.trace import span
 from .metrics import SLOWDOWN_THRESHOLD
 from .pricing import BatchRepricer
-from .profiles import ProfileCache, run_algorithm_ledger
+from .profiles import DATASET_RECIPE, ProfileCache, run_algorithm_ledger
 from .runner import DEFAULT_VIZ_CYCLES, RunPoint
 from .study import POWER_CAPS_W
 
@@ -106,9 +106,9 @@ class PowerAdvisor:
     The first query for an (algorithm, size) executes the real
     algorithm once to record its op-count ledger (a cache fill — the
     same job body the sweep engine runs); every later query reprices
-    the cached ledger closed-form in microseconds.  The cache is bound
-    to the advisor's dataset recipe, as the engine binds its own, so
-    advisors for every machine and sweep engines can share one.
+    the cached ledger closed-form in microseconds.  Ledgers measure
+    the study's one dataset and name no machine, so advisors for every
+    machine and sweep engines can share one cache.
 
     Instrumentation: ``repro_advise_queries_total{outcome=hit|miss}``
     counters, a ``repro_advise_latency_seconds`` histogram, and
@@ -120,8 +120,6 @@ class PowerAdvisor:
         spec: MachineSpec | None = None,
         *,
         cache: ProfileCache | str | Path | None = None,
-        dataset_kind: str = "blobs",
-        seed: int = 7,
         n_cycles: int = DEFAULT_VIZ_CYCLES,
         caps_w: tuple[float, ...] = POWER_CAPS_W,
         tolerance: float = SLOWDOWN_THRESHOLD,
@@ -129,17 +127,15 @@ class PowerAdvisor:
     ):
         self.spec = spec if spec is not None else BROADWELL_E5_2695V4
         self.cache = cache if isinstance(cache, ProfileCache) else ProfileCache(cache)
-        self.cache.bind(dataset_kind, seed)
         self.repricer = BatchRepricer(self.spec, n_cycles=n_cycles)
-        self.dataset_kind = str(dataset_kind)
-        self.seed = int(seed)
         self.caps_w = tuple(float(c) for c in caps_w)
         if not self.caps_w:
             raise ValueError("need at least one power cap")
         self.tolerance = float(tolerance)
-        #: The ``(dataset_kind, seed)`` recipe and the spec name, in the
-        #: shape :meth:`ProfileCache.ingest_profile_cache` takes them.
-        self.dataset = (self.dataset_kind, self.seed)
+        #: The study's dataset recipe as a ``(kind, seed)`` pair and the
+        #: spec name, in the shape :meth:`ProfileCache.ingest_profile_cache`
+        #: takes them.
+        self.dataset = tuple(DATASET_RECIPE.values())
         self.machine = self.spec.name
         reg = metrics if metrics is not None else get_registry()
         self._q_hit = reg.counter(
@@ -166,9 +162,7 @@ class PowerAdvisor:
         if ledger is not None:
             return ledger, True
         with span("advise-fill", algorithm=algorithm, size=int(size)):
-            ledger = run_algorithm_ledger(
-                algorithm, size, dataset_kind=self.dataset_kind, seed=self.seed
-            )
+            ledger = run_algorithm_ledger(algorithm, size)
         self.cache.put(algorithm, size, ledger)
         return ledger, False
 

@@ -35,7 +35,6 @@ from pathlib import Path
 from typing import Any, Callable
 
 from ..obs.durable import atomic_write_json
-from ..obs.metrics import get_registry
 
 __all__ = [
     "BenchTracker",
@@ -149,14 +148,6 @@ class BenchTracker:
             baseline_s = prev.get("seconds")
         if baseline_s is None:
             baseline_s = float(seconds)
-        # Mirror into the process metrics registry so a benchmark run
-        # shows up in `repro metrics` output alongside sweep counters.
-        get_registry().histogram(
-            "repro_bench_kernel_seconds",
-            help="Recorded kernel benchmark wall time",
-            kernel=kernel,
-            size=str(int(size)),
-        ).observe(float(seconds))
         entry: dict[str, Any] = {
             "kernel": kernel,
             "size": int(size),

@@ -55,6 +55,7 @@ from ..obs.trace import NULL_SPAN, Tracer
 from .backoff import retry_backoff
 from .pricing import BatchRepricer
 from .profiles import (
+    DATASET_RECIPE,
     ProfileCache,
     merge_shard_ledgers,
     run_algorithm_ledger,
@@ -102,8 +103,6 @@ class ProfileJob:
 
     algorithm: str
     size: int
-    dataset_kind: str
-    seed: int
 
 
 def execute_profile_job(job: ProfileJob) -> dict[str, float]:
@@ -112,9 +111,7 @@ def execute_profile_job(job: ProfileJob) -> dict[str, float]:
     Module-level so it pickles into pool workers; returns the ledger
     (a small dict of floats) rather than the profile to keep IPC cheap.
     """
-    return run_algorithm_ledger(
-        job.algorithm, job.size, dataset_kind=job.dataset_kind, seed=job.seed
-    )
+    return run_algorithm_ledger(job.algorithm, job.size)
 
 
 @dataclass(frozen=True)
@@ -130,22 +127,13 @@ class ShardTask:
 
     algorithm: str
     size: int
-    dataset_kind: str
-    seed: int
     shard: int
     n_shards: int
 
 
 def execute_shard_task(task: ShardTask) -> dict[str, float]:
     """Worker-process body for one shard: partial ledger of its k-span."""
-    return run_algorithm_ledger_shard(
-        task.algorithm,
-        task.size,
-        task.shard,
-        task.n_shards,
-        dataset_kind=task.dataset_kind,
-        seed=task.seed,
-    )
+    return run_algorithm_ledger_shard(task.algorithm, task.size, task.shard, task.n_shards)
 
 
 @dataclass
@@ -250,6 +238,10 @@ class _PoolFailure(Exception):
 class SweepEngine:
     """Decompose, parallelize, and persist a study sweep.
 
+    Every profile job executes on the study's one dataset,
+    :data:`~repro.core.profiles.DATASET_RECIPE`, which the store header
+    records as part of the sweep context (:meth:`context`).
+
     Parameters
     ----------
     spec:
@@ -280,8 +272,8 @@ class SweepEngine:
         :class:`ProfileCache` of op ledgers, or a path to open one on
         (None = private, in-memory only).  Any number of engines and
         processes may share its file: each recorded ledger merges into
-        it.  It is bound to this engine's ``(dataset_kind, seed)``; a
-        cache filled under another recipe raises ``ValueError``.
+        it.  A file stamped with another dataset recipe raises
+        ``ValueError``.
     faults:
         Optional :class:`repro.faults.FaultPlan` (duck-typed: anything
         with ``wrap_job``/``corrupt_point``).  Wraps every job and shard
@@ -324,9 +316,7 @@ class SweepEngine:
         self,
         spec: MachineSpec | None = None,
         *,
-        dataset_kind: str = "blobs",
         n_cycles: int = DEFAULT_VIZ_CYCLES,
-        seed: int = 7,
         workers: int | None = None,
         timeout_s: float | None = None,
         max_retries: int = 2,
@@ -345,10 +335,8 @@ class SweepEngine:
         if max_retries < 0:
             raise ValueError("max_retries must be non-negative")
         self.spec = spec if spec is not None else BROADWELL_E5_2695V4
-        self.dataset_kind = dataset_kind
         self.n_cycles = int(n_cycles)
         self.repricer = BatchRepricer(self.spec, n_cycles=self.n_cycles)
-        self.seed = seed
         self.workers = os.cpu_count() or 1 if workers is None else max(0, int(workers))
         self.timeout_s = timeout_s
         self.max_retries = int(max_retries)
@@ -358,7 +346,6 @@ class SweepEngine:
         self.shard_min_size = int(shard_min_size)
         self.store = ResultStore(store) if store is not None and not isinstance(store, ResultStore) else store
         self.profile_cache = profile_cache if isinstance(profile_cache, ProfileCache) else ProfileCache(profile_cache)
-        self.profile_cache.bind(dataset_kind, seed)
         self.faults = faults
         self.validator = PointValidator(self.spec)
         self._progress = progress
@@ -376,12 +363,7 @@ class SweepEngine:
         """Everything that determines a point's value besides its
         (algorithm, size, cap) coordinates, keyed as the store header's
         ``meta`` holds it (:data:`~repro.core.store.CONTEXT_KEYS`)."""
-        return {
-            "spec": asdict(self.spec),
-            "dataset_kind": self.dataset_kind,
-            "seed": self.seed,
-            "n_cycles": self.n_cycles,
-        }
+        return {"spec": asdict(self.spec), **DATASET_RECIPE, "n_cycles": self.n_cycles}
 
     def fingerprint(self) -> str:
         """Digest of :meth:`context` and the store version."""
@@ -488,7 +470,7 @@ class SweepEngine:
             jobs: list[ProfileJob] = []
             for alg, size in todo:
                 if self.profile_cache.get(alg, size) is None:
-                    jobs.append(ProfileJob(alg, size, self.dataset_kind, self.seed))
+                    jobs.append(ProfileJob(alg, size))
                 else:
                     self._report("profile-cached", algorithm=alg, size=size)
                     price_group(alg, size)
@@ -697,11 +679,7 @@ class SweepEngine:
 
     def _backoff(self, job: ProfileJob, attempt: int) -> float:
         return retry_backoff(
-            attempt,
-            base_s=self.backoff_s,
-            cap_s=BACKOFF_CAP_S,
-            seed=self.seed,
-            key=f"{job.algorithm}@{job.size}",
+            attempt, base_s=self.backoff_s, cap_s=BACKOFF_CAP_S, key=f"{job.algorithm}@{job.size}"
         )
 
     def _run_pool(self, jobs: list[ProfileJob], on_done=None) -> None:
@@ -725,8 +703,7 @@ class SweepEngine:
                 "t0": time.perf_counter(),
             }
             pending.extend(
-                ShardTask(job.algorithm, job.size, job.dataset_kind, job.seed, shard, n)
-                for shard in range(n)
+                ShardTask(job.algorithm, job.size, shard, n) for shard in range(n)
             )
         attempts: dict = {}
         total = len(jobs)

@@ -22,9 +22,9 @@ This module owns that bridge for the whole repo:
   the engine and the facade.
 * :class:`ProfileCache` — the one ledger store: a versioned JSON file
   (``DEFAULT_CACHE_PATH`` for the CLI) that holds the union of every
-  handle's puts, in any process, bound to the one dataset recipe its
-  ledgers were recorded under.  No machine enters its key: a ledger
-  counts operations, and any socket prices them.
+  handle's puts, in any process, stamped with :data:`DATASET_RECIPE`.
+  No machine enters its key: a ledger counts operations, and any socket
+  prices them.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ from ..viz.base import OpCounts
 from ..workload import WorkProfile
 
 __all__ = [
+    "DATASET_RECIPE",
     "DEFAULT_CACHE_PATH",
     "ProfileCache",
     "merge_shard_ledgers",
@@ -56,15 +57,16 @@ __all__ = [
 #: commands and ``advise``) and the table regenerators.
 DEFAULT_CACHE_PATH = ".cache/counts.json"
 
+#: The study's one dataset: the :func:`~repro.data.generators.make_dataset`
+#: kind and seed of the field that stands in for the paper's CloverLeaf
+#: energy field.  Every ledger file is stamped with it (``"recipe"``) and
+#: every store header holds it (:data:`~repro.core.store.CONTEXT_KEYS`),
+#: so ledgers and points of any other dataset are refused, never mixed.
+DATASET_RECIPE = {"dataset_kind": "blobs", "seed": 7}
 
-def run_algorithm_ledger(
-    algorithm: str,
-    size: int,
-    *,
-    dataset_kind: str = "blobs",
-    seed: int = 7,
-) -> dict[str, float]:
-    """Execute the real algorithm once and return its op-count ledger.
+
+def _filter_and_dataset(algorithm: str, size: int):
+    """The registry filter of ``algorithm`` and the study's dataset at ``size``.
 
     The dataset gets a velocity field only when the filter reads one
     (advection): it is three times the size of the energy field.
@@ -72,7 +74,13 @@ def run_algorithm_ledger(
     if algorithm not in ALGORITHMS:
         raise KeyError(f"unknown algorithm {algorithm!r}")
     filt = ALGORITHMS[algorithm]()
-    ds = make_dataset(size, kind=dataset_kind, seed=seed, with_velocity=filt.field == "velocity")
+    kind, seed = DATASET_RECIPE.values()
+    return filt, make_dataset(size, kind=kind, seed=seed, with_velocity=filt.field == "velocity")
+
+
+def run_algorithm_ledger(algorithm: str, size: int) -> dict[str, float]:
+    """Execute the real algorithm once and return its op-count ledger."""
+    filt, ds = _filter_and_dataset(algorithm, size)
     return filt.execute(ds).counts.as_dict()
 
 
@@ -84,13 +92,7 @@ def supports_sharding(algorithm: str) -> bool:
 
 
 def run_algorithm_ledger_shard(
-    algorithm: str,
-    size: int,
-    shard: int,
-    n_shards: int,
-    *,
-    dataset_kind: str = "blobs",
-    seed: int = 7,
+    algorithm: str, size: int, shard: int, n_shards: int
 ) -> dict[str, float]:
     """Execute one k-span shard; return that span's partial ledger.
 
@@ -100,10 +102,7 @@ def run_algorithm_ledger_shard(
     a large grid and :func:`merge_shard_ledgers` reassembles the exact
     serial ledger.
     """
-    if algorithm not in ALGORITHMS:
-        raise KeyError(f"unknown algorithm {algorithm!r}")
-    filt = ALGORITHMS[algorithm]()
-    ds = make_dataset(size, kind=dataset_kind, seed=seed, with_velocity=filt.field == "velocity")
+    filt, ds = _filter_and_dataset(algorithm, size)
     counts = OpCounts()
     filt.apply_shard(ds, counts, shard, n_shards)
     return counts.as_dict()
@@ -154,9 +153,12 @@ class ProfileCache:
     """Persistent (algorithm, size) → ledger cache, versioned JSON on disk.
 
     ``path=None`` keeps the cache in memory only.  Entries are keyed by
-    (algorithm, size) alone, so the cache also records the dataset
-    recipe — ``(dataset_kind, seed)`` — its ledgers were recorded under
-    and refuses to serve another one (:meth:`bind`).
+    (algorithm, size) alone: every ledger measures the study's dataset,
+    :data:`DATASET_RECIPE`.  So every write stamps the file with it, and
+    a file stamped with another recipe raises ``ValueError``, naming
+    the file, on open and on :meth:`put`, and is left as it is.  A file
+    without a stamp (written before files carried one) is read as it
+    is and stamped on its next put.
 
     Any number of handles, in any number of threads and processes, may
     share one file.  Opening a handle reads the file; each :meth:`put`
@@ -172,31 +174,31 @@ class ProfileCache:
     VERSION = 1
 
     def __init__(self, path: str | Path | None = None):
-        # Guards _entries and _recipe only: never held across file I/O
-        # or the file lock, so readers never wait on a write.
+        # Guards _entries only: never held across file I/O or the file
+        # lock, so readers never wait on a write.
         self._lock = threading.Lock()
         self._entries: dict[str, dict[str, float]] = {}
-        self._recipe: tuple[str, int] | None = None
         self.path = Path(path) if path is not None else None
         if self.path is not None and self.path.exists():
             with file_lock(self.path):
-                self._entries, self._recipe = self._read()
+                self._entries = self._read()
 
     @staticmethod
     def _key(algorithm: str, size: int) -> str:
         return f"{algorithm}/{int(size)}"
 
-    def _read(self) -> tuple[dict[str, dict[str, float]], tuple[str, int] | None]:
-        """The file's (entries, recipe); empty when there is no file or it is torn.
+    def _read(self) -> dict[str, dict[str, float]]:
+        """The file's entries; empty when there is no file or it is torn.
 
         The caller holds the file lock.  A file that is valid JSON but
-        not a cache raises ``ValueError`` naming it, and is left as it is.
+        not a cache, or a cache stamped with another recipe, raises
+        ``ValueError`` naming it, and is left as it is.
         """
         p = self.path
         try:
             doc = json.loads(p.read_text())
         except FileNotFoundError:
-            return {}, None
+            return {}
         except json.JSONDecodeError as exc:
             # A torn write (crash mid-flush on a cache saved before saves
             # were atomic, or a tool truncating the file) must not brick a
@@ -215,7 +217,7 @@ class ProfileCache:
                 p.replace(corrupt)
             except OSError:
                 pass  # read-only cache dir: the warning above still fired
-            return {}, None
+            return {}
         fields = doc if isinstance(doc, dict) else {}
         if fields.get("format") != self.FORMAT:
             raise ValueError(f"{p} is not a profile cache (format={fields.get('format')!r})")
@@ -227,58 +229,32 @@ class ProfileCache:
         if not isinstance(entries, dict) or not all(isinstance(v, dict) for v in entries.values()):
             raise ValueError(f"{p} is not a profile cache: 'entries' must map keys to ledger objects")
         recipe = doc.get("recipe")
-        if recipe is not None:
-            recipe = (str(recipe["dataset_kind"]), int(recipe["seed"]))
-        return {k: dict(v) for k, v in entries.items()}, recipe
+        if recipe not in (None, DATASET_RECIPE):
+            raise ValueError(
+                f"profile cache {p} holds ledgers of the dataset recipe {recipe}, "
+                f"not the study's {DATASET_RECIPE}; give this study another cache file"
+            )
+        return {k: dict(v) for k, v in entries.items()}
 
     def _save(self) -> None:
-        """One read-merge-replace of the file, under its writer lock.
-
-        A file stamped with another recipe raises the :meth:`bind`
-        error and is left as it is.
-        """
+        """One read-merge-replace of the file, under its writer lock."""
         if self.path is None:
             return
         with file_lock(self.path):
-            entries, recipe = self._read()
+            entries = self._read()
             with self._lock:
-                if recipe is not None and self._recipe not in (None, recipe):
-                    raise self._recipe_error(recipe, self._recipe)
-                self._recipe = self._recipe or recipe
                 self._entries = {**entries, **self._entries}
-                doc = {"format": self.FORMAT, "version": self.VERSION, "entries": dict(self._entries)}
-                if self._recipe is not None:
-                    doc["recipe"] = {"dataset_kind": self._recipe[0], "seed": self._recipe[1]}
+                doc = {
+                    "format": self.FORMAT,
+                    "version": self.VERSION,
+                    "recipe": DATASET_RECIPE,
+                    "entries": dict(self._entries),
+                }
             # Temp-file + os.replace (+ fsync): a crashed writer can
             # never leave a truncated cache — readers see the old
             # complete document or the new one, nothing in between.
             # repro: lint-ignore[RPR011]: a cross-process file lock, not an in-process one; it serializes this file's writers and only another writer waits on it, never get or entries
             atomic_write_json(self.path, doc)
-
-    def _recipe_error(self, held: tuple[str, int], wanted: tuple[str, int]) -> ValueError:
-        where = self.path if self.path is not None else "(in memory)"
-        return ValueError(
-            f"profile cache {where} holds ledgers of dataset_kind={held[0]!r} "
-            f"seed={held[1]}, not dataset_kind={wanted[0]!r} seed={wanted[1]}; "
-            "use one cache per dataset recipe"
-        )
-
-    def bind(self, dataset_kind: str, seed: int) -> None:
-        """Tie the cache to the dataset recipe of the engine or advisor using it.
-
-        A cache that records a recipe raises ``ValueError`` for any
-        other: its ledgers measured a different dataset.  A cache
-        without one — new, or written before recipes were recorded —
-        adopts ``(dataset_kind, seed)`` as-is; the file records it on its
-        next :meth:`put`, never here, so a warm run writes nothing.
-        """
-        recipe = (str(dataset_kind), int(seed))
-        with self._lock:
-            bound = self._recipe
-            if bound is None:
-                self._recipe = recipe
-        if bound is not None and bound != recipe:
-            raise self._recipe_error(bound, recipe)
 
     # ------------------------------------------------------------------ access
     def get(self, algorithm: str, size: int) -> dict[str, float] | None:
@@ -304,14 +280,17 @@ class ProfileCache:
     ) -> int:
         """Copy the entries of ``cache`` that this store lacks.
 
-        Binds both stores to the recipe ``dataset`` (a
-        ``(dataset_kind, seed)`` pair) first, so ledgers of another
-        dataset are refused, never mixed.  ``machine`` is accepted and
+        ``dataset`` is a ``(kind, seed)`` pair
+        (:attr:`~repro.core.advisor.PowerAdvisor.dataset`); any but the
+        study's recipe raises ``ValueError``, since both stores hold
+        ledgers of that recipe only.  ``machine`` is accepted and
         unused: no machine enters a ledger.  Returns the number of
         entries added.
         """
-        self.bind(*dataset)
-        cache.bind(*dataset)
+        if tuple(dataset) != tuple(DATASET_RECIPE.values()):
+            raise ValueError(
+                f"dataset {tuple(dataset)} is not the study's recipe {DATASET_RECIPE}"
+            )
         incoming = {self._key(a, s): ledger for a, s, ledger in cache.entries()}
         with self._lock:
             added = {k: v for k, v in incoming.items() if k not in self._entries}

@@ -143,6 +143,15 @@ class ResultStore:
             self._points = {p.key: p for p in records if isinstance(p, RunPoint)}
             self._quarantined = {r[0].key for r in records if isinstance(r, tuple)}
 
+    @classmethod
+    def existing(cls, path: str | Path) -> "ResultStore":
+        """The store at ``path`` for a reader: a path with no file raises
+        ``FileNotFoundError`` naming it, where ``ResultStore(path)`` would
+        open an empty store to write."""
+        if not Path(path).exists():
+            raise FileNotFoundError(f"no sweep store at {path}")
+        return cls(path)
+
     # -------------------------------------------------------------- identity
     def ensure_compatible(self, fingerprint: str, meta: dict | None = None) -> None:
         """Bind a fresh store to a sweep context, or verify an existing one."""

@@ -370,9 +370,10 @@ def validate_store(path: str | Path, *, quarantine: bool = False) -> ValidationR
 
     With ``quarantine=True``, violating points become quarantine records
     (with reasons) in one atomic rewrite of the store, so it validates
-    clean afterwards; the default is a read-only report.
+    clean afterwards; the default is a read-only report.  A path with no
+    file raises ``FileNotFoundError``: it is no store, not an empty one.
     """
-    store = ResultStore(path)
+    store = ResultStore.existing(path)
     report = PointValidator(store.spec).check_result(store.load_result())
     report.source = str(path)
     if quarantine and report.violations:

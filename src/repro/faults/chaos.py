@@ -74,24 +74,12 @@ class DrillReport:
 
 
 def reference_points(
-    config: StudyConfig,
-    *,
-    spec: MachineSpec | None = None,
-    dataset_kind: str,
-    n_cycles: int,
-    seed: int,
+    config: StudyConfig, *, spec: MachineSpec | None = None, n_cycles: int
 ) -> dict:
     """Ground truth: one serial, in-memory, fault-free sweep, as
     ``{key: point.to_dict()}``."""
     with span("chaos-reference"):
-        result = SweepEngine(
-            spec,
-            dataset_kind=dataset_kind,
-            n_cycles=n_cycles,
-            seed=seed,
-            workers=0,
-            trace=get_tracer(),
-        ).run(config)
+        result = SweepEngine(spec, n_cycles=n_cycles, workers=0, trace=get_tracer()).run(config)
     return {p.key: p.to_dict() for p in result.points}
 
 
@@ -203,8 +191,6 @@ def run_chaos(
     store: str | Path,
     workers: int | None = 0,
     n_cycles: int = DEFAULT_VIZ_CYCLES,
-    seed: int = 7,
-    dataset_kind: str = "blobs",
     spec: MachineSpec | None = None,
     timeout_s: float | None = None,
     progress=None,
@@ -234,9 +220,7 @@ def run_chaos(
     def engine(**kw) -> SweepEngine:
         return SweepEngine(
             spec,
-            dataset_kind=dataset_kind,
             n_cycles=n_cycles,
-            seed=seed,
             workers=workers,
             timeout_s=timeout_s,
             # The plan bounds faults per job, so a retry budget at least
@@ -252,9 +236,7 @@ def run_chaos(
 
     with span("chaos", plan=plan.name, config=config.name):
         # 1. Ground truth, no faults.
-        reference = reference_points(
-            config, spec=spec, dataset_kind=dataset_kind, n_cycles=n_cycles, seed=seed
-        )
+        reference = reference_points(config, spec=spec, n_cycles=n_cycles)
         report.expected = len(reference)
 
         # 2. Chaos pass.

@@ -110,8 +110,6 @@ def run_service_chaos(
     workers: int = 2,
     lease_s: float = 1.0,
     n_cycles: int = 2,
-    seed: int = 7,
-    dataset_kind: str = "blobs",
 ) -> ServiceChaosReport:
     """Submit ``n_jobs`` studies, torture the daemon, assert the contract.
 
@@ -152,9 +150,7 @@ def run_service_chaos(
 
     with span("service-chaos", plan=injector.name, config=config.name):
         # 1. Ground truth: one uninterrupted serial sweep, in memory.
-        reference = reference_points(
-            config, dataset_kind=dataset_kind, n_cycles=n_cycles, seed=seed
-        )
+        reference = reference_points(config, n_cycles=n_cycles)
         report.expected_points = len(reference)
 
         # 2. Durable submissions, then a first daemon generation, faults live.
@@ -163,8 +159,7 @@ def run_service_chaos(
             job_ids: list[str] = []
             for _ in range(n_jobs):
                 receipt = svc.submit(
-                    config, dataset_kind=dataset_kind, seed=seed, n_cycles=n_cycles,
-                    max_retries=max(2, injector.max_crashes),
+                    config, n_cycles=n_cycles, max_retries=max(2, injector.max_crashes)
                 )
                 if not receipt.accepted:
                     raise RuntimeError(f"chaos submission shed: {receipt.status}")

@@ -47,13 +47,3 @@ class Finding:
             "col": self.col,
             "message": self.message,
         }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "Finding":
-        return cls(
-            code=str(doc["code"]),
-            path=str(doc["path"]),
-            line=int(doc["line"]),
-            col=int(doc.get("col", 0)),
-            message=str(doc["message"]),
-        )

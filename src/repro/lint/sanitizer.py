@@ -15,8 +15,7 @@ of the same class) are ignored: per-instance locks of one class are
 routinely taken in address order and would otherwise self-cycle.
 
 The findings surface three ways: :func:`report` returns a JSON-ready
-document (and publishes ``repro_sanitizer_*`` gauges to the metrics
-registry), :func:`render` formats it for terminals, and ``repro
+document, :func:`render` formats it for terminals, and ``repro
 sanitize --report out.json <subcommand ...>`` runs any repro subcommand
 under the sanitizer and fails the process when a cycle was observed.
 Importing :mod:`repro` with ``REPRO_SANITIZE=1`` in the environment
@@ -244,7 +243,7 @@ def _find_cycles(edges: list[dict]) -> list[list[str]]:
 
 
 def report() -> dict:
-    """Snapshot the sanitizer state; also publishes ``repro_sanitizer_*``."""
+    """Snapshot the sanitizer state as a JSON-ready document."""
     with _meta:
         edges = [dict(e) for e in _edges.values()]
         sites = dict(_lock_sites)
@@ -260,26 +259,7 @@ def report() -> dict:
         "cycles": _find_cycles(edges),
     }
     doc["ok"] = not doc["cycles"]
-    _publish_metrics(doc)
     return doc
-
-
-def _publish_metrics(doc: dict) -> None:
-    from ..obs.metrics import get_registry
-
-    reg = get_registry()
-    reg.gauge(
-        "repro_sanitizer_locks_tracked", "locks created under the sanitizer"
-    ).set(doc["locks_tracked"])
-    reg.gauge(
-        "repro_sanitizer_acquisitions", "lock acquisitions observed"
-    ).set(doc["acquisitions"])
-    reg.gauge(
-        "repro_sanitizer_lock_order_edges", "distinct lock-order edges observed"
-    ).set(len(doc["edges"]))
-    reg.gauge(
-        "repro_sanitizer_lock_order_cycles", "lock-order cycles (potential deadlocks)"
-    ).set(len(doc["cycles"]))
 
 
 def _short(site: str) -> str:

@@ -6,7 +6,7 @@ A :class:`SweepService` owns one *spool* directory::
       wal.jsonl                     # the durable job queue (the IPC)
       wal.jsonl.wake                # the doorbell FIFO the daemon waits on
       stores/<job_id>.jsonl         # one fingerprinted ResultStore per job
-      profiles-<dataset>-<seed>.json  # one ledger cache per dataset recipe
+      profiles-blobs-7.json         # the ledger cache every job shares
       service.metrics.json          # daemon metrics dump
 
 Clients and the daemon are symmetric: both derive queue state by
@@ -47,6 +47,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from ..core.engine import SweepEngine
+from ..core.profiles import DATASET_RECIPE
 from ..core.runner import DEFAULT_VIZ_CYCLES
 from ..core.study import StudyConfig
 from ..obs.durable import atomic_write_json
@@ -137,8 +138,6 @@ class SweepService:
         self,
         config: StudyConfig,
         *,
-        dataset_kind: str = "blobs",
-        seed: int = 7,
         n_cycles: int = DEFAULT_VIZ_CYCLES,
         max_retries: int = 2,
     ) -> SubmitReceipt:
@@ -163,8 +162,6 @@ class SweepService:
                 "job_id": job_id,
                 "spec": {
                     "study": config.to_dict(),
-                    "dataset_kind": str(dataset_kind),
-                    "seed": int(seed),
                     "n_cycles": int(n_cycles),
                     "max_retries": int(max_retries),
                 },
@@ -253,19 +250,21 @@ class SweepService:
 
     def _run_job(self, job, progress=None) -> dict:
         spec = job.spec
+        # Submit records written by earlier versions name a dataset
+        # recipe: one naming another must fail, not run the study's.
+        for field, value in DATASET_RECIPE.items():
+            if spec.get(field, value) != value:
+                raise ValueError(
+                    f"job spec field {field!r} is {spec[field]!r}, not the study's "
+                    f"{value!r} (dataset recipe {DATASET_RECIPE})"
+                )
         config = StudyConfig.from_dict(spec["study"])
-        dataset_kind = spec.get("dataset_kind", "blobs")
-        seed = int(spec.get("seed", 7))
         store = self.store_path(job.job_id)
         engine = SweepEngine(
-            dataset_kind=dataset_kind,
             n_cycles=int(spec.get("n_cycles", DEFAULT_VIZ_CYCLES)),
-            seed=seed,
             workers=0,
             store=store,
-            # A ledger file holds one dataset recipe's ledgers (binding
-            # another raises), so each recipe gets its own file.
-            profile_cache=self.spool / f"profiles-{dataset_kind}-{seed}.json",
+            profile_cache=self.spool / "profiles-blobs-7.json",
             progress=progress,
             trace=self.tracer,
             metrics=self.metrics,

@@ -1,5 +1,7 @@
 """PowerAdvisor service, its ledger store, and recommend_cap edge cases."""
 
+import json
+
 import pytest
 
 from repro import api
@@ -161,8 +163,9 @@ class TestOneLedgerStore:
 
     def test_store_of_another_recipe_is_refused(self, tmp_path):
         path = tmp_path / "counts.json"
-        store = ProfileCache(path)
-        store.bind("blobs", 8)
-        store.put("threshold", SIZE, {"flops": 1.0})
-        with pytest.raises(ValueError, match=r"seed=8.*seed=7"):
+        ProfileCache(path).put("threshold", SIZE, {"flops": 1.0})
+        doc = json.loads(path.read_text())
+        doc["recipe"]["seed"] = 8
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=r"'seed': 8\}, not the study's \{'dataset_kind': 'blobs', 'seed': 7"):
             api.advisor(cache=path)

@@ -127,18 +127,3 @@ class TestBenchTracker:
         path.write_text(json.dumps({"format": "repro-bench-kernels", "version": 99}))
         with pytest.raises(ValueError, match="newer"):
             BenchTracker(path)
-
-    def test_record_observes_into_metrics_registry(self, tmp_path):
-        from repro.obs.metrics import MetricsRegistry, get_registry, set_registry
-
-        old = get_registry()
-        try:
-            reg = set_registry(MetricsRegistry())
-            tracker = BenchTracker(tmp_path / "bench.json")
-            tracker.record("contour", 32, 0.2)
-            tracker.record("contour", 32, 0.4)
-            h = reg.histogram("repro_bench_kernel_seconds", kernel="contour", size="32")
-            assert h.count == 2
-            assert h.sum == pytest.approx(0.6)
-        finally:
-            set_registry(old)

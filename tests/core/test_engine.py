@@ -153,8 +153,6 @@ class TestResume:
         SweepEngine(n_cycles=2, workers=0, store=store_path).run(CFG)
         with pytest.raises(StoreMismatchError, match="n_cycles: 2 != 3.*refusing to mix"):
             SweepEngine(n_cycles=3, workers=0, store=store_path).run(CFG)
-        with pytest.raises(StoreMismatchError, match="seed: 7 != 8"):
-            SweepEngine(n_cycles=2, seed=8, workers=0, store=store_path).run(CFG)
 
 
 class TestFailureHandling:
@@ -248,5 +246,5 @@ class TestProgressAndStats:
     def test_profile_job_is_picklable(self):
         import pickle
 
-        job = ProfileJob("threshold", 12, "blobs", 7)
+        job = ProfileJob("threshold", 12)
         assert pickle.loads(pickle.dumps(job)) == job

@@ -45,9 +45,7 @@ class TestShardTaskUnits:
         assert merge_shard_ledgers(parts) == whole
 
     def test_execute_shard_task_matches_direct_call(self):
-        task = ShardTask(
-            algorithm="contour", size=16, dataset_kind="blobs", seed=7, shard=1, n_shards=3
-        )
+        task = ShardTask(algorithm="contour", size=16, shard=1, n_shards=3)
         assert execute_shard_task(task) == run_algorithm_ledger_shard(
             "contour", 16, 1, 3
         )

@@ -8,6 +8,7 @@ import pytest
 
 from repro.core import EngineStats, ResultStore, StudyConfig, SweepEngine
 from repro.core.engine import SweepInterrupted
+from repro.core.profiles import DATASET_RECIPE
 from repro.faults import FaultPlan, tear_tail
 from repro.obs.metrics import MetricsRegistry, load_metrics
 from repro.obs.samples import summarize_samples
@@ -184,7 +185,7 @@ class TestStoreHeader:
         header = json.loads(store.read_text().splitlines()[0])
         assert header["fingerprint"] == engine.fingerprint()
         assert header["meta"] == {"config_name": "tele", **engine.context()}
-        assert header["meta"]["seed"] == engine.seed
+        assert header["meta"]["seed"] == DATASET_RECIPE["seed"]
         assert header["meta"]["spec"]["tdp_watts"] == engine.spec.tdp_watts
         assert ResultStore(store).spec == engine.spec
         assert not list(store.parent.glob("*.manifest.json"))
@@ -284,7 +285,7 @@ class TestResumeTelemetry:
         )
         faulted.run(cfg)
         assert ResultStore(store).quarantined()
-        fresh = SweepEngine(n_cycles=2, workers=0, seed=8, store=store, metrics=MetricsRegistry())
+        fresh = SweepEngine(n_cycles=2, workers=0, store=store, metrics=MetricsRegistry())
         fresh.run(cfg, resume=False)
         assert fresh.stats.points_quarantined == 0
         assert ResultStore(store).quarantined() == []

@@ -64,10 +64,8 @@ class TestLedgerCache:
         assert cache.ingest_profile_cache(pcache, dataset=adv.dataset, machine=adv.machine) == 0
         assert cache.get("threshold", SIZE) == ledgers["threshold"]
         assert adv.advise("threshold", SIZE).cache_hit
-        other = ProfileCache(None)
-        other.bind("blobs", 8)
-        with pytest.raises(ValueError, match="seed=8"):
-            cache.ingest_profile_cache(other, dataset=adv.dataset, machine=adv.machine)
+        with pytest.raises(ValueError, match=r"dataset \('blobs', 8\) is not the study's recipe"):
+            cache.ingest_profile_cache(pcache, dataset=("blobs", 8), machine=adv.machine)
 
 
 class TestBitwiseRepricing:

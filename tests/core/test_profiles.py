@@ -5,8 +5,9 @@ velocity field is (n, 3) float64, three times the size of the energy
 field, and only particle advection reads it, so the job bodies ask for
 it only when the filter they run reads ``velocity``.
 
-A :class:`ProfileCache` keys ledgers by (algorithm, size) alone, so it
-records the dataset recipe its ledgers came from and refuses another.
+A :class:`ProfileCache` keys ledgers by (algorithm, size) alone, so
+every file it writes is stamped with the study's dataset recipe, and a
+file stamped with another is refused.
 Any number of handles, in threads or processes, may put into one file:
 each put merges under the file lock, so the file ends holding the union.
 """
@@ -22,8 +23,9 @@ import threading
 
 import pytest
 
-from repro.core import SweepEngine, profiles
+from repro.core import StudyConfig, SweepEngine, profiles
 from repro.core.profiles import ProfileCache, run_algorithm_ledger, run_algorithm_ledger_shard
+from repro.obs.metrics import MetricsRegistry
 from repro.viz import ALGORITHMS
 
 
@@ -53,36 +55,54 @@ def test_shard_job_skips_velocity(velocity_requests):
     assert velocity_requests == [False]
 
 
+def _stamped(path, recipe):
+    """A one-ledger cache file stamped with ``recipe``, as a study of
+    another dataset would have written it."""
+    path.write_text(json.dumps({
+        "format": ProfileCache.FORMAT,
+        "version": ProfileCache.VERSION,
+        "recipe": recipe,
+        "entries": {"threshold/12": {"flops": 1.0}},
+    }))
+    return path
+
+
+STUDY_RECIPE = {"dataset_kind": "blobs", "seed": 7}
+
+
 class TestProfileCacheRecipe:
     def test_put_records_the_bound_recipe(self, tmp_path):
         path = tmp_path / "profiles.json"
-        cache = ProfileCache(path)
-        cache.bind("blobs", 7)
-        cache.put("threshold", 12, {"flops": 1.0})
+        ProfileCache(path).put("threshold", 12, {"flops": 1.0})
         doc = json.loads(path.read_text())
-        assert doc["recipe"] == {"dataset_kind": "blobs", "seed": 7}
+        assert doc["recipe"] == STUDY_RECIPE
+
+    def test_a_cold_sweep_stamps_its_ledger_file(self, tmp_path):
+        """Ledger files already on disk hold this stamp; a study that
+        wrote another would refuse every one of them."""
+        path = tmp_path / "C.json"
+        engine = SweepEngine(n_cycles=2, workers=0, profile_cache=path, metrics=MetricsRegistry())
+        engine.run(StudyConfig(name="one", algorithms=("threshold",), sizes=(8,)))
+        assert engine.stats.profile_jobs_run == 1
+        assert json.loads(path.read_text())["recipe"] == STUDY_RECIPE
 
     def test_other_recipe_rejected_naming_both(self, tmp_path):
-        path = tmp_path / "profiles.json"
-        cache = ProfileCache(path)
-        cache.bind("blobs", 7)
-        cache.put("threshold", 12, {"flops": 1.0})
-        reopened = ProfileCache(path)
-        reopened.bind("blobs", 7)  # the same recipe binds again
-        with pytest.raises(ValueError, match=r"seed=7.*seed=8"):
-            reopened.bind("blobs", 8)
-        with pytest.raises(ValueError, match=r"'blobs'.*'sphere'"):
-            ProfileCache(path).bind("sphere", 7)
-
-    def test_in_memory_cache_keeps_its_first_recipe(self):
-        cache = ProfileCache()
-        SweepEngine(workers=0, profile_cache=cache)
-        with pytest.raises(ValueError, match=r"\(in memory\).*seed=7.*seed=8"):
-            SweepEngine(workers=0, seed=8, profile_cache=cache)
+        for recipe in ({"dataset_kind": "blobs", "seed": 8}, {"dataset_kind": "sphere", "seed": 7}, "blobs"):
+            path = _stamped(tmp_path / "profiles.json", recipe)
+            before = path.read_bytes()
+            named = re.escape(
+                f"profile cache {path} holds ledgers of the dataset recipe {recipe}, "
+                f"not the study's {STUDY_RECIPE}"
+            )
+            with pytest.raises(ValueError, match=named):
+                ProfileCache(path)
+            with pytest.raises(ValueError, match=named):
+                SweepEngine(workers=0, profile_cache=path)
+            assert path.read_bytes() == before
 
     def test_file_without_recipe_adopted_then_stamped_on_put(self, tmp_path):
-        """Older caches carry no recipe: binding adopts one without a
-        write (a warm run stays read-only); the next put records it."""
+        """Older caches carry no recipe: opening one writes nothing (a
+        warm run stays read-only); the next put stamps the study's."""
         path = tmp_path / "profiles.json"
         path.write_text(json.dumps({
             "format": ProfileCache.FORMAT,
@@ -91,11 +111,11 @@ class TestProfileCacheRecipe:
         }))
         before = path.read_text()
         cache = ProfileCache(path)
-        SweepEngine(workers=0, seed=8, profile_cache=cache)
+        SweepEngine(workers=0, profile_cache=cache)
         assert path.read_text() == before
         assert cache.get("threshold", 12) == {"flops": 1.0}
         cache.put("clip", 12, {"flops": 2.0})
-        assert json.loads(path.read_text())["recipe"] == {"dataset_kind": "blobs", "seed": 8}
+        assert json.loads(path.read_text())["recipe"] == STUDY_RECIPE
 
 
 class TestProfileCacheDrain:
@@ -233,12 +253,9 @@ class TestOneFileManyHandles:
     def test_put_refuses_a_file_another_recipe_stamped(self, tmp_path):
         path = tmp_path / "profiles.json"
         first = ProfileCache(path)
-        first.bind("blobs", 7)
-        other = ProfileCache(path)
-        other.bind("sphere", 7)
-        other.put("threshold", 12, {"flops": 1.0})
+        _stamped(path, {"dataset_kind": "sphere", "seed": 7})
         before = path.read_bytes()
-        with pytest.raises(ValueError, match=r"holds ledgers of dataset_kind='sphere'.*not dataset_kind='blobs'"):
+        with pytest.raises(ValueError, match=r"holds ledgers of the dataset recipe \{'dataset_kind': 'sphere'.*not the study's \{'dataset_kind': 'blobs'"):
             first.put("clip", 12, {"flops": 2.0})
         assert path.read_bytes() == before
 

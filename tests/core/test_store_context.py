@@ -8,6 +8,7 @@ context still loads, resumes, and validates against the default spec.
 
 import json
 import shutil
+from dataclasses import asdict
 
 import pytest
 
@@ -69,6 +70,25 @@ def _strip_context(path):
     path.write_text(json.dumps(header, sort_keys=True) + "\n" + "".join(lines[1:]))
 
 
+def _restamp(path, **context):
+    """Rewrite the header as a sweep under ``context`` would have
+    written it: the meta, and the fingerprint that hashes it."""
+    lines = path.read_text().splitlines(keepends=True)
+    header = json.loads(lines[0])
+    header["meta"].update(context)
+    header["fingerprint"] = sweep_fingerprint({k: header["meta"][k] for k in CONTEXT_KEYS})
+    path.write_text(json.dumps(header, sort_keys=True) + "\n" + "".join(lines[1:]))
+
+
+@pytest.mark.parametrize(
+    "kwargs, fingerprint", [({}, "acde2cdbce59e230"), ({"n_cycles": 2}, "50f3df8548f1f227")]
+)
+def test_stores_already_written_keep_their_fingerprint(kwargs, fingerprint):
+    """A store resumes only while the engine hashes the context to the
+    digest its header holds: the default sweep's and a two-cycle one's."""
+    assert SweepEngine(workers=0, **kwargs).fingerprint() == fingerprint
+
+
 @pytest.mark.parametrize("preset", sorted(ALL_PRESETS))
 def test_header_names_the_spec_that_priced_the_store(stores, preset):
     engine = stores[preset]
@@ -117,15 +137,18 @@ def test_header_without_context_loads_resumes_and_falls_back(stores, tmp_path):
 @pytest.mark.parametrize(
     "kwargs, named",
     [
-        ({"dataset_kind": "ramp"}, "dataset_kind: 'blobs' != 'ramp'"),
-        ({"spec": SKYLAKE_LIKE}, "spec.tdp_watts: 120.0 != 150.0"),
+        ({"dataset_kind": "ramp"}, "dataset_kind: 'ramp' != 'blobs'"),
+        ({"spec": asdict(SKYLAKE_LIKE)}, "spec.tdp_watts: 150.0 != 120.0"),
+        ({"seed": 8}, "seed: 8 != 7"),
     ],
 )
 def test_mismatch_names_the_context_keys_that_differ(stores, tmp_path, kwargs, named):
-    """Seed and cycle count: tests/core/test_engine.py."""
+    """A store written under another context; cycle count:
+    tests/core/test_engine.py."""
     path = _copy(stores["broadwell"], tmp_path)
+    _restamp(path, **kwargs)
     with pytest.raises(StoreMismatchError) as err:
-        SweepEngine(n_cycles=2, workers=0, store=path, **kwargs).run(GRID)
+        SweepEngine(n_cycles=2, workers=0, store=path).run(GRID)
     assert named in str(err.value)
     assert "different machine spec" not in str(err.value)
 
@@ -134,4 +157,4 @@ def test_mismatch_against_a_header_without_context_lists_the_causes(stores, tmp_
     path = _copy(stores["broadwell"], tmp_path)
     _strip_context(path)
     with pytest.raises(StoreMismatchError, match="different machine spec, dataset, seed"):
-        SweepEngine(n_cycles=2, seed=8, workers=0, store=path).run(GRID)
+        SweepEngine(n_cycles=3, workers=0, store=path).run(GRID)

@@ -1,7 +1,10 @@
 """Invariant guardrails: every violation code fires, clean data never does."""
 
+import re
+
 import pytest
 
+from repro.cli import main
 from repro.core import (
     PointValidator,
     ResultStore,
@@ -162,6 +165,15 @@ class TestValidateStore:
         store.remove([victim.key])
         store.append(broken)
         return path, victim
+
+    def test_missing_store_is_an_error_not_an_empty_store(self, tmp_path, capsys):
+        path = tmp_path / "no" / "such" / "store.jsonl"
+        with pytest.raises(FileNotFoundError, match=f"no sweep store at {re.escape(str(path))}$"):
+            validate_store(path)
+        assert main(["doctor", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"doctor: no sweep store at {path}\n")
+        assert not path.exists()
 
     def test_clean_store_ok(self, tmp_path):
         path = tmp_path / "s.jsonl"

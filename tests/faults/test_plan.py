@@ -10,7 +10,7 @@ from repro.core import StudyConfig, SweepEngine
 from repro.core.engine import ProfileJob, execute_profile_job
 from repro.faults import PLANS, FaultPlan, InjectedFault, get_plan
 
-JOB = ProfileJob("threshold", 12, "blobs", 7)
+JOB = ProfileJob("threshold", 12)
 
 #: (plan name, fault schedule) per drill, for the re-seed check.
 SCHEDULES = {

@@ -12,7 +12,6 @@ from pathlib import Path
 import pytest
 
 from repro.lint import sanitizer
-from repro.obs.metrics import get_registry
 
 REPO_SRC = Path(__file__).resolve().parents[2] / "src"
 
@@ -117,19 +116,6 @@ def test_rlock_reentrancy_survives_wrapping(sanitized):
             assert r._is_owned()
     doc = sanitized.report()
     assert doc["cycles"] == []
-
-
-def test_report_publishes_sanitizer_metrics(sanitized):
-    lock = threading.Lock()
-    with lock:
-        pass
-    sanitized.report()
-    dump = get_registry().to_json()
-    names = {m["name"] for m in dump["metrics"]}
-    assert {
-        "repro_sanitizer_locks_tracked",
-        "repro_sanitizer_lock_order_cycles",
-    } <= names
 
 
 def test_env_gate_installs_on_import():

@@ -125,6 +125,21 @@ class TestDaemon:
         assert [r["kind"] for r in svc.wal.replay()] == ["submit", "claim", "fail"]
         assert report["breaker"] == "closed"
 
+    def test_a_submit_record_naming_another_recipe_fails_on_its_first_delivery(self, tmp_path):
+        """Submit records in a spool may name a dataset recipe: the
+        study's own runs, and any other fails rather than run the study's."""
+        svc = make_service(tmp_path)
+        for job_id, seed in (("job-seed7", 7), ("job-seed8", 8)):
+            spec = {"study": CFG.to_dict(), "dataset_kind": "blobs", "seed": seed, "n_cycles": 2}
+            svc.wal.append({"kind": "submit", "job_id": job_id, "spec": spec, "t": time.time()})
+        report = svc.run_daemon(drain=True)
+        assert svc.status("job-seed7")["status"] == "completed"
+        snap = svc.status("job-seed8")
+        assert snap["status"] == "failed" and snap["failures"] == 1
+        assert "ValueError: job spec field 'seed' is 8, not the study's 7" in snap["error"]
+        assert not svc.store_path("job-seed8").exists()
+        assert report["breaker"] == "closed"
+
     def test_metrics_dumped_on_exit(self, tmp_path):
         svc = make_service(tmp_path)
         svc.submit(CFG, n_cycles=2)
@@ -185,11 +200,3 @@ class TestDaemon:
         assert report["counts"]["completed"] == 2
         on_disk = ProfileCache(svc.spool / "profiles-blobs-7.json")
         assert sorted(a for a, _, _ in on_disk.entries()) == sorted(ALGORITHM_NAMES)
-
-    def test_jobs_with_different_seeds_get_separate_ledger_files(self, tmp_path):
-        svc = make_service(tmp_path)
-        svc.submit(CFG, n_cycles=2, seed=7)
-        svc.submit(CFG, n_cycles=2, seed=8)
-        svc.run_daemon(drain=True)
-        assert (svc.spool / "profiles-blobs-7.json").exists()
-        assert (svc.spool / "profiles-blobs-8.json").exists()

@@ -26,7 +26,6 @@ pytestmark = pytest.mark.timeout(600)
 
 CFG = StudyConfig(name="crash", algorithms=("threshold", "contour"), sizes=(8, 12))
 N_JOBS = 2
-SEED = 7
 N_CYCLES = 2
 
 _DAEMON = """
@@ -38,7 +37,7 @@ from repro.serve import SweepService
 svc = SweepService({spool!r}, workers=2, lease_s=2.0, poll_interval_s=0.01)
 cfg = StudyConfig(name="crash", algorithms=("threshold", "contour"), sizes=(8, 12))
 for _ in range({n_jobs}):
-    receipt = svc.submit(cfg, seed={seed}, n_cycles={cycles}, max_retries=2)
+    receipt = svc.submit(cfg, n_cycles={cycles}, max_retries=2)
     assert receipt.accepted, receipt
 svc.run_daemon()  # no drain: runs until killed
 """
@@ -51,7 +50,6 @@ def _spawn_and_kill_mid_sweep(tmp_path):
         src=str(Path(__file__).resolve().parents[2] / "src"),
         spool=str(spool),
         n_jobs=N_JOBS,
-        seed=SEED,
         cycles=N_CYCLES,
     )
     proc = subprocess.Popen(
@@ -83,9 +81,7 @@ def _spawn_and_kill_mid_sweep(tmp_path):
 
 
 def _reference_points():
-    engine = SweepEngine(
-        dataset_kind="blobs", n_cycles=N_CYCLES, seed=SEED, workers=0
-    )
+    engine = SweepEngine(n_cycles=N_CYCLES, workers=0)
     return [p.to_dict() for p in engine.run(CFG).points]
 
 

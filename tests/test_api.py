@@ -1,5 +1,8 @@
 """The repro.api facade: run, persist, reload, classify."""
 
+import json
+import re
+
 import pytest
 
 import repro
@@ -27,12 +30,15 @@ class TestRunStudy:
             api.run_study("phase9")
 
     def test_cache_refuses_another_dataset_recipe(self, tmp_path):
-        """Ledgers cached at seed 7 must not price a seed-8 study."""
+        """Ledgers cached at seed 8 must not price the study (seed 7)."""
         one = StudyConfig(name="one", algorithms=("threshold",), sizes=(12,))
         cache = tmp_path / "counts.json"
         api.run_study(StudyRequest(one, n_cycles=2, cache=cache))
-        with pytest.raises(ValueError, match=r"seed=7.*seed=8"):
-            api.run_study(StudyRequest(one, n_cycles=2, seed=8, cache=cache))
+        doc = json.loads(cache.read_text())
+        doc["recipe"]["seed"] = 8
+        cache.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=rf"{re.escape(str(cache))} holds ledgers .*'seed': 8"):
+            api.run_study(StudyRequest(one, n_cycles=2, cache=cache))
 
     def test_workers_do_not_change_results(self):
         a = api.run_study(StudyRequest(SMALL, n_cycles=2, workers=0))

@@ -51,12 +51,7 @@ def test_ledger_bitwise_identical(key):
     """Optimized kernels reproduce the recorded ledgers exactly."""
     algorithm, size = key.split("/")
     _skip_if_capped(int(size))
-    fresh = run_algorithm_ledger(
-        algorithm,
-        int(size),
-        dataset_kind=_LEDGERS["dataset_kind"],
-        seed=_LEDGERS["seed"],
-    )
+    fresh = run_algorithm_ledger(algorithm, int(size))
     golden = _LEDGERS["entries"][key]
     assert fresh == golden, {
         k: (golden.get(k), fresh.get(k))
@@ -80,17 +75,7 @@ def test_shard_ledgers_merge_to_golden(key):
     """
     algorithm, size = key.split("/")
     _skip_if_capped(int(size))
-    parts = [
-        run_algorithm_ledger_shard(
-            algorithm,
-            int(size),
-            shard,
-            3,
-            dataset_kind=_LEDGERS["dataset_kind"],
-            seed=_LEDGERS["seed"],
-        )
-        for shard in range(3)
-    ]
+    parts = [run_algorithm_ledger_shard(algorithm, int(size), shard, 3) for shard in range(3)]
     fresh = merge_shard_ledgers(parts)
     golden = _LEDGERS["entries"][key]
     assert fresh == golden, {
