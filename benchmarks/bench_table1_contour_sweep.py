@@ -8,9 +8,8 @@ a deep cap, and the slowdown never reaches the power reduction
 
 import pytest
 
-from repro import api
 from repro.core import first_slowdown_cap, render_table1
-from repro.core.study import effective_sizes
+from repro.core.study import effective_sizes, resolve_config
 
 
 def _table1_size() -> int:
@@ -19,7 +18,7 @@ def _table1_size() -> int:
 
 def bench_table1_contour_sweep(benchmark, engine):
     size = _table1_size()
-    config = api.resolve_config("table1")
+    config = resolve_config("table1")
     result = benchmark.pedantic(engine.run, (config,), rounds=1, iterations=1)
     print()
     print(render_table1(result, algorithm="contour", size=size))

@@ -9,9 +9,8 @@ barely moves.
 
 import pytest
 
-from repro import api
 from repro.core import classify_result, render_slowdown_table
-from repro.core.study import effective_sizes
+from repro.core.study import effective_sizes, resolve_config
 
 
 def bench_table3_large_dataset(benchmark, engine, phase2_result):
@@ -20,7 +19,7 @@ def bench_table3_large_dataset(benchmark, engine, phase2_result):
     if size < 256:
         pytest.skip("REPRO_MAX_SIZE excludes the 256^3 configuration")
 
-    config = api.resolve_config("table3")
+    config = resolve_config("table3")
     result = benchmark.pedantic(engine.run, (config,), rounds=1, iterations=1)
     print()
     print(render_slowdown_table(result, size=256))

@@ -11,9 +11,9 @@ suite without the 256³ extractions.
 
 import pytest
 
-from repro import api
 from repro.core import PowerAdvisor, SweepEngine, profile_from_ledger
 from repro.core.profiles import DEFAULT_CACHE_PATH
+from repro.core.study import resolve_config
 
 
 @pytest.fixture(scope="session")
@@ -37,10 +37,10 @@ def study_profile(engine):
 @pytest.fixture(scope="session")
 def phase2_result(engine):
     """All algorithms at 128³ — shared by Table II and Figs. 2–3."""
-    return engine.run(api.resolve_config("table2"))
+    return engine.run(resolve_config("table2"))
 
 
 @pytest.fixture(scope="session")
 def phase3_result(engine):
     """All algorithms at all sizes — shared by Figs. 4–6."""
-    return engine.run(api.resolve_config("phase3"))
+    return engine.run(resolve_config("phase3"))

@@ -17,8 +17,14 @@ The package is layered bottom-up:
 * :mod:`repro.lint` — contract-aware static analysis (``repro lint``),
   the zero-violation gate over the conventions listed above.
 * :mod:`repro.harness` — CSV emitters of study results.
-* :mod:`repro.api` — the stable facade; start here
-  (``repro.run_study`` / ``repro.load_result`` / ``repro.classify_study``).
+* :mod:`repro.api` — the typed advise protocol
+  (``repro.advise(repro.AdviseRequest(...))``) that ``repro advise``
+  speaks.
+
+A study runs through :class:`repro.core.SweepEngine`:
+``SweepEngine(...).run(resolve_config("phase2"))``, with
+:func:`repro.core.study.resolve_config` mapping a table or phase name to
+its grid.
 """
 
 __version__ = "1.1.0"
@@ -34,16 +40,7 @@ if _os.environ.get("REPRO_SANITIZE") == "1":
 
 from .workload import AccessPattern, InstructionMix, WorkProfile, WorkSegment
 from . import api
-from .api import (
-    AdviseRequest,
-    AdviseResponse,
-    StudyRequest,
-    advise,
-    classify_study,
-    load_result,
-    regenerate_tables,
-    run_study,
-)
+from .api import AdviseRequest, AdviseResponse, advise
 
 __all__ = [
     "__version__",
@@ -52,12 +49,7 @@ __all__ = [
     "WorkProfile",
     "WorkSegment",
     "api",
-    "run_study",
     "advise",
-    "StudyRequest",
     "AdviseRequest",
     "AdviseResponse",
-    "load_result",
-    "classify_study",
-    "regenerate_tables",
 ]

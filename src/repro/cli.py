@@ -74,15 +74,17 @@ from .core import (
     recommend_cap,
     render_slowdown_table,
     render_table1,
+    validate_store,
 )
 from .core.engine import SweepEngine
 from .core.profiles import DEFAULT_CACHE_PATH, ProfileCache
 from .core.runner import DEFAULT_VIZ_CYCLES
-from .core.study import ALGORITHM_NAMES
+from .core.study import ALGORITHM_NAMES, PHASE_NAMES, resolve_config
+from .faults import PLANS, get_plan, run_chaos, run_governor_chaos, run_service_chaos
 from .machine.presets import ALL_PRESETS
 from .harness import result_to_csv, series_to_csv
 from .obs.durable import atomic_write_json
-from .serve import SweepService
+from .serve import DEFAULT_SPOOL, SweepService
 
 __all__ = ["main"]
 
@@ -109,7 +111,7 @@ def _csv_dir(args) -> Path | None:
 
 
 def cmd_table1(engine: SweepEngine, args) -> None:
-    config = api.resolve_config("table1")
+    config = resolve_config("table1")
     result = engine.run(config)
     print(render_table1(result, algorithm="contour", size=config.sizes[0]))
     if (d := _csv_dir(args)) is not None:
@@ -117,7 +119,7 @@ def cmd_table1(engine: SweepEngine, args) -> None:
 
 
 def cmd_table2(engine: SweepEngine, args) -> None:
-    config = api.resolve_config("table2")
+    config = resolve_config("table2")
     result = engine.run(config)
     print(render_slowdown_table(result, size=config.sizes[0]))
     if (d := _csv_dir(args)) is not None:
@@ -125,7 +127,7 @@ def cmd_table2(engine: SweepEngine, args) -> None:
 
 
 def cmd_table3(engine: SweepEngine, args) -> None:
-    config = api.resolve_config("table3")
+    config = resolve_config("table3")
     result = engine.run(config)
     print(render_slowdown_table(result, size=config.sizes[0]))
     if (d := _csv_dir(args)) is not None:
@@ -133,7 +135,7 @@ def cmd_table3(engine: SweepEngine, args) -> None:
 
 
 def cmd_figures(engine: SweepEngine, args) -> None:
-    config = api.resolve_config("table2")
+    config = resolve_config("table2")
     size = config.sizes[0]
     p2 = engine.run(config)
     fig2 = figure2_series(p2, size=size)
@@ -150,7 +152,7 @@ def cmd_figures(engine: SweepEngine, args) -> None:
     for alg, s in fig3.items():
         print(f"{alg:>10s} {s.y[-1] / 1e6:>8.2f}")
 
-    config = api.resolve_config("phase3")
+    config = resolve_config("phase3")
     p3 = engine.run(config)
     print("\nFigs 4-6 (IPC at 120W by size):")
     print(f"{'alg':>10s} " + " ".join(f"{s:>7d}" for s in config.sizes))
@@ -163,7 +165,7 @@ def cmd_figures(engine: SweepEngine, args) -> None:
 
 
 def cmd_classify(engine: SweepEngine, args) -> None:
-    config = api.resolve_config("table2")
+    config = resolve_config("table2")
     size = config.sizes[0]
     result = engine.run(config)
     classes = classify_result(result, size=size)
@@ -226,7 +228,7 @@ def _governed_config(config, args):
 
 
 def cmd_sweep(args) -> None:
-    config = api.resolve_config(args.phase)
+    config = resolve_config(args.phase)
     if args.governor:
         config = _governed_config(config, args)
     store = args.store or str(Path(".cache") / f"sweep-{config.name}.jsonl")
@@ -263,10 +265,10 @@ def cmd_sweep(args) -> None:
 def cmd_chaos(args) -> int:
     from .obs.trace import Tracer
 
-    config = api.resolve_config(args.phase)
+    config = resolve_config(args.phase)
     drill = "governor" if args.governor else "service" if args.service else "sweep"
     try:
-        plan = api.get_plan(args.plan, drill, seed=args.seed)
+        plan = get_plan(args.plan, drill, seed=args.seed)
     except ValueError as exc:
         print(
             f"chaos: {exc} (service plans need --service, governor plans --governor)",
@@ -282,13 +284,13 @@ def cmd_chaos(args) -> int:
                 f"governor chaos: plan '{plan.name}' (seed {plan.seed}), "
                 f"governor {args.governor_spec}, control {args.control}"
             )
-            report = api.run_governor_chaos(
+            report = run_governor_chaos(
                 plan, governor=args.governor_spec, control=args.control, n_epochs=args.epochs
             )
         elif drill == "service":
             spool = args.spool or str(Path(".cache") / f"service-chaos-{config.name}")
             print(f"service chaos {config.name}: plan '{plan.name}', spool={spool}")
-            report = api.run_service_chaos(
+            report = run_service_chaos(
                 config,
                 plan,
                 spool=spool,
@@ -300,7 +302,7 @@ def cmd_chaos(args) -> int:
         else:
             store = args.store or str(Path(".cache") / f"chaos-{config.name}.jsonl")
             print(f"chaos {config.name}: plan '{plan.name}' (seed {plan.seed}), store={store}")
-            report = api.run_chaos(
+            report = run_chaos(
                 config,
                 plan,
                 store=store,
@@ -362,8 +364,8 @@ def cmd_jobs(args) -> int:
             max_retries = int(doc.pop("max_retries", args.max_retries))
             if doc:
                 raise ValueError(f"unknown submit field(s) {sorted(doc)}")
-            receipt = api.submit_study(
-                study, service=svc, n_cycles=n_cycles, max_retries=max_retries
+            receipt = svc.submit(
+                resolve_config(study), n_cycles=n_cycles, max_retries=max_retries
             )
             return {"ok": receipt.accepted, "op": op, **receipt.to_dict()}
         if op == "status":
@@ -397,10 +399,6 @@ def cmd_jobs(args) -> int:
     return rc
 
 
-class _InternalError(RuntimeError):
-    """A well-formed serve-loop request that failed while executing."""
-
-
 #: Longest request line a JSONL serve loop reads.
 _MAX_REQUEST_LINE = 64 * 1024
 
@@ -413,21 +411,11 @@ def _serve_jsonl(name: str, handle) -> int:
     pipeline requests.  The loop is a trust boundary: lines are read
     with a hard length bound (a pathological client cannot balloon
     memory), an oversized line is drained and answered with an error
-    instead of poisoning the next request, and every failure increments
-    ``repro_<name>_errors_total{reason=...}`` (``oversized``,
-    ``invalid-json``, ``bad-request``, or ``internal`` for an
-    :class:`_InternalError`) — the loop itself never dies on bad input.
+    instead of poisoning the next request, and every failure is
+    answered with ``{"ok": false, "error": ...}`` — the loop itself
+    never dies on bad input.
     """
     import json as _json
-
-    from .obs.metrics import get_registry
-
-    reg = get_registry()
-
-    def count_error(reason: str) -> None:
-        reg.counter(
-            f"repro_{name}_errors_total", f"{name} serve-loop failures", reason=reason
-        ).inc()
 
     def respond(doc: dict) -> None:
         print(_json.dumps(doc, sort_keys=True), flush=True)
@@ -443,7 +431,6 @@ def _serve_jsonl(name: str, handle) -> int:
                 chunk = sys.stdin.readline(_MAX_REQUEST_LINE)
                 if chunk == "" or chunk.endswith("\n"):
                     break
-            count_error("oversized")
             respond({"ok": False, "error": f"request line exceeds {_MAX_REQUEST_LINE} bytes"})
             continue
         line = raw.strip()
@@ -454,17 +441,11 @@ def _serve_jsonl(name: str, handle) -> int:
             try:
                 doc = _json.loads(line)
             except ValueError as exc:
-                count_error("invalid-json")
                 raise ValueError(f"invalid JSON: {exc}") from exc
             if not isinstance(doc, dict):
-                count_error("bad-request")
                 raise ValueError(f"{name} request must be a JSON object")
             req_id = doc.pop("id", None)
-            try:
-                answer = handle(doc)
-            except Exception as exc:
-                count_error("internal" if isinstance(exc, _InternalError) else "bad-request")
-                raise
+            answer = handle(doc)
         except Exception as exc:  # protocol boundary: report, keep serving
             answer = {"ok": False, "error": str(exc)}
         if req_id is not None:
@@ -474,7 +455,7 @@ def _serve_jsonl(name: str, handle) -> int:
 
 def cmd_doctor(args) -> int:
     try:
-        report = api.doctor(args.store, quarantine=args.quarantine)
+        report = validate_store(args.store, quarantine=args.quarantine)
     except FileNotFoundError as exc:
         print(f"doctor: {exc}", file=sys.stderr)
         return 2
@@ -516,7 +497,7 @@ def _git_changed_files() -> list[Path] | None:
 
 
 def cmd_lint(args) -> int:
-    from .lint import render_json, render_text
+    from .lint import lint_paths, render_json, render_text
 
     only = None
     if getattr(args, "changed", False):
@@ -528,7 +509,7 @@ def cmd_lint(args) -> int:
             print("lint: no changed python files")
             return 0
     try:
-        report = api.lint(args.paths or None, only=only)
+        report = lint_paths(args.paths or None, only=only)
     except FileNotFoundError as exc:
         print(f"lint: {exc}", file=sys.stderr)
         return 2
@@ -601,10 +582,7 @@ def cmd_advise(args) -> int:
         # See docs/pricing_service.md for the protocol.
         def handle(doc: dict) -> dict:
             request = api.AdviseRequest.from_dict(doc)
-            try:
-                resp = api.advise(request, advisor=advisor_for(request.machine))
-            except Exception as exc:
-                raise _InternalError(str(exc)) from exc
+            resp = api.advise(request, advisor=advisor_for(request.machine))
             return {"ok": True, **resp.to_dict()}
 
         return _serve_jsonl("advise", handle)
@@ -728,7 +706,7 @@ def _build_parser() -> argparse.ArgumentParser:
         epilog=_EPILOG,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    sweep.add_argument("phase", nargs="?", default="phase1", choices=list(api.PHASE_NAMES),
+    sweep.add_argument("phase", nargs="?", default="phase1", choices=list(PHASE_NAMES),
                        help="which factor grid to sweep (default: phase1)")
     sweep.add_argument("--workers", type=int, default=None, metavar="N",
                        help="profile-job process count (default: CPU count; 0/1 = serial)")
@@ -765,10 +743,10 @@ def _build_parser() -> argparse.ArgumentParser:
         epilog=_EPILOG,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    chaos.add_argument("phase", nargs="?", default="phase1", choices=list(api.PHASE_NAMES),
+    chaos.add_argument("phase", nargs="?", default="phase1", choices=list(PHASE_NAMES),
                        help="which factor grid to sweep (default: phase1)")
     chaos.add_argument("--plan", default="default",
-                       choices=sorted(set().union(*api.PLANS.values())),
+                       choices=sorted(set().union(*PLANS.values())),
                        help="named fault plan (default: 'default'; service plans "
                        "need --service, governor plans --governor)")
     chaos.add_argument("--seed", type=int, default=None, metavar="N",
@@ -818,8 +796,8 @@ def _build_parser() -> argparse.ArgumentParser:
         epilog=_EPILOG,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    serve.add_argument("spool", nargs="?", default=api.DEFAULT_SPOOL,
-                       help=f"spool directory (default: {api.DEFAULT_SPOOL})")
+    serve.add_argument("spool", nargs="?", default=DEFAULT_SPOOL,
+                       help=f"spool directory (default: {DEFAULT_SPOOL})")
     serve.add_argument("--workers", type=int, default=2, metavar="N",
                        help="supervised worker threads (default: 2)")
     serve.add_argument("--lease", type=float, default=30.0, metavar="S",
@@ -844,10 +822,10 @@ def _build_parser() -> argparse.ArgumentParser:
         epilog=_EPILOG,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    jobs.add_argument("spool", nargs="?", default=api.DEFAULT_SPOOL,
-                      help=f"spool directory (default: {api.DEFAULT_SPOOL})")
+    jobs.add_argument("spool", nargs="?", default=DEFAULT_SPOOL,
+                      help=f"spool directory (default: {DEFAULT_SPOOL})")
     jobs.add_argument("--submit", action="append", metavar="PHASE",
-                      choices=list(api.PHASE_NAMES),
+                      choices=list(PHASE_NAMES),
                       help="durably enqueue one study (repeatable)")
     jobs.add_argument("--status", action="append", metavar="JOB_ID",
                       help="print one job's snapshot (repeatable)")

@@ -15,8 +15,8 @@ service: op-count ledgers come from the one ledger store,
 (algorithm, size) by executing the real algorithm on the study's
 dataset, by a sweep or by an earlier query on any machine), caps are priced
 through the vectorized :class:`~repro.core.pricing.BatchRepricer`, and
-every query is instrumented with :mod:`repro.obs` spans and metrics —
-the backing for ``repro advise`` and :func:`repro.api.advise`.
+every query is traced with :mod:`repro.obs` spans — the backing for
+``repro advise`` and :func:`repro.api.advise`.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from ..machine.spec import BROADWELL_E5_2695V4, MachineSpec
-from ..obs.metrics import MetricsRegistry, get_registry
 from ..obs.trace import span
 from .metrics import SLOWDOWN_THRESHOLD
 from .pricing import BatchRepricer
@@ -39,17 +38,8 @@ __all__ = [
     "CapRecommendation",
     "Advice",
     "PowerAdvisor",
-    "ADVISE_LATENCY_BUCKETS",
     "recommend_cap",
 ]
-
-#: Sub-millisecond-oriented latency buckets for the advise histogram —
-#: warm queries land in the 10–500 µs bands, cold (profile-executing)
-#: queries in the right tail.
-ADVISE_LATENCY_BUCKETS: tuple[float, ...] = (
-    1e-5, 2.5e-5, 5e-5, 1e-4, 2.5e-4, 5e-4,
-    1e-3, 2.5e-3, 5e-3, 1e-2, 0.05, 0.1, 0.5, 1.0, 5.0, 30.0,
-)
 
 
 @dataclass(frozen=True)
@@ -110,9 +100,9 @@ class PowerAdvisor:
     the study's one dataset and name no machine, so advisors for every
     machine and sweep engines can share one cache.
 
-    Instrumentation: ``repro_advise_queries_total{outcome=hit|miss}``
-    counters, a ``repro_advise_latency_seconds`` histogram, and
-    ``advise``/``advise-fill`` trace spans.
+    Each answer carries its ``cache_hit`` and ``latency_s``; each query
+    is traced as an ``advise`` span (``advise-fill`` around a miss's
+    kernel run).
     """
 
     def __init__(
@@ -123,7 +113,6 @@ class PowerAdvisor:
         n_cycles: int = DEFAULT_VIZ_CYCLES,
         caps_w: tuple[float, ...] = POWER_CAPS_W,
         tolerance: float = SLOWDOWN_THRESHOLD,
-        metrics: MetricsRegistry | None = None,
     ):
         self.spec = spec if spec is not None else BROADWELL_E5_2695V4
         self.cache = cache if isinstance(cache, ProfileCache) else ProfileCache(cache)
@@ -137,18 +126,6 @@ class PowerAdvisor:
         #: takes them.
         self.dataset = tuple(DATASET_RECIPE.values())
         self.machine = self.spec.name
-        reg = metrics if metrics is not None else get_registry()
-        self._q_hit = reg.counter(
-            "repro_advise_queries_total", "advise queries", outcome="hit"
-        )
-        self._q_miss = reg.counter(
-            "repro_advise_queries_total", "advise queries", outcome="miss"
-        )
-        self._latency = reg.histogram(
-            "repro_advise_latency_seconds",
-            "per-query advise latency",
-            buckets=ADVISE_LATENCY_BUCKETS,
-        )
 
     # ------------------------------------------------------------- ledgers
     def ledger_for(self, algorithm: str, size: int) -> tuple[dict[str, float], bool]:
@@ -204,8 +181,6 @@ class PowerAdvisor:
                     algorithm, size, ledger, (target,), default_cap_w=max(self.caps_w)
                 )[0]
         latency = time.perf_counter() - t0
-        (self._q_hit if hit else self._q_miss).inc()
-        self._latency.observe(latency)
         return Advice(point=point, recommendation=rec, cache_hit=hit, latency_s=latency)
 
     def reprice_grid(self, algorithms, sizes, caps_w=None) -> list[RunPoint]:

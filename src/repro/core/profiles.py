@@ -19,7 +19,7 @@ This module owns that bridge for the whole repo:
   float).  Together they are the engine's process-sharded job body.
 * :func:`profile_from_ledger` — ledger → cycle-scaled
   :class:`~repro.workload.WorkProfile`, the single pricing path used by
-  the engine and the facade.
+  the engine and the advisor.
 * :class:`ProfileCache` — the one ledger store: a versioned JSON file
   (``DEFAULT_CACHE_PATH`` for the CLI) that holds the union of every
   handle's puts, in any process, stamped with :data:`DATASET_RECIPE`.

@@ -44,7 +44,6 @@ from ..machine.rapl import MIN_DUTY
 from ..machine.simulator import Processor, RunResult
 from ..machine.spec import MachineSpec
 from ..obs.durable import JsonlFile
-from ..obs.metrics import get_registry
 from ..obs.trace import span
 from ..workload import WorkProfile
 
@@ -613,8 +612,8 @@ class GovernedRuntime:
     Per control period: sample the signal trace at the accumulated run
     time, ask the governor for a capacity fraction, program the control
     method's setting, and execute one period of the profile closed-form.
-    Each decision is wrapped in a ``governor-decision`` span and counted
-    in ``repro_governor_decisions_total{control=...}``.
+    Each decision is wrapped in a ``governor-decision`` span; the result
+    lists every epoch.
     """
 
     def __init__(
@@ -623,26 +622,17 @@ class GovernedRuntime:
         governor: Governor,
         control: ControlMethod,
         trace: SignalTrace,
-        *,
-        metrics=None,
     ):
         self.proc = processor
         self.governor = governor
         self.control = control
         self.trace = trace
-        reg = metrics if metrics is not None else get_registry()
-        self._decisions = reg.counter(
-            "repro_governor_decisions_total",
-            "governor policy decisions taken",
-            control=control.name,
-        )
 
     def decide(self, t_s: float) -> tuple[float, float, ControlSetting]:
         """(signal, fraction, setting) for the control period at ``t_s``."""
         signal = self.trace.value_at(t_s)
         fraction = self.governor.limit(signal)
         setting = self.control.setting(fraction)
-        self._decisions.inc()
         return signal, fraction, setting
 
     def run(self, profile: WorkProfile, n_epochs: int) -> GovernedRunResult:

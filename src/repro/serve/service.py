@@ -145,7 +145,7 @@ class SweepService:
         if not isinstance(config, StudyConfig):
             raise TypeError(
                 "submit() needs an explicit StudyConfig; resolve phase names "
-                "first (repro.api.submit_study does)"
+                "first (repro.core.study.resolve_config)"
             )
         self.refresh()
         now_t = time.time()

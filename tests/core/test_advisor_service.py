@@ -14,7 +14,6 @@ from repro.core.profiles import ProfileCache
 from repro.core.runner import RunPoint
 from repro.core.study import ALGORITHM_NAMES, POWER_CAPS_W, StudyConfig
 from repro.machine.presets import ALL_PRESETS, SKYLAKE_LIKE
-from repro.obs.metrics import MetricsRegistry
 
 SIZE = 12
 
@@ -69,13 +68,11 @@ class TestRecommendCap:
 
 class TestPowerAdvisor:
     @pytest.fixture(scope="class")
-    def advisor(self, tmp_path_factory):
+    def adv(self, tmp_path_factory):
         cache = ProfileCache(tmp_path_factory.mktemp("advise") / "ledgers.json")
-        registry = MetricsRegistry()
-        return PowerAdvisor(cache=cache, n_cycles=5, metrics=registry), registry
+        return PowerAdvisor(cache=cache, n_cycles=5)
 
-    def test_cold_miss_then_warm_hit(self, advisor):
-        adv, _ = advisor
+    def test_cold_miss_then_warm_hit(self, adv):
         first = adv.advise("contour", SIZE)
         assert not first.cache_hit
         second = adv.advise("contour", SIZE)
@@ -83,36 +80,24 @@ class TestPowerAdvisor:
         assert second.recommendation == first.recommendation
         assert second.latency_s < first.latency_s
 
-    def test_metrics_instrumented(self, advisor):
-        adv, registry = advisor
-        adv.advise("contour", SIZE)
-        rendered = registry.to_prometheus()
-        assert "repro_advise_queries_total" in rendered
-        assert "repro_advise_latency_seconds" in rendered
-        assert 'outcome="hit"' in rendered
-
-    def test_cap_override_prices_requested_cap(self, advisor):
-        adv, _ = advisor
+    def test_cap_override_prices_requested_cap(self, adv):
         advice = adv.advise("contour", SIZE, cap_w=60.0)
         assert advice.point.cap_w == 60.0
         # The recommendation is independent of the priced cap.
         assert advice.recommendation.cap_w in adv.caps_w
 
-    def test_off_grid_cap_priced_consistently(self, advisor):
-        adv, _ = advisor
+    def test_off_grid_cap_priced_consistently(self, adv):
         advice = adv.advise("contour", SIZE, cap_w=63.5)
         assert advice.point.cap_w == 63.5
         assert advice.point.time_s > 0
 
-    def test_warm_counts_only_new_ledgers(self, advisor):
-        adv, _ = advisor
+    def test_warm_counts_only_new_ledgers(self, adv):
         assert adv.warm(["threshold"], [SIZE]) == 1
         assert adv.warm(["threshold"], [SIZE]) == 0
 
-    def test_grid_matches_per_point_recommendation(self, advisor):
+    def test_grid_matches_per_point_recommendation(self, adv):
         # Property: recommending from the batch-repriced grid gives the
         # same answer as recommending from a per-query advise() call.
-        adv, _ = advisor
         algorithms = list(ALGORITHM_NAMES[:3])
         points = adv.reprice_grid(algorithms, [SIZE])
         for alg in algorithms:
@@ -120,8 +105,7 @@ class TestPowerAdvisor:
             grid_rec = recommend_cap(grid_pts, tolerance=adv.tolerance)
             assert grid_rec == adv.advise(alg, SIZE).recommendation
 
-    def test_advice_latency_is_measured(self, advisor):
-        adv, _ = advisor
+    def test_advice_latency_is_measured(self, adv):
         advice = adv.advise("contour", SIZE)
         assert advice.latency_s > 0.0
 
@@ -144,9 +128,9 @@ class TestOneLedgerStore:
 
     def test_second_machine_hits_and_prices_on_its_own_spec(self):
         store = ProfileCache(None)
-        broadwell = PowerAdvisor(cache=store, n_cycles=2, metrics=MetricsRegistry())
+        broadwell = PowerAdvisor(cache=store, n_cycles=2)
         assert not broadwell.advise("threshold", SIZE, cap_w=60.0).cache_hit
-        skylake = PowerAdvisor(SKYLAKE_LIKE, cache=store, n_cycles=2, metrics=MetricsRegistry())
+        skylake = PowerAdvisor(SKYLAKE_LIKE, cache=store, n_cycles=2)
         advice = skylake.advise("threshold", SIZE, cap_w=60.0)
         assert advice.cache_hit
         expected = BatchRepricer(SKYLAKE_LIKE, n_cycles=2).reprice(

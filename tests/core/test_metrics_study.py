@@ -16,6 +16,7 @@ from repro.core import (
     phase2_config,
     phase3_config,
 )
+from repro.core.study import resolve_config
 
 
 class TestRatios:
@@ -110,6 +111,18 @@ class TestStudyConfig:
     def test_bad_size_rejected(self):
         with pytest.raises(ValueError):
             StudyConfig(name="x", algorithms=("contour",), sizes=(1,))
+
+    def test_phase_name_respects_max_size(self, monkeypatch):
+        monkeypatch.setenv("REPRO_MAX_SIZE", "12")
+        config = resolve_config("phase1")
+        assert config.sizes == (12,)
+        assert config.n_configurations == 9
+        explicit = StudyConfig(name="x", algorithms=("contour",), sizes=(64,))
+        assert resolve_config(explicit) is explicit  # taken verbatim, never capped
+
+    def test_unknown_phase_rejected(self):
+        with pytest.raises(ValueError, match="unknown study phase"):
+            resolve_config("phase9")
 
 
 class TestEnergyDelayProduct:

@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from repro.core import ResultStore, StudyConfig, StudyResult, SweepEngine
+from repro.core import ResultStore, StudyConfig, StudyResult, SweepEngine, classify_result
 from repro.core.runner import RunPoint
 from repro.machine.simulator import SegmentRecord
 
@@ -44,6 +44,19 @@ class TestResultStore:
         assert len(again) == len(result.points)
         assert again.load_result().points == result.points
         assert result.points[0].key in again
+
+    def test_jsonl_roundtrip_preserves_classification(self, tmp_path):
+        path = tmp_path / "small.jsonl"
+        cfg = StudyConfig(name="small", algorithms=("threshold", "contour"), sizes=(12,))
+        result = SweepEngine(n_cycles=2, workers=0, store=path).run(cfg)
+
+        loaded = ResultStore.existing(path).load_result()
+        assert loaded.config_name == "small"
+        assert loaded.points == result.points
+
+        before = classify_result(result, size=12)
+        assert classify_result(loaded, size=12) == before
+        assert set(before) == {"threshold", "contour"}
 
     def test_append_without_fingerprint_refused(self, result, tmp_path):
         store = ResultStore(tmp_path / "s.jsonl")

@@ -15,7 +15,6 @@ from repro.insitu.governors import (
     make_control,
     parse_governor,
 )
-from repro.obs.metrics import MetricsRegistry
 
 
 @pytest.fixture(scope="module")
@@ -43,7 +42,6 @@ def governed_epochs(processor, profile, *, control="power", n_epochs=8):
         parse_governor("step:100=0.7:200=0.4"),
         make_control(control, processor.spec),
         trace,
-        metrics=MetricsRegistry(),
     )
     return runtime.run(profile, n_epochs).epochs
 
@@ -94,7 +92,6 @@ class TestEpochViolationsCaught:
             parse_governor("const:0.8"),
             PowerCapControl(processor.spec),
             SignalTrace.constant(0.0),
-            metrics=MetricsRegistry(),
         )
         epochs = list(runtime.run(profile, 4).epochs)
         # Same programmed setting every epoch, but one record's time was

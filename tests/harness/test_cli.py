@@ -125,7 +125,15 @@ class TestAdviseCommand:
         assert doc["cap_w"] == 60.0
         from repro import api
 
-        assert api.AdviseResponse.from_dict(doc).point.cap_w == 60.0
+        # The printed answer is the protocol's own: the same query, asked
+        # in-process of the ledgers the command recorded, gives the same
+        # dict but for its latency and cache hit.
+        advisor = api.advisor(cache=small / "ledgers.json", n_cycles=2)
+        again = api.advise(api.AdviseRequest("contour", 12, cap_w=60.0), advisor=advisor)
+        want = json.loads(json.dumps(again.to_dict()))
+        for d in (doc, want):
+            del d["latency_s"], d["cache_hit"]
+        assert doc == want
 
     def test_requires_algorithm_and_size(self, capsys, small):
         assert main(["advise", "--cache", ""]) == 2
@@ -292,21 +300,6 @@ class TestAdviseServeHardening:
             out = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
             assert not out[0]["ok"] and out[0]["error"].startswith("invalid JSON"), argv[0]
             assert out[1]["ok"]
-
-    def test_errors_are_counted_by_reason(self, small, monkeypatch, capsys):
-        import io
-
-        from repro.obs.metrics import get_registry
-
-        for argv, _ in self._serve_loops(small):
-            counter = get_registry().counter(
-                f"repro_{argv[0]}_errors_total", reason="invalid-json"
-            )
-            before = counter.value
-            monkeypatch.setattr("sys.stdin", io.StringIO("nope\n"))
-            assert main(argv) == 0
-            capsys.readouterr()
-            assert counter.value == before + 1, argv[0]
 
 
 class TestServeAndJobsCommands:

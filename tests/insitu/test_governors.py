@@ -25,7 +25,6 @@ from repro.insitu.governors import (
 )
 from repro.machine.rapl import MIN_DUTY
 from repro.machine.simulator import Processor
-from repro.obs.metrics import MetricsRegistry
 
 
 @pytest.fixture(scope="module")
@@ -177,8 +176,7 @@ class TestStaticEquivalence:
     def test_const_governor_matches_static_run(self, processor, profile, control):
         ctrl = make_control(control, processor.spec)
         runtime = GovernedRuntime(
-            processor, ConstGovernor(1.0), ctrl, SignalTrace.constant(0.0),
-            metrics=MetricsRegistry(),
+            processor, ConstGovernor(1.0), ctrl, SignalTrace.constant(0.0)
         )
         governed = runtime.run(profile, 3)
         static = processor.run(profile, ctrl.setting(1.0).cap_w)
@@ -193,8 +191,7 @@ class TestStaticEquivalence:
         ctrl = PowerCapControl(processor.spec)
         setting = ctrl.setting(fraction)
         runtime = GovernedRuntime(
-            processor, ConstGovernor(fraction), ctrl, SignalTrace.constant(0.0),
-            metrics=MetricsRegistry(),
+            processor, ConstGovernor(fraction), ctrl, SignalTrace.constant(0.0)
         )
         governed = runtime.run(profile, 2)
         static = processor.run(profile, setting.cap_w)
@@ -238,7 +235,6 @@ class TestGovernedRuntime:
             parse_governor("step:100=0.7:200=0.5"),
             PowerCapControl(processor.spec),
             SignalTrace.synthetic("walk", seed=3, n=24, lo=50.0, hi=250.0),
-            metrics=MetricsRegistry(),
         )
         result = runtime.run(profile, 6)
         assert result.n_epochs == 6
@@ -248,30 +244,12 @@ class TestGovernedRuntime:
         for prev, cur in zip(result.epochs, result.epochs[1:]):
             assert cur.t_s == pytest.approx(prev.t_s + prev.time_s)
 
-    def test_decisions_counted_per_control(self, processor, profile):
-        registry = MetricsRegistry()
-        runtime = GovernedRuntime(
-            processor,
-            ConstGovernor(0.9),
-            DutyCycleControl(processor.spec),
-            SignalTrace.constant(0.0),
-            metrics=registry,
-        )
-        runtime.run(profile, 4)
-        counter = registry.counter(
-            "repro_governor_decisions_total",
-            "governor policy decisions taken",
-            control="duty",
-        )
-        assert counter.value == 4
-
     def test_final_setting_and_empty_guard(self, processor, profile):
         runtime = GovernedRuntime(
             processor,
             ConstGovernor(0.5),
             PowerCapControl(processor.spec),
             SignalTrace.constant(0.0),
-            metrics=MetricsRegistry(),
         )
         result = runtime.run(profile, 2)
         final = result.final_setting()

@@ -10,9 +10,8 @@ import json
 
 import pytest
 
-from repro import api
 from repro.cli import main
-from repro.core import ResultStore, StudyConfig, validate_store
+from repro.core import ResultStore, StudyConfig, SweepEngine, validate_store
 from repro.faults import chaos, get_plan, run_chaos
 
 CFG = StudyConfig(name="t", algorithms=("threshold", "clip"), sizes=(12,))
@@ -135,9 +134,12 @@ class TestTracedChaos:
 
 
 class TestApiFacade:
+    """The drill and the doctor called from Python, as ``TestCli`` calls
+    them from the shell."""
+
     def test_run_chaos_accepts_names_and_reseeds(self, tmp_path):
-        rep = api.run_chaos(
-            "table1", plan=api.get_plan("store", seed=123), store=tmp_path / "s.jsonl",
+        rep = run_chaos(
+            "table1", plan=get_plan("store", seed=123), store=tmp_path / "s.jsonl",
             n_cycles=1,
         )
         assert rep.plan == "store" and rep.survived
@@ -145,12 +147,12 @@ class TestApiFacade:
 
     def test_doctor_facade(self, tmp_path):
         store = tmp_path / "s.jsonl"
-        api.run_study(api.StudyRequest(CFG, store=store, n_cycles=1))
-        assert api.doctor(store).ok
+        SweepEngine(workers=0, store=store, n_cycles=1).run(CFG)
+        assert validate_store(store).ok
 
     def test_unknown_plan_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="unknown fault plan"):
-            api.run_chaos("phase1", plan="nope", store=tmp_path / "s.jsonl")
+            run_chaos("phase1", plan="nope", store=tmp_path / "s.jsonl")
 
 
 class TestCli:
@@ -166,7 +168,7 @@ class TestCli:
 
     def test_doctor_flags_damage(self, tmp_path, capsys):
         store = tmp_path / "s.jsonl"
-        api.run_study(api.StudyRequest(CFG, store=store, n_cycles=1))
+        SweepEngine(workers=0, store=store, n_cycles=1).run(CFG)
         text = store.read_text().splitlines()
         import json
 

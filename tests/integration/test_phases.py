@@ -1,11 +1,11 @@
-"""Integration: the study phases through one engine and the facade's
-phase names, at smoke scale (REPRO_MAX_SIZE), exercising the exact code
+"""Integration: the study phases through one engine and
+``resolve_config``'s phase names, at smoke scale (REPRO_MAX_SIZE), exercising the exact code
 path the CLI table commands use — including the ledger cache round trip."""
 
 import pytest
 
-from repro import api
 from repro.core import SweepEngine
+from repro.core.study import resolve_config
 from repro.harness import result_to_csv
 
 
@@ -21,7 +21,7 @@ def smoke_scale(monkeypatch):
 
 
 def run(engine, name):
-    return engine.run(api.resolve_config(name))
+    return engine.run(resolve_config(name))
 
 
 class TestPhases:
